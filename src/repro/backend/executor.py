@@ -101,6 +101,10 @@ class NumpyInterp(Interp):
 
     def row_cache(self, base) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """(per-row lengths, padded matrix or None if rows aren't scalar)."""
+        if isinstance(base, ArrVec):
+            # a lifted view of an outer lane's array: already columnar, and
+            # a loop-local temporary that must not be pinned in the cache
+            return base.length_array(), base.data
         key = id(base)
         ent = self._rows.get(key)
         if ent is None:
@@ -112,7 +116,8 @@ class NumpyInterp(Interp):
             w = int(lens.max()) if n else 0
             flat = np.asarray([x for r in seq for x in r]) if w else \
                 np.zeros(0)
-            if flat.dtype != object:
+            # struct rows flatten to a 2-D array: not scalar either
+            if flat.dtype != object and flat.ndim == 1:
                 pad = np.zeros((n, w), dtype=flat.dtype)
                 if w:
                     pad[lens[:, None] > np.arange(w)] = flat

@@ -11,8 +11,15 @@ mask. Values flow through a small vocabulary of representations:
   per-lane lengths (ragged rows);
 - ``Rows``   — a lazy per-lane gather of rows from one host collection
   (adjacency lists, bucket values) that keeps the original row objects
-  reachable for collection primitives;
+  reachable for collection primitives, or from an enclosing loop's
+  ``ArrVec`` (the view a nested loop body has of an outer array);
 - any other Python value — lane-invariant ("uniform"), evaluated once.
+
+A nested multiloop is one more lane axis, not an inner Python loop: its
+body is evaluated once over the flattened space of active (outer lane,
+trip) pairs by a child vectorizer, nested ``Collect`` results are
+scattered back by (segment, position) and nested ``Reduce`` folds every
+segment left to right in trip order (``LoopVectorizer._nested_loop``).
 
 Cost accounting stays *analytic* and matches the interpreter cycle for
 cycle: every operation adds its cost to per-lane essential/overhead
@@ -53,6 +60,45 @@ class VecError(Exception):
     """
 
 
+#: Flat (outer lane, trip) pairs one strip of a nested loop evaluates at
+#: once. Every def of the nested body keeps one temporary this long alive
+#: until its strip ends, so the budget bounds memory, not speed. Measured
+#: on benchmarks/e2e (``peak_rss_mb``, trip-at-a-time parent -> whole nest
+#: at once -> 16 Ki strips): exec_lane_bound 47.3 -> 57.2 -> 48.1 MB,
+#: serve_tenants_fleet 51.2 -> 61.6 -> 52.0 MB (kmeans' 8k x 8 x 16 nest;
+#: unstripped is over the benchmark's 10 % bound), same ``geomean_ms``.
+STRIP_LANES = 1 << 14
+
+#: Row elements (sum of all operands' lengths) one call of a batched
+#: collection primitive gathers. exec_dispatch_bound ``peak_rss_mb``:
+#: 49.6 MB at the parent, 66.3 MB with triangle's 8.4k row pairs in one
+#: call, 51.7 MB at 64 Ki elements, same ``geomean_ms``.
+PRIM_ELEMS = 1 << 16
+
+
+def _strips(ends: np.ndarray, budget: int):
+    """Cut consecutive segments, given their cumulative sizes ``ends``,
+    into ``(start, stop)`` strips of at most ``budget`` elements. A segment
+    larger than the budget gets a strip to itself, and empty segments ride
+    with a neighbour, so every strip holds at least one element."""
+    total = int(ends[-1]) if len(ends) else 0
+    start = base = 0
+    while base < total:
+        stop = int(np.searchsorted(ends, base + budget, side="right"))
+        if stop == start or ends[stop - 1] == base:
+            # the next non-empty segment alone exceeds the budget
+            stop = int(np.searchsorted(ends, ends[stop], side="right"))
+        yield start, stop
+        start, base = stop, int(ends[stop - 1])
+
+
+def _runs(cnt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Elements laid out as consecutive runs of ``cnt[r]``: the run each
+    element belongs to and its position within that run."""
+    run = np.repeat(np.arange(len(cnt)), cnt)
+    return run, np.arange(len(run)) - (np.cumsum(cnt) - cnt)[run]
+
+
 # ---------------------------------------------------------------------------
 # Lane-vector value representations
 # ---------------------------------------------------------------------------
@@ -86,15 +132,34 @@ class ArrVec:
             return self.lengths
         return self.data.shape[1]  # uniform width
 
+    def length_array(self) -> np.ndarray:
+        if self.lengths is not None:
+            return self.lengths
+        return np.full(len(self), self.data.shape[1], dtype=np.int64)
+
+    # one lane's row as a host list: a lifted view (``Rows`` over an
+    # ``ArrVec``) reads its base exactly like a host collection
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    def __getitem__(self, lane: int) -> list:
+        row = self.data[lane]
+        if self.lengths is not None:
+            row = row[: self.lengths[lane]]
+        return row.tolist()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ArrVec{self.data.shape}"
 
 
 class Rows:
-    """Per-lane rows gathered from one uniform host collection: lane ``l``
-    holds ``base[idx[l]]``. Padding/length caches live on ``host`` (the
-    executing interpreter) so one host collection is columnarized at most
-    once per run."""
+    """Per-lane rows gathered from one collection: lane ``l`` holds
+    ``base[idx[l]]``. ``base`` is either a uniform host collection
+    (adjacency lists, bucket values), whose padding/length caches live on
+    ``host`` (the executing interpreter) so it is columnarized at most once
+    per run, or an ``ArrVec`` of an enclosing lane space — the *lifted*
+    view a nested loop body gets of an outer lane's array, which composes
+    indices over the existing padded matrix instead of copying it."""
 
     __slots__ = ("base", "idx", "host")
 
@@ -177,52 +242,56 @@ def vec_take(v: Any, idx: np.ndarray) -> Any:
     return v
 
 
-def vec_concat(a: Any, b: Any, La: int, Lb: int) -> Any:
-    """Concatenate two lane vectors along the lane axis."""
-    if not is_vec(a):
-        a = as_lane_vec(a, La)
-    if not is_vec(b):
-        b = as_lane_vec(b, Lb)
-    if isinstance(a, Rows) and isinstance(b, Rows) and a.base is b.base:
-        return Rows(a.base, np.concatenate([a.idx, b.idx]), a.host)
-    if isinstance(a, Rows) or isinstance(b, Rows):
-        a = _materialize(a)
-        b = _materialize(b)
-    if isinstance(a, SVec) and isinstance(b, SVec):
-        return SVec(tuple(vec_concat(x, y, La, Lb)
-                          for x, y in zip(a.fields, b.fields)))
-    if isinstance(a, ArrVec) and isinstance(b, ArrVec):
-        a, b = _pad_pair(a, b)
-        la = a.length_vec() if a.lengths is not None else \
-            np.full(La, a.data.shape[1], dtype=np.int64)
-        lb = b.length_vec() if b.lengths is not None else \
-            np.full(Lb, b.data.shape[1], dtype=np.int64)
-        return ArrVec(np.concatenate([a.data, b.data]),
-                      np.concatenate([la, lb]))
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.concatenate([a, b])
+def vec_lift(v: Any, rep: np.ndarray, host) -> Any:
+    """An outer lane vector as seen from a nested lane space whose lane
+    ``m`` belongs to outer lane ``rep[m]``. Like ``vec_take``, except that
+    a nested array stays a lazy row gather over the outer matrix: copying
+    it per (lane, trip) pair would cost 33 MB on gda alone."""
+    if isinstance(v, ArrVec):
+        return Rows(v, rep, host)
+    if isinstance(v, SVec):
+        return SVec(tuple(vec_lift(f, rep, host) for f in v.fields))
+    return vec_take(v, rep)
+
+
+def vec_concat(parts: Sequence[Any], sizes: Sequence[int]) -> Any:
+    """Concatenate lane vectors of ``sizes`` lanes along the lane axis."""
+    if len(parts) == 1:
+        return parts[0]
+    parts = [as_lane_vec(p, n) for p, n in zip(parts, sizes)]
+    if all(isinstance(p, np.ndarray) for p in parts):
+        return np.concatenate(parts)
+    if all(isinstance(p, SVec) for p in parts) and \
+            len({len(p.fields) for p in parts}) == 1:
+        return SVec(tuple(vec_concat(col, sizes)
+                          for col in zip(*(p.fields for p in parts))))
+    if all(isinstance(p, Rows) and p.base is parts[0].base for p in parts):
+        return Rows(parts[0].base, np.concatenate([p.idx for p in parts]),
+                    parts[0].host)
+    parts = [_materialize(p) for p in parts]
+    if all(isinstance(p, ArrVec) for p in parts):
+        w = max(p.data.shape[1] for p in parts)
+        if all(p.lengths is None and p.data.shape[1] == w for p in parts):
+            return ArrVec(np.concatenate([p.data for p in parts]), None)
+        return ArrVec(np.concatenate([_pad_to(p, w).data for p in parts]),
+                      np.concatenate([p.length_array() for p in parts]))
     raise VecError("mixed value shapes in concatenation")
+
+
+def _pad_to(v: ArrVec, w: int) -> ArrVec:
+    """Widen an ArrVec's padding to inner width ``w``."""
+    if v.data.shape[1] == w:
+        return v
+    out = np.zeros((v.data.shape[0], w) + v.data.shape[2:],
+                   dtype=v.data.dtype)
+    out[:, : v.data.shape[1]] = v.data
+    return ArrVec(out, v.length_array())
 
 
 def _pad_pair(a: ArrVec, b: ArrVec) -> Tuple[ArrVec, ArrVec]:
     """Pad two ArrVecs to a common inner width."""
-    wa, wb = a.data.shape[1], b.data.shape[1]
-    if wa == wb:
-        return a, b
-    w = max(wa, wb)
-
-    def pad(v: ArrVec) -> ArrVec:
-        if v.data.shape[1] == w:
-            return v
-        shape = (v.data.shape[0], w) + v.data.shape[2:]
-        out = np.zeros(shape, dtype=v.data.dtype)
-        out[:, : v.data.shape[1]] = v.data
-        lens = v.lengths
-        if lens is None:
-            lens = np.full(v.data.shape[0], v.data.shape[1], dtype=np.int64)
-        return ArrVec(out, lens)
-
-    return pad(a), pad(b)
+    w = max(a.data.shape[1], b.data.shape[1])
+    return _pad_to(a, w), _pad_to(b, w)
 
 
 def vec_where(cond: np.ndarray, tv: Any, ev: Any, L: int) -> Any:
@@ -246,14 +315,9 @@ def vec_where(cond: np.ndarray, tv: Any, ev: Any, L: int) -> Any:
     if isinstance(tv, ArrVec) and isinstance(ev, ArrVec):
         tv, ev = _pad_pair(tv, ev)
         sel = cond.reshape((L,) + (1,) * (tv.data.ndim - 1))
-        lt = tv.length_vec() if tv.lengths is not None else \
-            np.full(L, tv.data.shape[1], dtype=np.int64)
-        le = ev.length_vec() if ev.lengths is not None else \
-            np.full(L, ev.data.shape[1], dtype=np.int64)
-        lens = np.where(cond, lt, le)
-        if tv.lengths is None and ev.lengths is None and \
-                tv.data.shape[1] == ev.data.shape[1]:
-            lens = None
+        lens = None  # both sides full-width: _pad_pair left them alone
+        if tv.lengths is not None or ev.lengths is not None:
+            lens = np.where(cond, tv.length_array(), ev.length_array())
         return ArrVec(np.where(sel, tv.data, ev.data), lens)
     raise VecError("mixed value shapes in select")
 
@@ -516,18 +580,6 @@ class StatsDelta:
         stats.bytes_alloc += self.bytes_alloc
 
 
-class _GenState:
-    """Accumulator of one nested generator across sequential trips."""
-
-    __slots__ = ("cols", "keeps", "acc", "seen")
-
-    def __init__(self):
-        self.cols: List[Any] = []
-        self.keeps: List[Any] = []
-        self.acc: Any = None
-        self.seen: Optional[np.ndarray] = None
-
-
 # ---------------------------------------------------------------------------
 # The vectorizer
 # ---------------------------------------------------------------------------
@@ -538,12 +590,20 @@ class LoopVectorizer:
     ``host`` is the executing ``NumpyInterp``: uniform free symbols
     resolve through its environment, and per-host caches (padded rows,
     columnarized structs) live on it so they are shared across loops.
+
+    A nested multiloop is evaluated by a *child* vectorizer over the
+    flattened (outer lane, trip) space: ``parent`` is the enclosing
+    vectorizer and ``rep[m]`` the parent lane that child lane ``m``
+    belongs to. Free symbols of the nested body resolve through the
+    parent chain and are lifted along ``rep`` on first use.
     """
 
     def __init__(self, host, L: int, delta: StatsDelta):
         self.host = host
         self.L = L
         self.delta = delta
+        self.parent: Optional["LoopVectorizer"] = None
+        self.rep: Optional[np.ndarray] = None
         self.env: Dict[int, Any] = {}
         self.ess = np.zeros(L, dtype=np.float64)
         self.ovh = np.zeros(L, dtype=np.float64)
@@ -565,8 +625,28 @@ class LoopVectorizer:
             self._mn = int(mask.sum())
         return self._mn
 
-    def full_mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        return np.ones(self.L, dtype=np.bool_) if mask is None else mask
+    def lanes(self, mask: Optional[np.ndarray]) -> np.ndarray:
+        return np.arange(self.L) if mask is None else np.nonzero(mask)[0]
+
+    def child(self, rep: np.ndarray) -> "LoopVectorizer":
+        """A vectorizer over ``len(rep)`` lanes nested in this one."""
+        sub = LoopVectorizer(self.host, len(rep), self.delta)
+        sub.parent, sub.rep = self, rep
+        sub.in_reducer = self.in_reducer
+        sub.in_reduce_value = self.in_reduce_value
+        return sub
+
+    def absorb(self, sub: "LoopVectorizer", lanes: np.ndarray,
+               seg: Optional[np.ndarray] = None) -> None:
+        """Charge a child's per-lane costs to ``lanes`` of this vectorizer;
+        ``seg`` maps each child lane to its position in ``lanes`` (default:
+        one child lane per entry). Exact in any order: all cycle constants
+        are dyadic."""
+        for mine, theirs in ((self.ess, sub.ess), (self.ovh, sub.ovh)):
+            if seg is not None:
+                theirs = np.bincount(seg, weights=theirs,
+                                     minlength=len(lanes))
+            mine[lanes] += theirs
 
     def add_ess(self, c, mask: Optional[np.ndarray]) -> None:
         if mask is None:
@@ -610,6 +690,10 @@ class LoopVectorizer:
         if isinstance(e, Sym):
             if e.id in self.env:
                 return self.env[e.id]
+            if self.parent is not None:
+                v = self.env[e.id] = vec_lift(self.parent.lookup(e),
+                                              self.rep, self.host)
+                return v
             if e.id in self.host.env:
                 return self.host.env[e.id]  # uniform host value
             raise VecError(f"unbound symbol {e!r} in vectorized block")
@@ -636,7 +720,8 @@ class LoopVectorizer:
         nm = names.get(id(op))
         if nm is None:
             nm = names[id(op)] = op.op_name()
-        self.delta.op_counts[nm] += n
+        if n:  # a zero-lane loop must not leave a zero-count entry
+            self.delta.op_counts[nm] += n
         if isinstance(op, Prim):
             spec = PRIMS[op.name]
             args = [self.lookup(a) for a in op.args]
@@ -716,10 +801,10 @@ class LoopVectorizer:
             lens, pad = self.host.row_cache(arr.base)
             if pad is None:
                 raise VecError("gathered rows have non-scalar elements")
-            j = np.clip(idx, 0, pad.shape[1] - 1) if pad.shape[1] else None
-            if j is None:
+            if not pad.shape[1]:
                 raise VecError("indexing into empty rows")
-            return pad[arr.idx, j]
+            rows = pad[arr.idx, np.clip(idx, 0, pad.shape[1] - 1)]
+            return rows if rows.ndim == 1 else ArrVec(rows, None)
         if isinstance(arr, ArrVec):
             w = arr.data.shape[1]
             if w == 0:
@@ -826,11 +911,13 @@ class LoopVectorizer:
             self.delta.elements_read += reads * n
             self.delta.bytes_read += reads * 8 * n
             return spec.eval_fn(*args)
-        lanes = (np.arange(self.L) if mask is None
-                 else np.nonzero(mask)[0])
+        lanes = self.lanes(mask)
         out = np.zeros(self.L, dtype=_np_dtype(rt))
+        if spec.batch_fn is not None and \
+                self._coll_prim_batched(spec, args, lanes, out):
+            return out
         ev, cf = spec.eval_fn, spec.cost_fn
-        er = br = 0
+        er = 0
         for l in lanes.tolist():
             vals = [self._row_at(a, l) for a in args]
             c, r = cf(*vals)
@@ -841,15 +928,49 @@ class LoopVectorizer:
         self.delta.bytes_read += er * 8
         return out
 
+    def _coll_prim_batched(self, spec, args: Sequence[Any],
+                           lanes: np.ndarray, out: np.ndarray) -> bool:
+        """Evaluate a collection primitive over integer row gathers with
+        its batched evaluator, ``PRIM_ELEMS`` row elements at a time.
+        Returns False, with nothing charged, when an operand is not such a
+        gather or the evaluator declines (unsorted rows): the per-lane loop
+        is the only exact evaluation there."""
+        rows = []
+        for a in args:
+            if not isinstance(a, Rows):
+                return False
+            lens, pad = self.host.row_cache(a.base)
+            if pad is None or pad.ndim != 2 or pad.dtype.kind != "i":
+                return False
+            idx = a.idx[lanes]
+            rows.append((pad, idx, lens[idx]))
+        vals = np.zeros(len(lanes), dtype=out.dtype)
+        cycles = np.zeros(len(lanes))
+        reads = 0
+        for start, stop in _strips(np.cumsum(sum(l for _, _, l in rows)),
+                                   PRIM_ELEMS):
+            flat = []
+            for pad, idx, l in rows:
+                l = l[start:stop]
+                row, col = _runs(l)
+                flat += [pad[idx[start:stop][row], col], l]
+            res = spec.batch_fn(*flat)
+            if res is None:
+                return False
+            vals[start:stop], cycles[start:stop], n_read = res
+            reads += n_read
+        out[lanes] = vals
+        self.ess[lanes] += cycles
+        self.delta.elements_read += reads
+        self.delta.bytes_read += reads * 8
+        return True
+
     def _row_at(self, a: Any, l: int) -> Any:
         """One lane's concrete value, as a host object."""
         if isinstance(a, Rows):
             return a.base[a.idx[l]]
         if isinstance(a, ArrVec):
-            row = a.data[l]
-            if a.lengths is not None:
-                row = row[: a.lengths[l]]
-            return row.tolist()
+            return a[l]
         if isinstance(a, SVec):
             return tuple(self._row_at(f, l) for f in a.fields)
         if isinstance(a, np.ndarray):
@@ -857,172 +978,172 @@ class LoopVectorizer:
         return a  # uniform
 
     # -- nested multiloops -------------------------------------------------
+    #
+    # The inner iteration space is one more data-parallel axis: a child
+    # vectorizer gets one lane per active (outer lane, trip) pair, in
+    # (lane, trip) order, and evaluates the body once over that space.
+    # Outer lanes are the *segments* of the flat space; it is strip-mined
+    # over whole segments (STRIP_LANES) so temporaries stay bounded.
 
     def _nested_loop(self, d: Def, loop: MultiLoop,
                      mask: Optional[np.ndarray]) -> None:
         gens = loop.gens
-        sizes = self.lookup(loop.size)
         n = self.count(mask)
+        lanes = self.lanes(mask)
+        sizes = self.lookup(loop.size)
+        if not is_vec(sizes):
+            sz = np.full(n, int(sizes), dtype=np.int64)
+        elif isinstance(sizes, np.ndarray):
+            sz = sizes[lanes].astype(np.int64, copy=False)
+        else:
+            raise VecError("non-scalar loop size")
         self.delta.loops_executed += n
-        if is_vec(sizes):
-            if not isinstance(sizes, np.ndarray):
-                raise VecError("non-scalar loop size")
-            sz = sizes
-            active_sz = sz if mask is None else sz[mask]
-            self.delta.loop_iterations += int(active_sz.sum()) if n else 0
-            trips = int(active_sz.max()) if n else 0
-        else:
-            sz = None
-            trips = int(sizes) if n else 0
-            self.delta.loop_iterations += int(sizes) * n
+        self.delta.loop_iterations += int(sz.sum())
+        sz = np.maximum(sz, 0)
         share_keys, need_memo = loop_share_plan(gens)
-        states = [_GenState() for _ in gens]
-        for t in range(trips):
-            if sz is not None:
-                live = sz > t
-                m_t = live if mask is None else (mask & live)
-                if not m_t.any():
-                    continue
+        parts: List[List[Tuple[Any, ...]]] = [[] for _ in gens]
+        for start, stop in _strips(np.cumsum(sz), STRIP_LANES):
+            self._nested_strip(gens, share_keys, need_memo,
+                               lanes[start:stop], sz[start:stop], parts)
+        for s, g, ps in zip(d.syms, gens, parts):
+            finish = (self._finish_collect if g.kind is GenKind.COLLECT
+                      else self._finish_reduce)
+            self.env[s.id] = finish(g, ps, lanes)
+
+    def _nested_strip(self, gens: Sequence[Generator], share_keys,
+                      need_memo: bool, lanes: np.ndarray, sz: np.ndarray,
+                      parts: List[List[Tuple[Any, ...]]]) -> None:
+        """Evaluate every generator once over the flat space of the outer
+        ``lanes`` (``sz[s]`` trips each) and append each one's piece of the
+        result to ``parts``."""
+        seg, trip = _runs(sz)   # flat lane -> (segment, trip)
+        sub = self.child(lanes[seg])
+        # alpha-equal sibling conds are evaluated (and paid) once, as in
+        # the interpreter's per-iteration memo
+        memo: Optional[Dict[Any, Any]] = {} if need_memo else None
+        for g, (ckey, _), ps in zip(gens, share_keys, parts):
+            m = None
+            if g.cond is not None:
+                sub.add_ovh(BRANCH_CYCLES, None)
+                if memo is not None and ckey in memo:
+                    cv = memo[ckey]
+                else:
+                    cv = sub.eval_block(g.cond, (trip,), None)
+                    if memo is not None:
+                        memo[ckey] = cv
+                if not is_vec(cv):
+                    if not cv:
+                        continue
+                elif isinstance(cv, np.ndarray):
+                    m = cv.astype(np.bool_, copy=False)
+                    if not m.any():
+                        continue
+                else:
+                    raise VecError("non-scalar condition value")
+            if g.kind is GenKind.COLLECT:
+                v = sub.eval_block(g.value, (trip,), m)
+                sub.count_alloc(g.value_type, m, 1)
             else:
-                m_t = mask
-            memo = {} if need_memo else None
-            for g, st, sk in zip(gens, states, share_keys):
-                self._nested_gen_iter(g, st, t, m_t, memo, sk)
-        for s, g, st in zip(d.syms, gens, states):
-            self.env[s.id] = self._finish_nested(g, st, mask)
-
-    def _shared_cond(self, block: Block, t: int,
-                     mask: Optional[np.ndarray], memo, ckey) -> Any:
-        if memo is None or ckey is None:
-            return self.eval_block(block, (t,), mask)
-        if ckey in memo:
-            return memo[ckey]
-        v = self.eval_block(block, (t,), mask)
-        memo[ckey] = v
-        return v
-
-    def _nested_gen_iter(self, g: Generator, st: _GenState, t: int,
-                         mask: Optional[np.ndarray], memo, sk) -> None:
-        ckey, _ = sk
-        m = mask
-        if g.cond is not None:
-            self.add_ovh(BRANCH_CYCLES, m)
-            cv = self._shared_cond(g.cond, t, m, memo, ckey)
-            if is_vec(cv):
-                cv = cv.astype(np.bool_, copy=False)
-                m = cv if m is None else (m & cv)
-                if not m.any():
-                    return
-            elif not cv:
-                return
-        if g.kind is GenKind.COLLECT:
-            v = self.eval_block(g.value, (t,), m)
-            self.count_alloc(g.value_type, m, 1)
-            st.cols.append(v)
-            st.keeps.append(self.full_mask(m))
-        else:  # REDUCE
-            self.in_reduce_value += 1
-            try:
-                v = self.eval_block(g.value, (t,), m)
-            finally:
-                self.in_reduce_value -= 1
-            full = self.full_mask(m)
-            if st.seen is None:
-                st.acc = as_lane_vec(v, self.L)
-                st.seen = full.copy()
-                return
-            rest = full & st.seen
-            first = full & ~st.seen
-            if rest.any():
-                self.in_reducer += 1
+                sub.in_reduce_value += 1
                 try:
-                    r = self.eval_block(g.reducer, (st.acc, v), rest)
+                    v = sub.eval_block(g.value, (trip,), m)
                 finally:
-                    self.in_reducer -= 1
-                st.acc = vec_where(rest, r, st.acc, self.L)
-            if first.any():
-                st.acc = vec_where(first, v, st.acc, self.L)
-            st.seen |= full
+                    sub.in_reduce_value -= 1
+            # the generator's elements: the values of the kept flat lanes,
+            # still in (segment, trip) order, and how many each segment kept
+            v, cnt = as_lane_vec(v, sub.L), sz
+            if m is not None:
+                kept = np.nonzero(m)[0]
+                v = vec_take(v, kept)
+                cnt = np.bincount(seg[kept], minlength=len(lanes))
+            if g.kind is GenKind.COLLECT:
+                kseg, pos = (seg, trip) if m is None else _runs(cnt)
+                ps.append((v, lanes[kseg], pos))
+            else:
+                ps.append(self._fold(g, v, lanes, cnt))
+        self.absorb(sub, lanes, seg)
 
-    def _finish_nested(self, g: Generator, st: _GenState,
-                       mask: Optional[np.ndarray]) -> Any:
-        if g.kind is GenKind.COLLECT:
-            return self._assemble_collect(g, st, mask)
-        # REDUCE: lanes that saw no element fall back to init/identity
-        if g.init is not None:
-            ident = self.lookup(g.init)
-        else:
-            ident = g.identity_value()
-        if st.seen is None:
+    def _fold(self, g: Generator, vals: Any, lanes: np.ndarray,
+              cnt: np.ndarray) -> Tuple[Any, np.ndarray]:
+        """Reduce each segment's run of ``vals`` (``cnt[s]`` consecutive
+        elements) strictly left to right, all segments in lock step: step
+        ``k`` combines every accumulator with its segment's ``k``-th
+        element. This is the interpreter's own association order, so a
+        result is bit-identical to it even for float ``add`` — which a
+        ``reduceat`` or pairwise tree would not be. Returns the folded
+        values and the (non-empty) outer lanes they belong to."""
+        ne = np.nonzero(cnt)[0]
+        cnt = cnt[ne]
+        first = np.cumsum(cnt) - cnt
+        fold = self.child(lanes[ne])
+        fold.in_reducer += 1
+        acc = vec_take(vals, first)
+        for k in range(1, int(cnt.max())):
+            live = cnt > k
+            if live.all():
+                acc = fold.eval_block(
+                    g.reducer, (acc, vec_take(vals, first + k)), None)
+            else:
+                nxt = vec_take(vals, np.where(live, first + k, first))
+                acc = vec_where(
+                    live, fold.eval_block(g.reducer, (acc, nxt), live),
+                    acc, fold.L)
+        self.absorb(fold, lanes[ne])
+        return acc, lanes[ne]
+
+    def _finish_reduce(self, g: Generator, parts: List[Tuple[Any, ...]],
+                       lanes: np.ndarray) -> Any:
+        # lanes that saw no element fall back to init/identity
+        ident = self.lookup(g.init) if g.init is not None \
+            else g.identity_value()
+        if not parts:
             return as_lane_vec(ident, self.L)
-        if bool(st.seen.all()):
-            return st.acc
-        return vec_where(st.seen, st.acc, as_lane_vec(ident, self.L),
-                         self.L)
+        sizes = [len(ids) for _, ids in parts]
+        res = vec_concat([acc for acc, _ in parts], sizes)
+        if sum(sizes) == self.L:
+            return res
+        slot = np.full(self.L, -1)
+        slot[np.concatenate([ids for _, ids in parts])] = \
+            np.arange(sum(sizes))
+        res = vec_take(res, np.maximum(slot, 0))
+        if (slot[lanes] >= 0).all():
+            return res
+        return vec_where(slot >= 0, res, ident, self.L)
 
-    def _assemble_collect(self, g: Generator, st: _GenState,
-                          mask: Optional[np.ndarray]) -> Any:
-        cols, keeps = st.cols, st.keeps
-        if not cols:
-            dt = _np_dtype(g.value_type)
-            return ArrVec(np.zeros((self.L, 0), dtype=dt),
-                          np.zeros(self.L, dtype=np.int64))
-        vals = [as_lane_vec(v, self.L) for v in cols]
-        if all(isinstance(v, SVec) for v in vals):
-            arity = len(vals[0].fields)
-            fields = []
-            for fi in range(arity):
-                fields.append(self._assemble_field(
-                    [v.fields[fi] for v in vals], keeps, mask))
-            return SVec(tuple(fields))
-        return self._assemble_field(vals, keeps, mask)
+    def _finish_collect(self, g: Generator, parts: List[Tuple[Any, ...]],
+                        lanes: np.ndarray) -> Any:
+        if not parts:
+            return ArrVec(
+                np.zeros((self.L, 0), dtype=_np_dtype(g.value_type)),
+                np.zeros(self.L, dtype=np.int64))
+        vals = vec_concat([v for v, _, _ in parts],
+                          [len(ids) for _, ids, _ in parts])
+        ids = np.concatenate([ids for _, ids, _ in parts])
+        pos = np.concatenate([pos for _, _, pos in parts])
+        lens = np.bincount(ids, minlength=self.L)
+        w = int(lens.max())
+        if (lens[lanes] == w).all():
+            lens = None  # lanes outside the mask hold garbage anyway
+        return self._scatter(vals, ids, pos, lens, w)
 
-    def _assemble_field(self, vals: List[Any], keeps: List[np.ndarray],
-                        mask: Optional[np.ndarray]) -> ArrVec:
-        # Raggedness checks only inspect lanes live under each trip's keep
-        # mask: lanes outside the evaluation mask hold garbage lengths and
-        # must not trigger a spurious fallback.
-        vals = [as_lane_vec(v, self.L) for v in vals]
-        if all(isinstance(v, np.ndarray) for v in vals):
-            data = np.stack(vals, axis=1)            # (L, T)
-        elif all(isinstance(v, (ArrVec, Rows)) for v in vals):
-            mats = []
-            w = None
-            for v, kp in zip(vals, keeps):
-                if isinstance(v, Rows):
-                    lens, pad = self.host.row_cache(v.base)
-                    if pad is None:
-                        raise VecError("collect of non-scalar rows")
-                    lv = lens[v.idx][kp]
-                    if lv.size and int(lv.min()) != int(lv.max()):
-                        raise VecError("collect of ragged rows")
-                    wt = int(lv[0]) if lv.size else 0
-                    v = ArrVec(pad[v.idx][:, :wt], None)
-                elif v.lengths is not None:
-                    lv = v.lengths[kp]
-                    if lv.size and int(lv.min()) != int(lv.max()):
-                        raise VecError("collect of ragged rows")
-                    wt = int(lv[0]) if lv.size else 0
-                    v = ArrVec(v.data[:, :wt], None)
-                wt = v.data.shape[1]
-                if w is None:
-                    w = wt
-                elif wt != w:
+    def _scatter(self, vals: Any, ids: np.ndarray, pos: np.ndarray,
+                 lens: Optional[np.ndarray], w: int) -> Any:
+        """Elements ``vals`` placed at ``(lane ids, position pos)`` of a
+        fresh per-lane array of width ``w``; an array of structs stays
+        columnar."""
+        if isinstance(vals, SVec):
+            return SVec(tuple(self._scatter(f, ids, pos, lens, w)
+                              for f in vals.fields))
+        vals = _materialize(as_lane_vec(vals, len(ids)))
+        if isinstance(vals, ArrVec):
+            data, lv = vals.data, vals.lengths
+            if lv is not None:
+                if int(lv.min()) != int(lv.max()):
                     raise VecError("collect of ragged rows")
-                mats.append(v.data)
-            data = np.stack(mats, axis=1)            # (L, T, W, ...)
-        else:
-            raise VecError("mixed element shapes in nested collect")
-        K = np.stack(keeps, axis=1)                  # (L, T)
-        if bool(K.all()):
-            return ArrVec(data, None)
-        lens = K.sum(axis=1)
-        w = int(lens.max()) if lens.size else 0
-        out = np.zeros((self.L, w) + data.shape[2:], dtype=data.dtype)
-        lane_i, _ = np.nonzero(K)
-        pos = K.cumsum(axis=1) - 1
-        out[lane_i, pos[K]] = data[K]
-        live = lens if mask is None else lens[mask]
-        if live.size and int(live.min()) == int(live.max()) == w:
-            return ArrVec(out, None)
-        return ArrVec(out, lens.astype(np.int64))
+                data = data[:, : int(lv[0])]
+            vals = data
+        if len(ids) == self.L * w:   # every lane full: already lane-major
+            return ArrVec(vals.reshape((self.L, w) + vals.shape[1:]), lens)
+        out = np.zeros((self.L, w) + vals.shape[1:], dtype=vals.dtype)
+        out[ids, pos] = vals
+        return ArrVec(out, lens)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from . import types as T
 from .ir import Block, Const, Exp, Op, Sym
@@ -236,6 +236,13 @@ class CollPrimSpec:
     eval_fn: Callable
     #: (arg values) -> (abstract cycles, elements read)
     cost_fn: Callable
+    #: optional evaluator of many calls at once, for the vectorized
+    #: backend. Each collection argument arrives as two int64 arrays: all
+    #: calls' rows back to back, and each row's length. Returns per-call
+    #: (values, cycles) arrays and the total elements read — the same
+    #: tallies ``eval_fn``/``cost_fn`` give call by call — or ``None`` to
+    #: decline a batch it cannot evaluate exactly.
+    batch_fn: Optional[Callable] = None
 
 
 def _sorted_intersect_count(a, b) -> int:
@@ -253,11 +260,42 @@ def _sorted_intersect_count(a, b) -> int:
     return n
 
 
+def _sorted_intersect_count_batch(a, a_lens, b, b_lens):
+    """All calls' merges in one pass. Tagging every element with its call
+    number (``call * span + value``) turns per-call sorted rows into two
+    globally sorted key arrays; the matches of their run-length encodings
+    count, per call, the minimum multiplicity of every common value —
+    what the scalar merge computes on sorted rows. On an unsorted row the
+    scalar merge is order-dependent, so the batch is declined."""
+    import numpy as np
+    n = len(a_lens)
+    counts = np.zeros(n, dtype=np.int64)
+    if a.size and b.size:
+        lo = int(min(a.min(), b.min()))
+        span = int(max(a.max(), b.max())) - lo + 1
+        if n * span >= 1 << 62:
+            return None  # tags would overflow int64
+        tag = np.arange(n, dtype=np.int64) * span - lo
+        ka = a + np.repeat(tag, a_lens)
+        kb = b + np.repeat(tag, b_lens)
+        if (ka[1:] < ka[:-1]).any() or (kb[1:] < kb[:-1]).any():
+            return None
+        ua, ca = np.unique(ka, return_counts=True)
+        ub, cb = np.unique(kb, return_counts=True)
+        at = np.minimum(np.searchsorted(ub, ua), len(ub) - 1)
+        hit = ub[at] == ua
+        np.add.at(counts, ua[hit] // span,
+                  np.minimum(ca[hit], cb[at[hit]]))
+    reads = a_lens + b_lens
+    return counts, 2.0 * reads, int(reads.sum())
+
+
 COLL_PRIMS: Dict[str, CollPrimSpec] = {
     "sorted_intersect_count": CollPrimSpec(
         "sorted_intersect_count", 2, lambda a, b: T.INT,
         _sorted_intersect_count,
-        lambda a, b: (2.0 * (len(a) + len(b)), len(a) + len(b))),
+        lambda a, b: (2.0 * (len(a) + len(b)), len(a) + len(b)),
+        _sorted_intersect_count_batch),
     "coll_contains": CollPrimSpec(
         "coll_contains", 2, lambda a, b: T.BOOL,
         lambda coll, x: x in coll,

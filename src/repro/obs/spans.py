@@ -28,7 +28,9 @@ class RequestContext:
     32-hex (OTel-sized) id for the request's whole lifecycle,
     ``span_id`` the 16-hex id of its request span. The numeric
     ``flow_id`` keys the Chrome-trace flow arrow from this request into
-    the lane-packed execution that served it.
+    the lane-packed execution that served it: 53 bits of ``span_id``,
+    the most a JSON consumer reads back exactly (31 bits collided for
+    two of 2000 requests on seed 106).
     """
 
     trace_id: str
@@ -37,7 +39,7 @@ class RequestContext:
 
     @property
     def flow_id(self) -> int:
-        return int(self.span_id, 16) & 0x7FFFFFFF
+        return int(self.span_id, 16) & ((1 << 53) - 1)
 
     @classmethod
     def derive(cls, seed: int, rid: int) -> "RequestContext":

@@ -12,16 +12,21 @@ the acceptance bar for the backend actually covering the paper's
 workloads.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import frontend as F
 from repro.backend import (FallbackRecord, resolve_backend,
-                           resolve_backend_ex, run_program_numpy)
+                           resolve_backend_ex, run_program_numpy, vectorize)
 from repro.bench.apps import get_bundle
 from repro.core import run_program
 from repro.core import types as T
+from repro.core.interp import LoopObserver
+from repro.core.multiloop import MultiLoop, collect, reduce_gen
+from repro.core.ops import COLL_PRIMS
+from repro.core.staging import emit, stage_block
 from repro.core.values import deep_eq
 from repro.pipeline import compile_program, optimize
 
@@ -277,3 +282,207 @@ class TestPropertyDifferential:
                                    "distributed")
         inputs = compiled.prepare_inputs({"xs": data})
         run_both(compiled.program, inputs)
+
+
+# ---------------------------------------------------------------------------
+# Nested multiloops: the flattened (outer lane, trip) space
+# ---------------------------------------------------------------------------
+
+class PerIterCosts(LoopObserver):
+    """Per-iteration cost vectors of the top-level loops."""
+
+    def __init__(self, prog):
+        self.costs = {d.syms[0].id: [] for d in prog.body.stmts
+                      if isinstance(d.op, MultiLoop)}
+
+    def on_iteration_cost(self, d, i, cycles):
+        if d.syms[0].id in self.costs:
+            self.costs[d.syms[0].id].append(cycles)
+
+
+def run_nested(prog, inputs, strip=None):
+    """Interpreter vs numpy on a nested program: results bit for bit, full
+    ``ExecStats``, per-iteration cost vectors, and no fallback. ``strip``
+    shrinks the strip budget so strip boundaries fall inside the data."""
+    ref_obs, vec_obs = PerIterCosts(prog), PerIterCosts(prog)
+    ref_results, ref_stats = run_program(prog, inputs, observer=ref_obs)
+    with pytest.MonkeyPatch.context() as mp:
+        if strip is not None:
+            mp.setattr(vectorize, "STRIP_LANES", strip)
+        vec_results, vec_stats, fallbacks = run_program_numpy(
+            prog, inputs, observer=vec_obs)
+    assert fallbacks == [], [(f.loop, f.reason) for f in fallbacks]
+    assert repr(ref_results) == repr(vec_results)
+    assert_stats_equal(ref_stats, vec_stats)
+    assert ref_obs.costs == vec_obs.costs
+
+
+def _block(types, fn, names):
+    return stage_block(types, fn, names, wrap=F.wrap, unwrap=F.unwrap)
+
+
+def _sibling_cond_body(row, i):
+    # one nested loop, two generators whose conds are alpha-equal but
+    # distinct blocks: the cond is evaluated (and paid) once per trip
+    def even():
+        return _block([T.INT], lambda j: row[j] % 2 == 0, ["j"])
+    kept, total = emit(MultiLoop(row.length().exp, (
+        collect(_block([T.INT], lambda j: row[j] * 3 + i, ["j"]),
+                cond=even()),
+        reduce_gen(_block([T.INT], lambda j: row[j], ["j"]),
+                   _block([T.INT, T.INT], lambda a, b: a + b, ["a", "b"]),
+                   cond=even()))), ["kept", "total"])
+    return F.pair(F.wrap(kept), F.wrap(total))
+
+
+def _outer_init_body(row, i):
+    # segments that keep nothing take ``init``, here a per-outer-lane value
+    (best,) = emit(MultiLoop(row.length().exp, (reduce_gen(
+        _block([T.INT], lambda j: row[j], ["j"]),
+        _block([T.INT, T.INT], lambda a, b: F.fmax(a, b), ["a", "b"]),
+        cond=_block([T.INT], lambda j: row[j] > 4, ["j"]),
+        init=(i * 100).exp),)), ["best"])
+    return F.wrap(best)
+
+
+# row bodies over ``(row: Coll[Int], i: outer index)``; every one stages at
+# least one nested multiloop
+_NESTED_BODIES = [
+    ("collect_lifts_scalar", lambda row, i: row.map(lambda x: x * 2 + i)),
+    ("reduce_int", lambda row, i: row.sum()),
+    ("reduce_float", lambda row, i: row.map_reduce(
+        lambda x: x.to_double() * 0.1, lambda a, b: a + b)),
+    ("collect_cond", lambda row, i: row.filter(lambda x: x % 3 == 0)),
+    ("reduce_cond", lambda row, i: row.filter(lambda x: x > i).sum()),
+    ("struct_values", lambda row, i: row.map(
+        lambda x: F.pair(x, x.to_double() * 0.5))),
+    ("struct_reduce", lambda row, i: F.where(
+        row.length() > 0, lambda: row.min_index(), -1)),
+    ("three_deep", lambda row, i: row.map(
+        lambda x: row.map_reduce(lambda y: x * y + i,
+                                 lambda a, b: a + b))),
+    # (rows of one width: an ArrVec is ragged in one dimension only)
+    ("collect_of_rows", lambda row, i: F.irange(row.length()).map(
+        lambda k: F.irange(3).map(lambda j: row[k] * j + i))),
+    ("masked_by_branch", lambda row, i: F.where(
+        i % 2 == 0, lambda: row.map(lambda x: x - i).sum(), 7)),
+    ("sibling_conds", _sibling_cond_body),
+    ("init_from_outer_lane", _outer_init_body),
+]
+
+ragged_rows = st.lists(
+    st.lists(st.integers(min_value=-20, max_value=20), min_size=0,
+             max_size=9),
+    min_size=1, max_size=12)  # a gather from no rows at all falls back
+
+
+def build_nested(body, outer_filter):
+    def fn(xs):
+        if outer_filter:
+            # fuses into a generator cond: the nest runs under a lane mask
+            return xs.filter(lambda row: row.length() != 2).map_indices(
+                lambda i: body(xs[i], i))
+        return xs.map_indices(lambda i: body(xs[i], i))
+    return F.build(fn, [F.matrix_input("xs", True, elem=T.INT)])
+
+
+class TestFlattenedNestedLoops:
+    @given(st.sampled_from(_NESTED_BODIES), st.booleans(), ragged_rows)
+    @settings(**{**SETTINGS, "max_examples": 150})
+    def test_nested_loops_match_interpreter(self, body, outer_filter, rows):
+        prog = build_nested(body[1], outer_filter)
+        for p in (prog, optimize(prog)):
+            run_nested(p, {"xs": rows})
+            run_nested(p, {"xs": rows}, strip=7)
+
+    def test_long_float_fold_is_left_to_right(self):
+        # a pairwise or reduceat fold of 100 doubles differs from the
+        # sequential one in the last bits; the nested fold must not
+        import random
+        rng = random.Random(5)
+        rows = [[rng.uniform(-1e3, 1e3) * 10 ** rng.randint(-6, 6)
+                 for _ in range(rng.choice([64, 100, 257]))]
+                for _ in range(9)]
+        prog = F.build(lambda xs: xs.map(lambda row: row.sum()),
+                       [F.matrix_input("xs", True)])
+        run_nested(prog, {"xs": rows})
+        run_nested(prog, {"xs": rows}, strip=7)
+        assert any(float(np.sum(r)) != sum(r[1:], r[0]) for r in rows)
+
+    @pytest.mark.parametrize("app,limit", [("gda", 500), ("gibbs", 100)])
+    def test_dispatch_count_is_per_loop_not_per_trip(self, app, limit,
+                                                     monkeypatch):
+        calls = []
+        eval_def = vectorize.LoopVectorizer.eval_def
+        monkeypatch.setattr(
+            vectorize.LoopVectorizer, "eval_def",
+            lambda self, d, mask: (calls.append(1), eval_def(self, d, mask)))
+        bundle = get_bundle(app)
+        compiled = bundle.compiled("opt")
+        _, _, fallbacks = run_program_numpy(
+            compiled.program, compiled.prepare_inputs(bundle.inputs))
+        assert fallbacks == []
+        assert len(calls) <= limit
+
+    @pytest.mark.parametrize("app", ["gda", "kmeans", "triangle"])
+    def test_bundled_apps_across_strip_boundaries(self, app, monkeypatch):
+        # (vs the default budgets, which TestBundledApps holds to the
+        # interpreter: gda alone takes the interpreter two seconds)
+        bundle = get_bundle(app)
+        compiled = bundle.compiled("opt")
+        inputs = compiled.prepare_inputs(bundle.inputs)
+        whole = run_program_numpy(compiled.program, inputs)
+        monkeypatch.setattr(vectorize, "STRIP_LANES", 50)
+        monkeypatch.setattr(vectorize, "PRIM_ELEMS", 64)
+        results, stats, fallbacks = run_program_numpy(compiled.program,
+                                                      inputs)
+        assert fallbacks == []
+        assert repr(results) == repr(whole[0])
+        assert_stats_equal(whole[1], stats)
+
+
+class TestTypedOutcomes:
+    def test_struct_rows_fall_back_with_a_readable_reason(self):
+        # q1/plain gathers rows of structs: row_cache used to die inside
+        # NumPy ("TypeError: NumPy boolean array indexing assignment ...")
+        bundle = get_bundle("q1")
+        compiled = bundle.compiled("plain")
+        fallbacks = run_both(compiled.program,
+                             compiled.prepare_inputs(bundle.inputs))
+        assert not [f.reason for f in fallbacks
+                    if f.reason.startswith("TypeError:")]
+
+
+class TestBatchedIntersect:
+    @given(st.lists(st.tuples(
+        st.lists(st.integers(-5, 12), max_size=8),
+        st.lists(st.integers(-5, 12), max_size=8)), max_size=10))
+    @settings(**SETTINGS)
+    def test_matches_scalar_merge_on_sorted_multisets(self, pairs):
+        spec = COLL_PRIMS["sorted_intersect_count"]
+        pairs = [(sorted(a), sorted(b)) for a, b in pairs]
+
+        def flat(rows):
+            return (np.array([x for r in rows for x in r], dtype=np.int64),
+                    np.array([len(r) for r in rows], dtype=np.int64))
+        counts, cycles, reads = spec.batch_fn(
+            *flat([a for a, _ in pairs]), *flat([b for _, b in pairs]))
+        assert counts.tolist() == [spec.eval_fn(a, b) for a, b in pairs]
+        costs = [spec.cost_fn(a, b) for a, b in pairs]
+        assert cycles.tolist() == [c for c, _ in costs]
+        assert reads == sum(r for _, r in costs)
+
+    def test_unsorted_rows_keep_the_scalar_loop(self):
+        spec = COLL_PRIMS["sorted_intersect_count"]
+        one = np.array([1], dtype=np.int64)
+        assert spec.batch_fn(np.array([3, 1, 2]), one * 3,
+                             np.array([1, 2, 3]), one * 3) is None
+        # ... and the backend then agrees with the interpreter's
+        # order-dependent merge, stats included
+        prog = F.build(
+            lambda adj: adj.map_indices(lambda i: adj.map_reduce(
+                lambda row: F.intersect_size(adj[i], row),
+                lambda a, b: a + b)),
+            [F.matrix_input("adj", True, elem=T.INT)])
+        adj = [[3, 1, 2], [1, 2, 3], [], [2, 2, 3], [2, 3, 3, 9]]
+        assert run_both(prog, {"adj": adj}) == []
