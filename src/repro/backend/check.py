@@ -1,9 +1,10 @@
 """CI gate: every bundled app must execute fully vectorized.
 
-Runs each bundled application's ``opt`` variant on the numpy backend and
-exits non-zero if any loop fell back to the reference interpreter — a
-fallback is correct but silent in results, so only this gate (and the
-``backend.fallback`` metric) keeps vectorization coverage from rotting.
+Runs each bundled application's ``opt`` and ``gpu`` variants on the numpy
+backend and exits non-zero if any loop fell back to the reference
+interpreter, or results or cycles diverge from it — a fallback is correct
+but silent in results, so only this gate (and the ``backend.fallback``
+metric) keeps vectorization coverage from rotting.
 
 Usage::
 
@@ -16,6 +17,9 @@ from __future__ import annotations
 import sys
 
 from .executor import run_program_numpy
+
+#: compiled variants every bundled app must run without fallback
+VARIANTS = ("opt", "gpu")
 
 
 def check_apps(names=None) -> int:
@@ -30,31 +34,32 @@ def check_apps(names=None) -> int:
                   f"{', '.join(sorted(_FACTORIES))}", file=sys.stderr)
             return 2
         bundle = get_bundle(name)
-        compiled = bundle.compiled("opt")
-        prepared = compiled.prepare_inputs(bundle.inputs)
-        results, stats, fallbacks = run_program_numpy(compiled.program,
-                                                      prepared)
-        ref_results, ref_stats = run_program(compiled.program, prepared)
-        problems = []
-        for fb in fallbacks:
-            problems.append(f"fallback {fb.loop} ({fb.op}): {fb.reason}")
-        if not deep_eq(results, ref_results):
-            problems.append("results diverge from reference interpreter")
-        if stats.total_cycles != ref_stats.total_cycles:
-            problems.append(
-                f"cycle accounting diverges ({stats.total_cycles} vs "
-                f"{ref_stats.total_cycles})")
-        if problems:
-            bad += 1
-            print(f"FAIL {name}")
-            for p in problems:
-                print(f"  {p}")
-        else:
-            print(f"ok   {name}: {stats.loops_executed} loop executions "
-                  f"vectorized, results + cycles identical")
+        for variant in VARIANTS:
+            compiled = bundle.compiled(variant)
+            prepared = compiled.prepare_inputs(bundle.inputs)
+            results, stats, fallbacks = run_program_numpy(compiled.program,
+                                                          prepared)
+            ref_results, ref_stats = run_program(compiled.program, prepared)
+            problems = []
+            for fb in fallbacks:
+                problems.append(f"fallback {fb.loop} ({fb.op}): {fb.reason}")
+            if not deep_eq(results, ref_results):
+                problems.append("results diverge from reference interpreter")
+            if stats.total_cycles != ref_stats.total_cycles:
+                problems.append(
+                    f"cycle accounting diverges ({stats.total_cycles} vs "
+                    f"{ref_stats.total_cycles})")
+            if problems:
+                bad += 1
+                print(f"FAIL {name}/{variant}")
+                for p in problems:
+                    print(f"  {p}")
+            else:
+                print(f"ok   {name}/{variant}: {stats.loops_executed} loop "
+                      f"executions vectorized, results + cycles identical")
     if bad:
-        print(f"{bad}/{len(names)} apps not fully vectorized",
-              file=sys.stderr)
+        print(f"{bad}/{len(names) * len(VARIANTS)} programs not fully "
+              f"vectorized", file=sys.stderr)
     return 1 if bad else 0
 
 

@@ -31,16 +31,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import types as T
-from ..core.interp import (BRANCH_CYCLES, BUCKET_CYCLES, WRITE_CYCLES,
-                           ExecStats, Interp, LoopObserver, loop_share_plan)
+from ..core.interp import ExecStats, Interp, LoopObserver, loop_share_plan
 from ..core.ir import Def, Program
 from ..core.multiloop import GenKind, Generator, MultiLoop
 from ..core.ops import PRIMS
 from ..core.values import Buckets
 from ..obs.provenance import FALLBACK, VECTORIZED, DecisionKind, emit
 from .vectorize import (ASSOC_UFUNCS, ArrVec, LoopVectorizer, Rows, StatsDelta,
-                        SVec, VecError, as_lane_vec, is_vec, plan_loop,
-                        recognize_assoc_prim, vec_take, vec_where)
+                        SVec, VecError, as_lane_vec, first_seen_codes, is_vec,
+                        plan_loop, recognize_assoc_prim, vec_take, vec_where)
 
 
 @dataclass
@@ -78,6 +77,7 @@ class NumpyInterp(Interp):
         self._np: Dict[int, np.ndarray] = {}
         self._rows: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
         self._cols: Dict[int, Tuple[Any, ...]] = {}
+        self._flat: Dict[int, List[Any]] = {}
         self._keep: List[Any] = []
         # op -> op_name() memo; ops are pinned by the program for the
         # duration of the run, so id-keying is safe
@@ -114,8 +114,11 @@ class NumpyInterp(Interp):
                                count=n)
             pad: Optional[np.ndarray] = None
             w = int(lens.max()) if n else 0
-            flat = np.asarray([x for r in seq for x in r]) if w else \
-                np.zeros(0)
+            try:
+                flat = np.asarray([x for r in seq for x in r]) if w else \
+                    np.zeros(0)
+            except ValueError:  # rows of ragged rows
+                flat = np.zeros((0, 0))
             # struct rows flatten to a 2-D array: not scalar either
             if flat.dtype != object and flat.ndim == 1:
                 pad = np.zeros((n, w), dtype=flat.dtype)
@@ -125,6 +128,16 @@ class NumpyInterp(Interp):
             self._rows[key] = ent
             self._keep.append(base)
         return ent
+
+    def flat_cache(self, base: Sequence[Any]) -> List[Any]:
+        """The rows of ``base`` laid end to end, built once per base so
+        every read of it gathers from (and caches on) the same list."""
+        key = id(base)
+        flat = self._flat.get(key)
+        if flat is None:
+            flat = self._flat[key] = [x for row in base for x in row]
+            self._keep.append(base)
+        return flat
 
     def col_cache(self, base: Sequence[Any], st: T.Struct) -> Tuple[Any, ...]:
         key = id(base)
@@ -182,10 +195,6 @@ class NumpyInterp(Interp):
         raise VecError(
             f"cannot convert {type(v).__name__} to host {tpe!r}")
 
-    @staticmethod
-    def _host_key(k: Any) -> Any:
-        return k.item() if isinstance(k, np.generic) else k
-
     # -- loop dispatch -----------------------------------------------------
 
     def _eval_loop(self, d: Def, loop: MultiLoop) -> None:
@@ -239,13 +248,9 @@ class NumpyInterp(Interp):
         delta = StatsDelta()
         vz = LoopVectorizer(self, size, delta)
         share_keys, need_memo = loop_share_plan(gens)
-        # top-level analogue of the interpreter's per-iteration memo: one
-        # value namespace for alpha-equivalent cond/key vectors, one probe
-        # registry for shared bucket probes
-        shared_vals: Dict[Any, Any] = {}
-        probed: Dict[Any, Any] = {}
+        memo: Optional[Dict[Any, Any]] = {} if need_memo else None
         idx = np.arange(size, dtype=np.int64)
-        outs = [self._vec_gen(vz, g, sk, idx, shared_vals, probed, need_memo)
+        outs = [self._vec_gen(vz, g, sk, idx, memo)
                 for g, sk in zip(gens, share_keys)]
         # success — commit everything atomically
         delta.merge_into(self.stats)
@@ -263,32 +268,16 @@ class NumpyInterp(Interp):
             obs.on_loop_end(d)
 
     def _vec_gen(self, vz: LoopVectorizer, g: Generator, sk,
-                 idx: np.ndarray, shared_vals: Dict, probed: Dict,
-                 need_memo: bool) -> Any:
-        ckey, _ = sk
-        mask: Optional[np.ndarray] = None
-        if g.cond is not None:
-            vz.add_ovh(BRANCH_CYCLES, None)
-            if need_memo and ckey is not None and ckey in shared_vals:
-                cv = shared_vals[ckey]  # alpha-equal sibling already paid
-            else:
-                cv = vz.eval_block(g.cond, (idx,), None)
-                if need_memo and ckey is not None:
-                    shared_vals[ckey] = cv
-            if is_vec(cv):
-                if not isinstance(cv, np.ndarray):
-                    raise VecError("non-scalar condition value")
-                mask = cv.astype(np.bool_, copy=False)
-            elif not cv:
-                mask = np.zeros(vz.L, dtype=np.bool_)
+                 idx: np.ndarray, memo: Optional[Dict[Any, Any]]) -> Any:
+        ckey, kkey = sk
+        mask = vz.gen_mask(g, ckey, idx, memo)
         if mask is not None and not bool(mask.any()):
             return self._empty_result(g)
         if g.kind is GenKind.COLLECT:
             return self._vec_collect(vz, g, idx, mask)
         if g.kind is GenKind.REDUCE:
             return self._vec_reduce(vz, g, idx, mask)
-        return self._vec_bucket(vz, g, sk, idx, mask, shared_vals, probed,
-                                need_memo)
+        return self._vec_bucket(vz, g, kkey, idx, mask, memo)
 
     def _empty_result(self, g: Generator) -> Any:
         if g.kind is GenKind.COLLECT:
@@ -408,25 +397,10 @@ class NumpyInterp(Interp):
 
     # -- BucketCollect / BucketReduce --------------------------------------
 
-    def _vec_bucket(self, vz: LoopVectorizer, g: Generator, sk,
+    def _vec_bucket(self, vz: LoopVectorizer, g: Generator, kkey,
                     idx: np.ndarray, mask: Optional[np.ndarray],
-                    shared_vals: Dict, probed: Dict,
-                    need_memo: bool) -> Buckets:
-        _, kkey = sk
-        pk = ("probe",) + (kkey,) if kkey is not None else None
-        if need_memo and pk is not None and pk in probed:
-            vz.add_ess(WRITE_CYCLES, mask)  # sibling probe: indexed write
-            karr = probed[pk]
-        else:
-            vz.add_ess(BUCKET_CYCLES, mask)
-            if need_memo and kkey is not None and kkey in shared_vals:
-                karr = shared_vals[kkey]  # value shared with an alpha-equal cond
-            else:
-                karr = vz.eval_block(g.key, (idx,), mask)
-                if need_memo and kkey is not None:
-                    shared_vals[kkey] = karr
-            if need_memo and pk is not None:
-                probed[pk] = karr
+                    memo: Optional[Dict[Any, Any]]) -> Buckets:
+        karr = vz.gen_key(g, kkey, idx, mask, memo)
 
         reduce_kind = g.kind is GenKind.BUCKET_REDUCE
         if reduce_kind:
@@ -482,21 +456,13 @@ class NumpyInterp(Interp):
                    n: int) -> Tuple[np.ndarray, List[Any]]:
         """Dense first-seen-order codes + host key values."""
         if not is_vec(karr):
-            return np.zeros(n, dtype=np.int64), [self._host_key(karr)]
+            return np.zeros(n, dtype=np.int64), [
+                karr.item() if isinstance(karr, np.generic) else karr]
         if not isinstance(karr, np.ndarray):
             raise VecError("non-scalar bucket key")
-        keys_a = karr[actives]
-        try:
-            uniq, first_i, inv = np.unique(
-                keys_a, return_index=True, return_inverse=True)
-        except TypeError as e:
-            raise VecError(f"unsortable bucket keys: {e}") from None
-        order = np.argsort(first_i, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        codes = rank[inv.reshape(-1)]
-        uniq_keys = [self._host_key(uniq[o]) for o in order]
-        return codes, uniq_keys
+        keys = karr[actives]
+        codes, first = first_seen_codes(keys)
+        return codes, keys[first].tolist()
 
 
 def run_program_numpy(prog: Program, inputs: Dict[str, Any],

@@ -10,16 +10,19 @@ mask. Values flow through a small vocabulary of representations:
 - ``ArrVec`` — a per-lane nested array, stored padded with optional
   per-lane lengths (ragged rows);
 - ``Rows``   — a lazy per-lane gather of rows from one host collection
-  (adjacency lists, bucket values) that keeps the original row objects
-  reachable for collection primitives, or from an enclosing loop's
-  ``ArrVec`` (the view a nested loop body has of an outer array);
+  (adjacency lists, bucket values, a list of per-lane ``Buckets``) that
+  keeps the original row objects reachable for collection primitives and
+  key lookups, or from an enclosing loop's ``ArrVec`` (the view a nested
+  loop body has of an outer array);
 - any other Python value — lane-invariant ("uniform"), evaluated once.
 
 A nested multiloop is one more lane axis, not an inner Python loop: its
 body is evaluated once over the flattened space of active (outer lane,
 trip) pairs by a child vectorizer, nested ``Collect`` results are
-scattered back by (segment, position) and nested ``Reduce`` folds every
-segment left to right in trip order (``LoopVectorizer._nested_loop``).
+scattered back by (segment, position), nested ``Reduce`` folds every
+segment left to right in trip order, and nested bucket generators group
+the flat lanes by (segment, key) and fold or collect every group the same
+way (``LoopVectorizer._nested_loop``).
 
 Cost accounting stays *analytic* and matches the interpreter cycle for
 cycle: every operation adds its cost to per-lane essential/overhead
@@ -99,6 +102,21 @@ def _runs(cnt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return run, np.arange(len(run)) - (np.cumsum(cnt) - cnt)[run]
 
 
+def first_seen_codes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense codes of ``keys`` numbered in order of first appearance (the
+    order a ``Buckets`` directory lists its keys in), and the position of
+    every code's first occurrence."""
+    try:
+        _, first, inv = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    except TypeError as e:
+        raise VecError(f"unsortable bucket keys: {e}") from None
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[inv.reshape(-1)], first[order]
+
+
 # ---------------------------------------------------------------------------
 # Lane-vector value representations
 # ---------------------------------------------------------------------------
@@ -159,7 +177,13 @@ class Rows:
     ``host`` (the executing interpreter) so it is columnarized at most once
     per run, or an ``ArrVec`` of an enclosing lane space — the *lifted*
     view a nested loop body gets of an outer lane's array, which composes
-    indices over the existing padded matrix instead of copying it."""
+    indices over the existing padded matrix instead of copying it.
+
+    A row may itself be a host ``Buckets``: that is the lane value of a
+    keyed collection, whether gathered from a list of them or built one per
+    outer lane by a nested bucket generator. Positional reads and lengths
+    see its dense values like any other row; ``BucketLookup`` and ``keys``
+    go through the row objects."""
 
     __slots__ = ("base", "idx", "host")
 
@@ -179,6 +203,9 @@ def _materialize(v: Any) -> Any:
         return v
     if v.host is None:
         raise VecError("cannot materialize detached row gather")
+    if not isinstance(v.base, ArrVec) and len(v.base) \
+            and isinstance(v.base[0], Buckets):
+        raise VecError("cannot materialize per-lane buckets")  # keys lost
     lens, pad = v.host.row_cache(v.base)
     if pad is None:
         raise VecError("cannot materialize non-scalar rows")
@@ -292,6 +319,18 @@ def _pad_pair(a: ArrVec, b: ArrVec) -> Tuple[ArrVec, ArrVec]:
     """Pad two ArrVecs to a common inner width."""
     w = max(a.data.shape[1], b.data.shape[1])
     return _pad_to(a, w), _pad_to(b, w)
+
+
+def _row_elems(v: Any, row: np.ndarray, col: np.ndarray) -> Any:
+    """Elements ``(row[e], col[e])`` of per-lane arrays as a lane vector
+    over ``e``; an array of structs stays columnar."""
+    if isinstance(v, SVec):
+        return SVec(tuple(_row_elems(f, row, col) for f in v.fields))
+    v = _materialize(v)
+    if not isinstance(v, ArrVec):
+        raise VecError("flatten of a non-array value")
+    out = v.data[row, col]
+    return out if out.ndim == 1 else ArrVec(out, None)
 
 
 def vec_where(cond: np.ndarray, tv: Any, ev: Any, L: int) -> Any:
@@ -465,19 +504,9 @@ def recognize_assoc_prim(block: Block) -> Optional[str]:
 def plan_loop(loop: MultiLoop) -> Optional[str]:
     """Static scan of one top-level loop; returns a fallback reason or
     ``None`` when every construct has a vectorized lowering."""
-    share_keys, need_memo = loop_share_plan(loop.gens)
-    if need_memo:
-        # generators that share a key probe must also share the active
-        # mask, otherwise the first-probe/sibling-write cost split cannot
-        # be reproduced lane-wise
-        by_key: Dict[Any, Any] = {}
-        for g, (ck, kk) in zip(loop.gens, share_keys):
-            if kk is None:
-                continue
-            if kk in by_key and by_key[kk] != ck:
-                return "bucket key shared across generators with " \
-                       "differing conditions"
-            by_key.setdefault(kk, ck)
+    reason = _plan_shared_keys(loop.gens)
+    if reason is not None:
+        return reason
     for g in loop.gens:
         for b in g.blocks():
             reason = _plan_block(b)
@@ -515,6 +544,24 @@ def plan_program(prog) -> Dict[str, Optional[str]]:
     return out
 
 
+def _plan_shared_keys(gens: Sequence[Generator]) -> Optional[str]:
+    share_keys, need_memo = loop_share_plan(gens)
+    if not need_memo:
+        return None
+    # generators that share a key probe must also share the active mask,
+    # otherwise the first-probe/sibling-write cost split cannot be
+    # reproduced lane-wise
+    by_key: Dict[Any, Any] = {}
+    for ck, kk in share_keys:
+        if kk is None:
+            continue
+        if kk in by_key and by_key[kk] != ck:
+            return "bucket key shared across generators with " \
+                   "differing conditions"
+        by_key.setdefault(kk, ck)
+    return None
+
+
 def _plan_reducer(block: Block) -> Optional[str]:
     if recognize_assoc_prim(block) is not None:
         return None
@@ -526,7 +573,7 @@ def _plan_reducer(block: Block) -> Optional[str]:
     return None  # compound reducers are associative by the reduce contract
 
 
-def _plan_block(block: Block, nested: bool = False) -> Optional[str]:
+def _plan_block(block: Block) -> Optional[str]:
     for d in block.stmts:
         op = d.op
         if isinstance(op, (MakeKeyed, InputSource)):
@@ -537,19 +584,19 @@ def _plan_block(block: Block, nested: bool = False) -> Optional[str]:
             return f"no vectorized lowering for prim.{op.name}"
         if isinstance(op, IfThenElse):
             for b in (op.then_block, op.else_block):
-                reason = _plan_block(b, nested)
+                reason = _plan_block(b)
                 if reason is not None:
                     return reason
         if isinstance(op, MultiLoop):
-            for g in op.gens:
-                if g.kind not in (GenKind.COLLECT, GenKind.REDUCE):
-                    return f"nested {g.kind.value} generator"
-                if g.flatten:
-                    return "nested flatten-Collect (ragged concatenation)"
-                for b in g.blocks():
-                    reason = _plan_block(b, nested=True)
-                    if reason is not None:
-                        return reason
+            # (a nested reducer needs no associativity check: nested folds
+            # run strictly left to right)
+            reason = _plan_shared_keys(op.gens)
+            if reason is not None:
+                return reason
+            for b in op.blocks():
+                reason = _plan_block(b)
+                if reason is not None:
+                    return reason
     return None
 
 
@@ -711,6 +758,52 @@ class LoopVectorizer:
             self.eval_def(d, mask)
         return self.lookup(block.results[0])
 
+    # -- generator components shared by sibling generators ----------------
+    #
+    # ``memo`` is the lane-wise analogue of the interpreter's per-iteration
+    # memo (``None`` when ``loop_share_plan`` found nothing to share): one
+    # namespace for alpha-equal cond/key values, plus the keys already
+    # probed.
+
+    def gen_mask(self, g: Generator, ckey, idx: np.ndarray,
+                 memo: Optional[Dict[Any, Any]]) -> Optional[np.ndarray]:
+        """The lanes of index vector ``idx`` generator ``g`` keeps
+        (``None``: all of them). An alpha-equal sibling cond is evaluated,
+        and paid, once."""
+        if g.cond is None:
+            return None
+        self.add_ovh(BRANCH_CYCLES, None)
+        if memo is not None and ckey in memo:
+            cv = memo[ckey]
+        else:
+            cv = self.eval_block(g.cond, (idx,), None)
+            if memo is not None:
+                memo[ckey] = cv
+        if not is_vec(cv):
+            return None if cv else np.zeros(self.L, dtype=np.bool_)
+        if not isinstance(cv, np.ndarray):
+            raise VecError("non-scalar condition value")
+        return cv.astype(np.bool_, copy=False)
+
+    def gen_key(self, g: Generator, kkey, idx: np.ndarray,
+                mask: Optional[np.ndarray],
+                memo: Optional[Dict[Any, Any]]) -> Any:
+        """The keys of bucket generator ``g``, charging its probe: the
+        first generator to probe a key pays hash + probe, an alpha-equal
+        sibling only an indexed write into the slot already found."""
+        probe = ("probe", kkey)
+        if memo is not None and probe in memo:
+            self.add_ess(WRITE_CYCLES, mask)
+            return memo[probe]
+        self.add_ess(BUCKET_CYCLES, mask)
+        if memo is not None and kkey in memo:
+            key = memo[kkey]  # value shared with an alpha-equal cond
+        else:
+            key = self.eval_block(g.key, (idx,), mask)
+        if memo is not None:
+            memo[kkey] = memo[probe] = key
+        return key
+
     # -- statement dispatch ----------------------------------------------
 
     def eval_def(self, d: Def, mask: Optional[np.ndarray]) -> None:
@@ -767,9 +860,13 @@ class LoopVectorizer:
             self.env[d.sym.id] = self._bucket_lookup(op, mask, n)
         elif isinstance(op, BucketKeys):
             coll = self.lookup(op.coll)
-            if not isinstance(coll, Buckets):
-                raise VecError("BucketKeys on per-lane buckets")
-            self.env[d.sym.id] = list(coll.keys)
+            if isinstance(coll, Buckets):
+                self.env[d.sym.id] = list(coll.keys)
+            elif isinstance(coll, Rows):
+                self.env[d.sym.id] = Rows([b.keys for b in coll.base],
+                                          coll.idx, self.host)
+            else:
+                raise VecError("BucketKeys on non-bucket value")
         elif isinstance(op, CollPrim):
             self.env[d.sym.id] = self._coll_prim(op, mask, n)
         elif isinstance(op, ArrayLit):
@@ -800,7 +897,7 @@ class LoopVectorizer:
         if isinstance(arr, Rows):
             lens, pad = self.host.row_cache(arr.base)
             if pad is None:
-                raise VecError("gathered rows have non-scalar elements")
+                return self._apply_rows_of_rows(arr, idx, lens, rt)
             if not pad.shape[1]:
                 raise VecError("indexing into empty rows")
             rows = pad[arr.idx, np.clip(idx, 0, pad.shape[1] - 1)]
@@ -827,6 +924,21 @@ class LoopVectorizer:
                 raise VecError(f"host read failed: {e}") from None
         base = arr.values if isinstance(arr, Buckets) else arr
         return self._gather(base, idx, rt)
+
+    def _apply_rows_of_rows(self, arr: Rows, idx: Any, lens: np.ndarray,
+                            rt: T.Type) -> Rows:
+        """Positional read of gathered rows whose elements are themselves
+        collections (the groups of a ``BucketCollect``): one more gather,
+        over the rows laid end to end."""
+        if not isinstance(rt, (T.Coll, T.KeyedColl)):
+            raise VecError("gathered rows have non-scalar elements")
+        flat = self.host.flat_cache(arr.base)
+        if not flat:
+            raise VecError("indexing into empty rows")
+        l = lens[arr.idx]
+        pos = (np.cumsum(lens) - lens)[arr.idx] \
+            + np.clip(idx, 0, np.maximum(l - 1, 0))
+        return Rows(flat, np.minimum(pos, len(flat) - 1), self.host)
 
     def _gather(self, base: Sequence[Any], idx: np.ndarray,
                 rt: T.Type) -> Any:
@@ -887,17 +999,32 @@ class LoopVectorizer:
         key = self.lookup(op.key)
         self.add_ess(BUCKET_CYCLES, mask)
         self.count_read(rt, mask, n)
-        if not isinstance(coll, Buckets):
-            raise VecError("BucketLookup on per-lane buckets")
-        if not is_vec(key):
-            return coll.lookup(key)
+        if isinstance(coll, Buckets):
+            if not is_vec(key):
+                return coll.lookup(key)
+            bkts, which = [coll], np.zeros(self.L, dtype=np.int64)
+        elif isinstance(coll, Rows):
+            bkts, which = coll.base, coll.idx  # per-lane buckets
+        else:
+            raise VecError("BucketLookup on non-bucket value")
+        key = as_lane_vec(key, self.L)
         if not isinstance(key, np.ndarray):
             raise VecError("bucket lookup with non-scalar keys")
-        miss = len(coll.values)
-        index = coll._index
-        pos = np.fromiter((index.get(k, miss) for k in key.tolist()),
-                          dtype=np.int64, count=self.L)
-        ext = list(coll.values) + [coll.default]
+        # every bucket's values laid end to end, then every bucket's default
+        sizes = [len(b) for b in bkts]
+        off = (np.cumsum(sizes) - sizes).tolist()
+        ext = [v for b in bkts for v in b.values] + [b.default for b in bkts]
+        miss = len(ext) - len(bkts)
+        if not bkts:  # a loop of no lanes built no buckets: gather nothing
+            ext = [T.zero_value(rt)]
+
+        def locate(w: int, k: Any) -> int:
+            p = bkts[w].position(k)
+            return miss + w if p is None else off[w] + p
+        lanes = self.lanes(mask)
+        pos = np.zeros(self.L, dtype=np.int64)
+        pos[lanes] = [locate(w, k) for w, k in zip(which[lanes].tolist(),
+                                                   key[lanes].tolist())]
         return self._gather(ext, pos, rt)
 
     def _coll_prim(self, op: CollPrim, mask: Optional[np.ndarray],
@@ -1001,13 +1128,19 @@ class LoopVectorizer:
         self.delta.loop_iterations += int(sz.sum())
         sz = np.maximum(sz, 0)
         share_keys, need_memo = loop_share_plan(gens)
+        # no strip at all when no lane has a trip: every generator then
+        # finishes from no parts, and the body is never entered
         parts: List[List[Tuple[Any, ...]]] = [[] for _ in gens]
         for start, stop in _strips(np.cumsum(sz), STRIP_LANES):
             self._nested_strip(gens, share_keys, need_memo,
                                lanes[start:stop], sz[start:stop], parts)
         for s, g, ps in zip(d.syms, gens, parts):
-            finish = (self._finish_collect if g.kind is GenKind.COLLECT
-                      else self._finish_reduce)
+            if g.key is not None:
+                finish = self._finish_bucket
+            elif g.reducer is not None:
+                finish = self._finish_reduce
+            else:
+                finish = self._finish_collect
             self.env[s.id] = finish(g, ps, lanes)
 
     def _nested_strip(self, gens: Sequence[Generator], share_keys,
@@ -1018,64 +1151,86 @@ class LoopVectorizer:
         result to ``parts``."""
         seg, trip = _runs(sz)   # flat lane -> (segment, trip)
         sub = self.child(lanes[seg])
-        # alpha-equal sibling conds are evaluated (and paid) once, as in
-        # the interpreter's per-iteration memo
         memo: Optional[Dict[Any, Any]] = {} if need_memo else None
-        for g, (ckey, _), ps in zip(gens, share_keys, parts):
-            m = None
-            if g.cond is not None:
-                sub.add_ovh(BRANCH_CYCLES, None)
-                if memo is not None and ckey in memo:
-                    cv = memo[ckey]
-                else:
-                    cv = sub.eval_block(g.cond, (trip,), None)
-                    if memo is not None:
-                        memo[ckey] = cv
-                if not is_vec(cv):
-                    if not cv:
-                        continue
-                elif isinstance(cv, np.ndarray):
-                    m = cv.astype(np.bool_, copy=False)
-                    if not m.any():
-                        continue
-                else:
-                    raise VecError("non-scalar condition value")
-            if g.kind is GenKind.COLLECT:
-                v = sub.eval_block(g.value, (trip,), m)
-                sub.count_alloc(g.value_type, m, 1)
-            else:
+        for g, (ckey, kkey), ps in zip(gens, share_keys, parts):
+            m = sub.gen_mask(g, ckey, trip, memo)
+            if m is not None and not m.any():
+                continue
+            key = None if g.key is None else as_lane_vec(
+                sub.gen_key(g, kkey, trip, m, memo), sub.L)
+            if g.reducer is not None:
                 sub.in_reduce_value += 1
                 try:
                     v = sub.eval_block(g.value, (trip,), m)
                 finally:
                     sub.in_reduce_value -= 1
+            else:
+                v = sub.eval_block(g.value, (trip,), m)
+                if g.flatten:
+                    width = np.broadcast_to(sub._length(v), sub.L)
+                    sub.count_alloc(g.value_type.elem, m, width)
+                else:
+                    sub.count_alloc(g.value_type, m, 1)
             # the generator's elements: the values of the kept flat lanes,
-            # still in (segment, trip) order, and how many each segment kept
-            v, cnt = as_lane_vec(v, sub.L), sz
+            # still in (segment, trip) order, and the segment of each
+            v, kseg = as_lane_vec(v, sub.L), seg
             if m is not None:
                 kept = np.nonzero(m)[0]
-                v = vec_take(v, kept)
-                cnt = np.bincount(seg[kept], minlength=len(lanes))
-            if g.kind is GenKind.COLLECT:
-                kseg, pos = (seg, trip) if m is None else _runs(cnt)
-                ps.append((v, lanes[kseg], pos))
+                v, key = vec_take(v, kept), vec_take(key, kept)
+                kseg = seg[kept]
+            if key is not None:
+                ps.append(self._group(g, key, v, kseg, lanes))
+                continue
+            if g.flatten:
+                # every kept lane contributes a whole row of elements
+                row, col = _runs(width if m is None else width[kept])
+                v, kseg = _row_elems(v, row, col), kseg[row]
+            if g.reducer is not None:
+                cnt = np.bincount(kseg, minlength=len(lanes))
+                ne = np.nonzero(cnt)[0]
+                ps.append((self._fold(g, v, cnt[ne], lanes, ne), lanes[ne]))
+            elif kseg is seg:
+                ps.append((v, lanes[seg], trip))
             else:
-                ps.append(self._fold(g, v, lanes, cnt))
+                cnt = np.bincount(kseg, minlength=len(lanes))
+                ps.append((v, lanes[kseg], _runs(cnt)[1]))
         self.absorb(sub, lanes, seg)
 
-    def _fold(self, g: Generator, vals: Any, lanes: np.ndarray,
-              cnt: np.ndarray) -> Tuple[Any, np.ndarray]:
-        """Reduce each segment's run of ``vals`` (``cnt[s]`` consecutive
-        elements) strictly left to right, all segments in lock step: step
-        ``k`` combines every accumulator with its segment's ``k``-th
-        element. This is the interpreter's own association order, so a
-        result is bit-identical to it even for float ``add`` — which a
-        ``reduceat`` or pairwise tree would not be. Returns the folded
-        values and the (non-empty) outer lanes they belong to."""
-        ne = np.nonzero(cnt)[0]
-        cnt = cnt[ne]
+    def _group(self, g: Generator, key: Any, vals: Any, kseg: np.ndarray,
+               lanes: np.ndarray) -> Tuple[np.ndarray, List[Any], List[Any]]:
+        """Bucket the elements ``vals`` of one strip by (segment, key):
+        groups are numbered in first-seen order, which is by segment and,
+        within a segment, the order its ``Buckets`` lists keys in. Returns
+        every group's outer lane, host key and host value (the folded
+        elements, or the list of them)."""
+        if not isinstance(key, np.ndarray):
+            raise VecError("non-scalar bucket key")
+        kcode, kfirst = first_seen_codes(key)
+        code, first = first_seen_codes(kseg * len(kfirst) + kcode)
+        n_groups = len(first)
+        order = np.argsort(code, kind="stable")
+        cnt = np.bincount(code, minlength=n_groups)
+        gseg = kseg[first]
+        if g.reducer is not None:
+            acc = self._fold(g, vec_take(vals, order), cnt, lanes, gseg)
+            host = self.host.to_host(acc, np.arange(n_groups), g.value_type)
+        else:
+            elems = self.host.to_host(vals, order, g.value_type)
+            ends = np.cumsum(cnt).tolist()
+            host = [elems[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        return lanes[gseg], key[first].tolist(), host
+
+    def _fold(self, g: Generator, vals: Any, cnt: np.ndarray,
+              lanes: np.ndarray, owner: np.ndarray) -> Any:
+        """Reduce each run of ``vals`` (``cnt[r] >= 1`` consecutive
+        elements: one segment's, or one group's) strictly left to right,
+        all runs in lock step: step ``k`` combines every accumulator with
+        its run's ``k``-th element. This is the interpreter's own
+        association order, so a result is bit-identical to it even for
+        float ``add`` — which a ``reduceat`` or pairwise tree would not be.
+        Run ``r`` is charged to outer lane ``lanes[owner[r]]``."""
         first = np.cumsum(cnt) - cnt
-        fold = self.child(lanes[ne])
+        fold = self.child(lanes[owner])
         fold.in_reducer += 1
         acc = vec_take(vals, first)
         for k in range(1, int(cnt.max())):
@@ -1088,8 +1243,27 @@ class LoopVectorizer:
                 acc = vec_where(
                     live, fold.eval_block(g.reducer, (acc, nxt), live),
                     acc, fold.L)
-        self.absorb(fold, lanes[ne])
-        return acc, lanes[ne]
+        self.absorb(fold, lanes, owner)
+        return acc
+
+    def _finish_bucket(self, g: Generator, parts: List[Tuple[Any, ...]],
+                       lanes: np.ndarray) -> Rows:
+        """One host ``Buckets`` per outer lane behind a row gather; a lane
+        that kept no element holds an empty one."""
+        if g.kind is GenKind.BUCKET_COLLECT:
+            defaults: List[Any] = [[] for _ in lanes]
+        elif g.init is not None:
+            defaults = self.host.to_host(self.lookup(g.init), lanes,
+                                         g.value_type)
+        else:
+            defaults = [T.zero_value(g.value_type) for _ in lanes]
+        base = [Buckets(default=dv) for dv in defaults]
+        slot = np.zeros(self.L, dtype=np.int64)
+        slot[lanes] = np.arange(len(lanes))
+        for ids, keys, vals in parts:
+            for s, k, v in zip(slot[ids].tolist(), keys, vals):
+                base[s].get_or_create(k, v)
+        return Rows(base, slot, self.host)
 
     def _finish_reduce(self, g: Generator, parts: List[Tuple[Any, ...]],
                        lanes: np.ndarray) -> Any:
@@ -1113,9 +1287,7 @@ class LoopVectorizer:
     def _finish_collect(self, g: Generator, parts: List[Tuple[Any, ...]],
                         lanes: np.ndarray) -> Any:
         if not parts:
-            return ArrVec(
-                np.zeros((self.L, 0), dtype=_np_dtype(g.value_type)),
-                np.zeros(self.L, dtype=np.int64))
+            return self._no_elements(g.result_type().elem)
         vals = vec_concat([v for v, _, _ in parts],
                           [len(ids) for _, ids, _ in parts])
         ids = np.concatenate([ids for _, ids, _ in parts])
@@ -1125,6 +1297,13 @@ class LoopVectorizer:
         if (lens[lanes] == w).all():
             lens = None  # lanes outside the mask hold garbage anyway
         return self._scatter(vals, ids, pos, lens, w)
+
+    def _no_elements(self, elem: T.Type) -> Any:
+        """Every lane's array empty; an array of structs stays columnar."""
+        if isinstance(elem, T.Struct):
+            return SVec(tuple(self._no_elements(ft) for _, ft in elem.fields))
+        return ArrVec(np.zeros((self.L, 0), dtype=_np_dtype(elem)),
+                      np.zeros(self.L, dtype=np.int64))
 
     def _scatter(self, vals: Any, ids: np.ndarray, pos: np.ndarray,
                  lens: Optional[np.ndarray], w: int) -> Any:

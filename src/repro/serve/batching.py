@@ -24,6 +24,28 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
+#: one float element of the digest stream, ``b"F" + struct.pack("<d", x)``
+_FLOAT_ITEM = np.dtype([("tag", "S1"), ("value", "<f8")])
+
+
+def _uniform_items(v) -> Optional[bytes]:
+    """The bytes ``_walk`` feeds for the elements of a list that holds
+    nothing but ``float``s or nothing but ``int``s, built without a Python
+    call per element; ``None`` for any other list. Types are matched
+    exactly: ``bool`` (an ``int`` subclass with its own tag) and numeric
+    subclasses stay on the per-element path."""
+    kinds = set(map(type, v))
+    if kinds == {float}:
+        items = np.empty(len(v), dtype=_FLOAT_ITEM)
+        items["tag"] = b"F"
+        items["value"] = v
+        return items.tobytes()
+    if kinds == {int}:
+        return b"I%d;" * len(v) % tuple(v)
+    return None
+
 
 def _walk(h, v: Any) -> None:
     if v is None:
@@ -38,8 +60,12 @@ def _walk(h, v: Any) -> None:
         h.update(b"S%d;" % len(v) + v.encode("utf-8", "replace"))
     elif isinstance(v, (list, tuple)):
         h.update(b"L%d;" % len(v))
-        for x in v:
-            _walk(h, x)
+        items = _uniform_items(v)
+        if items is not None:
+            h.update(items)
+        else:
+            for x in v:
+                _walk(h, x)
     elif isinstance(v, dict):
         h.update(b"D%d;" % len(v))
         for k in sorted(v, key=str):
@@ -64,16 +90,18 @@ class Payload:
     inputs: Dict[str, Any]
     key: str
 
+    def salted(self, salt: str) -> "Payload":
+        """A *distinct logical* payload sharing this one's data (traffic
+        simulation: many tenants, same measured dataset) — salted
+        payloads never lane-pack together."""
+        return Payload(self.inputs, f"{self.key}:{salt}")
+
 
 def make_payload(inputs: Dict[str, Any],
                  salt: Optional[str] = None) -> Payload:
-    """Build a payload; ``salt`` forges a *distinct logical* payload
-    sharing the same data (traffic simulation: many tenants, same
-    measured dataset) — salted payloads never lane-pack together."""
-    key = payload_digest(inputs)
-    if salt is not None:
-        key = f"{key}:{salt}"
-    return Payload(inputs, key)
+    """Build a payload, digesting ``inputs``; see ``Payload.salted``."""
+    payload = Payload(inputs, payload_digest(inputs))
+    return payload if salt is None else payload.salted(salt)
 
 
 @dataclass(eq=False)
@@ -130,7 +158,11 @@ class Response:
 @dataclass
 class ServeFallback:
     """Recorded (never silent) drop to per-request reference execution —
-    the serving-layer mirror of the backend's ``FallbackRecord``."""
+    the serving-layer mirror of the backend's ``FallbackRecord``. One
+    record per batch served that way; a capture whose execution raised
+    adds one more, with ``requests == 0``, when the failure is first met
+    (placement meets it before any batch does); ``ServeReport.fallbacks``
+    counts the batches only."""
 
     app: str
     reason: str

@@ -297,6 +297,8 @@ class ProgramServer:
         # host-side memos: one functional execution per distinct
         # (app, variant, payload, backend); one pricing per machine model
         self._captures: Dict[Tuple[str, str, str, str], RunCapture] = {}
+        #: capture keys whose execution raised, with the reason
+        self._capture_failures: Dict[Tuple[str, str, str, str], str] = {}
         self._service: Dict[Tuple[str, str, str, str, str], float] = {}
         #: pricing detail kept alongside ``_service`` for span grafting
         #: (tracing only; empty on plain runs)
@@ -308,11 +310,13 @@ class ProgramServer:
     def payload_for(self, app: str,
                     salt: Optional[str] = None) -> Payload:
         """The app's default payload, optionally salted into a distinct
-        logical tenant (memoized so equal salts share lane groups)."""
+        logical tenant (memoized so equal salts share lane groups; the
+        dataset is digested once, whatever the number of tenants)."""
         key = (app, salt)
         if key not in self._payloads:
-            self._payloads[key] = make_payload(
-                self.apps[app].default_inputs, salt=salt)
+            self._payloads[key] = (
+                make_payload(self.apps[app].default_inputs) if salt is None
+                else self.payload_for(app).salted(salt))
         return self._payloads[key]
 
     def submit(self, app: str, payload: Optional[Payload] = None,
@@ -515,8 +519,8 @@ class ProgramServer:
         (surfacing as cache misses)."""
         self._count("cache-invalidations")
         self.cache.invalidate(None if target == "*" else target)
-        for memo, pos in ((self._captures, 0), (self._service, 1),
-                          (self._sims, 1)):
+        for memo, pos in ((self._captures, 0), (self._capture_failures, 0),
+                          (self._service, 1), (self._sims, 1)):
             for k in [k for k in memo
                       if target == "*" or k[pos] == target]:
                 del memo[k]
@@ -810,10 +814,23 @@ class ProgramServer:
         ckey = (app, variant, payload.key, self.backend)
         cap = self._captures.get(ckey)
         if cap is None:
+            failed = self._capture_failures.get(ckey)
+            if failed is not None:
+                raise RuntimeError(failed)
             entry = self.cache.get(app, variant)
-            cap = capture_run(entry.compiled, payload.inputs,
-                              backend=self.backend,
-                              profile_host=self.metrics is not None)
+            try:
+                cap = capture_run(entry.compiled, payload.inputs,
+                                  backend=self.backend,
+                                  profile_host=self.metrics is not None)
+            except Exception as exc:
+                # an execution that raises is attempted once per key: the
+                # failure is recorded here, at whichever of placement or
+                # dispatch met it first, and every caller, this one
+                # included, gets a RuntimeError carrying the reason
+                failed = self._capture_failures[ckey] = str(exc)
+                self.fallbacks.append(ServeFallback(
+                    app, f"{self.backend} execution failed: {failed}", 0))
+                raise RuntimeError(failed) from exc
             self._captures[ckey] = cap
             if self.metrics is not None:
                 # host wall-clock of the one real execution behind this

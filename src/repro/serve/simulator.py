@@ -344,7 +344,9 @@ class ServeSim:
                        if batch_sizes else 0.0,
             batch_max=max(batch_sizes, default=0),
             lane_packed_requests=sum(1 for r in responses if r.lane_packed),
-            fallbacks=len(server.fallbacks),
+            # batches served on the reference path (a failed capture's own
+            # record carries no requests)
+            fallbacks=sum(1 for f in server.fallbacks if f.requests),
             availability=(len(responses) / total) if total else 1.0,
             rejected=len(rejected),
             cache=server.cache.stats(),

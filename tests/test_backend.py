@@ -14,7 +14,7 @@ workloads.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import frontend as F
@@ -24,7 +24,8 @@ from repro.bench.apps import get_bundle
 from repro.core import run_program
 from repro.core import types as T
 from repro.core.interp import LoopObserver
-from repro.core.multiloop import MultiLoop, collect, reduce_gen
+from repro.core.multiloop import (MultiLoop, bucket_collect, bucket_reduce,
+                                  collect, reduce_gen)
 from repro.core.ops import COLL_PRIMS
 from repro.core.staging import emit, stage_block
 from repro.core.values import deep_eq
@@ -71,6 +72,27 @@ class TestBundledApps:
         assert fallbacks == [], (
             f"{app} fell back to the interpreter: "
             f"{[(f.loop, f.reason) for f in fallbacks]}")
+
+    @pytest.mark.parametrize("app", ["kmeans", "gda"])
+    def test_gpu_variant_is_fully_vectorized(self, app):
+        # Row-to-Column Reduce leaves Collect(j){ BucketReduce(i) }: a
+        # nested bucket generator, grouped on the segmented lane axis
+        bundle = get_bundle(app)
+        compiled = bundle.compiled("gpu")
+        inputs = compiled.prepare_inputs(bundle.inputs)
+        ref_results, ref_stats = run_program(compiled.program, inputs)
+        vec_results, vec_stats, fallbacks = run_program_numpy(
+            compiled.program, inputs)
+        assert fallbacks == []
+        assert deep_eq(ref_results, vec_results, tol=0.0)
+        assert_stats_equal(ref_stats, vec_stats)
+
+    @pytest.mark.parametrize("app", APPS)
+    @pytest.mark.parametrize("variant", ["opt", "gpu"])
+    def test_static_plan_has_no_fallback(self, app, variant):
+        compiled = get_bundle(app).compiled(variant)
+        plan = vectorize.plan_program(compiled.program)
+        assert plan and set(plan.values()) == {None}, plan
 
     def test_capture_records_backend_and_per_iter(self):
         from repro.runtime.executor import capture_run
@@ -370,6 +392,71 @@ _NESTED_BODIES = [
     ("init_from_outer_lane", _outer_init_body),
 ]
 
+def _add(a, b):
+    return a + b
+
+
+def _sibling_buckets_body(row, i):
+    # two bucket generators under alpha-equal conds and keys: one cond and
+    # one hash probe per trip, the sibling pays an indexed write
+    def odd():
+        return _block([T.INT], lambda j: row[j] % 2 != 0, ["j"])
+
+    def key():
+        return _block([T.INT], lambda j: row[j] % 3, ["j"])
+    sums, groups = emit(MultiLoop(row.length().exp, (
+        bucket_reduce(key(), _block([T.INT], lambda j: row[j] + i, ["j"]),
+                      _block([T.INT, T.INT], _add, ["a", "b"]), cond=odd()),
+        bucket_collect(key(), _block([T.INT], lambda j: row[j], ["j"]),
+                       cond=odd()))), ["sums", "groups"])
+    return F.pair(F.wrap(sums), F.wrap(groups))
+
+
+def _bucket_init_body(row, i):
+    # a key that received nothing looks up ``init``, a per-outer-lane value
+    (best,) = emit(MultiLoop(row.length().exp, (bucket_reduce(
+        _block([T.INT], lambda j: row[j] % 4, ["j"]),
+        _block([T.INT], lambda j: row[j], ["j"]),
+        _block([T.INT, T.INT], lambda a, b: F.fmax(a, b), ["a", "b"]),
+        init=(i * 100).exp),)), ["best"])
+    best = F.wrap(best)
+    return F.pair(best, F.pair(best.lookup(1), best.lookup(i % 4)))
+
+
+def _consumed_buckets_body(row, i):
+    g = row.group_by_reduce(lambda x: x % 3, lambda x: x * 2, _add)
+    return F.pair(F.pair(g.lookup(i % 3), g.length()),
+                  F.pair(g.keys().sum(), g.map(lambda v: v + i)))
+
+
+# like ``_NESTED_BODIES``, staging a nested bucket or flatten generator
+_NESTED_BUCKET_BODIES = [
+    ("bucket_reduce_int", lambda row, i: row.group_by_reduce(
+        lambda x: x % 3, lambda x: x + i, _add)),
+    ("bucket_reduce_float", lambda row, i: row.group_by_reduce(
+        lambda x: x % 2 == 0, lambda x: x.to_double() * 0.1, _add)),
+    ("bucket_reduce_struct", lambda row, i: row.group_by_reduce(
+        lambda x: x % 2, lambda x: F.pair(x, x.to_double() * 0.5),
+        lambda a, b: F.where(b.fst < a.fst, b, a))),
+    ("bucket_reduce_init", _bucket_init_body),
+    ("bucket_collect", lambda row, i: row.group_by(lambda x: x % 3)),
+    ("bucket_collect_groups_read", lambda row, i: row.group_by_value(
+        lambda x: x % 3, lambda x: x * i).map(lambda grp: grp.sum())),
+    ("flatten_ragged", lambda row, i: row.flat_map(
+        lambda x: F.irange(x % 4).map(lambda j: x * j + i))),
+    ("flatten_structs", lambda row, i: F.irange(row.length()).flat_map(
+        lambda k: row.filter(lambda x: x > row[k]).map(
+            lambda x: F.pair(x, k)))),
+    ("bucket_inner_cond", lambda row, i: row.filter(
+        lambda x: x > i).group_by_reduce(lambda x: x % 3, lambda x: x,
+                                         _add)),
+    ("sibling_buckets", _sibling_buckets_body),
+    ("buckets_consumed", _consumed_buckets_body),
+    ("three_deep_bucket", lambda row, i: row.map(
+        lambda x: row.group_by_reduce(lambda y: y % 2, lambda y: x * y + i,
+                                      _add).lookup(0))),
+]
+
 ragged_rows = st.lists(
     st.lists(st.integers(min_value=-20, max_value=20), min_size=0,
              max_size=9),
@@ -394,6 +481,40 @@ class TestFlattenedNestedLoops:
         for p in (prog, optimize(prog)):
             run_nested(p, {"xs": rows})
             run_nested(p, {"xs": rows}, strip=7)
+
+    @given(st.sampled_from(_NESTED_BUCKET_BODIES), st.booleans(),
+           ragged_rows)
+    # the outer filter keeps no row: per-lane buckets of a loop of no lanes
+    @example(("buckets_consumed", _consumed_buckets_body), True, [[0, 0]])
+    @settings(**{**SETTINGS, "max_examples": 150})
+    def test_nested_bucket_generators_match_interpreter(
+            self, body, outer_filter, rows):
+        prog = build_nested(body[1], outer_filter)
+        for p in (prog, optimize(prog)):
+            run_nested(p, {"xs": rows})
+            run_nested(p, {"xs": rows}, strip=7)
+
+    def test_zero_trip_nests_finish_from_no_parts(self):
+        # no lane has a trip: empty array / init / empty Buckets, and the
+        # nested bodies' ops never enter op_counts
+        for _, body in _NESTED_BUCKET_BODIES:
+            run_nested(build_nested(body, False), {"xs": [[], [], []]})
+
+    def test_long_float_group_fold_is_left_to_right(self):
+        import random
+        rng = random.Random(11)
+        rows = [[rng.uniform(-1e3, 1e3) * 10 ** rng.randint(-6, 6)
+                 for _ in range(rng.choice([600, 650, 1030]))]
+                for _ in range(6)]
+        prog = F.build(lambda xs: xs.map(lambda row: row.group_by_reduce(
+            lambda x: x > 0.0, lambda x: x, _add)),
+            [F.matrix_input("xs", True)])
+        run_nested(prog, {"xs": rows})
+        run_nested(prog, {"xs": rows}, strip=7)
+        groups = [[x for x in r if (x > 0.0) == side]
+                  for r in rows for side in (False, True)]
+        assert all(len(g) >= 200 for g in groups)
+        assert any(float(np.sum(g)) != sum(g[1:], g[0]) for g in groups)
 
     def test_long_float_fold_is_left_to_right(self):
         # a pairwise or reduceat fold of 100 doubles differs from the

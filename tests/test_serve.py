@@ -14,12 +14,15 @@ import json
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import tools
 from repro.backend import run_program_numpy
 from repro.core.values import deep_eq
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.check import validate_file
+from repro.serve import batching, scheduler
 from repro.serve import (POLICIES, AdmissionQueue, ProgramCache,
                          ProgramServer, Request, ServeSim, ServedApp,
                          make_machines, make_payload, payload_digest)
@@ -101,6 +104,57 @@ class TestPayloads:
         assert a == payload_digest({"k": 2.5, "xs": [1, 2, 3]})
         assert a != payload_digest({"xs": [1, 2, 4], "k": 2.5})
         assert payload_digest({"x": 1}) != payload_digest({"x": 1.0})
+
+    def test_bundled_payload_keys_are_pinned(self):
+        # the fast path feeds sha256 the per-element stream byte for byte:
+        # keys group requests and name cache entries, so they must not move
+        pinned = {"kmeans": "1741a210dbbee36e", "logreg": "af127264dc09cafd",
+                  "q1": "404a8feb774fc288"}
+        for app, key in pinned.items():
+            inputs = ServedApp.from_bundle(app).default_inputs
+            assert payload_digest(inputs) == key
+
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=False), st.text(max_size=3),
+                  st.lists(st.floats(allow_nan=False), max_size=6),
+                  st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6),
+                  st.lists(st.one_of(st.booleans(), st.integers(0, 1)),
+                           max_size=4),
+                  st.lists(st.one_of(st.integers(-3, 3),
+                                     st.floats(-3, 3)), max_size=4)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+        max_leaves=12))
+    @settings(max_examples=200, deadline=None)
+    def test_fast_and_per_element_digests_agree(self, value):
+        # mixed, ragged, bool-vs-int and int-vs-float lists included
+        fast = payload_digest({"v": value})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batching, "_uniform_items", lambda v: None)
+            assert payload_digest({"v": value}) == fast
+
+    def test_uniform_lists_take_the_fast_path(self):
+        assert batching._uniform_items([1.5, -0.0, 2.0]) is not None
+        assert batching._uniform_items([3, -4, 2 ** 80]) is not None
+        for mixed in ([1, 2.0], [True, 1], [1.0, None], [[1.0]], []):
+            assert batching._uniform_items(mixed) is None
+
+    def test_tenants_share_one_digest_of_the_dataset(self, monkeypatch):
+        calls = []
+        digest = batching.payload_digest
+        monkeypatch.setattr(batching, "payload_digest",
+                            lambda inputs: (calls.append(1), digest(inputs))[1])
+        server = ProgramServer([ServedApp.from_bundle("q1")],
+                               backend="numpy")
+        keys = {server.payload_for("q1", f"tenant{i}").key for i in range(8)}
+        plain = server.payload_for("q1")
+        assert len(calls) == 1
+        assert keys == {f"{plain.key}:tenant{i}" for i in range(8)}
+        assert plain.key == make_payload(plain.inputs).key
+        assert make_payload(plain.inputs, salt="t").key == f"{plain.key}:t"
 
     def test_salted_payloads_do_not_pack(self):
         served = ServedApp.from_bundle("q1")
@@ -203,6 +257,57 @@ class TestFallback:
         assert "lane explosion" in r.fallback_reason
         assert len(server.fallbacks) == 1
         assert "lane explosion" in server.fallbacks[0].reason
+
+
+    def test_raising_capture_is_attempted_once_per_key(self, monkeypatch):
+        # placement (predict_service) and dispatch (_execute_batch) both
+        # want the capture; a payload whose execution raises must not be
+        # re-executed by either, for any batch
+        attempts = []
+        real = scheduler.capture_run
+
+        def flaky(compiled, inputs, backend=None, **kwargs):
+            if backend == "numpy":
+                attempts.append(backend)
+                raise RuntimeError("lane explosion")
+            return real(compiled, inputs, backend=backend, **kwargs)
+
+        monkeypatch.setattr(scheduler, "capture_run", flaky)
+        server = ProgramServer([ServedApp.from_bundle("q1")],
+                               machines=make_machines("numa*2"),
+                               policy="fastest", max_batch=2,
+                               max_wait_s=0.0, backend="numpy")
+        for i in range(6):
+            server.submit("q1", server.payload_for("q1", f"t{i % 2}"),
+                          at=0.01 * i)
+        responses = server.run()
+        assert len(responses) == 6 and not server.rejected
+        assert all(r.backend == "reference" for r in responses)
+        assert all("lane explosion" in r.fallback_reason for r in responses)
+        assert len(attempts) == 2          # one per payload key
+        first = [f for f in server.fallbacks if f.requests == 0]
+        assert len(first) == 2 and server.fallbacks[0] is first[0]
+        assert all("lane explosion" in f.reason for f in server.fallbacks)
+        assert sum(f.requests for f in server.fallbacks) == 6
+        # the report counts batches served on the reference path, not the
+        # two capture-failure records
+        report = ServeSim.report("open", server, responses)
+        assert report.fallbacks == len(server.fallbacks) - 2 \
+            == len({r.batch_id for r in responses})
+
+    def test_failed_capture_raises_one_type(self, monkeypatch):
+        def flaky(compiled, inputs, backend=None, **kwargs):
+            raise ValueError("lane explosion")
+
+        monkeypatch.setattr(scheduler, "capture_run", flaky)
+        server = ProgramServer([ServedApp.from_bundle("q1")],
+                               backend="numpy")
+        payload = server.payload_for("q1")
+        for _ in range(2):      # the first failure and the memoized one
+            with pytest.raises(RuntimeError, match="lane explosion") as e:
+                server._capture("q1", "opt", payload)
+            assert type(e.value) is RuntimeError
+        assert len(server.fallbacks) == 1
 
 
 # ---------------------------------------------------------------------------
