@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import types as T
-from ..core.ir import Block, Def, Program, Sym, def_index, op_used_syms
+from ..core.ir import (Block, Def, Program, Sym, def_index, op_used_syms,
+                       rebuild_program)
 from ..core.multiloop import GenKind, MultiLoop
 from ..core.ops import ArrayLength, BucketKeys, InputSource
-from ..obs.diagnostics import DiagCategory, Diagnostic, Severity
+from ..obs.diagnostics import (DiagCategory, Diagnostic, Severity,
+                               emit_diagnostic, iteration_cap)
 from ..obs.provenance import APPLIED, REJECTED, DecisionKind, emit
 from ..transforms import DISTRIBUTION_RULES, Rule
 from .stencil import LoopStencils, Stencil, analyze_loop
@@ -69,12 +71,9 @@ class PartitionReport:
     def diagnose(self, category: DiagCategory, message: str,
                  loop: Optional[str] = None,
                  severity=Severity.WARNING, **data) -> None:
-        sev = Severity.of(severity)
-        self.diagnostics.append(
-            Diagnostic(category, message, loop=loop, severity=sev,
-                       data=data))
-        emit(DecisionKind.DIAGNOSTIC, loop or category.value, sev.value,
-             message, category=category.value, **data)
+        self.diagnostics.append(emit_diagnostic(
+            Diagnostic(category, message, loop=loop, severity=severity,
+                       data=data)))
 
     def layout(self, s: Sym) -> DataLayout:
         return self.layouts.get(s, DataLayout.LOCAL)
@@ -119,6 +118,7 @@ def partition_and_transform(
 
     pos = 0
     rewrites = 0
+    capped = False
     while pos < len(body.stmts):
         d = body.stmts[pos]
         if not isinstance(d.op, MultiLoop):
@@ -139,7 +139,8 @@ def partition_and_transform(
 
         scope_idx = def_index(body)
         ls = analyze_loop(d, scope_idx)
-        if not _loop_access_ok(ls, part_inputs) and rewrites < max_rewrites:
+        blocked = not _loop_access_ok(ls, part_inputs)
+        if blocked and rewrites < max_rewrites:
             new_body = _try_rules(body, pos, rules, report)
             if new_body is not None:
                 body = new_body
@@ -157,11 +158,15 @@ def partition_and_transform(
                 loop=d.syms[0].name,
                 collections=[str(s) for s in bad],
                 stencils=[ls.reads.get(s, Stencil.ALL).value for s in bad])
+        elif blocked and not capped:
+            capped = True
+            report.diagnostics.append(emit_diagnostic(
+                iteration_cap("partition", max_rewrites)))
 
         _record_loop(d, ls, part_inputs, report)
         pos += 1
 
-    return Program(prog.inputs, body), report
+    return rebuild_program(prog, body), report
 
 
 def _loop_access_ok(ls: LoopStencils, part_inputs: Sequence[Sym]) -> bool:

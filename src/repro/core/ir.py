@@ -11,15 +11,21 @@ The IR is a nested, SSA-like representation:
   key, value, reduction — Fig. 2a) are all blocks.
 - ``Program``    — a top-level block plus its input symbols.
 
-Nodes are immutable; rewrites build new nodes. Symbol identity is the
-integer ``Sym.id``.
+Nodes are immutable, and rewrites share structure: a rewrite returns the
+node it was given when nothing under it changed (the ``rebuild_*`` helpers
+below are the one place that rule lives), so an unchanged region keeps its
+identity across passes. That is what makes it sound to cache a derived
+fact on a node (``free_syms``) and to recognise "this pass changed
+nothing" by ``is``. Symbol identity is the integer ``Sym.id``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .types import Type, BOOL, DOUBLE, INT, LONG, STRING, UNIT
 
@@ -181,36 +187,95 @@ def iter_defs(block: Block, recursive: bool = False) -> Iterator[Def]:
                 yield from iter_defs(b, recursive=True)
 
 
-def exp_syms(exp: Exp) -> Iterable[Sym]:
-    if isinstance(exp, Sym):
-        yield exp
-
-
 def op_used_syms(op: Op, recursive: bool = True) -> Iterator[Sym]:
     """All symbols an op references, including free refs inside nested blocks."""
     for e in op.inputs():
-        yield from exp_syms(e)
+        if isinstance(e, Sym):
+            yield e
     if recursive:
         for b in op.blocks():
             yield from free_syms(b)
 
 
-def free_syms(block: Block) -> Iterator[Sym]:
-    """Symbols referenced in ``block`` but neither bound nor defined in it."""
+def free_syms(block: Block) -> Tuple[Sym, ...]:
+    """Symbols referenced in ``block`` but neither bound nor defined in it,
+    in reference order, one entry per reference.
+
+    Computed once per node: a ``Block`` is immutable, so the answer is kept
+    on it — in the instance ``__dict__``, not in a dataclass field, which
+    leaves ``==``/``hash``/``repr``/``replace`` exactly as they were. A
+    sub-block shared between program versions answers in O(1) for all of
+    them."""
+    cached = block.__dict__.get("_free_syms")
+    if cached is not None:
+        return cached
     bound = set(block.params)
+    out: List[Sym] = []
     for d in block.stmts:
         for s in op_used_syms(d.op):
             if s not in bound:
-                yield s
+                out.append(s)
         bound.update(d.syms)
     for r in block.results:
-        for s in exp_syms(r):
-            if s not in bound:
-                yield s
+        if isinstance(r, Sym) and r not in bound:
+            out.append(r)
+    cached = tuple(out)
+    object.__setattr__(block, "_free_syms", cached)
+    return cached
 
 
 def free_sym_set(block: Block) -> set:
     return set(free_syms(block))
+
+
+# ---------------------------------------------------------------------------
+# Structure-sharing rebuilds
+# ---------------------------------------------------------------------------
+# Every rewrite rebuilds through these. Each returns the node it was given
+# when all the children it is handed are (``is``, never ``==``: structural
+# equality would walk the subtree the helper exists to skip) the ones the
+# node already has.
+
+def _same(new: Sequence, old: Sequence) -> bool:
+    return len(new) == len(old) and all(map(operator.is_, new, old))
+
+
+def rebuild_op(op: Op, inputs: Sequence[Exp], blocks: Sequence[Block]) -> Op:
+    """``op`` over these operands and nested blocks."""
+    if _same(blocks, op.blocks()) and _same(inputs, op.inputs()):
+        return op
+    return op.with_children(inputs, blocks)
+
+
+def map_blocks(op: Op, fn: Callable[[Block], Block]) -> Op:
+    """``op`` with ``fn`` applied to each of its nested blocks."""
+    old = op.blocks()
+    if not old:
+        return op
+    new = [fn(b) for b in old]
+    if _same(new, old):
+        return op
+    return op.with_children(op.inputs(), new)
+
+
+def rebuild_def(d: Def, op: Op) -> Def:
+    """``d`` binding ``op`` to the same symbols."""
+    return d if op is d.op else Def(d.syms, op)
+
+
+def rebuild_block(block: Block, stmts: Sequence[Def],
+                  results: Optional[Sequence[Exp]] = None) -> Block:
+    """``block`` with these statements (and results), same parameters."""
+    if results is None:
+        results = block.results
+    if _same(stmts, block.stmts) and _same(results, block.results):
+        return block
+    return Block(block.params, tuple(stmts), tuple(results))
+
+
+def rebuild_program(prog: Program, body: Block) -> Program:
+    """``prog`` around ``body``, same inputs."""
+    return prog if body is prog.body else Program(prog.inputs, body)
 
 
 def subst_exp(exp: Exp, env: Dict[Sym, Exp]) -> Exp:
@@ -220,9 +285,8 @@ def subst_exp(exp: Exp, env: Dict[Sym, Exp]) -> Exp:
 
 
 def subst_op(op: Op, env: Dict[Sym, Exp]) -> Op:
-    new_inputs = [subst_exp(e, env) for e in op.inputs()]
-    new_blocks = [subst_block(b, env) for b in op.blocks()]
-    return op.with_children(new_inputs, new_blocks)
+    return rebuild_op(op, [subst_exp(e, env) for e in op.inputs()],
+                      [subst_block(b, env) for b in op.blocks()])
 
 
 def subst_block(block: Block, env: Dict[Sym, Exp]) -> Block:
@@ -232,10 +296,10 @@ def subst_block(block: Block, env: Dict[Sym, Exp]) -> Block:
         return block
     new_stmts = []
     for d in block.stmts:
-        new_stmts.append(Def(d.syms, subst_op(d.op, env)))
+        new_stmts.append(rebuild_def(d, subst_op(d.op, env)))
         env = {k: v for k, v in env.items() if k not in d.syms}
-    new_results = tuple(subst_exp(r, env) for r in block.results)
-    return Block(block.params, tuple(new_stmts), new_results)
+    return rebuild_block(block, new_stmts,
+                         [subst_exp(r, env) for r in block.results])
 
 
 def refresh_block(block: Block, outer_env: Optional[Dict[Sym, Exp]] = None) -> Block:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import List
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Dict, List, Tuple
 
 
 def validate_events(events: List[dict]) -> List[str]:
@@ -101,22 +103,37 @@ def validate_containment(xs: List[dict]) -> List[str]:
     return errors
 
 
-def _enclosed(xs: List[dict], track, ts: float) -> bool:
+def _slice_index(xs: List[dict]) -> Dict[tuple, Tuple[List[float], List[float]]]:
+    """Per (pid, tid) track: the slices' start edges in ascending order
+    and, beside each, the latest end edge of any slice starting no later
+    (edges widened by the 1e-6 us the endpoint check allows)."""
+    spans: Dict[tuple, List[Tuple[float, float]]] = {}
+    for e in xs:
+        if (isinstance(e.get("ts"), (int, float))
+                and isinstance(e.get("dur"), (int, float))):
+            spans.setdefault((e.get("pid"), e.get("tid")), []).append(
+                (e["ts"] - 1e-6, e["ts"] + e["dur"] + 1e-6))
+    index = {}
+    for track, edges in spans.items():
+        edges.sort()
+        index[track] = ([lo for lo, _ in edges],
+                        list(accumulate((hi for _, hi in edges), max)))
+    return index
+
+
+def _enclosed(index, track, ts: float) -> bool:
     """Is ``ts`` inside (or on the edge of) some complete event on
     ``track``? Flow endpoints bind to enclosing slices; a bare endpoint
     is an arrow the viewer drops."""
-    for e in xs:
-        if ((e.get("pid"), e.get("tid")) == track
-                and isinstance(e.get("ts"), (int, float))
-                and isinstance(e.get("dur"), (int, float))
-                and e["ts"] - 1e-6 <= ts <= e["ts"] + e["dur"] + 1e-6):
-            return True
-    return False
+    starts, latest_end = index.get(track, ((), ()))
+    k = bisect_right(starts, ts)      # slices that start at or before ts
+    return k > 0 and ts <= latest_end[k - 1]
 
 
 def validate_flows(events: List[dict], xs: List[dict]) -> List[str]:
     """Pairwise flow-event checks (empty list when no flows present)."""
     errors: List[str] = []
+    index = _slice_index(xs)
     flows: dict = {}
     for e in events:
         if e.get("ph") in ("s", "t", "f"):
@@ -143,7 +160,7 @@ def validate_flows(events: List[dict], xs: List[dict]) -> List[str]:
                           f"ts {ts_s}")
         for e, which in ((s, "start"), (f, "finish")):
             track = (e.get("pid"), e.get("tid"))
-            if not _enclosed(xs, track, e["ts"]):
+            if not _enclosed(index, track, e["ts"]):
                 errors.append(f"flow {fid}: {which} endpoint at ts "
                               f"{e['ts']} has no enclosing slice on "
                               f"track {track}")

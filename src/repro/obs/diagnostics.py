@@ -15,6 +15,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
+from .provenance import DecisionKind, emit
+
 
 class Severity(str, enum.Enum):
     """Diagnostic severity, shared with the partitioning analysis.
@@ -56,6 +58,9 @@ class DiagCategory(enum.Enum):
     REPLICATION = "replication"
     #: the §4.2 policy chose dynamic remote fetches
     REMOTE_FETCH = "remote-fetch"
+    #: a pass's internal fixpoint loop stopped at its iteration cap while
+    #: the program was still changing — the result may not be a fixpoint
+    ITERATION_CAP = "iteration-cap"
 
 
 @dataclass(frozen=True)
@@ -78,3 +83,22 @@ class Diagnostic:
     def render(self) -> str:
         where = f" loop={self.loop}" if self.loop else ""
         return f"[{self.category.value}{where}] {self.message}"
+
+
+def iteration_cap(pass_name: str, cap: int) -> Diagnostic:
+    """The typed outcome of a rewrite loop that ran out of iterations."""
+    return Diagnostic(
+        DiagCategory.ITERATION_CAP,
+        f"{pass_name}: stopped at its cap of {cap} iteration(s) while the "
+        f"program was still changing; the result may not be a fixpoint",
+        data={"pass": pass_name, "cap": cap})
+
+
+def emit_diagnostic(diag: Diagnostic) -> Diagnostic:
+    """Route ``diag`` through the active decision ledger (a no-op without
+    one) and hand it back, so a caller that also keeps a list of its
+    diagnostics can ``append(emit_diagnostic(...))``."""
+    emit(DecisionKind.DIAGNOSTIC, diag.loop or diag.category.value,
+         diag.severity.value, diag.message, category=diag.category.value,
+         **diag.data)
+    return diag

@@ -29,7 +29,7 @@ import hashlib
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: canonical outcome vocabulary; ``outcome`` is free-form but these cover
 #: almost every site (stencil decisions use the Stencil value instead)
@@ -136,20 +136,34 @@ class DecisionLedger:
         self.pass_name = ""
         self.phase = ""
         self.snapshot = -1
+        self._emitted: Optional[List[Tuple]] = None
 
     # -- recording ---------------------------------------------------------
 
-    def begin_pass(self, name: str, phase: str) -> None:
-        """Called by the PassManager before each executed pass; bumps the
-        IR snapshot ordinal that subsequent decisions are stamped with."""
+    def begin_pass(self, name: str, phase: str) -> List[Tuple]:
+        """Called by the PassManager before each pass; bumps the IR
+        snapshot ordinal that subsequent decisions are stamped with.
+
+        Returns the list that collects the arguments of every ``record``
+        call until the next ``begin_pass`` — folded repeats included,
+        which ``decisions`` cannot show. ``replay`` of that list records
+        exactly what running the pass again on the same IR would."""
         self.pass_name = name
         self.phase = phase
         self.snapshot += 1
+        self._emitted = []
+        return self._emitted
+
+    def replay(self, emitted: Sequence[Tuple]) -> None:
+        for kind, site, outcome, reason, evidence in emitted:
+            self.record(kind, site, outcome, reason, **evidence)
 
     def record(self, kind: DecisionKind, site: str, outcome: str,
                reason: str, /, **evidence: Any) -> None:
         # core params are positional-only so evidence may legitimately
         # carry keys like "kind" (e.g. a diagnostic's payload)
+        if self._emitted is not None:
+            self._emitted.append((kind, site, outcome, reason, evidence))
         d = Decision(kind, site, outcome, reason, evidence,
                      self.pass_name, self.phase, self.snapshot)
         if outcome != APPLIED:

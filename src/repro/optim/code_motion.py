@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
-from ..core.ir import Block, Def, Program, Sym, op_used_syms
+from ..core.ir import (Block, Def, Program, Sym, map_blocks, op_used_syms,
+                       rebuild_block, rebuild_def, rebuild_op, rebuild_program)
 from ..core.multiloop import MultiLoop
 from ..obs.provenance import APPLIED, DecisionKind, emit
 
@@ -30,7 +31,7 @@ def split_invariant(block: Block) -> Tuple[List[Def], Block]:
             residual.append(d)
         else:
             hoisted.append(d)
-    return hoisted, Block(block.params, tuple(residual), block.results)
+    return hoisted, rebuild_block(block, residual)
 
 
 def hoist_block(block: Block) -> Block:
@@ -41,8 +42,7 @@ def hoist_block(block: Block) -> Block:
         if isinstance(d.op, MultiLoop):
             new_blocks = []
             for b in d.op.blocks():
-                b = hoist_block(b)
-                lifted, residual = split_invariant(b)
+                lifted, residual = split_invariant(hoist_block(b))
                 if lifted:
                     emit(DecisionKind.CODE_MOTION, repr(d.syms[0]), APPLIED,
                          f"hoisted {len(lifted)} loop-invariant "
@@ -52,16 +52,15 @@ def hoist_block(block: Block) -> Block:
                          hoisted=[repr(h.syms[0]) for h in lifted])
                 out.extend(lifted)
                 new_blocks.append(residual)
-            op = d.op.with_children(list(d.op.inputs()), new_blocks)
-            out.append(Def(d.syms, op))
+            op = rebuild_op(d.op, d.op.inputs(), new_blocks)
+            out.append(rebuild_def(d, op))
         else:
-            new_blocks = [hoist_block(b) for b in d.op.blocks()]
-            out.append(Def(d.syms, d.op.with_children(list(d.op.inputs()), new_blocks)))
-    return Block(block.params, tuple(out), block.results)
+            out.append(rebuild_def(d, map_blocks(d.op, hoist_block)))
+    return rebuild_block(block, out)
 
 
 def code_motion(prog: Program) -> Program:
-    return Program(prog.inputs, hoist_block(prog.body))
+    return rebuild_program(prog, hoist_block(prog.body))
 
 
 code_motion.pass_name = "code-motion"

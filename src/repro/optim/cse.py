@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core.ir import Block, Def, Exp, Op, Program, Sym, subst_op
+from ..core.ir import (Block, Def, Exp, Op, Program, Sym, map_blocks,
+                       rebuild_block, rebuild_def, rebuild_program, subst_exp,
+                       subst_op)
 from ..obs.provenance import APPLIED, DecisionKind, emit
 
 
@@ -19,8 +21,7 @@ def cse_block(block: Block) -> Block:
     env: Dict[Sym, Exp] = {}
     out: List[Def] = []
     for d in block.stmts:
-        op = subst_op(d.op, env)
-        op = op.with_children(list(op.inputs()), [cse_block(b) for b in op.blocks()])
+        op = map_blocks(subst_op(d.op, env), cse_block)
         prev = _lookup(seen, op)
         if prev is not None and len(prev.syms) == len(d.syms):
             emit(DecisionKind.CSE, repr(d.syms[0]), APPLIED,
@@ -29,11 +30,10 @@ def cse_block(block: Block) -> Block:
             for old, new in zip(d.syms, prev.syms):
                 env[old] = new
             continue
-        nd = Def(d.syms, op)
+        nd = rebuild_def(d, op)
         _insert(seen, op, nd)
         out.append(nd)
-    results = tuple(env.get(r, r) if isinstance(r, Sym) else r for r in block.results)
-    return Block(block.params, tuple(out), results)
+    return rebuild_block(block, out, [subst_exp(r, env) for r in block.results])
 
 
 def _lookup(seen: Dict[Op, Def], op: Op):
@@ -51,7 +51,7 @@ def _insert(seen: Dict[Op, Def], op: Op, d: Def) -> None:
 
 
 def cse(prog: Program) -> Program:
-    return Program(prog.inputs, cse_block(prog.body))
+    return rebuild_program(prog, cse_block(prog.body))
 
 
 cse.pass_name = "cse"

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from ..core.ir import Block, Def, Program, Sym, op_used_syms
+from ..core.ir import (Block, Def, Program, Sym, map_blocks, op_used_syms,
+                       rebuild_block, rebuild_def, rebuild_program)
 from ..core.multiloop import MultiLoop
 from ..obs.provenance import APPLIED, DecisionKind, emit
 
@@ -28,25 +29,23 @@ def dce_block(block: Block) -> Block:
                  f"(transitively) from the scope results")
             continue
         op = d.op
-        syms = d.syms
         if isinstance(op, MultiLoop) and len(op.gens) > 1:
             # dead generator elimination: drop outputs nobody reads
-            pairs = [(s, g) for s, g in zip(syms, op.gens) if s in live]
+            pairs = [(s, g) for s, g in zip(d.syms, op.gens) if s in live]
             if pairs and len(pairs) < len(op.gens):
-                dead = [s for s in syms if s not in live]
+                dead = [s for s in d.syms if s not in live]
                 emit(DecisionKind.DCE, repr(d.syms[0]), APPLIED,
                      f"dead generator elimination: dropped "
                      f"{', '.join(map(repr, dead))} from a "
                      f"{len(op.gens)}-generator loop",
                      dead=[repr(s) for s in dead])
-                syms = tuple(s for s, _ in pairs)
-                op = MultiLoop(op.size, tuple(g for _, g in pairs))
-        new_blocks = [dce_block(b) for b in op.blocks()]
-        op = op.with_children(list(op.inputs()), new_blocks)
-        kept.append(Def(syms, op))
-        live.update(op_used_syms(op))
+                d = Def(tuple(s for s, _ in pairs),
+                        MultiLoop(op.size, tuple(g for _, g in pairs)))
+        d = rebuild_def(d, map_blocks(d.op, dce_block))
+        kept.append(d)
+        live.update(op_used_syms(d.op))
     kept.reverse()
-    return Block(block.params, tuple(kept), block.results)
+    return rebuild_block(block, kept)
 
 
 def dce(prog: Program) -> Program:
@@ -55,7 +54,7 @@ def dce(prog: Program) -> Program:
     present = {s for d in body.stmts for s in d.syms}
     missing = {s for s in prog.inputs if s not in present}
     if not missing:
-        return Program(prog.inputs, body)
+        return rebuild_program(prog, body)
 
     # Dependency slice of the *original* body that computes the dropped
     # input syms. Re-attached defs are narrowed to the outputs that are

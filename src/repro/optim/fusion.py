@@ -20,10 +20,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core import types as T
 from ..core.ir import (Block, Const, Def, Exp, Program, Sym, def_index,
-                       fresh, inline_block, op_used_syms, refresh_block,
-                       subst_op)
+                       fresh, inline_block, map_blocks, op_used_syms,
+                       rebuild_block, rebuild_def, rebuild_program,
+                       refresh_block, subst_exp, subst_op)
 from ..core.multiloop import GenKind, Generator, MultiLoop
 from ..core.ops import FALSE, ArrayApply, ArrayLength, IfThenElse
+from ..obs.diagnostics import emit_diagnostic, iteration_cap
 from ..obs.provenance import APPLIED, REJECTED, DecisionKind, emit
 
 
@@ -82,12 +84,10 @@ def _replace_reads(block: Block, c: Sym, idx: Sym, v: Exp) -> Block:
             continue
         if env:
             op = subst_op(op, env)
-        op = op.with_children(
-            list(op.inputs()),
-            [_replace_reads(b, c, idx, v) for b in op.blocks()])
-        new_stmts.append(Def(d.syms, op))
-    results = tuple(env.get(r, r) if isinstance(r, Sym) else r for r in block.results)
-    return Block(block.params, tuple(new_stmts), results)
+        op = map_blocks(op, lambda b: _replace_reads(b, c, idx, v))
+        new_stmts.append(rebuild_def(d, op))
+    return rebuild_block(block, new_stmts,
+                         [subst_exp(r, env) for r in block.results])
 
 
 def _rebind(gblock: Block, j: Sym) -> Block:
@@ -304,20 +304,15 @@ def _choose_fusion_target(loop: MultiLoop, idx, producers, own: set,
     return None
 
 
-def fuse_block_once(block: Block) -> Tuple[Block, bool]:
-    """One pass of pipeline fusion over a scope (recursing into bodies)."""
+def fuse_block_once(block: Block) -> Block:
+    """One pass of pipeline fusion over a scope (recursing into bodies);
+    returns ``block`` itself when no loop in it fused."""
     producers = _producer_lookup(block)
     idx = def_index(block)
-    changed = False
     new_stmts: List[Def] = []
     for d in block.stmts:
-        nested = []
-        for b in d.op.blocks():
-            nb, ch = fuse_block_once(b)
-            nested.append(nb)
-            changed = changed or ch
-        op = d.op.with_children(list(d.op.inputs()), nested)
-        d = Def(d.syms, op)
+        op = map_blocks(d.op, fuse_block_once)
+        d = rebuild_def(d, op)
 
         if isinstance(op, MultiLoop):
             plan = _choose_fusion_target(op, idx, producers, set(d.syms),
@@ -331,7 +326,6 @@ def fuse_block_once(block: Block) -> Tuple[Block, bool]:
                      targets=[repr(t) for t in plan.targets])
                 new_gens = tuple(_fuse_generator(g, plan) for g in op.gens)
                 d = Def(d.syms, MultiLoop(plan.size, new_gens))
-                changed = True
         new_stmts.append(d)
         for s in d.syms:
             idx[s] = d
@@ -339,16 +333,19 @@ def fuse_block_once(block: Block) -> Tuple[Block, bool]:
             for s, g in zip(d.syms, d.op.gens):
                 if g.kind is GenKind.COLLECT and not g.flatten and not g.no_fuse:
                     producers[s] = (d, g)
-    return Block(block.params, tuple(new_stmts), block.results), changed
+    return rebuild_block(block, new_stmts)
 
 
 def fuse_vertical(prog: Program, max_iters: int = 20) -> Program:
     body = prog.body
     for _ in range(max_iters):
-        body, changed = fuse_block_once(body)
-        if not changed:
+        fused = fuse_block_once(body)
+        if fused is body:
             break
-    return Program(prog.inputs, body)
+        body = fused
+    else:
+        emit_diagnostic(iteration_cap("fuse-vertical", max_iters))
+    return rebuild_program(prog, body)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +369,8 @@ class _Group:
 
 
 def horizontal_block(block: Block) -> Block:
-    stmts: List[Def] = []
-    for d in block.stmts:
-        nested = [horizontal_block(b) for b in d.op.blocks()]
-        stmts.append(Def(d.syms, d.op.with_children(list(d.op.inputs()), nested)))
+    stmts = [rebuild_def(d, map_blocks(d.op, horizontal_block))
+             for d in block.stmts]
 
     pos_of: Dict[Sym, int] = {}
     for p, d in enumerate(stmts):
@@ -425,11 +420,11 @@ def horizontal_block(block: Block) -> Block:
              f"traversal (§3.1, Fig. 5)",
              members=[repr(m.syms[0]) for m in g.members])
         out.append(Def(tuple(syms), MultiLoop(g.members[0].op.size, tuple(gens))))
-    return Block(block.params, tuple(out), block.results)
+    return rebuild_block(block, out)
 
 
 def fuse_horizontal(prog: Program) -> Program:
-    return Program(prog.inputs, horizontal_block(prog.body))
+    return rebuild_program(prog, horizontal_block(prog.body))
 
 
 fuse_vertical.pass_name = "fuse-vertical"

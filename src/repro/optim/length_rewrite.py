@@ -14,7 +14,8 @@ from typing import Dict, List
 
 from ..core import types as T
 from ..core.ir import (Block, Const, Def, Exp, Program, Sym, fresh,
-                       refresh_block, subst_op)
+                       map_blocks, rebuild_block, rebuild_def,
+                       rebuild_program, refresh_block, subst_exp, subst_op)
 from ..core.multiloop import GenKind, Generator, MultiLoop, loop_def, reduce_gen
 from ..core.ops import ArrayLength, Prim
 from ..obs.provenance import APPLIED, DecisionKind, emit
@@ -33,9 +34,7 @@ def _rewrite_block(block: Block) -> Block:
     env: Dict[Sym, Exp] = {}
     out: List[Def] = []
     for d in block.stmts:
-        op = subst_op(d.op, env) if env else d.op
-        op = op.with_children(list(op.inputs()),
-                              [_rewrite_block(b) for b in op.blocks()])
+        op = map_blocks(subst_op(d.op, env) if env else d.op, _rewrite_block)
         if isinstance(op, MultiLoop):
             for s, g in zip(d.syms, op.gens):
                 if g.kind is GenKind.COLLECT and not g.flatten:
@@ -66,14 +65,12 @@ def _rewrite_block(block: Block) -> Block:
             out.append(cnt)
             env[d.sym] = cnt.syms[0]
             continue
-        out.append(Def(d.syms, op))
-    results = tuple(env.get(r, r) if isinstance(r, Sym) else r
-                    for r in block.results)
-    return Block(block.params, tuple(out), results)
+        out.append(rebuild_def(d, op))
+    return rebuild_block(block, out, [subst_exp(r, env) for r in block.results])
 
 
 def rewrite_lengths(prog: Program) -> Program:
-    return Program(prog.inputs, _rewrite_block(prog.body))
+    return rebuild_program(prog, _rewrite_block(prog.body))
 
 
 rewrite_lengths.pass_name = "rewrite-lengths"

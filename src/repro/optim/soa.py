@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core import types as T
 from ..core.ir import (Block, Def, Exp, Program, Sym, fresh, iter_defs,
-                       op_used_syms, refresh_block, subst_op)
+                       map_blocks, rebuild_block, rebuild_def, refresh_block)
 from ..core.multiloop import GenKind, Generator, MultiLoop
 from ..core.ops import ArrayApply, ArrayLength, InputSource, StructField, StructNew
 from ..obs.provenance import APPLIED, REJECTED, DecisionKind, emit
@@ -164,12 +164,10 @@ def _rewrite_uses_nested(block: Block, c: Sym, cols: Dict[str, Sym],
             idx = elem_reads[op.struct]
             new_stmts.append(Def(d.syms, ArrayApply(cols[op.fname], idx)))
             continue
-        op = op.with_children(
-            list(op.inputs()),
-            [_rewrite_uses_nested(b, c, cols, first_col, elem_reads)
-             for b in op.blocks()])
-        new_stmts.append(Def(d.syms, op))
-    return Block(block.params, tuple(new_stmts), block.results)
+        op = map_blocks(op, lambda b: _rewrite_uses_nested(
+            b, c, cols, first_col, elem_reads))
+        new_stmts.append(rebuild_def(d, op))
+    return rebuild_block(block, new_stmts)
 
 
 def aos_to_soa(prog: Program, log: Optional[List[str]] = None) -> Program:
@@ -210,9 +208,8 @@ def aos_to_soa(prog: Program, log: Optional[List[str]] = None) -> Program:
                     new_stmts.extend(col_defs)
                 else:
                     new_stmts.append(d)
-            body = Block(prog.body.params, tuple(new_stmts),
-                         prog.body.results)
-            body = _rewrite_uses(body, c, cols, first_col)
+            body = _rewrite_uses(rebuild_block(prog.body, new_stmts),
+                                 c, cols, first_col)
             new_inputs = tuple(s for s in prog.inputs if s != c)
             prog = Program(new_inputs, body)
             if log is not None:

@@ -7,10 +7,14 @@ After each pass the manager optionally re-verifies the IR
 small canned input, comparing against the staged program's results — so a
 semantics-breaking rewrite is attributed to the exact pass that
 introduced it rather than discovered at the end of the pipeline. Each
-executed pass leaves a :class:`PassTrace` (wall time, statement and loop
+pass run leaves a :class:`PassTrace` (wall time, statement and loop
 counts before/after, rules applied), which is the single source of truth
 for ``report.applied_rules`` — replacing the per-call ``applied_log``
 threading that used to drop rule applications.
+
+A pass that returned the program object it was given is at a fixpoint on
+it; while the manager stays at that object, running the pass again is
+replaced by replaying the decisions it emitted (DESIGN.md §6c).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .obs import provenance
 
 @dataclass
 class PassTrace:
-    """Observable record of one executed pass."""
+    """Observable record of one pass run (executed or replayed)."""
 
     name: str
     phase: str
@@ -55,9 +59,13 @@ class PassTrace:
                 f"{self.wall_ms:7.2f} ms{delta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pass:
-    """A named rewrite: ``fn(program, rule_log) -> program``."""
+    """A named rewrite: ``fn(program, rule_log) -> program``.
+
+    Compared and hashed by identity: two passes of one name may close over
+    different state (``partition_pass`` carries an out-parameter), so what
+    the manager learns about one object says nothing about another."""
 
     name: str
     fn: Callable[[Program, List[str]], Program]
@@ -177,6 +185,13 @@ class PassManager:
         self.tol = tol
         self.traces: List[PassTrace] = []
         self._reference: Optional[tuple] = None
+        # facts about the one program object the manager is currently at
+        # (under one ledger): its counts, and the passes known to be at a
+        # fixpoint on it with the decisions each emitted getting there
+        self._at: Optional[Program] = None
+        self._led: Optional[provenance.DecisionLedger] = None
+        self._counts: Tuple[int, int] = (0, 0)
+        self._fixpoints: Dict[Pass, tuple] = {}
 
     # -- execution -------------------------------------------------------
 
@@ -186,25 +201,48 @@ class PassManager:
             prog = self.run_pass(prog, p, phase)
         return prog
 
+    def _arrive(self, prog: Program, led) -> Tuple[int, int]:
+        """Counts of ``prog``; a program object (or ledger) other than the
+        current one drops what was known about the current one."""
+        if prog is not self._at or led is not self._led:
+            self._at, self._led = prog, led
+            self._counts = program_counts(prog)
+            self._fixpoints = {}
+        return self._counts
+
     def run_pass(self, prog: Program, p: Pass, phase: str = "") -> Program:
         if self.differential_inputs is not None and self._reference is None:
             self._reference = self._interpret(prog)
         led = provenance.active()
-        if led is not None:
-            # decisions emitted during this pass carry its name/phase and
-            # the ordinal of the IR snapshot they were taken on
-            led.begin_pass(p.name, phase)
+        # decisions emitted during this pass carry its name/phase and
+        # the ordinal of the IR snapshot they were taken on
+        emitted = led.begin_pass(p.name, phase) if led is not None else []
+        stmts_before, loops_before = self._arrive(prog, led)
+        # Fixpoint rule (DESIGN.md §6c): ``p`` already ran on this very
+        # object, returned it and logged no rule. The IR is immutable, so
+        # running it again could only repeat itself: replay its decisions
+        # (rejections fold into ledger counts) instead of its walk.
+        fixpoint = self._fixpoints.get(p)
         log: List[str] = []
-        stmts_before, loops_before = program_counts(prog)
+        new_prog = prog
         t0 = time.perf_counter()
-        new_prog = p.fn(prog, log)
+        if fixpoint is None:
+            new_prog = p.fn(prog, log)
+        elif led is not None:
+            led.replay(fixpoint)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        stmts_after, loops_after = program_counts(new_prog)
+        if fixpoint is None and new_prog is prog and not log:
+            # a copy: the ledger keeps appending to ``emitted`` until the
+            # next begin_pass, and only what *this run* emitted may replay
+            self._fixpoints[p] = tuple(emitted)
+        stmts_after, loops_after = self._arrive(new_prog, led)
         self.traces.append(PassTrace(
             name=p.name, phase=phase, wall_ms=wall_ms,
             stmts_before=stmts_before, stmts_after=stmts_after,
             loops_before=loops_before, loops_after=loops_after,
             rules=log, iterations=max(1, len(log))))
+        if fixpoint is not None:
+            return prog  # this object already passed the checks below
         if self.verify:
             try:
                 verify_program(new_prog)

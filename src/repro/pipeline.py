@@ -45,6 +45,10 @@ from .transforms import GPU_RULES, GroupByReduce
 DEFAULT_VERIFY = False
 
 _STD = standard_passes()
+# The rule passes are singletons like ``_STD``: the PassManager recognises
+# "this pass is at a fixpoint on this program" by Pass object identity.
+_GROUPBY_REDUCE = rule_pass("groupby-reduce", (GroupByReduce(),))
+_GPU_RULES = rule_pass("gpu-rules", GPU_RULES)
 
 
 def optimize_passes(horizontal: bool = True,
@@ -68,8 +72,7 @@ def optimize_passes(horizontal: bool = True,
           *fv, _STD["dce"], _STD["code-motion"],
           _STD["cse"], *fv]
     if groupby_reduce:
-        ps += [rule_pass("groupby-reduce", (GroupByReduce(),)),
-               *fv, _STD["dce"]]
+        ps += [_GROUPBY_REDUCE, *fv, _STD["dce"]]
     if horizontal and fuse:
         ps.append(_STD["fuse-horizontal"])
     ps.append(_STD["dce"])
@@ -208,8 +211,7 @@ def compile_program(prog: Program, target: str = "cpu",
             # assignment vector) so the transposed per-column reductions
             # share them between kernels.
             prog = pm.run(prog, [_STD["code-motion"], _STD["cse"],
-                                 _STD["dce"],
-                                 rule_pass("gpu-rules", GPU_RULES)],
+                                 _STD["dce"], _GPU_RULES],
                           phase="gpu")
             prog = optimize(prog, horizontal=False, pm=pm, phase="re-fuse",
                             fuse=fuse)

@@ -11,8 +11,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.ir import (Block, Def, Exp, Program, Sym, def_index,
-                       free_sym_set, op_used_syms)
+                       free_sym_set, map_blocks, op_used_syms, rebuild_block,
+                       rebuild_def, rebuild_program)
 from ..core.multiloop import GenKind, Generator, MultiLoop
+from ..obs.diagnostics import emit_diagnostic, iteration_cap
 from ..obs.provenance import APPLIED, REJECTED, DecisionKind, emit
 
 
@@ -113,8 +115,8 @@ def find_loops(block: Block, kind: GenKind) -> List[Tuple[int, Def, Generator]]:
 
 
 def replace_stmt(block: Block, pos: int, replacement: Sequence[Def]) -> Block:
-    stmts = block.stmts[:pos] + tuple(replacement) + block.stmts[pos + 1:]
-    return Block(block.params, stmts, block.results)
+    return rebuild_block(
+        block, block.stmts[:pos] + tuple(replacement) + block.stmts[pos + 1:])
 
 
 def apply_rule_once(block: Block, rule: Rule) -> Optional[Block]:
@@ -152,12 +154,13 @@ def apply_rules_everywhere(prog: Program, rules: Sequence[Rule],
                     changed = True
                     if log is not None:
                         log.append(rule.name)
+        if changed:
+            emit_diagnostic(iteration_cap(
+                "apply-rules(" + ", ".join(r.name for r in rules) + ")",
+                max_iters))
         # recurse into nested blocks
-        new_stmts = []
-        for d in block.stmts:
-            nested = [rewrite_block(b) for b in d.op.blocks()]
-            new_stmts.append(Def(d.syms, d.op.with_children(
-                list(d.op.inputs()), nested)))
-        return Block(block.params, tuple(new_stmts), block.results)
+        return rebuild_block(block, [
+            rebuild_def(d, map_blocks(d.op, rewrite_block))
+            for d in block.stmts])
 
-    return Program(prog.inputs, rewrite_block(prog.body))
+    return rebuild_program(prog, rewrite_block(prog.body))

@@ -247,6 +247,48 @@ class TestFlowValidation:
         errs = validate_events(events)
         assert any("mismatch" in e for e in errs)
 
+    def test_ten_thousand_flow_events_validate_in_log_time(self):
+        # endpoint lookup is a bisect into a per-track index: the scan it
+        # replaced took seconds on a trace of this size
+        import time
+        n = 5000
+        events = [_slice("run", 1, 0, 0.0, 10.0 * n, cat="run")]
+        for i in range(n):
+            events.append(_slice(f"b{i}", 1, 1, 10.0 * i, 8.0))
+            events.append(_slice(f"r{i}", 2, i % 16, 10.0 * i, 9.0))
+        for i in range(n):
+            events.append({"name": "req", "cat": "flow", "ph": "s", "id": i,
+                           "pid": 2, "tid": i % 16, "ts": 10.0 * i + 1.0})
+            events.append({"name": "req", "cat": "flow", "ph": "f",
+                           "bp": "e", "id": i, "pid": 1, "tid": 1,
+                           "ts": 10.0 * i + 2.0})
+        bare = events[2 * n + 1 + 2 * 1234 + 1]
+        bare["ts"] = 10.0 * 1234 + 9.0      # the gap between b1234 and b1235
+        events[2 * n + 1 + 2 * 4321]["name"] = "other"
+        t0 = time.perf_counter()
+        errs = validate_events(events)
+        assert time.perf_counter() - t0 < 0.5
+        assert errs == [
+            "flow 1234: finish endpoint at ts 12349.0 has no enclosing "
+            "slice on track (1, 1)",
+            "flow 4321: start/finish name or category mismatch"]
+
+    def test_endpoint_index_agrees_with_a_scan(self):
+        import random
+        from repro.obs.check import _enclosed, _slice_index
+        rng = random.Random(5)
+        xs = [_slice("s", 1, rng.randrange(3), rng.uniform(0, 100),
+                     rng.choice((0.0, rng.uniform(0, 30))))
+              for _ in range(200)]
+        index = _slice_index(xs)
+        probes = [rng.uniform(-5, 140) for _ in range(300)]
+        probes += [e["ts"] for e in xs] + [e["ts"] + e["dur"] for e in xs]
+        for tid in range(4):
+            for ts in probes:
+                scan = any(e["tid"] == tid and e["ts"] - 1e-6 <= ts
+                           <= e["ts"] + e["dur"] + 1e-6 for e in xs)
+                assert _enclosed(index, (1, tid), ts) == scan
+
 
 # ---------------------------------------------------------------------------
 # parent/child containment

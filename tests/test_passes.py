@@ -1,25 +1,39 @@
 """PassManager behaviors: tracing, the shared rule log (regression for the
-dropped ``applied_log``), differential checking, and the DCE input
-re-attachment fix."""
+dropped ``applied_log``), differential checking, the DCE input
+re-attachment fix, and the three things that make a pass cost what it
+changes (DESIGN.md §2, §6c): structure sharing, the per-block
+``free_syms`` memo, and the fixpoint rule checked against a naive driver."""
 
+import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from repro import frontend as F
 from repro.apps.kmeans import kmeans_grouped_program, kmeans_shared_program
 from repro.core import run_program
 from repro.core import types as T
-from repro.core.ir import Block, Const, Def, Program, fresh
+from repro.core import ir
+from repro.core.ir import (Block, Const, Def, Program, free_syms, fresh,
+                           iter_defs, subst_block)
 from repro.core.multiloop import MultiLoop, collect, reduce_gen
 from repro.core.ops import ArrayApply, ArrayLength, InputSource, Prim
 from repro.core.values import deep_eq
 from repro.core.verify import IRVerificationError, verify_program
 from repro.optim.dce import dce
-from repro.passes import (Pass, PassManager, PassSemanticsError,
-                          function_pass, program_counts, standard_passes,
-                          trace_table)
+from repro.obs.diagnostics import DiagCategory
+from repro.obs.provenance import (DecisionKind, DecisionLedger, active,
+                                  ledger_scope)
+from repro.passes import (Pass, PassManager, PassSemanticsError, PassTrace,
+                          function_pass, program_counts, rule_pass,
+                          standard_passes, trace_table)
 from repro.pipeline import CompiledProgram, compile_program, optimize
+from repro.serve.cache import VARIANTS
+from repro.transforms import GPU_RULES, GroupByReduce
+
+from .test_backend import SETTINGS, build_pipeline, pipeline_strategy
 
 MAT = [[1.0, 2.0], [8.0, 9.0], [1.2, 1.8], [7.5, 9.5], [0.8, 2.2]]
 INPUTS = {"matrix": MAT, "clusters": MAT[:2]}
@@ -206,3 +220,285 @@ class TestCompiledProgramSurface:
             compiled = compile_program(kmeans_shared_program(), target)
             names = [t.name for t in compiled.trace]
             assert "aos-to-soa" in names and "fuse-horizontal" in names
+
+
+# ---------------------------------------------------------------------------
+# A pass costs what it changes: sharing, the free_syms memo, the fixpoint rule
+# ---------------------------------------------------------------------------
+
+APPS = ["kmeans", "logreg", "gda", "q1", "gene", "pagerank", "triangle",
+        "gibbs"]
+SUITE = [(a, v) for a in APPS for v in VARIANTS]
+
+
+def compile_variant(prog, variant):
+    target, kwargs = VARIANTS[variant]
+    return compile_program(prog, target, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def suite():
+    """The 24 compiled programs of the benchmark's ``compile_suite``."""
+    from repro.bench import get_bundle
+    return {(a, v): compile_variant(get_bundle(a)._factory(), v)
+            for a, v in SUITE}
+
+
+def all_blocks(block):
+    yield block
+    for d in iter_defs(block, recursive=True):
+        yield from d.op.blocks()
+
+
+class TestStructureSharing:
+    def test_a_pass_returns_the_program_it_did_not_change(self, suite):
+        passes = list(standard_passes().values()) + [
+            rule_pass("groupby-reduce", (GroupByReduce(),)),
+            rule_pass("gpu-rules", GPU_RULES)]
+        for key, compiled in suite.items():
+            x = compiled.program
+            for p in passes:
+                log = []
+                out = p.fn(x, log)
+                if log:   # a rule really fired (R2C on a CPU compile, ...)
+                    assert out != x, (key, p.name)
+                else:
+                    assert out is x, (key, p.name)
+
+    def test_empty_substitution_is_the_identity(self, suite):
+        for compiled in suite.values():
+            for b in all_blocks(compiled.program.body):
+                assert subst_block(b, {}) is b
+                # a substitution that touches nothing is the identity too
+                assert subst_block(b, {fresh(T.INT): Const(0)}) is b
+
+    def test_rewrite_keeps_untouched_siblings(self):
+        # two independent loops; only the first has a dead statement
+        def fn(xs):
+            return F.pair(xs.map(lambda x: x + 1).sum(),
+                          xs.map(lambda x: x * 2))
+        prog = optimize(F.build(fn, [F.InputSpec("xs", T.Coll(T.INT),
+                                                 True)]))
+        dead = Def((fresh(T.INT, "dead"),), Prim("add", (Const(1), Const(2))))
+        padded = Program(prog.inputs, Block(
+            prog.body.params, prog.body.stmts + (dead,), prog.body.results))
+        cleaned = dce(padded)
+        assert cleaned is not padded and cleaned == prog
+        for old, new in zip(prog.body.stmts, cleaned.body.stmts):
+            assert new is old
+
+
+class TestFreeSymsMemo:
+    @staticmethod
+    def from_scratch(block):
+        """The uncached definition: reference order, one per reference."""
+        bound = set(block.params)
+        out = []
+        for d in block.stmts:
+            for e in d.op.inputs():
+                if isinstance(e, ir.Sym) and e not in bound:
+                    out.append(e)
+            for b in d.op.blocks():
+                out.extend(s for s in TestFreeSymsMemo.from_scratch(b)
+                           if s not in bound)
+            bound.update(d.syms)
+        out.extend(r for r in block.results
+                   if isinstance(r, ir.Sym) and r not in bound)
+        return out
+
+    def test_cached_answer_is_the_from_scratch_sequence(self, suite):
+        cached = 0
+        for compiled in suite.values():
+            for b in all_blocks(compiled.program.body):
+                cached += "_free_syms" in b.__dict__
+                assert list(free_syms(b)) == self.from_scratch(b)
+                assert free_syms(b) is free_syms(b)
+        assert cached > 100   # the compiles left their answers on the nodes
+
+    def test_cache_is_not_a_field(self):
+        b = kmeans_shared_program().body
+        twin = Block(b.params, b.stmts, b.results)
+        before = (repr(b), hash(b))
+        free_syms(b)
+        assert (repr(b), hash(b)) == before and b == twin
+        assert "_free_syms" not in dataclasses.replace(b).__dict__
+
+
+def _naive_run_pass(self, prog, p, phase=""):
+    """The driver without the fixpoint rule: every pass always runs."""
+    if active() is not None:
+        active().begin_pass(p.name, phase)
+    log = []
+    (s0, l0), new = program_counts(prog), p.fn(prog, log)
+    s1, l1 = program_counts(new)
+    self.traces.append(PassTrace(p.name, phase, 0.0, s0, s1, l0, l1, log,
+                                 max(1, len(log))))
+    return new
+
+
+def observable(factory, variant, naive):
+    """Everything a compile shows, with Sym ids restarted so that two
+    compiles in one process are comparable byte for byte."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ir, "_sym_ids", itertools.count(1_000_000))
+        if naive:
+            mp.setattr(PassManager, "run_pass", _naive_run_pass)
+        c = compile_variant(factory(), variant)
+    rows = [dataclasses.replace(t, wall_ms=0.0) for t in c.trace]
+    return (repr(c.program), c.provenance.to_json(), rows,
+            c.report.applied_rules, c.warnings)
+
+
+class TestFixpointRule:
+    @pytest.mark.parametrize("app,variant", SUITE)
+    def test_same_as_running_every_pass(self, app, variant):
+        from repro.bench import get_bundle
+        factory = get_bundle(app)._factory
+        assert observable(factory, variant, naive=False) == \
+            observable(factory, variant, naive=True)
+
+    @given(pipeline_strategy)
+    @settings(**SETTINGS)
+    def test_same_as_running_every_pass_on_random_pipelines(self, spec):
+        def factory():
+            return build_pipeline(*spec)
+        for variant in VARIANTS:
+            assert observable(factory, variant, naive=False) == \
+                observable(factory, variant, naive=True)
+
+    def test_most_passes_are_replayed(self, suite):
+        # a replayed row has the shape of any other unchanged row
+        replay_like = [t for c in suite.values() for t in c.trace
+                       if not t.changed]
+        assert len(replay_like) > 800
+
+    def test_replay_only_on_the_same_object_and_pass(self):
+        calls = []
+
+        def fn(prog, log):
+            calls.append(prog)
+            return prog
+        p, q = Pass("noop", fn), Pass("noop", fn)
+        a, b = kmeans_shared_program(), kmeans_shared_program()
+        pm = PassManager()
+        for prog, pas in ((a, p), (a, p), (a, q), (b, p), (a, p)):
+            assert pm.run_pass(prog, pas) is prog
+        # the second (a, p) is the only replay: q is another object, b
+        # another program, and arriving at b dropped what was known of a
+        assert [id(c) for c in calls] == [id(a), id(a), id(b), id(a)]
+        assert len(pm.traces) == 5
+        assert {(t.stmts_before, t.stmts_after) for t in pm.traces} == \
+            {(program_counts(a)[0],) * 2}
+
+    def test_replay_repeats_the_decisions_of_the_run(self):
+        from repro.graph.optigraph import pagerank_pull_program
+        led = DecisionLedger()
+        prog = optimize(pagerank_pull_program(), horizontal=False)
+        fv = standard_passes()["fuse-vertical"]
+        with ledger_scope(led):
+            pm = PassManager()
+            pm.run(prog, [fv, fv, fv], phase="x")
+        rejected = led.of_kind(DecisionKind.FUSION_VERTICAL)
+        assert rejected and all(d.count == 3 for d in rejected)
+        assert all((d.pass_name, d.snapshot) == ("fuse-vertical", 0)
+                   for d in rejected)
+        assert led.snapshot == 2
+
+    def test_only_what_the_run_emitted_is_replayed(self):
+        from repro.obs.provenance import REJECTED, emit
+        p = Pass("noop", lambda prog, log: prog)
+        prog = kmeans_shared_program()
+        with ledger_scope(DecisionLedger()) as led:
+            pm = PassManager()
+            pm.run_pass(prog, p)
+            # emitted between passes (compile_program's GPU diagnostics
+            # are): lands in the ledger, belongs to no pass's replay
+            emit(DecisionKind.TRANSFORM, "x1", REJECTED, "stray")
+            pm.run_pass(prog, p)
+        (stray,) = led.decisions
+        assert stray.count == 1
+
+    def test_a_logged_rule_is_never_a_fixpoint(self):
+        runs = []
+
+        def fn(prog, log):
+            runs.append(1)
+            log.append("claims-a-rule")
+            return prog
+        p = Pass("chatty", fn)
+        prog = kmeans_shared_program()
+        pm = PassManager()
+        pm.run(prog, [p, p])
+        assert len(runs) == 2
+
+    def test_out_parameter_passes_still_run(self):
+        staged = kmeans_shared_program()
+        first = compile_program(staged, "distributed")
+        second = compile_program(staged, "distributed")
+        for c in (first, second):
+            assert c.trace[-1].name == "partition-report"
+            assert c.report.loops and c.report.layouts
+        assert first.report is not second.report
+
+
+class TestIterationCaps:
+    """A rewrite loop that runs out of iterations says so (typed)."""
+
+    @staticmethod
+    def capped(led):
+        return [d for d in led.of_kind(DecisionKind.DIAGNOSTIC)
+                if d.evidence.get("category")
+                == DiagCategory.ITERATION_CAP.value]
+
+    def test_fuse_vertical_cap(self):
+        from repro.optim.fusion import fuse_vertical
+        prog = kmeans_shared_program()
+        with ledger_scope(DecisionLedger()) as led:
+            fuse_vertical(prog, max_iters=1)
+        (d,) = self.capped(led)
+        assert d.evidence["pass"] == "fuse-vertical"
+        assert d.evidence["cap"] == 1 and d.outcome == "warning"
+        with ledger_scope(DecisionLedger()) as led:
+            fuse_vertical(prog)
+        assert not self.capped(led)
+
+    def test_apply_rules_cap(self):
+        from repro.transforms import apply_rules_everywhere
+        prog = optimize(kmeans_grouped_program(), groupby_reduce=False)
+        with ledger_scope(DecisionLedger()) as led:
+            apply_rules_everywhere(prog, (GroupByReduce(),), max_iters=1)
+        (d,) = self.capped(led)
+        assert "groupby-reduce" in d.evidence["pass"]
+        assert d.evidence["cap"] == 1
+        with ledger_scope(DecisionLedger()) as led:
+            apply_rules_everywhere(prog, (GroupByReduce(),))
+        assert not self.capped(led)
+
+    def test_partition_cap(self):
+        from repro.analysis.partitioning import partition_and_transform
+        from repro.apps.logreg import logreg_inputs
+
+        def two_gradients(x, y, theta, alpha):
+            rows, cols = x.length(), theta.length()
+
+            def step(scale):
+                return F.irange(cols).map(lambda j: theta[j] + scale * F.irange(
+                    rows).sum(lambda i: x[i][j] * y[i]))
+            return F.pair(step(alpha), step(alpha * 2.0))
+        prog = optimize(F.build(two_gradients, logreg_inputs()),
+                        horizontal=False)
+        with ledger_scope(DecisionLedger()) as led:
+            _, report = partition_and_transform(prog, max_rewrites=1)
+        (d,) = self.capped(led)
+        assert (d.evidence["pass"], d.evidence["cap"]) == ("partition", 1)
+        assert report.applied_rules == ["column-to-row-reduce"]
+        assert [g.category for g in report.diagnostics].count(
+            DiagCategory.ITERATION_CAP) == 1
+        with ledger_scope(DecisionLedger()) as led:
+            _, report = partition_and_transform(prog)
+        assert not self.capped(led)
+        assert report.applied_rules == ["column-to-row-reduce"] * 2
+
+    def test_bundled_apps_never_hit_a_cap(self, suite):
+        for compiled in suite.values():
+            assert not self.capped(compiled.provenance)

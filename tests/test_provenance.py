@@ -26,10 +26,17 @@ from repro.obs.provenance import (DecisionKind, DecisionLedger, REJECTED,
                                   strip_ids)
 from repro.obs.regress import (DEFAULT_WALL_PCT, check_records, main as
                                regress_main, trend_table)
+from repro.pipeline import compile_program
+from repro.serve.cache import VARIANTS
 from repro.tools import _APPS, _explain_compile
 
 EXPLAIN_APPS = ["kmeans", "logreg", "gda", "q1", "gene", "pagerank",
                 "triangle", "gibbs"]
+
+
+def emit_to(led, *args, **evidence):
+    with ledger_scope(led):
+        emit(*args, **evidence)
 
 
 def explain(app, variant=None):
@@ -83,6 +90,25 @@ class TestLedger:
         assert len(led) == 1
         assert led.decisions[0].count == 5
 
+    def test_replay_records_what_the_pass_emitted_folds_included(self):
+        led = DecisionLedger()
+        emitted = led.begin_pass("p", "phase")
+        for _ in range(2):
+            emit_to(led, DecisionKind.FUSION_VERTICAL, "x1", REJECTED, "r",
+                    producer="y2")
+        emit_to(led, DecisionKind.DCE, "z3", "applied", "dropped")
+        assert len(emitted) == 3 and len(led.decisions) == 2
+        before = led.to_json()
+        led.begin_pass("p", "phase")
+        led.replay(emitted)
+        after = led.to_json()
+        # the rejection folds (count 2 -> 4, first snapshot kept); the
+        # applied decision is a new record stamped with the new snapshot
+        assert [d["count"] for d in after["decisions"]] == [4, 1, 1]
+        assert [d["snapshot"] for d in after["decisions"]] == [0, 0, 1]
+        assert after["decisions"][2] == {**before["decisions"][1],
+                                         "snapshot": 1}
+
     def test_for_loop_filter_ignores_ids(self):
         led = explain("kmeans")
         sites = {d.site for d in led.decisions}
@@ -105,7 +131,30 @@ class TestLedger:
 # digests and diffs
 # ---------------------------------------------------------------------------
 
+#: id-stripped, hence process-independent: (opt, plain, gpu) per app
+PINNED_DIGESTS = {
+    "kmeans": ("d96322f1bd2a8388", "c81b3b82fa67d6b9", "69849f60f9d5d4fa"),
+    "logreg": ("fb2bdeb2bab6e0c5", "b1eb33c20e2b40f5", "ac3fa5aa3d2f27b6"),
+    "gda": ("f88e81ef8a8d78df", "2dd5469e0ec1bf11", "306c68a63a5cac3d"),
+    "q1": ("e11c20166ffc4a01", "8de3f72aad4baa1c", "e11c20166ffc4a01"),
+    "gene": ("5c83b6848b5b88c8", "b0f15b688247fcc0", "5c83b6848b5b88c8"),
+    "pagerank": ("c649e31d2db28dff", "c84b4a6f10d48111", "c649e31d2db28dff"),
+    "triangle": ("dc99ebce70f104cb", "9dbc54494ce60c21", "dc99ebce70f104cb"),
+    "gibbs": ("34b2397b7d3369e1", "035ec2ad8cd9f3ff", "34b2397b7d3369e1"),
+}
+
+
 class TestDigest:
+    @pytest.mark.parametrize("app", EXPLAIN_APPS)
+    def test_compile_digests_are_pinned(self, app):
+        # the ledger is the record of what the compiler decided: a change
+        # to how passes are *driven* (sharing, replay) must not move it
+        bundle = get_bundle(app)
+        got = tuple(
+            compile_program(bundle._factory(), target, **kw)
+            .provenance.digest() for target, kw in VARIANTS.values())
+        assert got == PINNED_DIGESTS[app]
+
     def test_digest_stable_across_compiles(self):
         assert explain("kmeans").digest() == explain("kmeans").digest()
 
