@@ -10,7 +10,8 @@ request-serving system over the simulated machine models:
   vectorized execution (max-batch / max-wait knobs), with recorded
   fallback to per-request reference execution;
 - **scheduler** — a discrete-event server multiplexing requests across
-  heterogeneous machine instances through a pluggable placement policy;
+  heterogeneous machine instances through a pluggable placement policy
+  (**events** is its queue: timed entries in one ``(t, seq)`` order);
 - **simulator** — seeded open/closed-loop arrival processes and the
   throughput / p50 / p95 / p99 report, fed through the ``obs`` metrics
   registry and span tracer (``repro.tools serve-sim`` is the CLI);

@@ -176,22 +176,28 @@ class AdmissionQueue:
     oldest request has waited ``max_wait_s``. ``next_ready`` picks the
     ready group whose head has waited longest (FIFO across groups), so
     admission order is deterministic.
+
+    ``push`` and ``take`` tell the caller when a group's head changes,
+    which is all the scheduler needs to keep one pending flush per
+    non-empty group (DESIGN.md §9).
     """
 
     def __init__(self) -> None:
         self._groups: Dict[Tuple[str, str], List[Request]] = {}
+        self._count = 0
 
-    def push(self, req: Request) -> Tuple[str, str]:
-        key = (req.app, req.payload.key)
-        self._groups.setdefault(key, []).append(req)
-        return key
+    def push(self, req: Request) -> int:
+        """Append ``req`` to its group and return the group's new size:
+        1 means ``req`` became the group's head."""
+        reqs = self._groups.setdefault((req.app, req.payload.key), [])
+        reqs.append(req)
+        self._count += 1
+        return len(reqs)
 
     def next_ready(self, now: float, max_batch: int,
                    max_wait_s: float) -> Optional[Tuple[str, str]]:
         best: Optional[Tuple[float, Tuple[str, str]]] = None
         for key, reqs in self._groups.items():
-            if not reqs:
-                continue
             head = reqs[0].arrival_s
             ready = (len(reqs) >= max_batch
                      or now - head >= max_wait_s - 1e-12)
@@ -199,14 +205,19 @@ class AdmissionQueue:
                 best = (head, key)
         return None if best is None else best[1]
 
-    def take(self, key: Tuple[str, str], max_batch: int) -> List[Request]:
+    def take(self, key: Tuple[str, str], max_batch: int
+             ) -> Tuple[List[Request], Optional[Request]]:
+        """Remove up to ``max_batch`` requests from the front of group
+        ``key``; also return the group's new head, or ``None`` when the
+        group emptied."""
         reqs = self._groups.get(key, [])
         out, rest = reqs[:max_batch], reqs[max_batch:]
+        self._count -= len(out)
         if rest:
             self._groups[key] = rest
-        else:
-            self._groups.pop(key, None)
-        return out
+            return out, rest[0]
+        self._groups.pop(key, None)
+        return out, None
 
     def drain(self) -> List[Request]:
         """Remove and return every pending request, in group order then
@@ -216,7 +227,8 @@ class AdmissionQueue:
         for key in sorted(self._groups):
             out.extend(self._groups[key])
         self._groups.clear()
+        self._count = 0
         return out
 
     def __len__(self) -> int:
-        return sum(len(r) for r in self._groups.values())
+        return self._count

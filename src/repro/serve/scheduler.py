@@ -34,8 +34,8 @@ byte-identical to the pre-chaos scheduler.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..backend import resolve_backend
@@ -49,6 +49,7 @@ from ..runtime.machine import (DMLL_CPP, ClusterSpec, MACHINE_MODELS,
 from .batching import (AdmissionQueue, Payload, Request, Response,
                        ServeFallback, make_payload)
 from .cache import ProgramCache
+from .events import EventQueue
 from .faults import FaultPlan
 from .resilience import (CircuitBreaker, OPEN, REJECT_DEADLINE,
                          REJECT_RETRIES, REJECT_SHED, REJECT_UNSERVED,
@@ -72,6 +73,13 @@ class ServedApp:
         from ..bench.apps import get_bundle
         b = get_bundle(name)
         return cls(name, b._factory, b.inputs, b.scale, b.data_scale)
+
+    @cached_property
+    def default_payload(self) -> Payload:
+        """``default_inputs`` digested once, on first use, for every
+        server built over this app (kept on the instance, not a field:
+        ``==``, ``repr`` and ``replace`` do not see it)."""
+        return make_payload(self.default_inputs)
 
 
 @dataclass
@@ -250,10 +258,6 @@ class ProgramServer:
         #: the client's next request
         self.on_reject: List[Callable[["ProgramServer", Rejected],
                                       None]] = []
-        # True while the post-loop drain rejects stranded requests;
-        # on_reject hooks are muted then (the event loop is gone, a
-        # submission issued now could never run)
-        self._draining = False
         self.now = 0.0
         # resilience counters (all stay 0 on plain runs)
         self.retries = 0
@@ -261,8 +265,16 @@ class ProgramServer:
         self.hedges_launched = 0
         self.hedges_wasted = 0
         self.fault_counts: Dict[str, int] = {}
-        self._events: List[Tuple[float, int, str, Any]] = []
-        self._seq = 0
+        self._events = EventQueue()
+        self._push = self._events.push
+        #: events popped per kind: the run's host cost, in no report
+        self.events_by_kind: Dict[str, int] = {}
+        # True inside the event loop: only then does ``submit`` hold ``at``
+        # to the clock and do ``on_reject`` hooks fire (the post-loop
+        # drain mutes them: a submission issued then could never run)
+        self._running = False
+        #: when the admission window of the last request queued closes
+        self._window_end = float("-inf")
         self._rid = 0
         self._bid = 0
         self._root = None
@@ -303,20 +315,20 @@ class ProgramServer:
         #: pricing detail kept alongside ``_service`` for span grafting
         #: (tracing only; empty on plain runs)
         self._sims: Dict[Tuple[str, str, str, str, str], SimResult] = {}
-        self._payloads: Dict[Tuple[str, Optional[str]], Payload] = {}
+        self._payloads: Dict[Tuple[str, str], Payload] = {}
 
     # -- request admission ----------------------------------------------
 
-    def payload_for(self, app: str,
-                    salt: Optional[str] = None) -> Payload:
+    def payload_for(self, app: str, salt: Optional[str] = None) -> Payload:
         """The app's default payload, optionally salted into a distinct
         logical tenant (memoized so equal salts share lane groups; the
-        dataset is digested once, whatever the number of tenants)."""
+        dataset is digested once per ``ServedApp``, whatever the number
+        of tenants or servers)."""
+        if salt is None:
+            return self.apps[app].default_payload
         key = (app, salt)
         if key not in self._payloads:
-            self._payloads[key] = (
-                make_payload(self.apps[app].default_inputs) if salt is None
-                else self.payload_for(app).salted(salt))
+            self._payloads[key] = self.payload_for(app).salted(salt)
         return self._payloads[key]
 
     def submit(self, app: str, payload: Optional[Payload] = None,
@@ -324,6 +336,9 @@ class ProgramServer:
         if app not in self.apps:
             raise KeyError(f"unknown app {app!r}; served apps: "
                            f"{sorted(self.apps)}")
+        if self._running and at < self.now:
+            raise ValueError(f"submit at={at!r} is before the server's clock "
+                             f"now={self.now!r}: time cannot run backwards")
         req = Request(self._rid, app, payload or self.payload_for(app),
                       at, client)
         self._rid += 1
@@ -340,10 +355,6 @@ class ProgramServer:
             self._timelines[req.rid] = tl
         self._push(at, "arrive", req)
         return req
-
-    def _push(self, t: float, kind: str, data: Any) -> None:
-        heapq.heappush(self._events, (t, self._seq, kind, data))
-        self._seq += 1
 
     def _clone_attempt(self, req: Request, spawn_s: float,
                        hedge: bool = False) -> Request:
@@ -367,10 +378,9 @@ class ProgramServer:
     def run(self, source: Optional[Any] = None) -> List[Response]:
         if source is not None:
             source.prime(self)
-        if self.tracer is not None and self.tracer.enabled:
-            attrs: Dict[str, Any] = {}
-            if self.faults is not None:
-                attrs["faults"] = len(self.faults.specs)
+        if self._tracing:
+            attrs = ({} if self.faults is None
+                     else {"faults": len(self.faults.specs)})
             self._root = self.tracer.begin_run(
                 "serve", backend=self.backend,
                 policy=getattr(self.policy, "name", "?"),
@@ -378,34 +388,32 @@ class ProgramServer:
                 max_wait_s=self.max_wait_s, **attrs)
         if self.faults is not None:
             self._schedule_faults()
-        while self._events:
-            t, _, kind, data = heapq.heappop(self._events)
+        events, by_kind = self._events, self.events_by_kind
+        handlers = {"arrive": self._on_arrive, "hedge": self._on_hedge,
+                    "complete": self._on_complete_event,
+                    "crash": self._on_crash,
+                    "cache-fault": self._on_cache_fault}
+        self._running = True
+        while events:
+            t, _, kind, data = events.pop()
             self.now = t
-            if kind == "arrive":
-                self._on_arrive(data, t)
-            elif kind == "retry":
-                self._enqueue_attempt(data, t)
-                self._push(t + self.max_wait_s, "flush", None)
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+            handler = handlers.get(kind)
+            if handler is not None:
+                handler(data, t)
+            else:  # flush, breaker wake-up, recover, retry
+                if kind == "retry":
+                    self._enqueue(data, t)
+                elif kind == "recover":
+                    self.machines[data].down = False
                 self._dispatch(t)
-            elif kind == "hedge":
-                self._on_hedge(data, t)
-            elif kind == "crash":
-                self._on_crash(data, t)
-            elif kind == "recover":
-                self.machines[data].down = False
-                self._dispatch(t)
-            elif kind == "breaker":
-                self._dispatch(t)
-            elif kind == "cache-fault":
-                self._on_cache_fault(data, t)
-            elif kind == "flush":
-                self._dispatch(t)
-            else:  # complete
-                self._on_complete_event(data, t)
-        # zero-lost drain: anything still queued when the event loop
-        # runs dry (replicas down for good, budget exhausted) leaves as
-        # an explicit Rejected, never silently
-        self._drain_unserved()
+        # zero-lost drain: the loop is dry once the last admission window
+        # has closed too; anything still queued then (replicas down for
+        # good, budget exhausted) leaves as an explicit Rejected
+        self.now = max(self.now, self._window_end)
+        self._running = False
+        for r in self.queue.drain():
+            self._attempt_ended(r, REJECT_UNSERVED, self.now)
         makespan = max((r.finish_s for r in self.responses), default=0.0)
         if self._root is not None:
             # the run span must cover *all* machine activity, not just
@@ -413,8 +421,7 @@ class ProgramServer:
             # late rejection can outlive the last winner, and the trace
             # validator rejects slices that end after the run span
             horizon = max([makespan]
-                          + [c.start_s + c.dur_s
-                             for c in self._root.children]
+                          + [c.start_s + c.dur_s for c in self._root.children]
                           + [j.t_s for j in self.rejected])
             self._root.dur_s = horizon
             self._root.set(requests=len(self.responses),
@@ -445,22 +452,32 @@ class ProgramServer:
             self._count("shed")
             self._attempt_ended(req, REJECT_SHED, t)
             return
-        self.queue.push(req)
-        if self._tracing:
-            req.tl.mark("enqueue", t)
+        size = self._enqueue(req, t)
         if self.metrics is not None:
             self.metrics.inc("serve.requests", app=req.app)
-        # the group must dispatch no later than this request's
-        # wait deadline even if the batch never fills
-        self._push(t + self.max_wait_s, "flush", None)
         if self.res is not None and self.res.hedge_delay_s is not None:
             self._push(t + self.res.hedge_delay_s, "hedge", req.rid)
-        self._dispatch(t)
+        # an arrival makes a dispatch possible only by filling its group
+        # (or when nothing ever waits); a head's expiry is its flush's job
+        if size == self.max_batch or self.max_wait_s == 0:
+            self._dispatch(t)
 
-    def _enqueue_attempt(self, req: Request, t: float) -> None:
-        self.queue.push(req)
+    def _enqueue(self, req: Request, t: float) -> int:
+        """Queue one attempt — an arrival, or a retry / hedge / crash
+        re-enqueue clone — and return its group's new size."""
+        size = self.queue.push(req)
+        self._window_end = t + self.max_wait_s
+        if size == 1:
+            self._schedule_flush(req, t)
         if self._tracing and req.tl is not None:
             req.tl.mark("enqueue", t)
+        return size
+
+    def _schedule_flush(self, head: Request, now: float) -> None:
+        """Every non-empty admission group has one pending ``flush``, due
+        when its head's wait expires (now, if it already has): this runs
+        when ``push`` or ``take`` gives a group a new head, and never else."""
+        self._push(max(head.arrival_s + self.max_wait_s, now), "flush", None)
 
     def _on_hedge(self, rid: int, t: float) -> None:
         """Hedge timer: duplicate the request if its attempt is still
@@ -474,8 +491,7 @@ class ProgramServer:
             self.metrics.inc("serve.hedges")
         clone = self._clone_attempt(self._requests[rid], t, hedge=True)
         self._open[rid] += 1
-        self._enqueue_attempt(clone, t)
-        self._push(t + self.max_wait_s, "flush", None)
+        self._enqueue(clone, t)
         self._dispatch(t)
 
     def _on_crash(self, idx: int, t: float) -> None:
@@ -509,8 +525,7 @@ class ProgramServer:
                     continue
                 clone = self._clone_attempt(r, t)
                 self.requeues += 1
-                self._enqueue_attempt(clone, t)
-            self._push(t + self.max_wait_s, "flush", None)
+                self._enqueue(clone, t)
         self._dispatch(t)
 
     def _on_cache_fault(self, target: str, t: float) -> None:
@@ -557,8 +572,7 @@ class ProgramServer:
             for r in fresh:
                 self.metrics.observe("serve.latency_s", r.latency_s,
                                      app=r.request.app)
-                self.metrics.observe("serve.queue_wait_s",
-                                     r.queue_wait_s)
+                self.metrics.observe("serve.queue_wait_s", r.queue_wait_s)
         for r in fresh:
             for hook in self.on_complete:
                 hook(self, r)
@@ -600,19 +614,10 @@ class ProgramServer:
                 rid, req.app, reason, t, arrival_s=req.arrival_s,
                 client=req.client, attempts=self._next_attempt.get(rid, 1)))
             if self.metrics is not None:
-                self.metrics.inc("serve.rejected", app=req.app,
-                                 reason=reason)
-            if not self._draining:
+                self.metrics.inc("serve.rejected", app=req.app, reason=reason)
+            if self._running:
                 for hook in self.on_reject:
                     hook(self, self.rejected[-1])
-
-    def _drain_unserved(self) -> None:
-        self._draining = True
-        try:
-            for r in self.queue.drain():
-                self._attempt_ended(r, REJECT_UNSERVED, self.now)
-        finally:
-            self._draining = False
 
     # -- tracing helpers --------------------------------------------------
 
@@ -769,23 +774,20 @@ class ProgramServer:
 
     # -- dispatch ---------------------------------------------------------
 
-    def _machine_available(self, m: MachineInstance, now: float) -> bool:
-        if m.busy_until > now + 1e-15 or m.down:
-            return False
-        if self._breakers is not None:
-            return self._breakers[m.index].allow(now)
-        return True
-
     def _dispatch(self, now: float) -> None:
+        breakers = self._breakers
         while True:
             idle = [m for m in self.machines
-                    if self._machine_available(m, now)]
+                    if m.busy_until <= now + 1e-15 and not m.down
+                    and (breakers is None or breakers[m.index].allow(now))]
             if not idle:
                 return
             key = self.queue.next_ready(now, self.max_batch, self.max_wait_s)
             if key is None:
                 return
-            requests = self.queue.take(key, self.max_batch)
+            requests, head = self.queue.take(key, self.max_batch)
+            if head is not None:
+                self._schedule_flush(head, now)
             if self.res is not None and self.res.deadline_s is not None:
                 live = []
                 for r in requests:
@@ -798,12 +800,10 @@ class ProgramServer:
                 if not live:
                     continue
                 requests = live
-            if self._tracing:
-                for r in requests:
-                    r.tl.mark("seal", now)
             machine = self.policy.place(self, idle, requests, now)
             if self._tracing:
                 for r in requests:
+                    r.tl.mark("seal", now)
                     r.tl.mark("dispatch", now)
             self._execute_batch(machine, requests, now)
 

@@ -118,8 +118,11 @@ class ClosedLoop:
 
     def _on_complete(self, server: ProgramServer, resp) -> None:
         if resp.request.client >= 0:
+            # the hook fires when the *batch* completes; a response of a
+            # serialized fallback batch may have finished earlier, and
+            # the client cannot answer before it is told
             self._issue(server, resp.request.client,
-                        at=resp.finish_s + self.think_s)
+                        at=max(resp.finish_s + self.think_s, server.now))
 
     def _on_reject(self, server: ProgramServer, rej) -> None:
         # a refusal is still an answer: the client moves on, so a

@@ -460,6 +460,12 @@ def serve_main(argv=None) -> int:
         print(_json.dumps(report.to_json(), indent=2, default=str))
     else:
         print(report.render())
+        # host cost of the run, not part of the report: what the event
+        # loop popped, per submitted request
+        events = sum(sim.last_server.events_by_kind.values())
+        shown = f"{events / 1e3:.1f}k" if events >= 1000 else str(events)
+        print(f"  events {shown} "
+              f"({events / (report.requests + report.rejected):.2f}/request)")
         for fb in sim.last_server.fallbacks:
             print(f"  fallback {fb.app} x{fb.requests}: {fb.reason}")
         if slo_report is not None:

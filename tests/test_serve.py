@@ -9,12 +9,16 @@ nothing else, the same bar the NumPy backend itself holds against the
 reference interpreter.
 """
 
+import dataclasses
+import heapq
 import io
 import json
+import random
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import tools
@@ -23,9 +27,11 @@ from repro.core.values import deep_eq
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.check import validate_file
 from repro.serve import batching, scheduler
-from repro.serve import (POLICIES, AdmissionQueue, ProgramCache,
-                         ProgramServer, Request, ServeSim, ServedApp,
-                         make_machines, make_payload, payload_digest)
+from repro.serve import (POLICIES, AdmissionQueue, ClosedLoop, OpenLoop,
+                         Payload, ProgramCache, ProgramServer, Request,
+                         Response, ServeSim, ServedApp, make_machines,
+                         make_payload, payload_digest)
+from repro.serve.events import EventQueue
 
 DIFF_APPS = ["kmeans", "logreg", "q1"]
 
@@ -41,6 +47,18 @@ def assert_stats_equal(ref, got):
             f"batched={getattr(got, f)!r}")
     assert dict(ref.op_counts) == dict(got.op_counts)
     assert ref.def_records == got.def_records
+
+
+def count_digests(monkeypatch):
+    """Patch ``payload_digest`` to log its calls; returns the log."""
+    calls = []
+    digest = batching.payload_digest
+
+    def counting(inputs):
+        calls.append(1)
+        return digest(inputs)
+    monkeypatch.setattr(batching, "payload_digest", counting)
+    return calls
 
 
 def serve_batch(app, n, max_batch=None, **kwargs):
@@ -143,10 +161,7 @@ class TestPayloads:
             assert batching._uniform_items(mixed) is None
 
     def test_tenants_share_one_digest_of_the_dataset(self, monkeypatch):
-        calls = []
-        digest = batching.payload_digest
-        monkeypatch.setattr(batching, "payload_digest",
-                            lambda inputs: (calls.append(1), digest(inputs))[1])
+        calls = count_digests(monkeypatch)
         server = ProgramServer([ServedApp.from_bundle("q1")],
                                backend="numpy")
         keys = {server.payload_for("q1", f"tenant{i}").key for i in range(8)}
@@ -180,8 +195,32 @@ class TestPayloads:
         # window expires relative to the OLDEST request
         key = q.next_ready(0.0101, max_batch=4, max_wait_s=0.01)
         assert key == ("a", p.key)
-        assert [r.rid for r in q.take(key, 2)] == [0, 1]
-        assert len(q) == 1
+        taken, head = q.take(key, 2)
+        assert [r.rid for r in taken] == [0, 1]
+        assert head.rid == 2 and len(q) == 1
+
+    def test_admission_queue_counts_and_reports_heads(self):
+        q = AdmissionQueue()
+        pa, pb = make_payload({"x": 1}), make_payload({"x": 2})
+        sizes = [q.push(Request(i, "a", p, 0.001 * i))
+                 for i, p in enumerate([pa, pa, pb, pa, pb, pa])]
+        # the group's size after the push: 1 means "became head"
+        assert sizes == [1, 2, 1, 3, 2, 4]
+
+        def pending():
+            return sum(len(g) for g in q._groups.values())
+        assert len(q) == pending() == 6
+        taken, head = q.take(("a", pa.key), 3)      # partial take
+        assert [r.rid for r in taken] == [0, 1, 3] and head.rid == 5
+        assert len(q) == pending() == 3
+        taken, head = q.take(("a", pa.key), 3)      # empties the group
+        assert [r.rid for r in taken] == [5] and head is None
+        assert len(q) == pending() == 2
+        assert q.push(Request(6, "a", pa, 0.01)) == 1   # a head again
+        assert len(q) == pending() == 3
+        assert sorted(r.rid for r in q.drain()) == [2, 4, 6]
+        assert len(q) == pending() == 0
+        assert q.take(("a", pa.key), 3) == ([], None) and len(q) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +650,291 @@ class TestServeTracing:
 
 
 # ---------------------------------------------------------------------------
+# the event loop pays per state change (DESIGN.md §9)
+# ---------------------------------------------------------------------------
+
+#: simulated service seconds per (app, machine index): the fixed table
+#: both loops below price a batch with
+SERVICE = {(app, m): 0.0011 * (1 + i) + 0.0007 * m
+           for i, app in enumerate("abc") for m in range(3)}
+
+
+class NaiveServer:
+    """The event loop as it was before it paid per state change, cut
+    down to plain traffic: one heap, a flush per arrival, a dispatch
+    attempt after every event. It shares ``AdmissionQueue.next_ready``,
+    the placement policies and the traffic sources with
+    ``ProgramServer`` and duck-types what a source's ``prime`` touches.
+
+    ``collisions`` counts the one way the two loops can part. An
+    attempt ``ProgramServer`` no longer makes — after an arrival that
+    does not fill its group, or on the flush of a request that never
+    headed its group — starts a batch only when its event shares a
+    timestamp with the event that makes the dispatch possible (clients
+    released together re-arrive together, and so do their flushes) or
+    lands inside the 1e-12 s look-ahead of ``next_ready`` /
+    ``busy_until``. When the enabling event follows at the same instant
+    with no arrival in between, ``ProgramServer`` starts the same batch
+    there from the same state; anything else is a collision: this loop
+    started a batch an ulp early, or without a late lane-mate."""
+
+    def __init__(self, machines, max_batch, max_wait_s, policy):
+        self.machines = make_machines(machines)
+        self.max_batch, self.max_wait_s = max_batch, max_wait_s
+        self.policy = POLICIES[policy]()
+        self.queue, self.heap, self.heads = AdmissionQueue(), [], set()
+        self.on_complete, self.on_reject, self.responses = [], [], []
+        self.now, self.rid, self.pushed, self.batches = 0.0, 0, 0, 0
+        self.collisions = 0
+
+    def payload_for(self, app, salt=None):
+        return Payload({}, salt or "-")
+
+    def push(self, t, kind, data):
+        heapq.heappush(self.heap, (t, self.pushed, kind, data))
+        self.pushed += 1
+
+    def submit(self, app, payload, at=0.0, client=-1):
+        self.push(at, "arrive", Request(self.rid, app, payload, at, client))
+        self.rid += 1
+
+    def run(self, source):
+        source.prime(self)
+        early_at = None     # an early start its enabling event must match
+        while self.heap:
+            self.now, _, kind, data = heapq.heappop(self.heap)
+            enables = True
+            if kind == "arrive":
+                size = self.queue.push(data)
+                if size == 1:
+                    self.heads.add(data.rid)
+                self.push(self.now + self.max_wait_s, "flush", data)
+                enables = size == self.max_batch or self.max_wait_s == 0
+            elif kind == "flush":
+                enables = data.rid in self.heads
+            else:
+                for resp in data:
+                    self.responses.append(resp)
+                    for hook in self.on_complete:
+                        hook(self, resp)
+            if early_at is not None and (self.now != early_at
+                                         or kind == "arrive"):
+                self.collisions += 1
+                early_at = None
+            elif enables:
+                early_at = None
+            if self.dispatch(self.now) and not enables:
+                early_at = self.now
+        self.collisions += early_at is not None
+        return self.responses
+
+    def dispatch(self, now):
+        started = 0
+        while True:
+            idle = [m for m in self.machines if m.busy_until <= now + 1e-15]
+            key = idle and self.queue.next_ready(now, self.max_batch,
+                                                 self.max_wait_s)
+            if not key:
+                return started
+            requests, head = self.queue.take(key, self.max_batch)
+            if head is not None:
+                self.heads.add(head.rid)
+            m = self.policy.place(self, idle, requests, now)
+            svc = SERVICE[requests[0].app, m.index]
+            m.busy_until, m.busy_s = now + svc, m.busy_s + svc
+            self.push(now + svc, "complete", [
+                Response(r, (), None, "naive", self.batches, len(requests),
+                         now, now + svc, len(requests) > 1, machine=m.label)
+                for r in requests])
+            self.batches += 1
+            started += 1
+
+
+def table_server(machines="numa", max_batch=8, max_wait_s=0.02,
+                 policy="round-robin"):
+    """A ``ProgramServer`` over apps a/b/c whose executions are stubbed
+    out: every batch costs its ``SERVICE`` entry."""
+    server = ProgramServer(
+        [ServedApp(app, None, {}) for app in "abc"], make_machines(machines),
+        max_batch=max_batch, max_wait_s=max_wait_s, policy=policy,
+        backend="numpy")
+    capture = SimpleNamespace(results=(), stats=None, backend="numpy")
+    server._capture = lambda app, variant, payload: capture
+    server._price = lambda m, app, cap, payload: SERVICE[app, m.index]
+    return server
+
+
+def schedule(responses):
+    return [(r.request.rid, r.batch_id, r.batch_size, r.machine, r.start_s,
+             r.finish_s) for r in responses]
+
+
+class TestEventLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(closed=st.booleans(), seed=st.integers(0, 2 ** 16),
+           requests=st.integers(1, 70),
+           rate=st.floats(40.0, 6000.0), clients=st.integers(1, 12),
+           think_s=st.sampled_from([0.0, 0.0004, 0.03]),
+           max_batch=st.integers(1, 8),
+           max_wait_s=st.sampled_from([0.0, 0.001, 0.02, 1.0]),
+           machines=st.integers(1, 3), payloads=st.integers(1, 4),
+           policy=st.sampled_from(["round-robin", "least-loaded"]))
+    def test_same_schedule_as_the_naive_loop(
+            self, closed, seed, requests, rate, clients, think_s, max_batch,
+            max_wait_s, machines, payloads, policy):
+        def source():
+            if closed:
+                return ClosedLoop("abc", clients, requests, think_s=think_s,
+                                  seed=seed, payloads=payloads)
+            return OpenLoop("abc", rate, requests, seed=seed,
+                            payloads=payloads)
+        fleet = (f"numa*{machines}", max_batch, max_wait_s, policy)
+        naive = NaiveServer(*fleet)
+        expected = schedule(naive.run(source()))
+        assume(naive.collisions == 0)
+        server = table_server(*fleet)
+        assert schedule(server.run(source())) == expected
+        assert len(expected) == requests
+        # the flush invariant bounds the loop's work: a flush is
+        # scheduled when a group gets a head, which happens once per
+        # group and at most once per batch taken from it
+        events = server.events_by_kind
+        groups = {(r.request.app, r.request.payload.key)
+                  for r in server.responses}
+        assert events["arrive"] == requests
+        assert events["complete"] == server._bid == naive.batches
+        assert events["flush"] <= server._bid + len(groups)
+        assert set(events) == {"arrive", "flush", "complete"}
+
+    def test_collisions_are_rare(self):
+        """The comparison above discards a case in which the naive loop
+        saw a collision; that filter must not be hiding the comparison."""
+        runs = [NaiveServer("numa*2", 4, 0.02, "least-loaded")
+                for _ in range(60)]
+        for seed, naive in enumerate(runs):
+            naive.run(ClosedLoop("abc", 8, 60, seed=seed, payloads=2))
+        assert sum(naive.collisions > 0 for naive in runs) <= 6
+
+    def test_remainder_head_flushes_at_its_own_deadline(self):
+        server = table_server(max_batch=2, max_wait_s=0.5)
+        server._price = lambda m, app, cap, payload: 0.45
+        flushes, push = [], server._push
+
+        def spy(t, kind, data=None):
+            if kind == "flush":
+                flushes.append(t)
+            push(t, kind, data)
+        server._push = spy
+        for app, at in (("c", 0.0), ("c", 0.0),
+                        ("a", 0.1), ("a", 0.2), ("a", 0.3)):
+            server.submit(app, at=at)
+        server.run()
+        # the two c fill their group at 0.0 and hold the machine to 0.45,
+        # when the first two a leave and the third is left in front: its
+        # flush is due at ITS arrival + wait, not at the take + wait
+        assert flushes == [0.0 + 0.5, 0.1 + 0.5, 0.3 + 0.5]
+        assert [r.start_s for r in server.responses] == [
+            0.0, 0.0, 0.45, 0.45, 0.45 + 0.45]
+        assert server.events_by_kind == {"arrive": 5, "flush": 3,
+                                         "complete": 3}
+
+    def test_one_flush_per_head_not_per_arrival(self):
+        server = table_server(max_batch=8, max_wait_s=0.02)
+        server.run(OpenLoop("abc", 1500.0, 2000, seed=3))
+        events = server.events_by_kind
+        assert events["arrive"] == 2000
+        assert events["flush"] <= server._bid + 3 < 2000 / 2
+
+    def test_submit_in_the_past_is_refused(self):
+        server = table_server(max_wait_s=0.0)
+        server.submit("a", at=1.0)
+        server.submit("b", at=-5.0)       # before run: any time goes
+
+        def answer_in_the_past(srv, resp):
+            if resp.request.app == "a":
+                srv.submit("c", at=0.5)
+        server.on_complete.append(answer_in_the_past)
+        with pytest.raises(ValueError) as err:
+            server.run()
+        assert "0.5" in str(err.value) and repr(server.now) in str(err.value)
+
+    def test_closed_loop_never_submits_in_the_past(self):
+        # a fallback batch runs its requests back to back: all but the
+        # last finish before the batch's complete event fires the hooks
+        sim = ServeSim(["q1"], max_batch=4, max_wait_s=0.002,
+                       backend="reference")
+        report = sim.run_closed(clients=4, requests=12, seed=1)
+        assert report.requests == 12 and report.fallbacks
+        by_client = {}
+        for r in sorted(sim.last_server.responses,
+                        key=lambda r: r.request.rid):
+            prev = by_client.get(r.request.client)
+            assert prev is None or r.request.arrival_s >= prev.finish_s
+            by_client[r.request.client] = r
+
+
+class TestEventQueue:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.none(),                                 # a pop
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 7.0]),   # ties
+        st.floats(0.0, 10.0)), max_size=80))
+    def test_pops_in_heap_order(self, ops):
+        queue, heap, seq = EventQueue(), [], 0
+        for op in ops:
+            if op is None:
+                assert bool(queue) == bool(heap)
+                if heap:
+                    assert queue.pop() == heapq.heappop(heap)
+            else:
+                queue.push(op, "k", seq)
+                heapq.heappush(heap, (op, seq, "k", seq))
+                seq += 1
+        while heap:
+            assert queue.pop() == heapq.heappop(heap)
+        assert not queue
+
+    def test_sorted_pushes_bypass_the_heap_and_are_released(self):
+        queue = EventQueue()
+        rng = random.Random(5)
+        t = 0.0
+        for _ in range(1000):
+            t += rng.expovariate(100.0)
+            queue.push(t, "arrive")
+        assert not queue._heap and len(queue._stream) == 1000
+        queue.push(0.5, "flush")                   # out of order: heap
+        assert len(queue._heap) == 1
+        for _ in range(600):
+            queue.pop()
+        assert len(queue._stream) + len(queue._heap) == 401
+
+
+class TestDefaultPayload:
+    def test_digested_once_per_served_app(self, monkeypatch):
+        calls = count_digests(monkeypatch)
+        served = ServedApp.from_bundle("q1")
+        servers = [ProgramServer([served], backend="numpy") for _ in range(3)]
+        payloads = [srv.payload_for("q1") for srv in servers]
+        assert len(calls) == 1
+        assert all(p is payloads[0] for p in payloads)
+        assert servers[1].payload_for("q1", "t").key == f"{payloads[0].key}:t"
+        # a cold start still pays: the memo lives on the instance
+        ProgramServer([ServedApp.from_bundle("q1")]).payload_for("q1")
+        assert len(calls) == 2
+
+    def test_memo_is_not_a_field(self):
+        served = ServedApp.from_bundle("q1")
+        fresh = ServedApp.from_bundle("q1")
+        before = repr(served)
+        served.default_payload
+        assert served == fresh and repr(served) == before
+        assert [f.name for f in dataclasses.fields(served)] == [
+            "name", "factory", "default_inputs", "scale", "data_scale"]
+        other = dataclasses.replace(served, default_inputs={"x": [1.0]})
+        assert other.default_payload.key == payload_digest({"x": [1.0]})
+
+
+# ---------------------------------------------------------------------------
 # the serve-sim CLI
 # ---------------------------------------------------------------------------
 
@@ -640,6 +964,18 @@ class TestServeCLI:
                              "--clients", "2", "--json")
         assert code == 0
         assert json.loads(out)["requests"] == 4
+        assert "events" not in out
+
+    def test_table_says_what_the_loop_did(self):
+        code, out = self.run("serve-sim", "q1", "--requests", "40",
+                             "--rate", "2000", "--seed", "1")
+        assert code == 0
+        (line,) = [l for l in out.splitlines() if l.startswith("  events ")]
+        # 40 arrivals, then a complete and at most one flush per batch
+        # (+ 1 for the group's first head): never more than 3 per request
+        count, per_request = line.split()[1:3]
+        assert 40 < int(count) <= 121
+        assert per_request == f"({int(count) / 40:.2f}/request)"
 
     def test_observability_outputs(self, tmp_path):
         flame = tmp_path / "flame.txt"
