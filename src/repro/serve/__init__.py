@@ -4,7 +4,8 @@ Six cooperating pieces turn the compiled-program pipeline into a
 request-serving system over the simulated machine models:
 
 - **cache** — compiled programs keyed ``(app, DecisionLedger.digest())``
-  so repeat requests skip the pipeline entirely;
+  so repeat requests skip the pipeline entirely, and beside them the
+  capture store: one functional execution per (program, input content);
 - **batching** — an admission queue that coalesces pending invocations
   of the same cached program on the same payload into the lanes of one
   vectorized execution (max-batch / max-wait knobs), with recorded

@@ -85,16 +85,25 @@ def payload_digest(inputs: Dict[str, Any]) -> str:
 
 @dataclass(eq=False)
 class Payload:
-    """A request's inputs plus the grouping key derived from them."""
+    """A request's inputs and their two identities: ``digest`` says what
+    the inputs *are* (a functional execution depends on nothing else),
+    ``key`` says which requests may share a batch."""
 
     inputs: Dict[str, Any]
+    #: what ``AdmissionQueue`` groups by: the digest, plus a tenant's salt
     key: str
+    #: ``payload_digest(inputs)``; a payload built by hand from a key
+    #: alone has that key as its content identity
+    digest: str = ""
+
+    def __post_init__(self) -> None:
+        self.digest = self.digest or self.key
 
     def salted(self, salt: str) -> "Payload":
         """A *distinct logical* payload sharing this one's data (traffic
         simulation: many tenants, same measured dataset) — salted
-        payloads never lane-pack together."""
-        return Payload(self.inputs, f"{self.key}:{salt}")
+        payloads never lane-pack together, and share one execution."""
+        return Payload(self.inputs, f"{self.key}:{salt}", self.digest)
 
 
 def make_payload(inputs: Dict[str, Any],
@@ -160,9 +169,9 @@ class ServeFallback:
     """Recorded (never silent) drop to per-request reference execution —
     the serving-layer mirror of the backend's ``FallbackRecord``. One
     record per batch served that way; a capture whose execution raised
-    adds one more, with ``requests == 0``, when the failure is first met
-    (placement meets it before any batch does); ``ServeReport.fallbacks``
-    counts the batches only."""
+    adds one more, with ``requests == 0``, on the server that performed
+    it (placement meets the failure before any batch does);
+    ``ServeReport.fallbacks`` counts the batches only."""
 
     app: str
     reason: str

@@ -9,17 +9,26 @@ that made identical decisions share an entry, and a request pinned to a
 digest (``lookup``) can only ever be served by the exact plan it was
 admitted against — a digest drift surfaces as a cache miss, never as a
 silently different program.
+
+Beside the compiles sits what was executed from them: the capture store,
+one functional execution per (compiled program, input content). What a
+program computes is a function of its data alone — not of the tenant that
+sent it, nor of the server or machine that will price it — so the store
+is keyed by ``Payload.digest`` and lives exactly as long as the compile
+it ran (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..core.ir import Program
 from ..obs.provenance import DecisionLedger, ledger_scope
 from ..pipeline import CompiledProgram, compile_program
+from ..runtime.executor import RunCapture
+from .batching import Payload
 
 #: variant name -> (compile target, extra compile_program kwargs); the
 #: same three variants the benchmark bundles build
@@ -63,6 +72,15 @@ class ProgramCache:
         self._by_digest: Dict[Tuple[str, str], CompiledEntry] = {}
         self.hits = 0
         self.misses = 0
+        #: (app, variant, payload digest, backend) -> the capture, or the
+        #: reason its execution raised
+        self._captures: Dict[Tuple[str, str, str, str],
+                             Union[RunCapture, str]] = {}
+        #: functional executions performed / answered from the store: what
+        #: the runs on this cache cost the host (plain attributes, in no
+        #: report and not in ``stats()``)
+        self.captures_run = 0
+        self.captures_reused = 0
 
     def get(self, app: str, variant: str = "opt") -> CompiledEntry:
         key = (app, variant)
@@ -95,22 +113,48 @@ class ProgramCache:
             self.metrics.observe("serve.cache.compile_s", compile_s, app=app)
         return entry
 
+    def capture(self, app: str, variant: str, payload: Payload, backend: str,
+                execute: Callable[[CompiledProgram], RunCapture]
+                ) -> RunCapture:
+        """The one functional execution of ``(app, variant)`` on
+        ``payload``'s content by ``backend``. ``execute`` runs at most
+        once per store key, for whichever caller asks first; when it
+        raises, the reason is kept in the capture's place and every
+        caller, the first included, gets a ``RuntimeError`` carrying it."""
+        key = (app, variant, payload.digest, backend)
+        held = self._captures.get(key)
+        if held is None:
+            compiled = self.get(app, variant).compiled
+            self.captures_run += 1
+            try:
+                held = execute(compiled)
+            except Exception as exc:
+                self._captures[key] = str(exc)
+                raise RuntimeError(str(exc)) from exc
+            self._captures[key] = held
+            return held
+        self.captures_reused += 1
+        if isinstance(held, str):
+            raise RuntimeError(held)
+        return held
+
     def invalidate(self, app: Optional[str] = None) -> int:
         """Drop cached compiles for ``app`` (or every app when ``None``
-        / ``"*"``) and return how many entries were evicted. The next
-        ``get`` recompiles and counts a miss — this is the hook the
-        fault plan's ``cache`` events use."""
+        / ``"*"``), and with them every capture and recorded failure
+        executed from them; return how many compiles were evicted. The
+        next ``get`` recompiles and counts a miss, the next ``capture``
+        executes again — this is the hook the fault plan's ``cache``
+        events use."""
+        memos = (self._entries, self._by_digest, self._captures)
+        evicted = len(self._entries)
         if app in (None, "*"):
-            n = len(self._entries)
-            self._entries.clear()
-            self._by_digest.clear()
-            return n
-        victims = [k for k in self._entries if k[0] == app]
-        for k in victims:
-            del self._entries[k]
-        for k in [k for k in self._by_digest if k[0] == app]:
-            del self._by_digest[k]
-        return len(victims)
+            for memo in memos:
+                memo.clear()
+            return evicted
+        for memo in memos:
+            for k in [k for k in memo if k[0] == app]:
+                del memo[k]
+        return evicted - len(self._entries)
 
     def lookup(self, app: str, digest: str) -> Optional[CompiledEntry]:
         """Digest-pinned lookup: only an identical compile satisfies it."""

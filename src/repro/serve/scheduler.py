@@ -42,6 +42,7 @@ from ..backend import resolve_backend
 from ..core.ir import Program
 from ..obs.provenance import APPLIED, DecisionKind, DecisionLedger
 from ..obs.spans import RequestContext, RequestTimeline
+from ..pipeline import CompiledProgram
 from ..runtime.executor import (ExecOptions, RunCapture, SimResult,
                                 Simulator, capture_run)
 from ..runtime.machine import (DMLL_CPP, ClusterSpec, MACHINE_MODELS,
@@ -306,14 +307,12 @@ class ProgramServer:
         if resilience is not None and resilience.breaker is not None:
             self._breakers = {m.index: CircuitBreaker(resilience.breaker)
                               for m in self.machines}
-        # host-side memos: one functional execution per distinct
-        # (app, variant, payload, backend); one pricing per machine model
-        self._captures: Dict[Tuple[str, str, str, str], RunCapture] = {}
-        #: capture keys whose execution raised, with the reason
-        self._capture_failures: Dict[Tuple[str, str, str, str], str] = {}
+        # host-side memo: one pricing per (machine model, app, variant,
+        # payload, backend) — a price depends on this server's machines
+        # and tracer; the execution it prices is ``cache.capture``'s
         self._service: Dict[Tuple[str, str, str, str, str], float] = {}
-        #: pricing detail kept alongside ``_service`` for span grafting
-        #: (tracing only; empty on plain runs)
+        #: pricing detail kept alongside ``_service``, under the same keys,
+        #: for span grafting (tracing only; empty on plain runs)
         self._sims: Dict[Tuple[str, str, str, str, str], SimResult] = {}
         self._payloads: Dict[Tuple[str, str], Payload] = {}
 
@@ -530,15 +529,14 @@ class ProgramServer:
 
     def _on_cache_fault(self, target: str, t: float) -> None:
         """Scripted compile-cache invalidation: evict the cache entries
-        and the server's host-side memos so the next request recompiles
-        (surfacing as cache misses)."""
+        (and with them their captures) and the prices computed from them,
+        so the next request recompiles (surfacing as cache misses),
+        re-executes and is priced again."""
         self._count("cache-invalidations")
         self.cache.invalidate(None if target == "*" else target)
-        for memo, pos in ((self._captures, 0), (self._capture_failures, 0),
-                          (self._service, 1), (self._sims, 1)):
-            for k in [k for k in memo
-                      if target == "*" or k[pos] == target]:
-                del memo[k]
+        for k in [k for k in self._service if target in ("*", k[1])]:
+            del self._service[k]
+            self._sims.pop(k, None)
 
     def _on_complete_event(self, data: Tuple[Any, ...], t: float) -> None:
         machine, bid, responses = data
@@ -811,27 +809,28 @@ class ProgramServer:
 
     def _capture(self, app: str, variant: str,
                  payload: Payload) -> RunCapture:
-        ckey = (app, variant, payload.key, self.backend)
-        cap = self._captures.get(ckey)
-        if cap is None:
-            failed = self._capture_failures.get(ckey)
-            if failed is not None:
-                raise RuntimeError(failed)
-            entry = self.cache.get(app, variant)
+        return self._captured(app, variant, payload, self.backend)
+
+    def _reference_capture(self, app: str, variant: str,
+                           payload: Payload) -> RunCapture:
+        return self._captured(app, variant, payload, "reference")
+
+    def _captured(self, app: str, variant: str, payload: Payload,
+                  backend: str) -> RunCapture:
+        """Ask the cache's capture store for ``backend``'s execution of
+        ``payload``. ``execute`` runs only if this server is the first to
+        need it, so the server that performs an execution is the one that
+        records its failure — wherever placement or dispatch met it — and
+        observes its host time; every caller of a failed one gets a
+        ``RuntimeError`` carrying the reason."""
+        def execute(compiled: CompiledProgram) -> RunCapture:
             try:
-                cap = capture_run(entry.compiled, payload.inputs,
-                                  backend=self.backend,
+                cap = capture_run(compiled, payload.inputs, backend=backend,
                                   profile_host=self.metrics is not None)
             except Exception as exc:
-                # an execution that raises is attempted once per key: the
-                # failure is recorded here, at whichever of placement or
-                # dispatch met it first, and every caller, this one
-                # included, gets a RuntimeError carrying the reason
-                failed = self._capture_failures[ckey] = str(exc)
                 self.fallbacks.append(ServeFallback(
-                    app, f"{self.backend} execution failed: {failed}", 0))
-                raise RuntimeError(failed) from exc
-            self._captures[ckey] = cap
+                    app, f"{backend} execution failed: {exc}", 0))
+                raise
             if self.metrics is not None:
                 # host wall-clock of the one real execution behind this
                 # capture — calibration data for the cost model, kept in
@@ -839,7 +838,9 @@ class ProgramServer:
                 for lname, secs in sorted(cap.host_loop_s.items()):
                     self.metrics.observe("serve.capture_host_s", secs,
                                          app=app, loop=lname)
-        return cap
+            return cap
+
+        return self.cache.capture(app, variant, payload, backend, execute)
 
     def _price(self, machine: MachineInstance, app: str,
                cap: RunCapture, payload: Payload) -> float:
@@ -871,17 +872,6 @@ class ProgramServer:
         except Exception:
             cap = self._reference_capture(app, machine.variant, payload)
         return self._price(machine, app, cap, payload)
-
-    def _reference_capture(self, app: str, variant: str,
-                           payload: Payload) -> RunCapture:
-        ckey = (app, variant, payload.key, "reference")
-        cap = self._captures.get(ckey)
-        if cap is None:
-            entry = self.cache.get(app, variant)
-            cap = capture_run(entry.compiled, payload.inputs,
-                              backend="reference")
-            self._captures[ckey] = cap
-        return cap
 
     def _degrade_check(self, app: str, now: float) -> None:
         """Repeated kernel faults permanently route the app to the

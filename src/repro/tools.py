@@ -461,11 +461,14 @@ def serve_main(argv=None) -> int:
     else:
         print(report.render())
         # host cost of the run, not part of the report: what the event
-        # loop popped, per submitted request
+        # loop popped, per submitted request, and how many functional
+        # executions the capture store performed and answered
         events = sum(sim.last_server.events_by_kind.values())
         shown = f"{events / 1e3:.1f}k" if events >= 1000 else str(events)
         print(f"  events {shown} "
               f"({events / (report.requests + report.rejected):.2f}/request)")
+        print(f"  executions {sim.cache.captures_run} run / "
+              f"{sim.cache.captures_reused} reused")
         for fb in sim.last_server.fallbacks:
             print(f"  fallback {fb.app} x{fb.requests}: {fb.reason}")
         if slo_report is not None:

@@ -61,6 +61,22 @@ def count_digests(monkeypatch):
     return calls
 
 
+def count_captures(monkeypatch, fail_numpy=False):
+    """Patch the one ``capture_run`` call in ``serve/`` to log
+    ``(backend, inputs)`` per call (and, with ``fail_numpy``, to raise on
+    the numpy backend); returns the log."""
+    calls = []
+    real = scheduler.capture_run
+
+    def counting(compiled, inputs, backend=None, **kwargs):
+        calls.append((backend, inputs))
+        if fail_numpy and backend == "numpy":
+            raise RuntimeError("lane explosion")
+        return real(compiled, inputs, backend=backend, **kwargs)
+    monkeypatch.setattr(scheduler, "capture_run", counting)
+    return calls
+
+
 def serve_batch(app, n, max_batch=None, **kwargs):
     served = ServedApp.from_bundle(app)
     kwargs.setdefault("max_wait_s", 0.05)
@@ -300,34 +316,33 @@ class TestFallback:
 
     def test_raising_capture_is_attempted_once_per_key(self, monkeypatch):
         # placement (predict_service) and dispatch (_execute_batch) both
-        # want the capture; a payload whose execution raises must not be
-        # re-executed by either, for any batch
-        attempts = []
-        real = scheduler.capture_run
-
-        def flaky(compiled, inputs, backend=None, **kwargs):
-            if backend == "numpy":
-                attempts.append(backend)
-                raise RuntimeError("lane explosion")
-            return real(compiled, inputs, backend=backend, **kwargs)
-
-        monkeypatch.setattr(scheduler, "capture_run", flaky)
-        server = ProgramServer([ServedApp.from_bundle("q1")],
+        # want the capture; content whose execution raises must not be
+        # re-executed by either, for any batch or any tenant sending it
+        calls = count_captures(monkeypatch, fail_numpy=True)
+        served = ServedApp.from_bundle("q1")
+        server = ProgramServer([served],
                                machines=make_machines("numa*2"),
                                policy="fastest", max_batch=2,
                                max_wait_s=0.0, backend="numpy")
+        rows = served.default_inputs["lineitems"]
+        other = make_payload({"lineitems": rows[:-1]})
         for i in range(6):
             server.submit("q1", server.payload_for("q1", f"t{i % 2}"),
                           at=0.01 * i)
+        server.submit("q1", other, at=0.07)
         responses = server.run()
-        assert len(responses) == 6 and not server.rejected
+        assert len(responses) == 7 and not server.rejected
         assert all(r.backend == "reference" for r in responses)
         assert all("lane explosion" in r.fallback_reason for r in responses)
-        assert len(attempts) == 2          # one per payload key
+        # one per content: the two tenants share their dataset's attempt,
+        # the payload with other bytes gets its own
+        attempts = [len(inputs["lineitems"]) for backend, inputs in calls
+                    if backend == "numpy"]
+        assert attempts == [len(rows), len(rows) - 1]
         first = [f for f in server.fallbacks if f.requests == 0]
         assert len(first) == 2 and server.fallbacks[0] is first[0]
         assert all("lane explosion" in f.reason for f in server.fallbacks)
-        assert sum(f.requests for f in server.fallbacks) == 6
+        assert sum(f.requests for f in server.fallbacks) == 7
         # the report counts batches served on the reference path, not the
         # two capture-failure records
         report = ServeSim.report("open", server, responses)
@@ -382,6 +397,134 @@ class TestProgramCache:
             cache.get("nosuchapp")
         with pytest.raises(KeyError):
             cache.get("q1", "nosuchvariant")
+
+
+# ---------------------------------------------------------------------------
+# the capture store: one execution per (compiled program, content)
+# ---------------------------------------------------------------------------
+
+def same_shape_inputs(app, rows, cols, seed):
+    from repro.data.datasets import gaussian_clusters, logistic_data
+    if app == "kmeans":
+        matrix, _ = gaussian_clusters(rows, cols, k=3, seed=seed)
+        return {"matrix": matrix, "clusters": matrix[:3]}
+    x, y = logistic_data(rows, cols, seed=seed)
+    return {"x": x, "y": y, "theta": [0.0] * cols, "alpha": 0.1}
+
+
+class TestCaptureStore:
+    def test_tenants_share_the_capture_but_never_a_batch(self):
+        server = ProgramServer([ServedApp.from_bundle("q1")], max_batch=4,
+                               max_wait_s=0.001, backend="numpy")
+        for i in range(8):
+            server.submit("q1", server.payload_for("q1", f"t{i % 4}"), at=0.0)
+        responses = server.run()
+        assert len({id(r.results) for r in responses}) == 1
+        assert responses[0].stats is responses[-1].stats
+        by_batch = {}
+        for r in responses:
+            by_batch.setdefault(r.batch_id, set()).add(r.request.payload.key)
+        assert len(by_batch) == 4
+        assert all(len(keys) == 1 for keys in by_batch.values())
+        assert (server.cache.captures_run,
+                server.cache.captures_reused) == (1, 3)
+
+    @settings(max_examples=10, deadline=None)
+    @given(app=st.sampled_from(["kmeans", "logreg"]),
+           rows=st.integers(6, 24), cols=st.integers(2, 5),
+           seeds=st.lists(st.integers(0, 999), min_size=2, max_size=2,
+                          unique=True))
+    def test_same_shape_other_values_is_another_execution(
+            self, app, rows, cols, seeds):
+        # what a memo keyed by shape would get wrong: every response
+        # carries the execution of its *own* bytes
+        from repro.runtime.executor import capture_run
+        served = ServedApp.from_bundle(app)
+        server = ProgramServer([served], max_wait_s=0.0, backend="numpy")
+        payloads = [make_payload(same_shape_inputs(app, rows, cols, seed))
+                    for seed in seeds]
+        assert payloads[0].digest != payloads[1].digest
+        for i, payload in enumerate(payloads * 2):
+            server.submit(app, payload, at=float(i))
+        responses = server.run()
+        assert server.cache.captures_run == 2
+        assert responses[0].results is responses[2].results
+        assert responses[0].results is not responses[1].results
+        compiled = server.cache.get(app).compiled
+        for r in responses:
+            own = capture_run(compiled, r.request.payload.inputs,
+                              backend="numpy")
+            assert deep_eq(own.results, r.results, tol=0.0)
+            assert_stats_equal(own.stats, r.stats)
+
+    def test_captures_live_as_long_as_the_cache(self, monkeypatch):
+        calls = count_captures(monkeypatch)
+        sim = ServeSim(["q1"], backend="numpy")
+        first = sim.run_open(500, 20, seed=0)
+        assert len(calls) == 1
+        again = sim.run_open(500, 20, seed=0)
+        assert len(calls) == 1          # a new server, the same cache
+        assert first.latencies_s == again.latencies_s
+        ServeSim(["q1"], backend="numpy").run_open(500, 20, seed=0)
+        assert len(calls) == 2          # a cold start pays again
+
+    def test_fleet_executes_each_program_once_per_content(self, monkeypatch):
+        calls = count_captures(monkeypatch)
+        sim = ServeSim(DIFF_APPS, machines="numa*2,gpunode", policy="fastest",
+                       backend="numpy", payloads=8)
+        report = sim.run_open(600, 200, seed=0)
+        assert report.requests == 200
+        # 3 apps x {opt, gpu}: not one per tenant, nor per machine
+        assert len(calls) == sim.cache.captures_run == 6
+        assert sim.cache.captures_reused > 200
+        assert sorted(sim.cache.stats()) == ["entries", "hits", "misses"]
+
+    def test_cache_fault_drops_that_apps_captures_only(self, monkeypatch):
+        from repro.serve import FaultPlan, FaultSpec
+        calls = count_captures(monkeypatch)
+        priced = []
+
+        class RecordingSimulator(scheduler.Simulator):
+            def price(self, cap, *args, **kwargs):
+                priced.append(cap)
+                return super().price(cap, *args, **kwargs)
+        monkeypatch.setattr(scheduler, "Simulator", RecordingSimulator)
+        apps = [ServedApp.from_bundle(a) for a in ("q1", "kmeans")]
+        server = ProgramServer(
+            apps, max_wait_s=0.0, backend="numpy",
+            faults=FaultPlan((FaultSpec("cache", "q1", t0_s=50.0),)))
+        for at in (0.0, 100.0):
+            for app in ("q1", "kmeans"):
+                server.submit(app, at=at)
+        before_q1, before_km, after_q1, after_km = sorted(
+            server.run(), key=lambda r: r.request.rid)
+        executed = [inputs for _, inputs in calls]
+        assert executed == [apps[0].default_inputs, apps[1].default_inputs,
+                            apps[0].default_inputs]
+        assert after_km.results is before_km.results
+        assert after_q1.results is not before_q1.results
+        assert deep_eq(after_q1.results, before_q1.results, tol=0.0)
+        # the batch after the fault is priced again, from the new run
+        assert [cap.results is after_q1.results for cap in priced] == \
+            [False, False, True]
+        assert server.cache.stats()["misses"] == 3
+
+    def test_servers_sharing_a_cache_share_a_failure(self, monkeypatch):
+        calls = count_captures(monkeypatch, fail_numpy=True)
+        sim = ServeSim(["q1"], backend="numpy")
+        reports, servers = [], []
+        for _ in range(2):
+            reports.append(sim.run_open(500, 6, seed=0))
+            servers.append(sim.last_server)
+        assert [backend for backend, _ in calls] == ["numpy", "reference"]
+        reasons = {r.fallback_reason for s in servers for r in s.responses}
+        assert reasons == {"numpy execution failed: lane explosion"}
+        # the server that performed the execution records its failure
+        assert [sum(1 for f in s.fallbacks if f.requests == 0)
+                for s in servers] == [1, 0]
+        docs = [{k: v for k, v in r.to_json().items() if k != "cache"}
+                for r in reports]
+        assert docs[0] == docs[1] and reports[0].fallbacks > 0
 
 
 # ---------------------------------------------------------------------------
@@ -976,6 +1119,19 @@ class TestServeCLI:
         count, per_request = line.split()[1:3]
         assert 40 < int(count) <= 121
         assert per_request == f"({int(count) / 40:.2f}/request)"
+
+    def test_table_says_how_many_executions(self):
+        argv = ("serve-sim", "q1", "kmeans", "--requests", "30", "--rate",
+                "2000", "--payloads", "4", "--machines", "numa*2",
+                "--policy", "fastest")
+        code, out = self.run(*argv)
+        assert code == 0
+        (line,) = [l for l in out.splitlines()
+                   if l.startswith("  executions ")]
+        run, reused = line.split()[1], line.split()[4]
+        assert run == "2" and int(reused) > 2      # per app, not per tenant
+        code, out = self.run(*argv, "--json")
+        assert code == 0 and "executions" not in out
 
     def test_observability_outputs(self, tmp_path):
         flame = tmp_path / "flame.txt"
