@@ -30,7 +30,8 @@ from .diagnostics import DiagCategory, Diagnostic, Severity
 from .metrics import MetricsObserver, MetricsRegistry
 from .provenance import (Decision, DecisionKind, DecisionLedger,
                          diff_ledgers, emit, ledger_scope)
-from .spans import RequestContext, RequestTimeline, Span, Tracer
+from .spans import (RequestContext, RequestTimeline, Span, Tracer,
+                    span_rows)
 from .export import (chrome_trace_events, flow_events, profile_report,
                      render_spans, write_chrome_trace)
 from .profile import (collapse_stacks, prometheus_text, render_collapsed,
@@ -48,7 +49,7 @@ __all__ = [
     "MetricsObserver", "MetricsRegistry",
     "Decision", "DecisionKind", "DecisionLedger",
     "diff_ledgers", "emit", "ledger_scope",
-    "RequestContext", "RequestTimeline", "Span", "Tracer",
+    "RequestContext", "RequestTimeline", "Span", "Tracer", "span_rows",
     "chrome_trace_events", "flow_events", "profile_report", "render_spans",
     "write_chrome_trace",
     "collapse_stacks", "prometheus_text", "render_collapsed",

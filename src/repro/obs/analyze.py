@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..report.tables import render_table
 from .history import RunRecord
 from .provenance import strip_ids
-from .spans import RequestTimeline, Span
+from .spans import RequestTimeline, Span, span_rows
 
 # ---------------------------------------------------------------------------
 # Exact per-request latency decomposition
@@ -189,14 +189,13 @@ def loop_rows_from_span(root: Span) -> List[Dict[str, Any]]:
     """Breakdown rows recovered from a run's span tree (loop spans carry
     the full pricing record in their attrs)."""
     rows = []
-    for sp, _ in root.walk():
-        if sp.kind != "loop":
+    for _depth, name, kind, _start, dur_s, a in span_rows(root):
+        if kind != "loop":
             continue
-        a = sp.attrs
-        rows.append({"loop": sp.name, "key": strip_ids(sp.name),
+        rows.append({"loop": name, "key": strip_ids(name),
                      "op": str(a.get("op", "?")),
                      "workers": int(a.get("workers", 0)),
-                     "time_s": sp.dur_s,
+                     "time_s": dur_s,
                      "compute_s": float(a.get("compute_s", 0.0)),
                      "memory_s": float(a.get("memory_s", 0.0)),
                      "comm_s": float(a.get("comm_s", 0.0)),

@@ -16,10 +16,11 @@ simulated machine, plus metadata events naming the tracks.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Union
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Set, Tuple,
+                    Union)
 
 from ..report.tables import render_table
-from .spans import Span, Tracer
+from .spans import Row, Span, Tracer, span_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..runtime.executor import SimResult
@@ -52,11 +53,10 @@ def profile_report(sim: "SimResult", title: str = "") -> str:
 
 def render_spans(root: Span) -> str:
     """Indented one-line-per-span view of a span tree (debug aid)."""
-    lines = []
-    for sp, depth in root.walk():
-        lines.append(f"{'  ' * depth}{sp.kind}:{sp.name} "
-                     f"@{sp.start_s * 1e3:.3f}ms +{sp.dur_s * 1e3:.3f}ms")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{'  ' * depth}{kind}:{name} "
+        f"@{start_s * 1e3:.3f}ms +{dur_s * 1e3:.3f}ms"
+        for depth, name, kind, start_s, dur_s, _ in span_rows(root))
 
 
 # ---------------------------------------------------------------------------
@@ -91,126 +91,112 @@ _REQUEST_KINDS = ("request", "queue", "exec")
 _ATTEMPT_PID = 3
 
 
-def _tid_of(sp: Span) -> int:
-    """Track assignment: the run/loop timeline is tid 0; each simulated
-    machine gets its own tid so its chunks nest under its loop row in the
-    viewer."""
-    m = sp.attrs.get("machine")
-    return 0 if m is None else int(m) + 1
+def _flatten(rows: Iterable[Row]) -> Tuple[List[dict], List[dict], List[dict]]:
+    """(metadata, complete, flow) events out of one pass over span rows,
+    which hands each row's ``attrs`` over as the event's ``args``.
 
+    Track assignment: requests and attempts get one track per rid in
+    their own process; everything else is process 1, where the run/loop
+    timeline is tid 0 and each simulated machine gets its own tid so its
+    chunks nest under its loop row in the viewer.
 
-def _pid_tid_of(sp: Span) -> tuple:
-    if sp.kind in _REQUEST_KINDS:
-        return _REQUEST_PID, int(sp.attrs.get("rid", 0))
-    if sp.kind == "attempt":
-        return _ATTEMPT_PID, int(sp.attrs.get("rid", 0))
-    return 1, _tid_of(sp)
+    Flow arrows: every ``request`` row carrying a ``batch_id``
+    contributes one flow, a start ("s") on the request's own track at
+    its dispatch time and a finish ("f", binding to the enclosing slice)
+    on the matching ``batch`` row's machine track at the batch's start —
+    N requests served by one execution render as N arrows converging on
+    one slice. The flow id is the request's deterministic
+    ``RequestContext.flow_id``, so traces diff byte-for-byte across
+    same-seed runs."""
+    events: List[dict] = []
+    #: the total order over complete events — track, then time, then
+    #: longest slice first (so parents precede children at equal ts),
+    #: then kind and name — with each event's position behind it: sorting
+    #: these is a stable sort of the events, byte-identical no matter
+    #: what order spans were completed in, and all but free where the
+    #: rows already come in track order
+    keys: List[tuple] = []
+    tids = {0}
+    req_tids: Dict[int, str] = {}
+    attempt_tids: Set[int] = set()
+    batches: Dict[Any, Tuple[int, float]] = {}  # batch_id → (tid, ts)
+    #: (rid, flow id, dispatch second, batch_id) per request
+    arrows: List[Tuple[int, int, float, Any]] = []
+    for _depth, name, kind, start_s, dur_s, args in rows:
+        ts = round(start_s * _US, 3)
+        dur = round(dur_s * _US, 3)
+        if kind in _REQUEST_KINDS:
+            pid, tid = _REQUEST_PID, int(args.get("rid", 0))
+            if kind == "request":
+                req_tids[tid] = name
+                if "batch_id" in args:
+                    arrows.append((tid, int(args.get("flow_id", tid)),
+                                   float(args.get("dispatch_s", start_s)),
+                                   args["batch_id"]))
+        elif kind == "attempt":
+            pid, tid = _ATTEMPT_PID, int(args.get("rid", 0))
+            attempt_tids.add(tid)
+        else:
+            m = args.get("machine")
+            pid, tid = 1, 0 if m is None else int(m) + 1
+            tids.add(tid)
+            if kind == "batch" and "batch_id" in args:
+                batches[args["batch_id"]] = (tid, ts)
+        keys.append((pid, tid, ts, -dur, kind, name, len(events)))
+        events.append({"name": name, "cat": kind, "ph": "X", "pid": pid,
+                       "tid": tid, "ts": ts, "dur": dur, "args": args})
+    keys.sort()
+    events = [events[k[-1]] for k in keys]
+
+    def track_names(pid: int, process: str,
+                    names: List[Tuple[int, str]]) -> List[dict]:
+        return [{"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                 "args": {"name": process}}] + [
+                {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+                 "args": {"name": name}} for tid, name in names]
+
+    meta = track_names(1, "dmll simulated run", [
+        (tid, "timeline" if tid == 0 else f"machine {tid - 1}")
+        for tid in sorted(tids)])
+    if req_tids:
+        meta += track_names(_REQUEST_PID, "requests",
+                            sorted(req_tids.items()))
+    if attempt_tids:
+        meta += track_names(_ATTEMPT_PID, "attempts", [
+            (tid, f"r{tid} attempts") for tid in sorted(attempt_tids)])
+
+    flows: List[dict] = []
+    arrows.sort(key=lambda a: a[0])
+    for rid, fid, dispatch_s, batch_id in arrows:
+        batch = batches.get(batch_id)
+        if batch is None:
+            continue
+        flows.append({"name": "req", "cat": "flow", "ph": "s", "id": fid,
+                      "pid": _REQUEST_PID, "tid": rid,
+                      "ts": round(dispatch_s * _US, 3)})
+        flows.append({"name": "req", "cat": "flow", "ph": "f", "bp": "e",
+                      "id": fid, "pid": 1, "tid": batch[0], "ts": batch[1]})
+    return meta, events, flows
 
 
 def flow_events(roots: Iterable[Span]) -> List[dict]:
     """Chrome-trace flow arrows from request spans into the lane-packed
-    execution spans that served them.
-
-    Every ``request``-kind span carrying a ``batch_id`` contributes one
-    flow: a start ("s") on the request's own track at its dispatch
-    time, and a finish ("f", binding to the enclosing slice) on the
-    matching ``batch`` span's machine track at the batch's start — N
-    requests served by one execution render as N arrows converging on
-    one slice. The flow id is the request's deterministic
-    ``RequestContext.flow_id``, so traces diff byte-for-byte across
-    same-seed runs.
-    """
-    batches: dict = {}
-    requests: List[Span] = []
-    for root in roots:
-        for sp, _depth in root.walk():
-            if sp.kind == "batch" and "batch_id" in sp.attrs:
-                batches[sp.attrs["batch_id"]] = sp
-            elif sp.kind == "request" and "batch_id" in sp.attrs:
-                requests.append(sp)
-    events: List[dict] = []
-    for sp in sorted(requests, key=lambda s: int(s.attrs.get("rid", 0))):
-        batch = batches.get(sp.attrs["batch_id"])
-        if batch is None:
-            continue
-        fid = int(sp.attrs.get("flow_id", sp.attrs.get("rid", 0)))
-        src_ts = float(sp.attrs.get("dispatch_s", sp.start_s))
-        events.append({
-            "name": "req", "cat": "flow", "ph": "s", "id": fid,
-            "pid": _REQUEST_PID, "tid": int(sp.attrs.get("rid", 0)),
-            "ts": round(src_ts * _US, 3),
-        })
-        events.append({
-            "name": "req", "cat": "flow", "ph": "f", "bp": "e", "id": fid,
-            "pid": 1, "tid": _tid_of(batch),
-            "ts": round(batch.start_s * _US, 3),
-        })
-    return events
-
-
-def _event_sort_key(e: dict) -> tuple:
-    """Total order over complete events: track, then time, then longest
-    slice first (so parents precede children at equal ts), then name.
-    Sorting on it makes the trace byte-identical no matter what order
-    spans were completed or dict iteration yielded them in."""
-    return (e["pid"], e["tid"], e["ts"], -e["dur"], e["cat"], e["name"])
+    execution spans that served them (see :func:`_flatten`)."""
+    return _flatten(row for root in roots for row in span_rows(root))[2]
 
 
 def chrome_trace_events(source: Union[Tracer, Span]) -> List[dict]:
     """Flatten span tree(s) into Chrome trace events (``ph: "X"``),
-    plus request↔batch flow arrows when request spans are present.
+    plus request↔batch flow arrows when request spans are present —
+    events, track names and arrows out of one pass over the rows.
 
     Output order is deterministic: metadata events first (sorted
-    tracks), complete events sorted by :func:`_event_sort_key`, then
-    flow arrows sorted by rid — two traces of the same run serialize
-    byte-identically regardless of completion or insertion order."""
-    roots: List[Span]
-    roots = source.runs if isinstance(source, Tracer) else [source]
-    events: List[dict] = []
-    tids = {0}
-    req_tids: dict = {}
-    attempt_tids: set = set()
-    for root in roots:
-        for sp, _depth in root.walk():
-            pid, tid = _pid_tid_of(sp)
-            if pid == 1:
-                tids.add(tid)
-            elif sp.kind == "request":
-                req_tids[tid] = sp.name
-            elif pid == _ATTEMPT_PID:
-                attempt_tids.add(tid)
-            events.append({
-                "name": sp.name,
-                "cat": sp.kind,
-                "ph": "X",
-                "pid": pid,
-                "tid": tid,
-                "ts": round(sp.start_s * _US, 3),
-                "dur": round(sp.dur_s * _US, 3),
-                "args": _clean_args(sp.attrs),
-            })
-    events.sort(key=_event_sort_key)
-    meta = [{"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-             "args": {"name": "dmll simulated run"}}]
-    for tid in sorted(tids):
-        label = "timeline" if tid == 0 else f"machine {tid - 1}"
-        meta.append({"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-                     "args": {"name": label}})
-    if req_tids:
-        meta.append({"name": "process_name", "ph": "M", "pid": _REQUEST_PID,
-                     "tid": 0, "args": {"name": "requests"}})
-        for tid in sorted(req_tids):
-            meta.append({"name": "thread_name", "ph": "M",
-                         "pid": _REQUEST_PID, "tid": tid,
-                         "args": {"name": req_tids[tid]}})
-    if attempt_tids:
-        meta.append({"name": "process_name", "ph": "M", "pid": _ATTEMPT_PID,
-                     "tid": 0, "args": {"name": "attempts"}})
-        for tid in sorted(attempt_tids):
-            meta.append({"name": "thread_name", "ph": "M",
-                         "pid": _ATTEMPT_PID, "tid": tid,
-                         "args": {"name": f"r{tid} attempts"}})
-    return meta + events + flow_events(roots)
+    tracks), complete events by (track, time, longest first, kind,
+    name), then flow arrows sorted by rid — two traces of the same run
+    serialize byte-identically regardless of completion or insertion
+    order."""
+    meta, events, flows = _flatten(span_rows(source, _clean_args))
+    return meta + events + flows
 
 
 def write_chrome_trace(path: str, source: Union[Tracer, Span]) -> None:

@@ -23,6 +23,9 @@ from ..core.interp import Def, LoopObserver
 def _series(name: str, labels: Dict[str, Any]) -> str:
     if not labels:
         return name
+    if len(labels) == 1:  # what a hot path passes: nothing to sort or join
+        (k, v), = labels.items()
+        return f"{name}{{{k}={v}}}"
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
 

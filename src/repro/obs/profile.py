@@ -23,10 +23,10 @@ Two converters off the existing observability data, both pure:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .metrics import MetricsRegistry
-from .spans import Span, Tracer
+from .spans import Span, Tracer, span_rows
 
 _US = 1e6
 
@@ -35,29 +35,29 @@ _US = 1e6
 # collapsed-stack flamegraphs
 # ---------------------------------------------------------------------------
 
-def _frame(sp: Span) -> str:
-    # ";" separates stack frames in the collapsed format; a name that
-    # contains one would silently split into two frames
-    return sp.name.replace(";", ",")
-
-
-def _collapse(sp: Span, prefix: str, out: Dict[str, int]) -> None:
-    stack = f"{prefix};{_frame(sp)}" if prefix else _frame(sp)
-    child_s = sum(c.dur_s for c in sp.children)
-    self_us = int(round(max(0.0, sp.dur_s - child_s) * _US))
-    if self_us > 0:
-        out[stack] = out.get(stack, 0) + self_us
-    for c in sp.children:
-        _collapse(c, stack, out)
-
-
 def collapse_stacks(source: Union[Tracer, Span]) -> Dict[str, int]:
     """Span tree(s) → {collapsed stack: self-time in whole µs}."""
-    roots: Iterable[Span]
-    roots = source.runs if isinstance(source, Tracer) else [source]
+    #: [stack, dur_s, children's dur_s] per span, in pre-order
+    frames: List[list] = []
+    path: List[list] = []
+    for depth, name, _kind, _start, dur_s, _attrs in span_rows(source):
+        del path[depth:]
+        # ";" separates stack frames in the collapsed format; a name that
+        # contains one would silently split into two frames
+        stack = name.replace(";", ",")
+        if path:
+            parent = path[-1]
+            parent[2] += dur_s
+            if parent[0]:
+                stack = f"{parent[0]};{stack}"
+        frame = [stack, dur_s, 0]
+        frames.append(frame)
+        path.append(frame)
     out: Dict[str, int] = {}
-    for root in roots:
-        _collapse(root, "", out)
+    for stack, dur_s, child_s in frames:
+        self_us = int(round(max(0.0, dur_s - child_s) * _US))
+        if self_us > 0:
+            out[stack] = out.get(stack, 0) + self_us
     return out
 
 

@@ -10,13 +10,25 @@ analytically, so there is no enter/exit bracketing to get wrong, and the
 exporters (``repro.obs.export``) can walk the tree without any runtime
 state. Tracing is strictly opt-in — when ``ExecOptions.tracer`` is unset
 the executor never allocates a span.
+
+Every consumer reads a tree through :func:`span_rows`: flat
+``(depth, name, kind, start_s, dur_s, attrs)`` rows in pre-order. A run
+may leave the spans under its root as a *derivation* instead of objects
+(:meth:`Tracer.defer`; a serving run records flat and derives with
+:meth:`ServeRecord.rows`): the derivation runs once, when the first
+exporter reads it, and ``Span`` objects are built from the same rows only
+when somebody asks for the tree (``Tracer.runs`` / ``last_run``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
+
+#: one span, flat: (depth, name, kind, start_s, dur_s, attrs)
+Row = Tuple[int, str, str, float, float, Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -73,9 +85,6 @@ class RequestTimeline:
             raise ValueError(f"unknown lifecycle stage {stage!r}")
         self.marks[stage] = t
 
-    def get(self, stage: str) -> Optional[float]:
-        return self.marks.get(stage)
-
     def ordered(self) -> List[Tuple[str, float]]:
         """(stage, t) pairs in lifecycle order, only recorded stages."""
         return [(s, self.marks[s]) for s in TIMELINE_MARKS
@@ -109,9 +118,12 @@ class Span:
 
     def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
         """Depth-first (pre-order) traversal: yields (span, depth)."""
-        yield self, depth
-        for c in self.children:
-            yield from c.walk(depth + 1)
+        todo = [(self, depth)]
+        while todo:
+            sp, d = todo.pop()
+            yield sp, d
+            if sp.children:
+                todo.extend([(c, d + 1) for c in reversed(sp.children)])
 
     def contains(self, other: "Span", tol: float = 1e-9) -> bool:
         """Does this span's interval cover ``other``'s (within ``tol``)?"""
@@ -121,6 +133,141 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.kind}:{self.name} @{self.start_s:.6f}"
                 f"+{self.dur_s:.6f}, {len(self.children)} children)")
+
+
+@dataclass
+class BatchRecord:
+    """One dispatch of a serving run — a batch on a machine, or the
+    instant a kernel fault killed one: a span's fields, which the
+    scheduler may still amend (a crash cuts a running batch short), and
+    the priced loops (``runtime.executor.LoopStats``) that tile it."""
+
+    name: str
+    kind: str                    # "batch" | "fault"
+    start_s: float
+    dur_s: float
+    attrs: Dict[str, Any]
+    loops: Sequence[Any] = ()
+
+
+@dataclass
+class ServeRecord:
+    """What a traced serving run recorded, flat: everything the spans
+    under its run span are derived from, and nothing of the server that
+    recorded it (machines, queue and compile cache die with the server,
+    whoever still holds the tracer).
+
+    The scheduler appends to ``batches`` and fills the three dicts while
+    it runs — they *are* its tracing state — and closes the record with
+    the crash windows and the horizon when the loop is dry. Responses are
+    duck-typed (``serve.batching.Response``), as in ``obs.analyze``.
+    """
+
+    #: what was dispatched, in dispatch order
+    batches: List[BatchRecord] = field(default_factory=list)
+    #: rid → the request's timeline (its winning attempt's, once served)
+    timelines: Dict[int, RequestTimeline] = field(default_factory=dict)
+    #: rid → (timeline, attempt, status) of every attempt other than a
+    #: first attempt that was served: retries, hedges, re-enqueues, refusals
+    attempts: Dict[int, List[Tuple[RequestTimeline, int, str]]] = \
+        field(default_factory=dict)
+    #: rid → the response that served it
+    served: Dict[int, Any] = field(default_factory=dict)
+    #: scripted crash windows that began inside the run, clipped to it:
+    #: (machine label, machine index, machine name, t0, t1)
+    crashes: List[Tuple[str, int, str, float, float]] = \
+        field(default_factory=list)
+    #: end of all machine activity and refusals: the run span's duration
+    horizon: float = 0.0
+
+    def attempts_of(self, rid: int) -> List[Tuple[int, str, RequestTimeline]]:
+        """Every attempt of ``rid`` as (attempt, status, timeline), by
+        attempt index."""
+        out = [(a, status, tl) for tl, a, status in self.attempts.get(rid, ())]
+        resp = self.served.get(rid)
+        if resp is not None and resp.request.attempt == 0:
+            out.append((0, "served", resp.request.tl))
+        return sorted(out, key=lambda e: e[0])
+
+    def rows(self) -> Iterator[Row]:
+        """The run span's children, in the one order every view keeps:
+        the dispatches as they happened, each batch tiled by its priced
+        loops; per-request lifecycles (arrive → complete) by rid, each
+        followed by its ``queued`` and ``exec`` children and linked to
+        the batch execution that served it via ``batch_id`` (the exporter
+        turns that into flow arrows); one span per execution attempt, in
+        their own trace process, for every request that needed more than
+        one; the crash windows on the machine tracks. This is the only
+        place that knows what a serving span looks like. Every ``attrs``
+        is a dict of scalars."""
+        for b in self.batches:
+            yield (1, b.name, b.kind, b.start_s, b.dur_s, b.attrs)
+            # the memoized pricing carries its own machine indices, which
+            # would land the loops on the wrong row: pin them to the batch's
+            machine = b.attrs["machine"]
+            cursor = b.start_s
+            for loop in b.loops:
+                yield (2, loop.name, "loop", cursor, loop.time_s,
+                       {"machine": machine, "op": loop.op_name,
+                        "iters": loop.iters, "workers": loop.workers,
+                        "compute_s": loop.compute_s,
+                        "memory_s": loop.memory_s, "comm_s": loop.comm_s,
+                        "overhead_s": loop.overhead_s})
+                cursor += loop.time_s
+        timelines = self.timelines
+        for rid in sorted(self.served):
+            resp = self.served[rid]
+            req = resp.request
+            ctx = req.ctx
+            marks = timelines[rid].marks
+            t0 = marks.get("arrive")
+            t_end = marks.get("complete")
+            if t0 is None or t_end is None:
+                continue
+            attrs = {"rid": rid, "app": req.app, "trace_id": ctx.trace_id,
+                     "span_id": ctx.span_id, "flow_id": ctx.flow_id,
+                     "batch_id": resp.batch_id,
+                     "batch_size": resp.batch_size,
+                     "lane_packed": resp.lane_packed,
+                     "machine": resp.machine, "backend": resp.backend,
+                     "fallback": resp.fallback_reason,
+                     "latency_s": resp.latency_s}
+            for stage in TIMELINE_MARKS:
+                if stage in marks:
+                    attrs[stage + "_s"] = marks[stage]
+            if req.attempt > 0:
+                attrs["attempts"] = req.attempt + 1
+            yield (1, f"r{rid}:{req.app}", "request", t0, t_end - t0, attrs)
+            t_q0 = marks.get("enqueue")
+            t_disp = marks.get("dispatch")
+            if t_q0 is not None and t_disp is not None:
+                yield (2, "queued", "queue", t_q0, t_disp - t_q0,
+                       {"rid": rid})
+            t_x0 = marks.get("exec_start")
+            if t_x0 is not None:
+                yield (2, "exec", "exec", t_x0, t_end - t_x0,
+                       {"rid": rid, "batch_id": resp.batch_id})
+        for rid in sorted(self.attempts):
+            resp = self.served.get(rid)
+            win_end = None if resp is None else resp.finish_s
+            for attempt, status, tl in self.attempts_of(rid):
+                stages = tl.ordered()
+                if not stages:
+                    continue
+                times = [t for _, t in stages]
+                t1 = max(times)
+                if win_end is not None:
+                    t1 = min(t1, win_end)
+                t1 = min(t1, self.horizon)
+                t0 = min(min(times), t1)
+                attrs = {"rid": rid, "attempt": attempt, "status": status}
+                for stage, t in stages:
+                    attrs[stage + "_s"] = t
+                yield (1, f"r{rid}:a{attempt}", "attempt", t0, t1 - t0, attrs)
+        for label, index, name, t0, t1 in self.crashes:
+            yield (1, f"crash:{label}", "fault", t0, t1 - t0,
+                   {"machine": index, "machine_name": name,
+                    "fault": "crash"})
 
 
 class Tracer:
@@ -133,16 +280,79 @@ class Tracer:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.runs: List[Span] = []
+        self._runs: List[Span] = []
+        #: id(run root) → the children it does not hold as objects (yet):
+        #: their derivation, or once somebody read them, its rows
+        self._deferred: Dict[int, Union[Callable[[], Iterable[Row]],
+                                        List[Row]]] = {}
 
     def begin_run(self, name: str, **attrs: Any) -> Span:
         root = Span(name, "run", 0.0, 0.0, dict(attrs))
-        self.runs.append(root)
+        self._runs.append(root)
+        return root
+
+    def defer(self, root: Span, rows: Callable[[], Iterable[Row]]) -> None:
+        """``root``'s remaining children, after the ones it holds, are
+        ``rows()`` (depths counted from ``root`` at 0; every ``attrs`` a
+        dict of scalars). The derivation runs once, when a consumer of
+        :func:`span_rows` or of the tree first needs it; asking for the
+        tree turns its rows into ``Span``s."""
+        self._deferred[id(root)] = rows
+
+    def _derived(self, root: Span) -> List[Row]:
+        rows = self._deferred.get(id(root), ())
+        if callable(rows):
+            rows = self._deferred[id(root)] = list(rows())
+        return rows
+
+    def _tree(self, root: Span) -> Span:
+        path = [root]
+        for depth, name, kind, start_s, dur_s, attrs in self._derived(root):
+            sp = Span(name, kind, start_s, dur_s, attrs)
+            del path[depth:]
+            path[-1].children.append(sp)
+            path.append(sp)
+        self._deferred.pop(id(root), None)
         return root
 
     @property
+    def runs(self) -> List[Span]:
+        for root in self._runs:
+            self._tree(root)
+        return self._runs
+
+    @property
     def last_run(self) -> Optional[Span]:
-        return self.runs[-1] if self.runs else None
+        return self._tree(self._runs[-1]) if self._runs else None
 
     def clear(self) -> None:
-        self.runs.clear()
+        self._runs.clear()
+        self._deferred.clear()
+
+
+def span_rows(source: Union[Tracer, Span],
+              own: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
+              ) -> Iterator[Row]:
+    """Every span of a tracer's runs (or of one tree) as pre-order rows —
+    the one traversal behind the Chrome trace, the flame graph, the text
+    tree and the loop table. Spans that exist as objects are walked,
+    deferred ones are read from their derivation, and the rows are the
+    same before and after ``Tracer.runs`` has built them.
+
+    A row shares its ``attrs`` with the span or the derivation it came
+    from; a consumer that keeps or serialises them passes ``own``, which
+    copies (and may clean) the attrs of a ``Span``. Derived attrs are
+    scalars by contract and are copied as they are."""
+    if isinstance(source, Tracer):
+        runs = [(root, source._derived(root)) for root in source._runs]
+    else:
+        runs = [(source, ())]
+    for root, derived in runs:
+        for sp, depth in root.walk():
+            yield (depth, sp.name, sp.kind, sp.start_s, sp.dur_s,
+                   sp.attrs if own is None else own(sp.attrs))
+        if own is None:
+            yield from derived
+        else:
+            for depth, name, kind, start_s, dur_s, attrs in derived:
+                yield depth, name, kind, start_s, dur_s, dict(attrs)

@@ -41,7 +41,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..backend import resolve_backend
 from ..core.ir import Program
 from ..obs.provenance import APPLIED, DecisionKind, DecisionLedger
-from ..obs.spans import RequestContext, RequestTimeline
+from ..obs.spans import (BatchRecord, RequestContext, RequestTimeline,
+                         ServeRecord)
 from ..pipeline import CompiledProgram
 from ..runtime.executor import (ExecOptions, RunCapture, SimResult,
                                 Simulator, capture_run)
@@ -282,10 +283,12 @@ class ProgramServer:
         # request-level tracing state — populated only while a tracer is
         # attached and enabled; the untraced path never touches it
         self._tracing = tracer is not None and tracer.enabled
-        self._timelines: Dict[int, RequestTimeline] = {}
-        #: per-attempt timelines of retries / hedges / re-enqueues that
-        #: did not win, as (timeline, attempt, status) — tracing only
-        self._alt_tls: Dict[int, List[Tuple[RequestTimeline, int, str]]] = {}
+        #: what a traced run records, flat (``None`` untraced): request
+        #: and attempt timelines and the winning responses, from which the
+        #: tracer derives the request spans when somebody reads them
+        self.record = ServeRecord() if self._tracing else None
+        self._timelines: Dict[int, RequestTimeline] = (
+            self.record.timelines if self._tracing else {})
         # request/attempt accounting (the zero-lost-requests invariant:
         # a rid leaves _open only into responses or rejected)
         self._requests: Dict[int, Request] = {}
@@ -348,10 +351,8 @@ class ProgramServer:
         self._next_attempt[req.rid] = 1
         if self._tracing:
             req.ctx = RequestContext.derive(self.trace_seed, req.rid)
-            tl = RequestTimeline(req.ctx)
-            tl.mark("arrive", at)
-            req.tl = tl
-            self._timelines[req.rid] = tl
+            req.tl = self._timelines[req.rid] = RequestTimeline(
+                req.ctx, {"arrive": at})
         self._push(at, "arrive", req)
         return req
 
@@ -367,9 +368,7 @@ class ProgramServer:
                         req.client, ctx=req.ctx, attempt=attempt,
                         hedge=hedge, deadline_s=req.deadline_s)
         if self._tracing:
-            tl = RequestTimeline(req.ctx)
-            tl.mark("arrive", spawn_s)
-            clone.tl = tl
+            clone.tl = RequestTimeline(req.ctx, {"arrive": spawn_s})
         return clone
 
     # -- the event loop --------------------------------------------------
@@ -419,16 +418,22 @@ class ProgramServer:
             # kept responses: a wasted hedge batch (its twin won) or a
             # late rejection can outlive the last winner, and the trace
             # validator rejects slices that end after the run span
+            rec = self.record
             horizon = max([makespan]
-                          + [c.start_s + c.dur_s for c in self._root.children]
+                          + [b.start_s + b.dur_s for b in rec.batches]
                           + [j.t_s for j in self.rejected])
-            self._root.dur_s = horizon
+            self._root.dur_s = rec.horizon = horizon
             self._root.set(requests=len(self.responses),
                            batches=self._bid, makespan_s=makespan)
-            self._emit_request_spans()
-            self._emit_attempt_spans(horizon)
             if self.faults is not None:
-                self._emit_fault_spans(horizon)
+                rec.crashes = [
+                    (m.label, m.index, m.name, t0, min(t1, horizon))
+                    for m in self.machines
+                    for t0, t1 in self.faults.crash_windows(m.label, m.name)
+                    if t0 < horizon]
+            # every span under the run span is a derivation from the
+            # record, run when somebody reads them
+            self.tracer.defer(self._root, rec.rows)
         if self.metrics is not None:
             self.metrics.gauge("serve.makespan_s", makespan)
         return self.responses
@@ -469,7 +474,7 @@ class ProgramServer:
         if size == 1:
             self._schedule_flush(req, t)
         if self._tracing and req.tl is not None:
-            req.tl.mark("enqueue", t)
+            req.tl.marks["enqueue"] = t
         return size
 
     def _schedule_flush(self, head: Request, now: float) -> None:
@@ -508,17 +513,16 @@ class ProgramServer:
             # the unfinished tail never ran: free the busy accounting
             m.busy_s -= inf["finish"] - t
             m.busy_until = t
-            span = inf.get("span")
-            if span is not None:
-                span.dur_s = t - span.start_s
-                span.children.clear()
-                span.set(cancelled=True, cancelled_at_s=t)
+            ran = inf.get("ran")
+            if ran is not None:
+                ran.dur_s = t - ran.start_s
+                ran.loops = ()
+                ran.attrs.update(cancelled=True, cancelled_at_s=t)
             for r in inf["requests"]:
                 self._executing.discard(r.rid)
                 if self._tracing and r.tl is not None:
                     self._truncate_tl(r.tl, t)
-                    self._alt_tls.setdefault(r.rid, []).append(
-                        (r.tl, r.attempt, "requeued"))
+                    self._attempt_recorded(r, "requeued")
                 if r.rid in self._done or r.rid in self._rejected_rids:
                     self._open[r.rid] -= 1
                     continue
@@ -558,8 +562,7 @@ class ProgramServer:
                 # a hedge/requeue race: another attempt already won
                 self.hedges_wasted += 1
                 if self._tracing and r.request.tl is not None:
-                    self._alt_tls.setdefault(rid, []).append(
-                        (r.request.tl, r.request.attempt, "superseded"))
+                    self._attempt_recorded(r.request, "superseded")
                 continue
             self._done.add(rid)
             fresh.append(r)
@@ -603,8 +606,7 @@ class ProgramServer:
         rid = req.rid
         self._open[rid] = self._open.get(rid, 1) - 1
         if self._tracing and req.tl is not None:
-            self._alt_tls.setdefault(rid, []).append(
-                (req.tl, req.attempt, status or reason))
+            self._attempt_recorded(req, status or reason)
         if (self._open[rid] <= 0 and rid not in self._done
                 and rid not in self._rejected_rids):
             self._rejected_rids.add(rid)
@@ -629,8 +631,14 @@ class ProgramServer:
                 del tl.marks[stage]
         tl.marks["complete"] = t
 
+    def _attempt_recorded(self, req: Request, status: str) -> None:
+        """Keep the timeline of an attempt that was not a served first
+        attempt, with how it ended (tracing only)."""
+        self.record.attempts.setdefault(req.rid, []).append(
+            (req.tl, req.attempt, status))
+
     def _finalize_timeline(self, resp: Response) -> None:
-        """Install the winning attempt's timeline as the request's
+        """Record the winner and install its timeline as the request's
         timeline. Later attempts re-anchor ``arrive`` at the *original*
         arrival so the exact decomposition identity covers the full
         end-to-end latency (backoff and failed attempts land in
@@ -639,92 +647,12 @@ class ProgramServer:
         req = resp.request
         if req.tl is None:
             return
+        self.record.served[req.rid] = resp
         if req.attempt > 0:
-            final = RequestTimeline(req.ctx)
-            final.marks = dict(req.tl.marks)
-            final.marks["arrive"] = req.arrival_s
-            self._timelines[req.rid] = final
-            self._alt_tls.setdefault(req.rid, []).append(
-                (req.tl, req.attempt, "served"))
+            self._timelines[req.rid] = RequestTimeline(
+                req.ctx, {**req.tl.marks, "arrive": req.arrival_s})
+            self._attempt_recorded(req, "served")
         # attempt 0: self._timelines[rid] already is req.tl
-
-    def _emit_request_spans(self) -> None:
-        """Per-request lifecycle spans (arrive → complete) with queue and
-        exec children, linked to the batch execution that served each
-        request via ``batch_id`` (the exporter turns that into flow
-        arrows). Called once after the event loop drains."""
-        for resp in sorted(self.responses, key=lambda r: r.request.rid):
-            req = resp.request
-            ctx = req.ctx
-            tl = self._timelines.get(req.rid)
-            if ctx is None or tl is None:
-                continue
-            t0 = tl.get("arrive")
-            t_end = tl.get("complete")
-            if t0 is None or t_end is None:
-                continue
-            attrs = {f"{stage}_s": t for stage, t in tl.ordered()}
-            if req.attempt > 0:
-                attrs["attempts"] = req.attempt + 1
-            rsp = self._root.child(
-                f"r{req.rid}:{req.app}", "request", t0, t_end - t0,
-                rid=req.rid, app=req.app, trace_id=ctx.trace_id,
-                span_id=ctx.span_id, flow_id=ctx.flow_id,
-                batch_id=resp.batch_id, batch_size=resp.batch_size,
-                lane_packed=resp.lane_packed, machine=resp.machine,
-                backend=resp.backend, fallback=resp.fallback_reason,
-                latency_s=resp.latency_s, **attrs)
-            t_q0 = tl.get("enqueue")
-            t_disp = tl.get("dispatch")
-            if t_q0 is not None and t_disp is not None:
-                rsp.child("queued", "queue", t_q0, t_disp - t_q0,
-                          rid=req.rid)
-            t_x0 = tl.get("exec_start")
-            if t_x0 is not None:
-                rsp.child("exec", "exec", t_x0, t_end - t_x0,
-                          rid=req.rid, batch_id=resp.batch_id)
-
-    def _emit_attempt_spans(self, makespan: float) -> None:
-        """One sibling span per execution attempt (their own trace
-        process) for every request that needed more than one — retries,
-        hedges, crash re-enqueues — indexed by attempt and labelled
-        with how that attempt ended."""
-        if not self._alt_tls:
-            return
-        by_rid = {r.request.rid: r for r in self.responses}
-        for rid in sorted(self._alt_tls):
-            resp = by_rid.get(rid)
-            entries = list(self._alt_tls[rid])
-            win_end: Optional[float] = None
-            if resp is not None:
-                win_end = resp.finish_s
-                if resp.request.attempt == 0 and resp.request.tl is not None:
-                    entries.append((resp.request.tl, 0, "served"))
-            for tl, attempt, status in sorted(entries, key=lambda e: e[1]):
-                times = [t for _, t in tl.ordered()]
-                if not times:
-                    continue
-                t1 = max(times)
-                if win_end is not None:
-                    t1 = min(t1, win_end)
-                t1 = min(t1, makespan)
-                t0 = min(min(times), t1)
-                self._root.child(
-                    f"r{rid}:a{attempt}", "attempt", t0, t1 - t0,
-                    rid=rid, attempt=attempt, status=status,
-                    **{f"{stage}_s": t for stage, t in tl.ordered()})
-
-    def _emit_fault_spans(self, makespan: float) -> None:
-        """Scripted crash windows as fault spans on the machine tracks
-        (clipped to the run), so chaos is visible where it struck."""
-        for m in self.machines:
-            for t0, t1 in self.faults.crash_windows(m.label, m.name):
-                if t0 >= makespan:
-                    continue
-                t1 = min(t1, makespan)
-                self._root.child(
-                    f"crash:{m.label}", "fault", t0, t1 - t0,
-                    machine=m.index, machine_name=m.name, fault="crash")
 
     def resilience_summary(self) -> Optional[Dict[str, Any]]:
         """Shed/retry/hedge/breaker counts and per-fault attribution for
@@ -761,14 +689,7 @@ class ProgramServer:
         """All recorded per-attempt timelines for a request, as
         ``(attempt, status, timeline)`` sorted by attempt — the
         per-attempt decomposition input (tracing only)."""
-        out = [(a, status, tl)
-               for tl, a, status in self._alt_tls.get(rid, [])]
-        for r in self.responses:
-            if r.request.rid == rid and r.request.tl is not None:
-                if r.request.attempt == 0 or not any(
-                        a == r.request.attempt for a, _, _ in out):
-                    out.append((r.request.attempt, "served", r.request.tl))
-        return sorted(out, key=lambda e: e[0])
+        return [] if self.record is None else self.record.attempts_of(rid)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -801,8 +722,8 @@ class ProgramServer:
             machine = self.policy.place(self, idle, requests, now)
             if self._tracing:
                 for r in requests:
-                    r.tl.mark("seal", now)
-                    r.tl.mark("dispatch", now)
+                    marks = r.tl.marks
+                    marks["seal"] = marks["dispatch"] = now
             self._execute_batch(machine, requests, now)
 
     # -- execution --------------------------------------------------------
@@ -897,25 +818,24 @@ class ProgramServer:
             self._record_failure(machine.index, now)
         if self.metrics is not None:
             self.metrics.inc("serve.kernel_faults", app=requests[0].app)
-        if self._root is not None:
-            self._root.child(
+        if self._tracing:
+            self.record.batches.append(BatchRecord(
                 f"b{bid}:{requests[0].app}!fault", "fault", now, 0.0,
-                machine=machine.index, machine_name=machine.name,
-                app=requests[0].app, batch_id=bid, fault="kernel-error",
-                reason=reason)
+                {"machine": machine.index, "machine_name": machine.name,
+                 "app": requests[0].app, "batch_id": bid,
+                 "fault": "kernel-error", "reason": reason}))
         rp = self.res.retry if self.res is not None else None
         for r in requests:
             self._executing.discard(r.rid)
             if self._tracing and r.tl is not None:
-                r.tl.mark("complete", now)
+                r.tl.marks["complete"] = now
             nxt = r.attempt + 1
             if (rp is not None and nxt < rp.max_attempts
                     and self._retry_left > 0):
                 self._retry_left -= 1
                 self.retries += 1
                 if self._tracing and r.tl is not None:
-                    self._alt_tls.setdefault(r.rid, []).append(
-                        (r.tl, r.attempt, "failed"))
+                    self._attempt_recorded(r, "failed")
                 delay = rp.delay_s(self.trace_seed, r.rid, nxt)
                 clone = self._clone_attempt(r, now)
                 self._push(now + delay, "retry", clone)
@@ -985,8 +905,9 @@ class ProgramServer:
                          for r in requests]
             if self._tracing:
                 for r in requests:
-                    r.tl.mark("exec_start", now)
-                    r.tl.mark("complete", finish)
+                    marks = r.tl.marks
+                    marks["exec_start"] = now
+                    marks["complete"] = finish
             if self.metrics is not None and n > 1:
                 self.metrics.inc("serve.lane_packed_requests", n, app=app)
         else:
@@ -1003,8 +924,9 @@ class ProgramServer:
                 # fallback executions run back-to-back, so each request's
                 # exec window is its own slot in the serialized batch
                 for i, r in enumerate(requests):
-                    r.tl.mark("exec_start", now + single * i)
-                    r.tl.mark("complete", now + single * (i + 1))
+                    marks = r.tl.marks
+                    marks["exec_start"] = now + single * i
+                    marks["complete"] = now + single * (i + 1)
             finish = now + svc
             self.fallbacks.append(ServeFallback(app, fallback_reason, n))
             if self.metrics is not None:
@@ -1018,38 +940,25 @@ class ProgramServer:
             self.metrics.observe("serve.batch_size", float(n), app=app)
             self.metrics.observe("serve.service_s", svc,
                                  machine=machine.name)
-        bsp = None
-        if self._root is not None:
-            extra: Dict[str, Any] = {}
+        ran = None
+        if self._tracing:
+            attrs = {"machine": machine.index, "machine_name": machine.name,
+                     "app": app, "batch": n, "batch_id": bid,
+                     "lane_packed": fallback_reason is None and n > 1,
+                     "backend": cap.backend, "service_s": svc,
+                     "fallback": fallback_reason}
             if slow != 1.0:
-                extra["slow_factor"] = slow
-            bsp = self._root.child(
-                f"b{bid}:{app}x{n}", "batch", now, svc,
-                machine=machine.index, machine_name=machine.name,
-                app=app, batch=n, batch_id=bid,
-                lane_packed=fallback_reason is None and n > 1,
-                backend=cap.backend, service_s=svc,
-                fallback=fallback_reason, **extra)
-            skey = (machine.name, app, machine.variant, payload.key,
-                    cap.backend)
-            sim = self._sims.get(skey)
-            if sim is not None and fallback_reason is None:
-                # graft the priced per-loop breakdown under the batch
-                # span, pinned to the *serving* replica's track (the
-                # memoized pricing carries its own machine indices,
-                # which would land the loops on the wrong row)
-                cursor = now
-                for loop in sim.loops:
-                    bsp.child(loop.name, "loop", cursor, loop.time_s,
-                              machine=machine.index, op=loop.op_name,
-                              iters=loop.iters, workers=loop.workers,
-                              compute_s=loop.compute_s,
-                              memory_s=loop.memory_s,
-                              comm_s=loop.comm_s,
-                              overhead_s=loop.overhead_s)
-                    cursor += loop.time_s
+                attrs["slow_factor"] = slow
+            # the priced per-loop breakdown becomes the batch span's
+            # children, on the *serving* replica's track
+            sim = (self._sims.get((machine.name, app, machine.variant,
+                                   payload.key, cap.backend))
+                   if fallback_reason is None else None)
+            ran = BatchRecord(f"b{bid}:{app}x{n}", "batch", now, svc, attrs,
+                              sim.loops if sim is not None else ())
+            self.record.batches.append(ran)
         if self.faults is not None or self.res is not None:
             self._inflight[machine.index] = {
-                "bid": bid, "requests": requests, "span": bsp,
+                "bid": bid, "requests": requests, "ran": ran,
                 "finish": finish}
         self._push(finish, "complete", (machine, bid, responses))

@@ -365,9 +365,9 @@ class ServeSim:
 
     @staticmethod
     def _decomposition_of(server: ProgramServer) -> Optional[Dict[str, Any]]:
-        # timelines exist only on traced runs; untraced reports carry no
+        # only a traced run keeps a record; untraced reports carry no
         # decomposition section (and pay no analysis cost)
-        if not getattr(server, "_timelines", None):
+        if server.record is None:
             return None
         from ..obs.analyze import decomposition_summary
         return decomposition_summary(server)

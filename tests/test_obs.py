@@ -460,6 +460,42 @@ class TestProfileExports:
         assert 'app="a\\\\nb"} 1' in text
         assert 'app="a\\nb"} 5' in text
 
+    def test_series_keys_keep_their_definition(self):
+        # the key of a series is its labels sorted and joined; a hot path
+        # names one label at a time and skips the sort, not the format
+        from repro.obs.metrics import _series
+        from repro.obs.profile import _split_series
+
+        def by_definition(name, labels):
+            if not labels:
+                return name
+            inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
+            return f"{name}{{{inner}}}"
+
+        for labels in ({}, {"app": "q1"}, {"n": 3}, {"on": True},
+                       {"x": None}, {"x": 1.5}, {"app": "k=m,e"},
+                       {"b": 1, "a": 2}, {"reason": "shed", "app": "q1"}):
+            assert _series("serve.x", labels) == \
+                by_definition("serve.x", labels)
+        # every series the executor and the serving paths emit
+        from repro.serve import (FaultPlan, FaultSpec, ResilienceConfig,
+                                 ServeSim)
+        metrics = MetricsRegistry()
+        get_bundle("kmeans").simulate(metrics=metrics)
+        sim = ServeSim(["q1"], backend="numpy", metrics=metrics,
+                       faults=FaultPlan((FaultSpec("kernel", "*",
+                                                   mode="error"),)),
+                       resilience=ResilienceConfig(shed_depth=2))
+        sim.run_closed(clients=4, requests=8, seed=0)
+        tables = (metrics.counters, metrics.gauges, metrics.histograms)
+        series = [key for table in tables for key in table]
+        assert sum("{" in key for key in series) >= 10
+        assert any(key.count("=") == 2 for key in series)
+        for key in series:
+            name, labels = _split_series(key)
+            assert by_definition(name, dict(labels)) == key
+        assert set(metrics.snapshot()["counters"]) == set(metrics.counters)
+
 
 # ---------------------------------------------------------------------------
 # metrics

@@ -18,7 +18,8 @@ import json
 
 import pytest
 
-from repro.obs import Tracer, chrome_trace_events
+from repro.obs import (MetricsRegistry, Tracer, chrome_trace_events,
+                       prometheus_text, render_collapsed, render_spans)
 from repro.serve import (BreakerConfig, ClosedLoop, FaultPlan, FaultSpec,
                          ProgramServer, ResilienceConfig, RetryPolicy,
                          ServeSim, make_machines)
@@ -50,10 +51,20 @@ def open_fleet(seed, rate=600, requests=400):
     return report_sha(sim.run_open(rate, requests, seed))
 
 
-def chaos(seed, requests=300, crash=(0.04, 0.08), slow=(0.1, 0.15)):
+def open_traced(seed, rate=1200, requests=600):
+    """``open_shared`` with a tracer: no faults and no second attempts,
+    the branch of the span derivation ``chaos`` never takes."""
+    tracer = Tracer()
+    sim = ServeSim(APPS, machines="numa", max_batch=8, max_wait_s=0.02,
+                   backend="numpy", payloads=1, tracer=tracer)
+    sim.run_open(rate, requests, seed)
+    return sha(chrome_trace_events(tracer))
+
+
+def chaos_run(seed, requests, crash, slow, registry=None, cache=None):
     """The closed-loop chaos scenario of ``benchmarks/e2e/workloads.py``:
     kernel errors + crash + slow window against deadline, retry, hedge,
-    shed and breaker, tracer on. Returns (report sha, trace sha)."""
+    shed and breaker, tracer on. Returns (server, tracer, report)."""
     plan = FaultPlan((
         FaultSpec("kernel", "*", mode="error", rate=0.02),
         FaultSpec("crash", "numa[1]", crash[0], crash[1]),
@@ -67,12 +78,37 @@ def chaos(seed, requests=300, crash=(0.04, 0.08), slow=(0.1, 0.15)):
     tracer = Tracer()
     server = ProgramServer(
         sim.served, make_machines("numa*2"), max_batch=4, max_wait_s=0.02,
-        backend="numpy", tracer=tracer, cache=sim.cache, trace_seed=seed,
-        faults=plan, resilience=res)
+        backend="numpy", metrics=registry, tracer=tracer,
+        cache=cache or sim.cache, trace_seed=seed, faults=plan,
+        resilience=res)
     responses = server.run(ClosedLoop(APPS, 16, requests, seed=seed))
     assert len(responses) + len(server.rejected) == requests
-    report = ServeSim.report("closed", server, responses)
+    return server, tracer, ServeSim.report("closed", server, responses)
+
+
+def chaos(seed, requests=300, crash=(0.04, 0.08), slow=(0.1, 0.15)):
+    """Returns (report sha, trace sha)."""
+    _, tracer, report = chaos_run(seed, requests, crash, slow)
     return report_sha(report), sha(chrome_trace_events(tracer))
+
+
+def text_sha(text) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def chaos_views(seed, requests=300, crash=(0.04, 0.08), slow=(0.1, 0.15)):
+    """The other views of the same scenario, metrics on: (flame graph,
+    materialised span tree, Prometheus text) shas. The registry is
+    attached to a second run over the first one's cache: a capture's host
+    seconds (``serve.capture_host_s``) are observed only by the server
+    that executes it, and they are wall-clock."""
+    server, _, _ = chaos_run(seed, requests, crash, slow)
+    registry = MetricsRegistry()
+    _, tracer, _ = chaos_run(seed, requests, crash, slow, registry,
+                             server.cache)
+    return (text_sha(render_collapsed(tracer)),
+            text_sha(render_spans(tracer.last_run)),
+            text_sha(prometheus_text(registry)))
 
 
 SMALL = {
@@ -88,10 +124,26 @@ SMALL = {
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(SMALL))
+#: the views no report or Chrome-trace pin covers, measured on the commit
+#: before serving spans became a derivation (DESIGN.md §10): flame graph,
+#: span tree and Prometheus text of the chaos scenario, and the Chrome
+#: trace of plain open traffic
+SMALL_VIEWS = {
+    "chaos_views": (chaos_views, {
+        0: ("eea2fd3511502462", "f7df6c0d836b0277", "b407b794ca5b873a"),
+        1: ("36a041c86beacfbd", "4648f54119b7cfcc", "e6f9232f70a13de5"),
+        2: ("18c07938dfb23c6e", "34cce59e14168959", "c3124f22fb5c46a6")}),
+    "open_traced": (open_traced, {0: "8d4e4b9b073fbf56",
+                                  1: "897adb96d84084e4",
+                                  2: "c62e131243bcbc22"}),
+}
+SMALL_ALL = {**SMALL, **SMALL_VIEWS}
+
+
+@pytest.mark.parametrize("scenario", sorted(SMALL_ALL))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_small_scenarios_are_pinned(scenario, seed):
-    run, pins = SMALL[scenario]
+    run, pins = SMALL_ALL[scenario]
     assert run(seed) == pins[seed]
 
 
@@ -101,6 +153,8 @@ OPEN_AT_BENCHMARK_SIZE = {800: "a149058b32634260", 1200: "82dfe6e879b6dacb",
                           1600: "c2f1bb8c5fadfe6c", 1800: "97b6d176bd1d1f66"}
 FLEET_AT_BENCHMARK_SIZE = "ccb0a81e2b161348"
 CHAOS_AT_BENCHMARK_SIZE = ("9f616cf6541f930c", "ddb05088ebbed2ec")
+CHAOS_VIEWS_AT_BENCHMARK_SIZE = ("627e8bf89f08bd3a", "89ad7c24ad4b2de7",
+                                 "2112ba0046f27d6c")
 
 
 def test_benchmark_size_runs_are_pinned():
@@ -111,8 +165,12 @@ def test_benchmark_size_runs_are_pinned():
     assert got == OPEN_AT_BENCHMARK_SIZE
     assert open_fleet(0, 600, 6000) == FLEET_AT_BENCHMARK_SIZE
     assert chaos(0, 2000, (0.3, 0.5), (0.8, 1.0)) == CHAOS_AT_BENCHMARK_SIZE
+    assert chaos_views(0, 2000, (0.3, 0.5), (0.8, 1.0)) == \
+        CHAOS_VIEWS_AT_BENCHMARK_SIZE
 
 
 if __name__ == "__main__":
-    for name, (run, pins) in SMALL.items():
+    for name, (run, pins) in SMALL_ALL.items():
         print(name, {seed: run(seed) for seed in pins})
+    print("chaos_views at benchmark size",
+          chaos_views(0, 2000, (0.3, 0.5), (0.8, 1.0)))

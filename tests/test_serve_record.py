@@ -1,0 +1,288 @@
+"""A traced serving run leaves a record, and its spans are a derivation
+from it (DESIGN.md §10).
+
+The contracts a lazy derivation could quietly break:
+
+- **views do not depend on who looked first** — Chrome trace, flame graph
+  and latency decomposition are the same whether they were produced from
+  the rows or after somebody walked ``tracer.last_run``, under any fault
+  plan and resilience config;
+- **nothing is built that nobody reads** — a run and its exports construct
+  one ``Span`` (the run's); asking for the tree constructs the rest, once;
+- **the record is rows** — a tracer that outlives its server does not keep
+  the server alive, and an untraced server keeps no record at all.
+"""
+
+import gc
+import json
+import weakref
+from collections import Counter
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import (MetricsRegistry, Span, Tracer, chrome_trace_events,
+                       prometheus_text, render_collapsed, render_spans)
+from repro.obs.analyze import decomposition_summary
+from repro.obs.export import _clean_args
+from repro.obs.spans import span_rows
+from repro.serve import (BreakerConfig, ClosedLoop, FaultPlan, FaultSpec,
+                         OpenLoop, ProgramServer, ResilienceConfig,
+                         RetryPolicy, ServedApp, ServeSim, make_machines)
+
+from .test_serve import SERVICE
+from .test_serve_pins import chaos_run
+
+
+def stub_server(tracer=None, faults=None, resilience=None, seed=0,
+                machines="numa*2", max_batch=4, max_wait_s=0.002):
+    """A ``ProgramServer`` over apps a/b/c whose executions are stubbed
+    out (every batch costs its ``SERVICE`` entry): the scheduler, fault
+    and resilience paths for real, no compile behind them."""
+    server = ProgramServer(
+        [ServedApp(app, None, {}) for app in "abc"], make_machines(machines),
+        max_batch=max_batch, max_wait_s=max_wait_s, backend="numpy",
+        tracer=tracer, trace_seed=seed, faults=faults, resilience=resilience)
+    capture = SimpleNamespace(results=(), stats=None, backend="numpy")
+    server._capture = server._reference_capture = \
+        lambda app, variant, payload: capture
+    server._price = lambda m, app, cap, payload: SERVICE[app, m.index]
+    return server
+
+
+def views(tracer, server):
+    """Every view of a run, serialised with attr order intact."""
+    return (json.dumps(chrome_trace_events(tracer)),
+            render_collapsed(tracer),
+            json.dumps(decomposition_summary(server)))
+
+
+def tree(tracer):
+    return [(depth, sp.name, sp.kind, sp.start_s, sp.dur_s, sp.attrs)
+            for sp, depth in tracer.last_run.walk()]
+
+
+def attempts_by_scan(server, rid):
+    """``attempt_timelines_of`` as it was defined before the by-rid
+    index: a scan of every response."""
+    out = [(a, status, tl)
+           for tl, a, status in server.record.attempts.get(rid, [])]
+    for r in server.responses:
+        if r.request.rid == rid and r.request.tl is not None:
+            if r.request.attempt == 0 or not any(
+                    a == r.request.attempt for a, _, _ in out):
+                out.append((r.request.attempt, "served", r.request.tl))
+    return sorted(out, key=lambda e: e[0])
+
+
+def check_views_do_not_depend_on_order(run):
+    """``run()`` → (tracer, server) of a finished traced run."""
+    tracer, server = run()
+    lazy = views(tracer, server)
+    spans = tree(tracer)
+    assert views(tracer, server) == lazy
+    assert render_spans(tracer.last_run).count("\n") + 1 == len(spans)
+    # the same run, its tree asked for before any export
+    tracer2, server2 = run()
+    assert tree(tracer2) == spans
+    assert views(tracer2, server2) == lazy
+    for rid in range(server._rid):
+        assert server.attempt_timelines_of(rid) == \
+            attempts_by_scan(server, rid)
+    return tracer, server
+
+
+machine_targets = st.sampled_from(["numa", "numa[0]", "numa[1]", "*"])
+windows = st.tuples(st.floats(0.0, 0.03), st.floats(0.0005, 0.03))
+fault_specs = st.one_of(
+    st.builds(lambda target, mode, rate: FaultSpec(
+        "kernel", target, mode=mode, rate=rate),
+        st.sampled_from(["*", "a", "b"]),
+        st.sampled_from(["error", "fallback"]), st.floats(0.0, 0.6)),
+    st.builds(lambda target, w: FaultSpec("crash", target, w[0], w[0] + w[1]),
+              machine_targets, windows),
+    st.builds(lambda target, w, factor: FaultSpec(
+        "slow", target, w[0], w[0] + w[1], factor=factor),
+        machine_targets, windows, st.floats(1.5, 4.0)),
+    st.builds(lambda target, t: FaultSpec("cache", target, t),
+              st.sampled_from(["*", "a"]), st.floats(0.0, 0.05)))
+resiliences = st.builds(
+    ResilienceConfig,
+    deadline_s=st.one_of(st.none(), st.floats(0.003, 0.05)),
+    retry=st.one_of(st.none(), st.builds(
+        RetryPolicy, max_attempts=st.integers(1, 4),
+        budget=st.integers(0, 40))),
+    hedge_delay_s=st.one_of(st.none(), st.floats(0.0003, 0.004)),
+    shed_depth=st.one_of(st.none(), st.integers(1, 6)),
+    breaker=st.one_of(st.none(), st.just(BreakerConfig())),
+    degrade_after=st.integers(1, 6))
+
+
+class TestViewsDoNotDependOnWhoLookedFirst:
+    @settings(max_examples=100, deadline=None)
+    @given(specs=st.lists(fault_specs, max_size=4), resilience=resiliences,
+           seed=st.integers(0, 2 ** 16), closed=st.booleans(),
+           requests=st.integers(1, 60), clients=st.integers(1, 12),
+           rate=st.floats(200.0, 4000.0), max_batch=st.integers(1, 6))
+    def test_under_any_fault_plan(self, specs, resilience, seed, closed,
+                                  requests, clients, rate, max_batch):
+        def run():
+            tracer = Tracer()
+            server = stub_server(tracer, FaultPlan(tuple(specs), seed=seed),
+                                 resilience, seed, max_batch=max_batch)
+            server.run(ClosedLoop("abc", clients, requests, seed=seed)
+                       if closed else OpenLoop("abc", rate, requests,
+                                               seed=seed))
+            assert len(server.responses) + len(server.rejected) == requests
+            return tracer, server
+        check_views_do_not_depend_on_order(run)
+
+    def run_of(self, faults, resilience, clients=8, requests=60, seed=3):
+        def run():
+            tracer = Tracer()
+            server = stub_server(tracer, FaultPlan(tuple(faults), seed=seed),
+                                 resilience, seed)
+            server.run(ClosedLoop("abc", clients, requests, seed=seed))
+            return tracer, server
+        return check_views_do_not_depend_on_order(run)
+
+    def test_with_rejections(self):
+        _, server = self.run_of([], ResilienceConfig(shed_depth=1),
+                                clients=12)
+        assert server.rejected and server.responses
+
+    def test_with_wasted_hedges(self):
+        _, server = self.run_of([], ResilienceConfig(hedge_delay_s=0.0004))
+        assert server.hedges_wasted > 0
+
+    def test_with_a_crash_under_a_running_fallback_batch(self):
+        # every batch runs serialized on the reference path, so its
+        # requests carry staggered marks beyond the crash instant
+        tracer, server = self.run_of(
+            [FaultSpec("kernel", "*", mode="fallback", rate=1.0),
+             FaultSpec("crash", "numa[0]", 0.0125, 0.02)],
+            ResilienceConfig(retry=RetryPolicy()))
+        assert server.fault_counts["cancelled-batches"] == 1
+        cut = [tl for entries in server.record.attempts.values()
+               for tl, _, status in entries if status == "requeued"]
+        assert cut and all(max(tl.marks.values()) == 0.0125 for tl in cut)
+        cancelled = [sp for sp, _ in tracer.last_run.walk()
+                     if sp.attrs.get("cancelled")]
+        assert len(cancelled) == 1 and cancelled[0].end_s == 0.0125
+
+    def test_with_a_winning_later_attempt(self):
+        tracer, server = self.run_of(
+            [FaultSpec("kernel", "*", mode="error", rate=0.3)],
+            ResilienceConfig(retry=RetryPolicy(max_attempts=4)))
+        later = [r for r in server.responses if r.request.attempt > 0]
+        assert later
+        spans = {sp.name: sp for sp, _ in tracer.last_run.walk()}
+        for r in later:
+            rid = r.request.rid
+            assert spans[f"r{rid}:{r.request.app}"].attrs["attempts"] == \
+                r.request.attempt + 1
+            assert spans[f"r{rid}:a{r.request.attempt}"].attrs["status"] == \
+                "served"
+
+    def test_on_the_real_chaos_scenario(self):
+        # priced loops under the batch spans, which the stub has none of
+        def run():
+            server, tracer, _ = chaos_run(2, 120, (0.04, 0.08), (0.1, 0.15))
+            return tracer, server
+        tracer, _ = check_views_do_not_depend_on_order(run)
+        assert any(sp.kind == "loop" for sp, _ in tracer.last_run.walk())
+
+
+@pytest.fixture
+def spans_made(monkeypatch):
+    """``Span`` constructions from here on, by kind."""
+    made = Counter()
+    init = Span.__init__
+
+    def counting(self, name, kind, *args, **kwargs):
+        made[kind] += 1
+        init(self, name, kind, *args, **kwargs)
+    monkeypatch.setattr(Span, "__init__", counting)
+    return made
+
+
+class TestNothingIsBuiltThatNobodyReads:
+    def test_a_run_and_its_exports_build_the_run_span_only(self, spans_made):
+        registry = MetricsRegistry()
+        server, tracer, report = chaos_run(0, 300, (0.04, 0.08), (0.1, 0.15),
+                                           registry)
+        assert report.decomposition["requests"] == 300
+        chrome_trace_events(tracer)
+        render_collapsed(tracer)
+        prometheus_text(registry)
+        assert spans_made == {"run": 1}
+        # the tree, when asked for: what the eager emitters used to build
+        # inside ``run`` (counted on the commit before the derivation)
+        list(tracer.last_run.walk())
+        assert spans_made == {"run": 1, "batch": 78, "loop": 177, "fault": 2,
+                              "request": 300, "queue": 300, "exec": 300,
+                              "attempt": 22}
+        tracer.runs, tracer.last_run, chrome_trace_events(tracer)
+        assert sum(spans_made.values()) == 1180  # built once
+
+    def test_derived_attrs_are_scalars(self):
+        _, tracer, _ = chaos_run(1, 120, (0.04, 0.08), (0.1, 0.15))
+        rows = list(span_rows(tracer))
+        assert len(rows) > 400
+        for _depth, _name, _kind, start_s, dur_s, attrs in rows:
+            assert type(start_s) is float and type(dur_s) is float
+            assert all(type(v) in (str, int, float, bool, type(None))
+                       for v in attrs.values())
+            assert _clean_args(attrs) == attrs
+        # ... and an exporter that keeps them gets its own
+        owned = list(span_rows(tracer, _clean_args))
+        assert [r[5] for r in owned] == [r[5] for r in rows]
+        assert not any(a[5] is b[5] for a, b in zip(owned, rows))
+
+
+class TestTheRecordIsRows:
+    def test_a_tracer_does_not_keep_its_server_alive(self):
+        tracer = Tracer()
+        server = stub_server(
+            tracer, FaultPlan((FaultSpec("crash", "numa[1]", 0.01, 0.02),)),
+            ResilienceConfig(retry=RetryPolicy(), hedge_delay_s=0.002))
+        server.run(ClosedLoop("abc", 6, 40, seed=0))
+        gone = weakref.ref(server)
+        machine = weakref.ref(server.machines[0])
+        del server
+        gc.collect()
+        assert gone() is None and machine() is None
+        events = chrome_trace_events(tracer)
+        assert sum(e.get("cat") == "request" for e in events) == 40
+        assert len(list(tracer.last_run.walk())) > 80
+
+    def test_clear_forgets_the_deferred_run_too(self):
+        tracer = Tracer()
+        sim = ServeSim(["q1"], backend="numpy", tracer=tracer)
+        sim.run_closed(clients=3, requests=9, seed=1)
+        tracer.clear()
+        assert tracer.runs == [] and tracer.last_run is None
+        assert all(e["ph"] == "M" for e in chrome_trace_events(tracer))
+        sim.run_closed(clients=2, requests=6, seed=2)
+        only = Tracer()
+        ServeSim(["q1"], backend="numpy", tracer=only).run_closed(
+            clients=2, requests=6, seed=2)
+        assert chrome_trace_events(tracer) == chrome_trace_events(only)
+        assert render_collapsed(tracer) == render_collapsed(only)
+        assert len(tracer.runs) == 1
+
+    @pytest.mark.parametrize("tracer", [None, Tracer(enabled=False)])
+    def test_an_untraced_run_keeps_no_record(self, tracer):
+        server = stub_server(tracer, resilience=ResilienceConfig(
+            retry=RetryPolicy(), hedge_delay_s=0.0004))
+        responses = server.run(ClosedLoop("abc", 4, 20, seed=0))
+        assert server.record is None and server._timelines == {}
+        assert server.timeline_of(0) is None
+        assert server.attempt_timelines_of(0) == []
+        assert all(r.request.tl is None and r.request.ctx is None
+                   for r in responses)
+        assert tracer is None or tracer.runs == []
+        report = ServeSim.report("closed", server, responses)
+        assert report.decomposition is None
