@@ -56,7 +56,7 @@ class LoopDistInfo:
 class PartitionReport:
     layouts: Dict[Sym, DataLayout] = field(default_factory=dict)
     loops: Dict[int, LoopDistInfo] = field(default_factory=dict)
-    #: typed, loop-attributed events (repro.diagnostics); the historical
+    #: typed, loop-attributed events (repro.obs.diagnostics); the historical
     #: ``warnings`` string list is derived from these
     diagnostics: List[Diagnostic] = field(default_factory=list)
     applied_rules: List[str] = field(default_factory=list)
@@ -77,9 +77,6 @@ class PartitionReport:
 
     def layout(self, s: Sym) -> DataLayout:
         return self.layouts.get(s, DataLayout.LOCAL)
-
-    def partitioned_syms(self) -> List[Sym]:
-        return [s for s, l in self.layouts.items() if l is DataLayout.PARTITIONED]
 
 
 def _const_index_read(d: Def) -> bool:

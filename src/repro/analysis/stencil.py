@@ -65,16 +65,6 @@ class LoopStencils:
                                   else f"conflicting accesses: {old}; {reason}")
         self.reads[coll] = joined
 
-    def has_unknown(self) -> bool:
-        return Stencil.UNKNOWN in self.reads.values()
-
-
-class _IndexClass(enum.Enum):
-    LOOP_INDEX = 1      # the distributed loop's own index
-    INVARIANT = 2       # constant w.r.t. the loop
-    INNER_FULL = 3      # an inner loop's index spanning a full collection
-    OTHER = 4
-
 
 def analyze_loop(d: Def, scope_index: Dict[Sym, Def]) -> LoopStencils:
     """Compute read stencils of one top-level multiloop."""

@@ -1,7 +1,6 @@
-"""Comparison systems: mini-Spark, mini-PowerGraph, Delite mode,
-DimmWitted-style Gibbs, and hand-optimized C++ cost models."""
+"""Comparison systems: mini-Spark, mini-PowerGraph, DimmWitted-style Gibbs
+and hand-optimized C++ cost models (Delite mode: ``repro.runtime.DELITE``)."""
 
-from .delite import delite_run
 from .dimmwitted import DimmWittedEngine, GibbsStats
 from .handopt import HandCost
 from .powergraph import (GasStats, PageRankProgram, PowerGraphEngine,
@@ -10,7 +9,7 @@ from .powergraph import (GasStats, PageRankProgram, PowerGraphEngine,
 from .spark import RDD, JobStats, SparkContext
 
 __all__ = [
-    "delite_run", "DimmWittedEngine", "GibbsStats", "HandCost",
+    "DimmWittedEngine", "GibbsStats", "HandCost",
     "GasStats", "PageRankProgram", "PowerGraphEngine",
     "TriangleCountProgram", "powergraph_pagerank", "powergraph_triangles",
     "replication_factor", "RDD", "JobStats", "SparkContext",

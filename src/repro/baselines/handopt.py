@@ -97,9 +97,3 @@ def triangle_counting(n_vertices: int, n_edges: int,
     # cycles: compare + advance + load) plus per-edge pointer setup
     cycles = n_edges * (avg_merge_len * 3.0 + 8.0)
     return HandCost(cycles, n_edges * avg_merge_len * 4.0)
-
-
-def gibbs_sweep(n_vars: int, n_factor_visits: int, replicas: int) -> HandCost:
-    cycles = (n_factor_visits * 4.0
-              + replicas * n_vars * (SIGMOID_CYCLES + 6.0))
-    return HandCost(cycles, n_factor_visits * 12.0)

@@ -57,15 +57,6 @@ class JobStats:
     bytes_touched: int = 0
     sim_seconds: float = 0.0
 
-    def merge(self, other: "JobStats") -> None:
-        self.stages += other.stages
-        self.tasks += other.tasks
-        self.elements_processed += other.elements_processed
-        self.closure_cycles += other.closure_cycles
-        self.shuffle_bytes += other.shuffle_bytes
-        self.bytes_touched += other.bytes_touched
-        self.sim_seconds += other.sim_seconds
-
 
 class SparkContext:
     """Entry point, bound to a simulated cluster."""
@@ -232,19 +223,6 @@ class RDD:
         self.sc.stats.shuffle_bytes += moved
         self.sc.stats.sim_seconds += self.sc._shuffle_time(moved)
         return RDD(self.sc, list(combined.items()), self.num_partitions)
-
-    def group_by_key(self) -> "RDD":
-        pairs = self._compute()
-        grouped: Dict[Any, List[Any]] = {}
-        for k, v in pairs:
-            grouped.setdefault(k, []).append(v)
-        # the whole payload crosses the wire, serialized
-        moved = sum(_value_bytes(k) + _value_bytes(v) for k, v in pairs)
-        self.sc.stats.shuffle_bytes += moved
-        self.sc.stats.sim_seconds += self.sc._shuffle_time(moved)
-        prof = self.sc.profile
-        self.sc.stats.closure_cycles += len(pairs) * 10 * prof.cycle_factor
-        return RDD(self.sc, list(grouped.items()), self.num_partitions)
 
     def cache(self) -> "RDD":
         # materialize the lineage once (iterative jobs re-read the cache)

@@ -33,7 +33,7 @@ from ..data.genes import generate_reads
 from ..data.graphs import power_law_graph
 from ..data.tpch_gen import generate_lineitems
 from ..graph.optigraph import pagerank_pull_program, triangle_program
-from ..pipeline import CompiledProgram, compile_program
+from ..pipeline import VARIANTS, CompiledProgram, compile_program
 from ..runtime.executor import RunCapture, capture_run
 
 #: the paper's dataset sizes each functional run is scaled to
@@ -66,16 +66,9 @@ class AppBundle:
 
     def compiled(self, variant: str = "opt") -> CompiledProgram:
         if variant not in self._compiled:
-            if variant == "opt":
-                c = compile_program(self._factory(), "distributed")
-            elif variant == "plain":
-                c = compile_program(self._factory(), "distributed",
-                                    apply_nested_transforms=False)
-            elif variant == "gpu":
-                c = compile_program(self._factory(), "gpu")
-            else:
-                raise KeyError(variant)
-            self._compiled[variant] = c
+            target, kwargs = VARIANTS[variant]
+            self._compiled[variant] = compile_program(self._factory(),
+                                                      target, **kwargs)
         return self._compiled[variant]
 
     def capture(self, variant: str = "opt",

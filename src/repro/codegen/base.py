@@ -6,17 +6,23 @@ CUDA). These emitters produce human-readable source demonstrating how the
 append loop on the CPU but a two-phase size-then-write kernel on the GPU,
 and buckets hash on the CPU but sort on the GPU (§3.1).
 
+One generator, many lowerings: the ``cond -> key -> value -> sink`` walk
+over a generator (Fig. 2) is written once, in :meth:`Emitter.emit_gen`; a
+target supplies its type and statement tables, its accumulator
+declarations and loop header (``emit_loop``), and what becomes of a
+generated value (``sink``).
+
 The generated sources are artifacts (inspectable, testable for structure);
 execution in this reproduction happens on the simulated runtime.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core import types as T
 from ..core.ir import Block, Const, Def, Exp, Program, Sym
-from ..core.multiloop import GenKind, Generator, MultiLoop
+from ..core.multiloop import Generator, MultiLoop
 from ..core.ops import (ArrayApply, ArrayLength, ArrayLit, BucketKeys,
                         BucketLookup, CollPrim, IfThenElse, InputSource,
                         MakeKeyed, Prim, StructField, StructNew)
@@ -35,10 +41,24 @@ _CALLS = {
 
 
 class Emitter:
-    """Base class; subclasses override type names and loop lowering."""
+    """Base class; the defaults are the C family's, subclasses override
+    the tables and the loop lowering."""
 
     target = "generic"
     comment = "//"
+    #: type names: scalars by table, collections by a format every target
+    #: sets (``COLL`` of the element, ``KEYED`` of key and element)
+    SCALARS = {T.BOOL: "bool", T.INT: "int32_t", T.LONG: "int64_t",
+               T.DOUBLE: "double"}
+    COLL: str
+    KEYED: str
+    ANY = "auto"
+    #: statement syntax: bind a block's index parameter, bind a reducer
+    #: parameter, update an accumulator, hand over the program's results
+    INDEX_LET = "const int64_t {} = {};"
+    REF_LET = "const auto& {} = {};"
+    STORE = "{} = {};"
+    RESULTS = "ctx.set_results({});"
 
     def __init__(self) -> None:
         self.lines: List[str] = []
@@ -75,7 +95,14 @@ class Emitter:
         return "{}"
 
     def type_name(self, t: T.Type) -> str:
-        raise NotImplementedError
+        if isinstance(t, T.Coll):
+            return self.COLL.format(self.type_name(t.elem))
+        if isinstance(t, T.KeyedColl):
+            return self.KEYED.format(self.type_name(t.key),
+                                     self.type_name(t.elem))
+        if isinstance(t, T.Struct):
+            return t.name
+        return self.SCALARS.get(t, self.ANY)
 
     def _collect_structs(self, t: T.Type) -> None:
         if isinstance(t, T.Struct):
@@ -93,16 +120,26 @@ class Emitter:
             for s in d.syms:
                 self._collect_structs(s.tpe)
         self.prelude(prog, name)
+        scopes = self.indent  # what the prelude opened, closed by count
         for d in prog.body.stmts:
             self.emit_def(d, top=True)
-        self.epilogue(prog)
+        self.out(self.RESULTS.format(
+            ", ".join(self.exp(r) for r in prog.body.results)))
+        for _ in range(scopes):
+            self.indent -= 1
+            self.out("}")
         return "\n".join(self.lines)
 
     def prelude(self, prog: Program, name: str) -> None:
         raise NotImplementedError
 
-    def epilogue(self, prog: Program) -> None:
-        raise NotImplementedError
+    def c_struct(self, st: T.Struct) -> None:
+        self.out(f"struct {st.name} {{")
+        self.indent += 1
+        for fn, ft in st.fields:
+            self.out(f"{self.type_name(ft)} {fn};")
+        self.indent -= 1
+        self.out("};")
 
     # -- statements ----------------------------------------------------------
 
@@ -207,3 +244,41 @@ class Emitter:
 
     def emit_loop(self, d: Def, loop: MultiLoop, top: bool) -> None:
         raise NotImplementedError
+
+    # -- generators ----------------------------------------------------------
+
+    def emit_gen(self, s: Sym, g: Generator, idx: str) -> None:
+        """One generator at index ``idx``: condition, key and value
+        functions in that order, each with its index parameter bound, then
+        the target's ``sink`` for the value — inside the condition."""
+        def at_index(b: Block) -> str:
+            self.out(self.INDEX_LET.format(self.name(b.params[0]), idx))
+            self.emit_block_stmts(b)
+            return self.exp(b.result)
+
+        if g.cond is not None:
+            self.out(f"if ({at_index(g.cond)}) {{")
+            self.indent += 1
+        if g.key is not None:
+            at_index(g.key)
+        self.sink(s, g, at_index(g.value), idx)
+        if g.cond is not None:
+            self.indent -= 1
+            self.out("}")
+
+    def sink(self, s: Sym, g: Generator, val: str, idx: str) -> None:
+        raise NotImplementedError
+
+    def inline_reducer(self, first: str, acc: str, val: str,
+                       g: Generator) -> None:
+        """``first`` stores the first value and opens the else branch that
+        folds every later one into ``acc`` through the inlined reducer."""
+        a, b = g.reducer.params
+        self.out(first)
+        self.indent += 1
+        self.out(self.REF_LET.format(self.name(a), acc))
+        self.out(self.REF_LET.format(self.name(b), val))
+        self.emit_block_stmts(g.reducer)
+        self.out(self.STORE.format(acc, self.exp(g.reducer.result)))
+        self.indent -= 1
+        self.out("}")

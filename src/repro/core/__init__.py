@@ -5,12 +5,12 @@ from . import types
 from .interp import ExecStats, Interp, LoopObserver, run_program
 from .ir import Block, Const, Def, Exp, Program, Sym, fresh
 from .multiloop import GenKind, Generator, MultiLoop
-from .pretty import pretty, pretty_block
+from .pretty import pretty
 from .verify import IRVerificationError, verify_program
 
 __all__ = [
     "types", "ExecStats", "Interp", "LoopObserver", "run_program",
     "Block", "Const", "Def", "Exp", "Program", "Sym", "fresh",
-    "GenKind", "Generator", "MultiLoop", "pretty", "pretty_block",
+    "GenKind", "Generator", "MultiLoop", "pretty",
     "IRVerificationError", "verify_program",
 ]

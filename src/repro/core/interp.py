@@ -65,21 +65,12 @@ class ExecStats:
     total_cycles: float = 0.0
     def_records: List[DefRecord] = field(default_factory=list)
 
-    def record_for(self, sym: Sym) -> Optional[DefRecord]:
-        for r in self.def_records:
-            if r.sym_id == sym.id:
-                return r
-        return None
-
 
 class LoopObserver:
-    """Runtime hook points; the distributed executor subclasses this to set
-    ambient 'current reader partition' state per iteration."""
+    """Runtime hook points; the executor subclasses this to collect the
+    per-iteration costs that bound load imbalance."""
 
     def on_loop_start(self, d: Def, size: int) -> None:  # pragma: no cover
-        pass
-
-    def on_iteration(self, d: Def, i: int) -> None:  # pragma: no cover
         pass
 
     def on_iteration_cost(self, d: Def, i: int, cycles: float) -> None:  # pragma: no cover
@@ -90,40 +81,10 @@ class LoopObserver:
         backend computes all iteration costs at once and hands them over in
         a single call; the default keeps per-iteration observers working."""
         for i, c in enumerate(costs):
-            self.on_iteration(d, i)
             self.on_iteration_cost(d, i, c)
 
     def on_loop_end(self, d: Def) -> None:  # pragma: no cover
         pass
-
-
-class MultiObserver(LoopObserver):
-    """Fans every hook out to several observers — lets the executor's
-    per-iteration cost collector coexist with user-supplied hooks (e.g.
-    ``repro.obs.MetricsObserver``) on one functional run."""
-
-    def __init__(self, *observers: Optional[LoopObserver]):
-        self.observers = tuple(o for o in observers if o is not None)
-
-    def on_loop_start(self, d: Def, size: int) -> None:
-        for o in self.observers:
-            o.on_loop_start(d, size)
-
-    def on_iteration(self, d: Def, i: int) -> None:
-        for o in self.observers:
-            o.on_iteration(d, i)
-
-    def on_iteration_cost(self, d: Def, i: int, cycles: float) -> None:
-        for o in self.observers:
-            o.on_iteration_cost(d, i, cycles)
-
-    def on_iteration_costs(self, d: Def, costs: Sequence[float]) -> None:
-        for o in self.observers:
-            o.on_iteration_costs(d, costs)
-
-    def on_loop_end(self, d: Def) -> None:
-        for o in self.observers:
-            o.on_loop_end(d)
 
 
 class InterpError(Exception):
@@ -349,7 +310,6 @@ class Interp:
                         self._eval_gen_iter(g, acc, i, None, sk)
         else:
             for i in range(size):
-                obs.on_iteration(d, i)
                 self._push_frame()
                 memo = {} if need_memo else None
                 for g, acc, sk in triples:
@@ -363,11 +323,6 @@ class Interp:
             self.env[s.id] = self._finish_acc(g, acc)
         if obs is not None:
             obs.on_loop_end(d)
-
-    _alpha_cache: Dict[int, object] = {}
-
-    def _alpha(self, block: Optional[Block]):
-        return _alpha_of(block)
 
     def _shared_eval(self, block: Block, i: int, memo, mkey):
         """Evaluate a generator component, reusing an alpha-equivalent

@@ -150,12 +150,6 @@ class Block:
     def result_type(self) -> Type:
         return self.result.tpe
 
-    def defined_syms(self) -> List[Sym]:
-        out: List[Sym] = []
-        for d in self.stmts:
-            out.extend(d.syms)
-        return out
-
     def __repr__(self) -> str:
         ps = ",".join(map(repr, self.params))
         body = "; ".join(map(repr, self.stmts))
@@ -354,34 +348,6 @@ def inline_block(block: Block, args: Sequence[Exp], into: List[Def]) -> Exp:
     refreshed = refresh_block(Block((), block.stmts, block.results), env)
     into.extend(refreshed.stmts)
     return refreshed.result
-
-
-def block_defines(block: Block, sym: Sym) -> bool:
-    return any(sym in d.syms for d in block.stmts)
-
-
-def depends_on(block: Block, target_def: Def, roots: set) -> bool:
-    """Does ``target_def`` (in ``block``) transitively depend on any sym in
-    ``roots``? Walks backwards through the block's def-use chains."""
-    produced: Dict[Sym, Def] = {}
-    for d in block.stmts:
-        for s in d.syms:
-            produced[s] = d
-    seen = set()
-
-    def visit(d: Def) -> bool:
-        if id(d) in seen:
-            return False
-        seen.add(id(d))
-        for s in op_used_syms(d.op):
-            if s in roots:
-                return True
-            dd = produced.get(s)
-            if dd is not None and visit(dd):
-                return True
-        return False
-
-    return visit(target_def)
 
 
 def def_index(block: Block) -> Dict[Sym, Def]:

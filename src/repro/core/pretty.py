@@ -60,10 +60,6 @@ def _fmt_def(d: Def, indent: str) -> List[str]:
     return [f"{indent}{lhs} = {op!r}"]
 
 
-def pretty_block(b: Block, indent: str = "") -> str:
-    return "\n".join(_fmt_block("block", b, indent))
-
-
 def pretty(prog: Program) -> str:
     lines = ["program(inputs=[%s])" % ", ".join(fmt_exp(s) for s in prog.inputs)]
     for d in prog.body.stmts:

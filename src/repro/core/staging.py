@@ -22,10 +22,6 @@ class StagingError(Exception):
 _scope_stack: List[List[Def]] = []
 
 
-def in_scope() -> bool:
-    return bool(_scope_stack)
-
-
 def open_scope() -> None:
     _scope_stack.append([])
 

@@ -64,18 +64,3 @@ def power_law_graph(n: int, m_per_node: int = 4, seed: int = 3) -> Graph:
             adj[v].add(u)
             targets.extend((u, v))
     return Graph(n, [sorted(s) for s in adj])
-
-
-def uniform_graph(n: int, m_edges: int, seed: int = 5) -> Graph:
-    """Erdős–Rényi-style control graph (no skew)."""
-    rng = random.Random(seed)
-    adj: List[set] = [set() for _ in range(n)]
-    added = 0
-    while added < m_edges:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v and v not in adj[u]:
-            adj[u].add(v)
-            adj[v].add(u)
-            added += 1
-    return Graph(n, [sorted(s) for s in adj])

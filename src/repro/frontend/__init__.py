@@ -16,15 +16,15 @@ The staged ``Program`` is then optimized and executed by
 from .program import (InputSpec, build, matrix_input, scalar_input,
                       table_input, vector_input)
 from .reps import (ArrayRep, BoolRep, KeyedRep, NumRep, Rep, StrRep,
-                   StructRep, array_lit, contains, fexp, flog, fmax, fmin,
-                   fsqrt, intersect_size, irange, lift, pair, sigmoid,
-                   struct, unwrap, where, wrap)
+                   StructRep, array_lit, contains, fexp, fmax, fmin, fsqrt,
+                   intersect_size, irange, pair, sigmoid, struct, unwrap,
+                   where, wrap)
 
 __all__ = [
     "InputSpec", "build", "matrix_input", "scalar_input", "table_input",
     "vector_input",
     "ArrayRep", "BoolRep", "KeyedRep", "NumRep", "Rep", "StrRep", "StructRep",
-    "array_lit", "contains", "fexp", "flog", "fmax", "fmin", "fsqrt",
-    "intersect_size", "irange", "lift", "pair", "sigmoid", "struct",
+    "array_lit", "contains", "fexp", "fmax", "fmin", "fsqrt",
+    "intersect_size", "irange", "pair", "sigmoid", "struct",
     "unwrap", "where", "wrap",
 ]

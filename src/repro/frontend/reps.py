@@ -46,12 +46,6 @@ def wrap(e: Exp) -> "Rep":
     return NumRep(e)
 
 
-def lift(x: Liftable) -> "Rep":
-    if isinstance(x, Rep):
-        return x
-    return wrap(unwrap(x))
-
-
 class Rep:
     """Base wrapper around a staged expression."""
 
@@ -127,7 +121,6 @@ class StrRep(Rep):
         raise TypeError("staged values are not hashable")
 
     def length(self): return _prim("str_len", self)
-    def char_at(self, i): return _prim("str_char_at", self, i)
 
 
 class StructRep(Rep):
@@ -468,12 +461,6 @@ def contains(coll: "ArrayRep", x: Liftable) -> BoolRep:
 
 def fexp(x: Liftable) -> NumRep:
     out = _prim("exp", x)
-    assert isinstance(out, NumRep)
-    return out
-
-
-def flog(x: Liftable) -> NumRep:
-    out = _prim("log", x)
     assert isinstance(out, NumRep)
     return out
 

@@ -5,8 +5,8 @@ Three cooperating pieces make the simulated runtime inspectable:
 - **spans** — every priced execution can produce a hierarchical span tree
   (run → loop → machine → socket/GPU chunk) whose attributes expose the
   mapping decisions (§4-§5) behind each number;
-- **metrics** — counters/gauges/histograms fed by the executor, the
-  distributed-array runtime, and the interpreter;
+- **metrics** — counters/gauges/histograms fed by the executor and the
+  distributed-array runtime;
 - **diagnostics** — typed, loop-attributed events that replace the bare
   warning strings the partitioning analysis used to emit;
 - **export** — a text profile report and Chrome-trace JSON
@@ -27,13 +27,13 @@ from .analyze import (LoopDelta, RootCause, decompose_timeline,
 from .critical import (CriticalPath, FleetReport, PathStep, critical_path,
                        fleet_attribution)
 from .diagnostics import DiagCategory, Diagnostic, Severity
-from .metrics import MetricsObserver, MetricsRegistry
+from .metrics import MetricsRegistry
 from .provenance import (Decision, DecisionKind, DecisionLedger,
                          diff_ledgers, emit, ledger_scope)
 from .spans import (RequestContext, RequestTimeline, Span, Tracer,
                     span_rows)
-from .export import (chrome_trace_events, flow_events, profile_report,
-                     render_spans, write_chrome_trace)
+from .export import (chrome_trace_events, profile_report, render_spans,
+                     write_chrome_trace)
 from .profile import (collapse_stacks, prometheus_text, render_collapsed,
                       write_collapsed, write_prometheus)
 from .slo import (BurnWindow, ObjectiveResult, SLOObjective, SLOReport,
@@ -46,11 +46,11 @@ __all__ = [
     "CriticalPath", "FleetReport", "PathStep", "critical_path",
     "fleet_attribution",
     "DiagCategory", "Diagnostic", "Severity",
-    "MetricsObserver", "MetricsRegistry",
+    "MetricsRegistry",
     "Decision", "DecisionKind", "DecisionLedger",
     "diff_ledgers", "emit", "ledger_scope",
     "RequestContext", "RequestTimeline", "Span", "Tracer", "span_rows",
-    "chrome_trace_events", "flow_events", "profile_report", "render_spans",
+    "chrome_trace_events", "profile_report", "render_spans",
     "write_chrome_trace",
     "collapse_stacks", "prometheus_text", "render_collapsed",
     "write_collapsed", "write_prometheus",

@@ -179,12 +179,6 @@ def _flatten(rows: Iterable[Row]) -> Tuple[List[dict], List[dict], List[dict]]:
     return meta, events, flows
 
 
-def flow_events(roots: Iterable[Span]) -> List[dict]:
-    """Chrome-trace flow arrows from request spans into the lane-packed
-    execution spans that served them (see :func:`_flatten`)."""
-    return _flatten(row for root in roots for row in span_rows(root))[2]
-
-
 def chrome_trace_events(source: Union[Tracer, Span]) -> List[dict]:
     """Flatten span tree(s) into Chrome trace events (``ph: "X"``),
     plus request↔batch flow arrows when request spans are present —

@@ -1,10 +1,9 @@
 """Metrics registry: counters, gauges, and histograms.
 
 Fed by the executor (pricing decisions: replication vs dynamic fetches,
-broadcast/shuffle volumes, per-loop seconds), by the distributed-array
+broadcast/shuffle volumes, per-loop seconds) and by the distributed-array
 runtime (remote-read traps, directory lookups — see
-``repro.runtime.distarray.set_metrics``), and by the interpreter through
-``MetricsObserver``.
+``repro.runtime.distarray.set_metrics``).
 
 Labels follow the Prometheus convention of being folded into the series
 key: ``inc("executor.remote_fetch_bytes", n, loop="x12")`` records under
@@ -16,8 +15,6 @@ from __future__ import annotations
 
 import math
 from typing import Any, Dict, List, Optional
-
-from ..core.interp import Def, LoopObserver
 
 
 def _series(name: str, labels: Dict[str, Any]) -> str:
@@ -109,17 +106,3 @@ class MetricsRegistry:
         self.gauges.clear()
         self.histograms.clear()
 
-
-class MetricsObserver(LoopObserver):
-    """Interpreter hook feeding loop execution counts into a registry."""
-
-    def __init__(self, metrics: MetricsRegistry):
-        self.metrics = metrics
-
-    def on_loop_start(self, d: Def, size: int) -> None:
-        self.metrics.inc("interp.loops_started")
-        self.metrics.inc("interp.iterations", size,
-                         loop=d.syms[0].name)
-
-    def on_loop_end(self, d: Def) -> None:
-        self.metrics.inc("interp.loops_finished")

@@ -187,12 +187,6 @@ class DecisionLedger:
     def of_kind(self, kind: DecisionKind) -> List[Decision]:
         return [d for d in self.decisions if d.kind is kind]
 
-    def by_site(self) -> Dict[str, List[Decision]]:
-        out: Dict[str, List[Decision]] = {}
-        for d in self.decisions:
-            out.setdefault(d.site, []).append(d)
-        return out
-
     def for_loop(self, loop: str) -> List[Decision]:
         """Decisions whose site matches ``loop`` — exact, id-stripped, or
         prefix match, so users can say ``cs`` for site ``cs42``."""

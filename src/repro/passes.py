@@ -9,8 +9,7 @@ semantics-breaking rewrite is attributed to the exact pass that
 introduced it rather than discovered at the end of the pipeline. Each
 pass run leaves a :class:`PassTrace` (wall time, statement and loop
 counts before/after, rules applied), which is the single source of truth
-for ``report.applied_rules`` — replacing the per-call ``applied_log``
-threading that used to drop rule applications.
+for ``report.applied_rules``.
 
 A pass that returned the program object it was given is at a fixpoint on
 it; while the manager stays at that object, running the pass again is

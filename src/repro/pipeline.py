@@ -12,8 +12,7 @@ Every phase is a named ``Pass`` executed through a ``PassManager``
 (``repro.passes``, DESIGN.md §6c): the manager verifies the IR after each
 pass when asked, records a ``PassTrace`` per pass, and collects every
 rewrite-rule application into one shared trace — ``report.applied_rules``
-is derived from that trace, so no phase can silently drop rule
-applications the way the old per-call ``applied_log`` threading did.
+is derived from that trace, so no phase can silently drop one.
 
 ``compile_program`` returns a ``CompiledProgram`` bundling the optimized
 IR with the partitioning/stencil report that the runtime executor
@@ -23,7 +22,7 @@ consumes, plus the pass trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .analysis.partitioning import (DataLayout, PartitionReport,
                                     partition_and_transform)
@@ -43,6 +42,14 @@ from .transforms import GPU_RULES, GroupByReduce
 #: test suite turns it on globally via ``tests/conftest.py`` so every
 #: compile in CI checks every pass boundary.
 DEFAULT_VERIFY = False
+
+#: variant name -> (compile target, extra ``compile_program`` kwargs): the
+#: three compiles a benchmark bundle and a served app exist in
+VARIANTS: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "opt": ("distributed", {}),
+    "plain": ("distributed", {"apply_nested_transforms": False}),
+    "gpu": ("gpu", {}),
+}
 
 _STD = standard_passes()
 # The rule passes are singletons like ``_STD``: the PassManager recognises
@@ -81,7 +88,6 @@ def optimize_passes(horizontal: bool = True,
 
 def optimize(prog: Program, horizontal: bool = True,
              groupby_reduce: bool = True,
-             applied_log: Optional[list] = None,
              pm: Optional[PassManager] = None,
              phase: str = "optimize",
              fuse: bool = True) -> Program:
@@ -89,18 +95,12 @@ def optimize(prog: Program, horizontal: bool = True,
 
     When no ``pm`` is given a fresh PassManager is created (honoring
     ``DEFAULT_VERIFY``); passing one threads this phase into a larger
-    shared trace. ``applied_log`` is kept for backward compatibility and
-    receives the rule applications of *this call* — but unlike the old
-    implementation the applications are always in the trace too.
+    shared trace.
     """
     if pm is None:
         pm = PassManager(verify=DEFAULT_VERIFY)
-    start = len(pm.traces)
-    prog = pm.run(prog, optimize_passes(horizontal, groupby_reduce, fuse),
+    return pm.run(prog, optimize_passes(horizontal, groupby_reduce, fuse),
                   phase)
-    if applied_log is not None:
-        applied_log.extend(r for t in pm.traces[start:] for r in t.rules)
-    return prog
 
 
 @dataclass
@@ -123,7 +123,7 @@ class CompiledProgram:
 
     @property
     def diagnostics(self):
-        """Typed, loop-attributed events (repro.diagnostics) behind the
+        """Typed, loop-attributed events (repro.obs.diagnostics) behind the
         ``warnings`` string view."""
         return self.report.diagnostics
 

@@ -18,15 +18,3 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     for r in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def fmt_time(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.1f}us"
-
-
-def fmt_speedup(x: float) -> str:
-    return f"{x:.2f}x"

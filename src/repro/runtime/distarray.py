@@ -148,11 +148,6 @@ class PartitionedArray:
         lo, hi = self.directory.range_of(part)
         return self.data[lo:hi]
 
-    def reset_counters(self) -> None:
-        self.local_reads = 0
-        self.remote_reads = 0
-        self.remote_bytes = 0
-
     def __repr__(self) -> str:
         return (f"PartitionedArray(n={len(self.data)}, "
                 f"parts={self.directory.num_partitions})")

@@ -17,15 +17,13 @@ re-running.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.partitioning import DataLayout, LoopDistInfo
 from ..analysis.stencil import Stencil
 from ..core import types as T
-from ..core.interp import (DefRecord, ExecStats, Interp, LoopObserver,
-                           MultiObserver)
+from ..core.interp import DefRecord, ExecStats, Interp, LoopObserver
 from ..core.ir import Def, Program, Sym
 from ..core.multiloop import GenKind, MultiLoop
 from ..core.ops import InputSource
@@ -50,7 +48,6 @@ class ExecOptions:
     sequential: bool = False           # single-core (Table 2)
     use_gpu: bool = False
     gpu_transposed: bool = False       # device copy of 2D inputs transposed
-    include_gpu_transfer: bool = False  # charge PCIe per run (non-iterative)
     remote_read_cache_fraction: Optional[float] = None  # override locality
     #: workload scale: the functional run uses a subsampled dataset and all
     #: volume terms (cycles, bytes, footprints) are multiplied back up to
@@ -177,16 +174,14 @@ class RunCapture:
 
 
 def capture_run(compiled: CompiledProgram, inputs: Dict[str, Any],
-                observer: Optional[LoopObserver] = None,
                 backend: Optional[str] = None,
                 profile_host: bool = False) -> RunCapture:
     """Execute once on the instrumented interpreter.
 
-    ``observer`` composes an extra hook (e.g. ``repro.obs.MetricsObserver``)
-    with the per-iteration cost collector. ``backend`` selects the
-    functional engine (``repro.backend.resolve_backend`` policy); the
-    vectorized backend yields identical results/stats and records any
-    per-loop interpreter fallbacks on the capture. ``profile_host``
+    ``backend`` selects the functional engine
+    (``repro.backend.resolve_backend`` policy); the vectorized backend
+    yields identical results/stats and records any per-loop interpreter
+    fallbacks on the capture. ``profile_host``
     additionally records host wall-clock per top-level loop on the
     capture (``host_loop_s``) — real time for calibrating the cost
     model, kept strictly out of simulated pricing."""
@@ -197,12 +192,11 @@ def capture_run(compiled: CompiledProgram, inputs: Dict[str, Any],
     top_ids = [d.syms[0].id for d in prog.body.stmts
                if isinstance(d.op, MultiLoop)]
     obs = _PerIterObserver(top_ids)
-    composed = obs if observer is None else MultiObserver(obs, observer)
     if backend == "numpy":
         from ..backend import NumpyInterp
-        interp = NumpyInterp(observer=composed, profile_host=profile_host)
+        interp = NumpyInterp(observer=obs, profile_host=profile_host)
     else:
-        interp = Interp(observer=composed)
+        interp = Interp(observer=obs)
     results = interp.eval_program(prog, prepared)
     stats = interp.stats
     fallbacks = list(getattr(interp, "fallbacks", ()))
@@ -218,38 +212,6 @@ def capture_run(compiled: CompiledProgram, inputs: Dict[str, Any],
             footprints[rec.sym_id] = max(rec.bytes_alloc, rec.output_len * 8)
     return RunCapture(compiled, results, stats, obs.costs, footprints,
                       backend, fallbacks, host_loop_s)
-
-
-#: fault-injection knob for the regression observatory's own tests:
-#: ``REPRO_INFLATE_LOOP="cs:2.0"`` (comma-separated ``loop:factor`` pairs)
-#: multiplies every priced cost component of the matching loop(s). A loop
-#: matches on exact name, name prefix, or id-stripped name (``cs`` hits
-#: ``cs42``). Unset — the common case — costs exactly one env lookup per
-#: priced run and changes nothing.
-INFLATE_ENV = "REPRO_INFLATE_LOOP"
-
-
-def _parse_inflation(spec: str) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for part in spec.split(","):
-        name, _, factor = part.partition(":")
-        name = name.strip()
-        if not name or not factor:
-            continue
-        try:
-            out[name] = float(factor)
-        except ValueError:
-            continue
-    return out
-
-
-def _inflation_factor(table: Dict[str, float], loop_name: str) -> float:
-    from ..obs.provenance import strip_ids
-    for key, factor in table.items():
-        if (loop_name == key or loop_name.startswith(key)
-                or strip_ids(loop_name).rstrip("#") == key):
-            return factor
-    return 1.0
 
 
 class Simulator:
@@ -278,8 +240,6 @@ class Simulator:
         tr = self.options.tracer
         self._obs = tr is not None and tr.enabled
         self._mx = self.options.metrics
-        inflate_spec = os.environ.get(INFLATE_ENV)
-        inflate = _parse_inflation(inflate_spec) if inflate_spec else None
         sim = SimResult(cap.results, cap.stats, backend=cap.backend,
                         fallbacks=list(cap.fallbacks))
         root: Optional["Span"] = None
@@ -300,15 +260,6 @@ class Simulator:
             per_iter = cap.per_iter.get(rec.sym_id)
             ls = self._price_loop(rec, info, stencils, loop_def, per_iter,
                                   footprints)
-            if inflate:
-                factor = _inflation_factor(inflate, ls.name)
-                if factor != 1.0:
-                    ls.compute_s *= factor
-                    ls.memory_s *= factor
-                    ls.comm_s *= factor
-                    ls.overhead_s *= factor
-                    if ls.detail is not None:
-                        ls.detail["cost_inflation"] = factor
             sim.loops.append(ls)
             if self._mx is not None:
                 self._mx.inc("executor.loops_priced")
@@ -440,7 +391,7 @@ class Simulator:
         nested_parallel = self._has_nested_loops(loop_def)
         if opts.use_gpu and loop_def is not None and node.gpu is not None:
             self._price_gpu(ls, rec, loop_def, cycles, bytes_read, machines,
-                            footprints, stencils, info)
+                            stencils, info)
         else:
             self._price_cpu(ls, rec, cycles, dram, machines, sockets,
                             cores, per_iter, info, nested_parallel)
@@ -581,8 +532,7 @@ class Simulator:
 
     def _price_gpu(self, ls: LoopSim, rec: DefRecord, loop_def: Def,
                    cycles: float, bytes_read: int, machines: int,
-                   footprints: Dict[int, int], stencils,
-                   info: Optional[LoopDistInfo]) -> None:
+                   stencils, info: Optional[LoopDistInfo]) -> None:
         gpu: GPUSpec = self.cluster.node.gpu  # type: ignore[assignment]
         chunk_cycles = cycles / machines
         chunk_bytes = bytes_read / machines
@@ -609,14 +559,6 @@ class Simulator:
                              and not self.options.gpu_transposed),
                 random_gather=bool(info is not None and info.remote_random),
                 kernel_launch_us=gpu.kernel_launch_us)
-        if self.options.include_gpu_transfer and stencils is not None:
-            moved = sum(footprints.get(s.id, 0) for s in stencils.reads)
-            ls.comm_s += (moved / machines) / (gpu.pcie_bandwidth_gbs * GB)
-            if ls.detail is not None:
-                ls.detail["bytes_pcie"] = moved / machines
-            mx = getattr(self, "_mx", None)
-            if mx is not None:
-                mx.inc("executor.pcie_bytes", moved / machines, loop=ls.name)
 
     def _has_vector_reduce(self, d: Def) -> bool:
         assert isinstance(d.op, MultiLoop)

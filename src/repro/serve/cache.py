@@ -2,13 +2,11 @@
 
 The serving layer's first premise (ROADMAP open item 1) is that the
 expensive part of a request is the *pipeline*, not the execution — so
-the cache compiles each ``(app, variant)`` at most once and keys the
-resulting entry by ``(app, DecisionLedger.digest())``. The digest is the
+the cache compiles each ``(app, variant)`` at most once and records the
+compile's ``DecisionLedger.digest()`` on the entry. The digest is the
 same stable fingerprint the regression observatory tracks: two compiles
-that made identical decisions share an entry, and a request pinned to a
-digest (``lookup``) can only ever be served by the exact plan it was
-admitted against — a digest drift surfaces as a cache miss, never as a
-silently different program.
+that made identical decisions carry the same digest, so a drift shows on
+the entry instead of passing as a silently different program.
 
 Beside the compiles sits what was executed from them: the capture store,
 one functional execution per (compiled program, input content). What a
@@ -26,17 +24,9 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..core.ir import Program
 from ..obs.provenance import DecisionLedger, ledger_scope
-from ..pipeline import CompiledProgram, compile_program
+from ..pipeline import VARIANTS, CompiledProgram, compile_program
 from ..runtime.executor import RunCapture
 from .batching import Payload
-
-#: variant name -> (compile target, extra compile_program kwargs); the
-#: same three variants the benchmark bundles build
-VARIANTS: Dict[str, Tuple[str, Dict[str, Any]]] = {
-    "opt": ("distributed", {}),
-    "plain": ("distributed", {"apply_nested_transforms": False}),
-    "gpu": ("gpu", {}),
-}
 
 
 @dataclass
@@ -46,8 +36,8 @@ class CompiledEntry:
     app: str
     variant: str
     compiled: CompiledProgram
-    #: DecisionLedger.digest() of this compile — the cache key's second
-    #: half and the serving layer's provenance anchor
+    #: DecisionLedger.digest() of this compile — the serving layer's
+    #: provenance anchor
     digest: str
     #: host seconds the compile took (what a cache hit saves)
     compile_s: float
@@ -55,7 +45,7 @@ class CompiledEntry:
 
 
 class ProgramCache:
-    """In-process cache of compiled programs, keyed by app × digest.
+    """In-process cache of compiled programs, keyed by app × variant.
 
     ``factories`` maps app name to a zero-argument staged-``Program``
     factory (the same callables the benchmark bundles own). Compiles run
@@ -69,7 +59,6 @@ class ProgramCache:
         self.factories = dict(factories)
         self.metrics = metrics
         self._entries: Dict[Tuple[str, str], CompiledEntry] = {}
-        self._by_digest: Dict[Tuple[str, str], CompiledEntry] = {}
         self.hits = 0
         self.misses = 0
         #: (app, variant, payload digest, backend) -> the capture, or the
@@ -106,7 +95,6 @@ class ProgramCache:
         digest = compiled.provenance.digest() if compiled.provenance else ""
         entry = CompiledEntry(app, variant, compiled, digest, compile_s)
         self._entries[key] = entry
-        self._by_digest[(app, digest)] = entry
         self.misses += 1
         if self.metrics is not None:
             self.metrics.inc("serve.cache.program.misses", app=app)
@@ -145,7 +133,7 @@ class ProgramCache:
         next ``get`` recompiles and counts a miss, the next ``capture``
         executes again — this is the hook the fault plan's ``cache``
         events use."""
-        memos = (self._entries, self._by_digest, self._captures)
+        memos = (self._entries, self._captures)
         evicted = len(self._entries)
         if app in (None, "*"):
             for memo in memos:
@@ -155,10 +143,6 @@ class ProgramCache:
             for k in [k for k in memo if k[0] == app]:
                 del memo[k]
         return evicted - len(self._entries)
-
-    def lookup(self, app: str, digest: str) -> Optional[CompiledEntry]:
-        """Digest-pinned lookup: only an identical compile satisfies it."""
-        return self._by_digest.get((app, digest))
 
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._entries), "hits": self.hits,

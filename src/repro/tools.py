@@ -36,7 +36,6 @@ import argparse
 import json as _json
 import sys
 
-from .analysis.stencil import Stencil
 from .core.pretty import pretty
 from .passes import trace_table
 from .pipeline import compile_program
@@ -61,17 +60,46 @@ _APPS = {
 }
 
 
+def _parse(ap, argv):
+    """``(args, None)``, or ``(None, exit code)`` where argparse would
+    have exited the process: 0 after ``--help``, 2 on bad usage."""
+    try:
+        return ap.parse_args(argv), None
+    except SystemExit as e:
+        return None, int(e.code or 0)
+
+
+def _write_exports(args, tracer, metrics, trace_hint: str = "") -> None:
+    """The ``--trace-out`` / ``--flame-out`` / ``--metrics-out`` tail of an
+    observed run."""
+    from .obs import write_chrome_trace, write_collapsed, write_prometheus
+    if args.trace_out:
+        write_chrome_trace(args.trace_out, tracer)
+        print(f"wrote Chrome trace to {args.trace_out}{trace_hint}")
+    if args.flame_out:
+        write_collapsed(args.flame_out, tracer)
+        print(f"wrote flamegraph stacks to {args.flame_out}")
+    if args.metrics_out:
+        write_prometheus(args.metrics_out, metrics)
+        print(f"wrote Prometheus metrics to {args.metrics_out}")
+
+
+def _load_slo(path: str):
+    """The ``SLOSpec`` in ``path``, or ``None`` after a one-line error."""
+    from .obs.slo import SLOSpec
+    try:
+        return SLOSpec.load(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot load SLO spec {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _emit(prog, emit: str) -> str:
     if emit == "ir":
         return pretty(prog)
-    if emit == "cpp":
-        from .codegen import generate_cpp
-        return generate_cpp(prog)
-    if emit == "cuda":
-        from .codegen import generate_cuda
-        return generate_cuda(prog)
-    from .codegen import generate_scala
-    return generate_scala(prog)
+    from .codegen import generate_cpp, generate_cuda, generate_scala
+    return {"cpp": generate_cpp, "cuda": generate_cuda,
+            "scala": generate_scala}[emit](prog)
 
 
 def _run_observed(args) -> int:
@@ -84,8 +112,7 @@ def _run_observed(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     from .backend import resolve_backend_ex
-    from .obs import (MetricsRegistry, Tracer, profile_report,
-                      write_chrome_trace, write_collapsed, write_prometheus)
+    from .obs import MetricsRegistry, Tracer, profile_report
     from .runtime import DMLL_CPP, GPU_CLUSTER, NUMA_BOX, single_node
 
     try:
@@ -123,16 +150,8 @@ def _run_observed(args) -> int:
             print(d.render())
     if args.metrics:
         print(metrics.render())
-    if args.trace_out:
-        write_chrome_trace(args.trace_out, tracer)
-        print(f"wrote Chrome trace to {args.trace_out}; load it in "
-              f"chrome://tracing or https://ui.perfetto.dev")
-    if args.flame_out:
-        write_collapsed(args.flame_out, tracer)
-        print(f"wrote flamegraph stacks to {args.flame_out}")
-    if args.metrics_out:
-        write_prometheus(args.metrics_out, metrics)
-        print(f"wrote Prometheus metrics to {args.metrics_out}")
+    _write_exports(args, tracer, metrics, "; load it in chrome://tracing "
+                                          "or https://ui.perfetto.dev")
     return 0
 
 
@@ -176,10 +195,9 @@ def explain_main(argv=None) -> int:
                     help="compile twice (default pipeline vs the ablated "
                          "VARIANT) and show exactly which decisions "
                          "diverge")
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    args, rc = _parse(ap, argv)
+    if args is None:
+        return rc
     if not args.app:
         print("explain requires an application name; see "
               "`python -m repro.tools --list`", file=sys.stderr)
@@ -399,10 +417,9 @@ def serve_main(argv=None) -> int:
                     help="print the serving metrics registry")
     ap.add_argument("--json", action="store_true",
                     help="emit the report as JSON instead of a table")
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    args, rc = _parse(ap, argv)
+    if args is None:
+        return rc
     rc = _check_traffic_args(args, "serve-sim")
     if rc != EXIT_OK:
         return rc
@@ -410,16 +427,11 @@ def serve_main(argv=None) -> int:
         print("--chaos requires both --faults and --slo", file=sys.stderr)
         return EXIT_USAGE
 
-    from .obs import (MetricsRegistry, Tracer, evaluate_slo, write_chrome_trace,
-                      write_collapsed, write_prometheus)
-    from .obs.slo import SLOSpec
+    from .obs import MetricsRegistry, Tracer, evaluate_slo
     spec = None
     if args.slo:
-        try:
-            spec = SLOSpec.load(args.slo)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load SLO spec {args.slo}: {exc}",
-                  file=sys.stderr)
+        spec = _load_slo(args.slo)
+        if spec is None:
             return EXIT_USAGE
     metrics = MetricsRegistry()
     # --latency-out also traces: request timelines feed the exact
@@ -480,15 +492,7 @@ def serve_main(argv=None) -> int:
             _json.dump(report.to_json(), fh, indent=1, default=str)
             fh.write("\n")
         print(f"wrote latency report to {args.latency_out}")
-    if args.trace_out:
-        write_chrome_trace(args.trace_out, tracer)
-        print(f"wrote Chrome trace to {args.trace_out}")
-    if args.flame_out:
-        write_collapsed(args.flame_out, tracer)
-        print(f"wrote flamegraph stacks to {args.flame_out}")
-    if args.metrics_out:
-        write_prometheus(args.metrics_out, metrics)
-        print(f"wrote Prometheus metrics to {args.metrics_out}")
+    _write_exports(args, tracer, metrics)
     if args.chaos:
         if not recovered:
             print("CHAOS: SLO not recovered after the last scripted fault",
@@ -517,21 +521,16 @@ def slo_main(argv=None) -> int:
                     help="write the evaluation as JSON")
     ap.add_argument("--json", action="store_true",
                     help="print the evaluation as JSON instead of a table")
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    args, rc = _parse(ap, argv)
+    if args is None:
+        return rc
     rc = _check_traffic_args(args, "slo-report")
     if rc != EXIT_OK:
         return rc
 
     from .obs import evaluate_slo
-    from .obs.slo import SLOSpec
-    try:
-        spec = SLOSpec.load(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load SLO spec {args.spec}: {exc}",
-              file=sys.stderr)
+    spec = _load_slo(args.spec)
+    if spec is None:
         return EXIT_USAGE
     try:
         sim, _report = _run_traffic(args, None, None)
@@ -740,10 +739,9 @@ def analyze_main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0,
                     help="--requests: traffic seed (same seed, "
                          "byte-identical --json output)")
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    args, rc = _parse(ap, argv)
+    if args is None:
+        return rc
     if not args.app:
         print("analyze requires an application name", file=sys.stderr)
         return EXIT_USAGE
@@ -762,16 +760,14 @@ def analyze_main(argv=None) -> int:
     return _analyze_critical(args.app, args.backend, args.json)
 
 
+_SUBCOMMANDS = {"explain": explain_main, "serve-sim": serve_main,
+                "slo-report": slo_main, "analyze": analyze_main}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "explain":
-        return explain_main(argv[1:])
-    if argv and argv[0] == "serve-sim":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "slo-report":
-        return slo_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        return analyze_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     ap = argparse.ArgumentParser(prog="repro.tools", description=__doc__)
     ap.add_argument("app", nargs="?", help="application name (see --list)")
     ap.add_argument("--list", action="store_true", help="list applications")
@@ -807,32 +803,27 @@ def main(argv=None) -> int:
                     default=None,
                     help="functional execution engine for observed runs "
                          "(default: $REPRO_BACKEND or reference)")
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    args, rc = _parse(ap, argv)
+    if args is None:
+        return rc
 
-    if args.list:
-        print("applications:", ", ".join(sorted(_APPS)))
-        return EXIT_OK
-    if not args.app:
+    observed = (args.profile or args.trace_out or args.metrics
+                or args.flame_out or args.metrics_out)
+    if not args.list and not args.app and (
+            observed or args.report or args.trace or args.verify_each
+            or args.no_transforms):
         # flags without an app used to print the app list and exit 0,
         # silently dropping the requested action — that's bad usage
-        acted = (args.report or args.trace or args.verify_each
-                 or args.no_transforms or args.profile or args.trace_out
-                 or args.metrics or args.flame_out or args.metrics_out)
-        if acted:
-            print("an application name is required with these flags; "
-                  "see --list", file=sys.stderr)
-            return EXIT_USAGE
+        print("an application name is required with these flags; "
+              "see --list", file=sys.stderr)
+        return EXIT_USAGE
+    if args.list or not args.app:
         print("applications:", ", ".join(sorted(_APPS)))
         return EXIT_OK
     if args.app not in _APPS:
         print(f"unknown app {args.app!r}; use --list", file=sys.stderr)
         return EXIT_USAGE
 
-    observed = (args.profile or args.trace_out or args.metrics
-                or args.flame_out or args.metrics_out)
     prog = _APPS[args.app]()
     if args.stage == "staged":
         # everything below needs a compiled program; --report used to be

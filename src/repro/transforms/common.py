@@ -8,12 +8,11 @@ a single rule at a time rather than an exponential combination").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.ir import (Block, Def, Exp, Program, Sym, def_index,
                        free_sym_set, map_blocks, op_used_syms, rebuild_block,
                        rebuild_def, rebuild_program)
-from ..core.multiloop import GenKind, Generator, MultiLoop
 from ..obs.diagnostics import emit_diagnostic, iteration_cap
 from ..obs.provenance import APPLIED, REJECTED, DecisionKind, emit
 
@@ -95,23 +94,6 @@ def slice_deps(block: Block, targets: Sequence[Exp]) -> List[Def]:
         needed.add(id(d))
         work.extend(x for x in op_used_syms(d.op) if isinstance(x, Sym))
     return [d for d in block.stmts if id(d) in needed]
-
-
-def single_gen_loop(d: Def, kind: GenKind) -> Optional[Generator]:
-    if isinstance(d.op, MultiLoop) and len(d.op.gens) == 1:
-        g = d.op.gens[0]
-        if g.kind is kind:
-            return g
-    return None
-
-
-def find_loops(block: Block, kind: GenKind) -> List[Tuple[int, Def, Generator]]:
-    out = []
-    for p, d in enumerate(block.stmts):
-        g = single_gen_loop(d, kind)
-        if g is not None:
-            out.append((p, d, g))
-    return out
 
 
 def replace_stmt(block: Block, pos: int, replacement: Sequence[Def]) -> Block:

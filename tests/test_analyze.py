@@ -378,12 +378,24 @@ class TestForcedRegression:
     def _record_run(self, tmp_path, monkeypatch, inflate=None, ts=1.0):
         from repro.obs.history import append_record, git_sha
         from repro.obs.provenance import strip_ids
-        if inflate is not None:
-            monkeypatch.setenv("REPRO_INFLATE_LOOP", inflate)
-        else:
-            monkeypatch.delenv("REPRO_INFLATE_LOOP", raising=False)
+        from repro.runtime.executor import Simulator
         bundle = get_bundle("kmeans")
-        sim = bundle.simulate("opt")
+        with monkeypatch.context() as mp:
+            if inflate is not None:
+                # a real regression, forced: "loop:factor" multiplies every
+                # priced cost component of that loop
+                hot, _, factor = inflate.partition(":")
+                price_loop = Simulator._price_loop
+
+                def inflated(self, *args):
+                    ls = price_loop(self, *args)
+                    if ls.name == hot:
+                        for part in ("compute_s", "memory_s", "comm_s",
+                                     "overhead_s"):
+                            setattr(ls, part, getattr(ls, part) * float(factor))
+                    return ls
+                mp.setattr(Simulator, "_price_loop", inflated)
+            sim = bundle.simulate("opt")
         led = bundle.compiled("opt").provenance
         per_loop = [{"loop": ls.name, "key": strip_ids(ls.name),
                      "op": ls.op_name, "workers": ls.workers,
@@ -399,23 +411,6 @@ class TestForcedRegression:
                    "decisions": led.normalized_keys() if led else []}),
             root=tmp_path)
         return sim
-
-    def test_inflation_env_knob(self, monkeypatch):
-        bundle = get_bundle("kmeans")
-        monkeypatch.delenv("REPRO_INFLATE_LOOP", raising=False)
-        base = bundle.simulate("opt")
-        hot_name = max(base.loops, key=lambda l: l.time_s).name
-        monkeypatch.setenv("REPRO_INFLATE_LOOP", f"{hot_name}:3.0")
-        hot = bundle.simulate("opt")
-        base_hot = next(l for l in base.loops if l.name == hot_name)
-        infl_hot = next(l for l in hot.loops if l.name == hot_name)
-        assert infl_hot.compute_s == pytest.approx(3.0 * base_hot.compute_s,
-                                                   rel=1e-12)
-        # only the targeted loop changed
-        for b, h in zip(base.loops, hot.loops):
-            if b.name != hot_name:
-                assert h.time_s == b.time_s
-        assert hot.total_seconds > base.total_seconds
 
     def test_gate_fails_and_report_names_loop_and_machine(
             self, tmp_path, monkeypatch, capsys):

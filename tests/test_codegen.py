@@ -78,6 +78,21 @@ class TestCuda:
         src = generate_cuda(prog)
         assert "exclusive_scan" in src  # two-phase collect, §3.1
 
+    def test_lines_after_a_kernel_keep_the_enclosing_indent(self):
+        from repro.apps.knn import knn_program
+        src = generate_cuda(compile_program(knn_program(), "gpu").program)
+        lines = src.split("\n")
+
+        def indent(line):
+            return len(line) - len(line.lstrip())
+
+        launches = [i for i, line in enumerate(lines)
+                    if "dmll::launch<" in line]
+        # knn nests: some kernels are launched from inside a kernel body
+        assert any(indent(lines[i]) > 2 for i in launches)
+        for i in launches:
+            assert indent(lines[i + 1]) == indent(lines[i])
+
     def test_buckets_sorted_on_gpu(self, kmeans_gpu):
         src = generate_cuda(kmeans_gpu)
         assert "sort" in src
@@ -110,3 +125,53 @@ class TestAllTargets:
             for gen in (generate_cpp, generate_cuda, generate_scala):
                 src = gen(prog)
                 assert len(src) > 100
+
+
+# ---------------------------------------------------------------------------
+# pin: the emitted sources of the 8 bundled apps x {opt, gpu} x 3 targets
+# ---------------------------------------------------------------------------
+
+#: runs in a fresh interpreter: symbol ids depend on what was staged before
+_EMIT_ALL = r'''
+import hashlib
+from repro.bench.apps import _FACTORIES
+from repro.codegen import generate_cpp, generate_cuda, generate_scala
+from repro.pipeline import compile_program
+from repro.tools import _APPS
+exact, flush_left = hashlib.sha256(), hashlib.sha256()
+for app in sorted(_FACTORIES):
+    for target in ("distributed", "gpu"):     # the opt and gpu variants
+        prog = compile_program(_APPS[app](), target).program
+        for gen in (generate_cpp, generate_cuda, generate_scala):
+            src = gen(prog)
+            exact.update(src.encode() + b"\0")
+            flush_left.update("\n".join(
+                line.lstrip() for line in src.split("\n")).encode() + b"\0")
+print(exact.hexdigest(), flush_left.hexdigest())
+'''
+
+#: every line ``lstrip``ped — computed on the commit before the emitters
+#: shared one generator walk (PR 23), with ``PYTHONPATH=<parent>/src``
+#: under PYTHONHASHSEED 0/1/2
+EMITTED_FLUSH_LEFT = \
+    "b00db17888d025038252fea9b0d84e3d344fe66bf2c93aa936b959c5b1765781"
+#: the exact bytes. That commit read 526dd5946ae1ec0d…933258a58c, and so did
+#: the shared walk; the one recomputation is the CUDA indent fix of the same
+#: PR (lines after a kernel were flush left), which moved no other byte
+EMITTED = \
+    "ce536bdc251d9398a2a247ad385734222dbc08dca295a3505375a92613f6c0de"
+
+
+def test_emitted_sources_are_pinned():
+    import os
+    import subprocess
+    import sys
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_dir] + [p for p in (env.get("PYTHONPATH"),) if p])
+    out = subprocess.run([sys.executable, "-c", _EMIT_ALL], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    exact, flush_left = out.split()
+    assert flush_left == EMITTED_FLUSH_LEFT
+    assert exact == EMITTED

@@ -97,11 +97,6 @@ class TestSharedRuleLog:
         assert per_phase["first"] == 1 and per_phase["second"] == 1
         assert pm.applied_rules().count("groupby-reduce") == 2
 
-    def test_applied_log_backcompat(self):
-        log = []
-        optimize(kmeans_grouped_program(), horizontal=False, applied_log=log)
-        assert "groupby-reduce" in log
-
 
 class TestVerifyKnob:
     def test_verifier_catches_broken_pass(self):
