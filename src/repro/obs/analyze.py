@@ -38,6 +38,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..report.tables import render_table
@@ -105,6 +107,38 @@ def decompose_timeline(tl: RequestTimeline) -> Optional[Dict[str, float]]:
     return comps
 
 
+def _decomposed(server: Any) -> Tuple[List[Any], List[Any]]:
+    """A run's responses with both bounding marks, by rid, and their
+    ``COMPONENTS`` + ``latency_s`` as columns: :func:`decompose_timeline`
+    of all at once, its float operations in its order, bit for bit."""
+    import numpy as np
+    served, timelines = [], []
+    for resp in sorted(server.responses, key=attrgetter("request.rid")):
+        tl = server.timeline_of(resp.request.rid)
+        if tl is not None and "arrive" in tl.marks and "complete" in tl.marks:
+            served.append(resp)
+            timelines.append(tl.marks)
+    # one column per mark; a missing mark is the previous one, which
+    # makes its component zero-length
+    marks = [list(map(itemgetter("arrive"), timelines))]
+    for _comp, mark in _STAGE_ENDS:
+        marks.append(list(map(dict.get, timelines, repeat(mark), marks[-1])))
+    marks.append(list(map(itemgetter("complete"), timelines)))
+    cols = np.array(marks)
+    comps = [cols[i + 1] - cols[i] for i in range(len(_STAGE_ENDS))]
+    acc = sum(comps, np.zeros(len(served)))  # 0.0 + each, in order
+    latency = cols[-1] - cols[0]
+    execution = latency - acc
+    for _ in range(8):
+        s = acc + execution
+        off = s != latency
+        if not off.any():
+            break
+        execution = np.where(off, np.nextafter(
+            execution, np.where(s < latency, np.inf, -np.inf)), execution)
+    return served, comps + [execution, latency]
+
+
 def request_decomposition(server: Any) -> List[Dict[str, Any]]:
     """Per-request decomposition rows for a completed serve run.
 
@@ -113,28 +147,11 @@ def request_decomposition(server: Any) -> List[Dict[str, Any]]:
     that has a timeline (i.e. the run was traced), ordered by rid so
     output is deterministic.
     """
-    rows: List[Dict[str, Any]] = []
-    for resp in sorted(server.responses, key=lambda r: r.request.rid):
-        tl = server.timeline_of(resp.request.rid)
-        if tl is None:
-            continue
-        comps = decompose_timeline(tl)
-        if comps is None:
-            continue
-        rows.append({"rid": resp.request.rid, "app": resp.request.app,
-                     "machine": resp.machine, **comps})
-    return rows
-
-
-def _aggregate(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    n = len(rows)
-    out: Dict[str, Any] = {"count": n}
-    for comp in COMPONENTS + ("latency_s",):
-        vals = [r[comp] for r in rows]
-        out[comp] = {"total_s": sum(vals),
-                     "mean_s": sum(vals) / n if n else 0.0,
-                     "max_s": max(vals) if vals else 0.0}
-    return out
+    served, columns = _decomposed(server)
+    names = COMPONENTS + ("latency_s",)
+    return [{"rid": r.request.rid, "app": r.request.app,
+             "machine": r.machine, **dict(zip(names, comps))}
+            for r, *comps in zip(served, *(c.tolist() for c in columns))]
 
 
 def decomposition_summary(server: Any) -> Optional[Dict[str, Any]]:
@@ -148,21 +165,32 @@ def decomposition_summary(server: Any) -> Optional[Dict[str, Any]]:
          "per_machine": {machine: {...same...}}}
 
     Returns ``None`` when the run recorded no timelines (tracing off),
-    so untraced reports carry no section at all.
+    so untraced reports carry no section at all. Totals are sequential
+    sums in rid order.
     """
-    rows = request_decomposition(server)
-    if not rows:
+    import numpy as np
+    served, columns = _decomposed(server)
+    if not served:
         return None
-    by_app: Dict[str, List[Dict[str, Any]]] = {}
-    by_machine: Dict[str, List[Dict[str, Any]]] = {}
-    for r in rows:
-        by_app.setdefault(r["app"], []).append(r)
-        by_machine.setdefault(r["machine"], []).append(r)
-    return {"requests": len(rows),
-            "components": _aggregate(rows),
-            "per_app": {k: _aggregate(by_app[k]) for k in sorted(by_app)},
-            "per_machine": {k: _aggregate(by_machine[k])
-                            for k in sorted(by_machine)}}
+
+    def aggregate(rows: Any) -> Dict[str, Any]:
+        out: Dict[str, Any] = {"count": len(rows)}
+        for comp, col in zip(COMPONENTS + ("latency_s",), columns):
+            vals = col[rows].tolist()
+            total = sum(vals)
+            out[comp] = {"total_s": total, "mean_s": total / len(vals),
+                         "max_s": max(vals)}
+        return out
+
+    def groups(keys: List[str]) -> Dict[str, Any]:
+        of = np.array(keys)
+        return {k: aggregate(np.flatnonzero(of == k))
+                for k in sorted(set(keys))}
+
+    return {"requests": len(served),
+            "components": aggregate(np.arange(len(served))),
+            "per_app": groups([r.request.app for r in served]),
+            "per_machine": groups([r.machine for r in served])}
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ simulated machine, plus metadata events naming the tracks.
 from __future__ import annotations
 
 import json
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Set, Tuple,
-                    Union)
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
 from ..report.tables import render_table
-from .spans import Row, Span, Tracer, span_rows
+from .spans import (ATTEMPT_PID, REQUEST_PID, Span, SpanTable, Tracer,
+                    span_rows, span_table)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..runtime.executor import SimResult
@@ -78,27 +78,47 @@ def _clean_args(attrs: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-#: request-lifecycle spans live in their own trace process so each
-#: request gets a private track and overlapping lifecycles never fight
-#: over slice nesting on the machine tracks
-_REQUEST_PID = 2
-_REQUEST_KINDS = ("request", "queue", "exec")
+def exact_round(x: Any, ndigits: int) -> Any:
+    """``round(v, ndigits)`` of every element of the float64 array ``x``,
+    bit for bit: ``rint(y)/10ⁿ`` wherever ``y = x·10ⁿ`` lies more than 2
+    ulp from a .5 boundary (DESIGN.md §10 has the argument), ``round``
+    itself near a tie, at ``|y| ≥ 2⁵²`` and for inf or nan."""
+    import numpy as np
+    scale = 10.0 ** ndigits
+    with np.errstate(all="ignore"):  # inf and nan take the slow path
+        y = x * scale
+        out = np.rint(y) / scale
+        near = (np.abs(y - np.floor(y) - 0.5)
+                <= 2 * np.spacing(np.maximum(np.abs(y), 1.0)))
+        fast = (np.abs(y) < 2.0 ** 52) & ~near
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = round(float(x[i]), ndigits)
+    return out
 
-#: per-attempt spans (retries, hedges, crash re-enqueues) live in a
-#: third process: attempts of one request share a track, so a hedge
-#: racing its primary nests instead of fighting the winning request
-#: span's queue/exec children for slice nesting
-_ATTEMPT_PID = 3
+
+def _event_order(pid: Any, tid: Any, ts: Any, dur: Any, kinds: List[str],
+                 names: List[str]) -> List[int]:
+    """Row positions in the events' total order — track, time, longest
+    first (parents before children), kind, name, position — whatever
+    order spans were completed in: a stable ``lexsort`` over the numbers,
+    then a stable sort by (kind, name) of each run tied on all four."""
+    import numpy as np
+    order = np.lexsort((-dur, ts, tid, pid))
+    tied = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for key in (pid, tid, ts, dur):
+        ordered = key[order]
+        tied &= ordered[1:] == ordered[:-1]
+    order = order.tolist()
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0]))))
+    for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        order[a:b + 1] = sorted(order[a:b + 1],
+                                key=lambda i: (kinds[i], names[i]))
+    return order
 
 
-def _flatten(rows: Iterable[Row]) -> Tuple[List[dict], List[dict], List[dict]]:
-    """(metadata, complete, flow) events out of one pass over span rows,
-    which hands each row's ``attrs`` over as the event's ``args``.
-
-    Track assignment: requests and attempts get one track per rid in
-    their own process; everything else is process 1, where the run/loop
-    timeline is tid 0 and each simulated machine gets its own tid so its
-    chunks nest under its loop row in the viewer.
+def _flatten(t: SpanTable) -> Tuple[List[dict], List[dict], List[dict]]:
+    """(metadata, complete, flow) events out of a span table, whose
+    tracks become the events' and whose ``attrs`` their ``args``.
 
     Flow arrows: every ``request`` row carrying a ``batch_id``
     contributes one flow, a start ("s") on the request's own track at
@@ -108,45 +128,19 @@ def _flatten(rows: Iterable[Row]) -> Tuple[List[dict], List[dict], List[dict]]:
     one slice. The flow id is the request's deterministic
     ``RequestContext.flow_id``, so traces diff byte-for-byte across
     same-seed runs."""
-    events: List[dict] = []
-    #: the total order over complete events — track, then time, then
-    #: longest slice first (so parents precede children at equal ts),
-    #: then kind and name — with each event's position behind it: sorting
-    #: these is a stable sort of the events, byte-identical no matter
-    #: what order spans were completed in, and all but free where the
-    #: rows already come in track order
-    keys: List[tuple] = []
-    tids = {0}
-    req_tids: Dict[int, str] = {}
-    attempt_tids: Set[int] = set()
-    batches: Dict[Any, Tuple[int, float]] = {}  # batch_id → (tid, ts)
-    #: (rid, flow id, dispatch second, batch_id) per request
-    arrows: List[Tuple[int, int, float, Any]] = []
-    for _depth, name, kind, start_s, dur_s, args in rows:
-        ts = round(start_s * _US, 3)
-        dur = round(dur_s * _US, 3)
-        if kind in _REQUEST_KINDS:
-            pid, tid = _REQUEST_PID, int(args.get("rid", 0))
-            if kind == "request":
-                req_tids[tid] = name
-                if "batch_id" in args:
-                    arrows.append((tid, int(args.get("flow_id", tid)),
-                                   float(args.get("dispatch_s", start_s)),
-                                   args["batch_id"]))
-        elif kind == "attempt":
-            pid, tid = _ATTEMPT_PID, int(args.get("rid", 0))
-            attempt_tids.add(tid)
-        else:
-            m = args.get("machine")
-            pid, tid = 1, 0 if m is None else int(m) + 1
-            tids.add(tid)
-            if kind == "batch" and "batch_id" in args:
-                batches[args["batch_id"]] = (tid, ts)
-        keys.append((pid, tid, ts, -dur, kind, name, len(events)))
-        events.append({"name": name, "cat": kind, "ph": "X", "pid": pid,
-                       "tid": tid, "ts": ts, "dur": dur, "args": args})
-    keys.sort()
-    events = [events[k[-1]] for k in keys]
+    import numpy as np
+    names, kinds, pids, tids, args = t.name, t.kind, t.pid, t.tid, t.attrs
+    n = len(names)
+    ts = exact_round(np.fromiter(t.start_s, float, n) * _US, 3)
+    dur = exact_round(np.fromiter(t.dur_s, float, n) * _US, 3)
+    order = _event_order(np.fromiter(pids, np.int64, n),
+                         np.fromiter(tids, np.int64, n), ts, dur, kinds, names)
+    ts, dur = ts.tolist(), dur.tolist()
+    events = [{"name": n, "cat": k, "ph": "X", "pid": p, "tid": i, "ts": s,
+               "dur": d, "args": a}
+              for n, k, p, i, s, d, a in zip(names, kinds, pids, tids, ts,
+                                              dur, args)]
+    events = [events[i] for i in order]
 
     def track_names(pid: int, process: str,
                     names: List[Tuple[int, str]]) -> List[dict]:
@@ -155,25 +149,37 @@ def _flatten(rows: Iterable[Row]) -> Tuple[List[dict], List[dict], List[dict]]:
                 {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
                  "args": {"name": name}} for tid, name in names]
 
+    machine_tids = {0, *(i for p, i in zip(pids, tids) if p == 1)}
     meta = track_names(1, "dmll simulated run", [
         (tid, "timeline" if tid == 0 else f"machine {tid - 1}")
-        for tid in sorted(tids)])
-    if req_tids:
-        meta += track_names(_REQUEST_PID, "requests",
-                            sorted(req_tids.items()))
+        for tid in sorted(machine_tids)])
+    requests = [i for i, k in enumerate(kinds) if k == "request"]
+    if requests:
+        meta += track_names(REQUEST_PID, "requests",
+                            sorted({tids[i]: names[i] for i in requests}
+                                   .items()))
+    attempt_tids = {i for k, i in zip(kinds, tids) if k == "attempt"}
     if attempt_tids:
-        meta += track_names(_ATTEMPT_PID, "attempts", [
+        meta += track_names(ATTEMPT_PID, "attempts", [
             (tid, f"r{tid} attempts") for tid in sorted(attempt_tids)])
 
-    flows: List[dict] = []
+    batches = {args[i]["batch_id"]: (tids[i], ts[i])
+               for i, k in enumerate(kinds)
+               if k == "batch" and "batch_id" in args[i]}
+    #: (rid, flow id, dispatch µs, batch_id) per request, by rid
+    arrows = [(tids[i], int(args[i].get("flow_id", tids[i])),
+               float(args[i].get("dispatch_s", t.start_s[i])),
+               args[i]["batch_id"])
+              for i in requests if "batch_id" in args[i]]
     arrows.sort(key=lambda a: a[0])
-    for rid, fid, dispatch_s, batch_id in arrows:
+    at = exact_round(np.array([a[2] for a in arrows], dtype=float) * _US, 3)
+    flows: List[dict] = []
+    for (rid, fid, _, batch_id), dispatch in zip(arrows, at.tolist()):
         batch = batches.get(batch_id)
         if batch is None:
             continue
         flows.append({"name": "req", "cat": "flow", "ph": "s", "id": fid,
-                      "pid": _REQUEST_PID, "tid": rid,
-                      "ts": round(dispatch_s * _US, 3)})
+                      "pid": REQUEST_PID, "tid": rid, "ts": dispatch})
         flows.append({"name": "req", "cat": "flow", "ph": "f", "bp": "e",
                       "id": fid, "pid": 1, "tid": batch[0], "ts": batch[1]})
     return meta, events, flows
@@ -182,14 +188,10 @@ def _flatten(rows: Iterable[Row]) -> Tuple[List[dict], List[dict], List[dict]]:
 def chrome_trace_events(source: Union[Tracer, Span]) -> List[dict]:
     """Flatten span tree(s) into Chrome trace events (``ph: "X"``),
     plus request↔batch flow arrows when request spans are present —
-    events, track names and arrows out of one pass over the rows.
-
-    Output order is deterministic: metadata events first (sorted
-    tracks), complete events by (track, time, longest first, kind,
-    name), then flow arrows sorted by rid — two traces of the same run
-    serialize byte-identically regardless of completion or insertion
-    order."""
-    meta, events, flows = _flatten(span_rows(source, _clean_args))
+    events, track names and arrows out of one span table. Metadata
+    (sorted tracks) first, complete events in ``_event_order``, flow
+    arrows by rid: same-seed runs serialize byte-identically."""
+    meta, events, flows = _flatten(span_table(source, _clean_args))
     return meta + events + flows
 
 

@@ -27,6 +27,14 @@ def _series(name: str, labels: Dict[str, Any]) -> str:
     return f"{name}{{{inner}}}"
 
 
+def quantile_ranks(n: int) -> List[int]:
+    """Where p50, p90, p95 and p99 sit among ``n`` sorted samples: the
+    nearest rank (an exact sample, no interpolation, so latency reports
+    are deterministic), p50 the historical upper median."""
+    return [n // 2] + [min(n - 1, max(0, math.ceil(q * n) - 1))
+                       for q in (0.90, 0.95, 0.99)]
+
+
 class MetricsRegistry:
     """Counters (monotonic), gauges (last value), histograms (all values)."""
 
@@ -74,14 +82,10 @@ class MetricsRegistry:
             return {"count": 0, "min": 0.0, "max": 0.0, "mean": 0.0,
                     "p50": 0.0, "p90": 0.0, "p95": 0.0, "p99": 0.0}
         s = sorted(vals)
-        # tail percentiles use nearest-rank (exact sample, no
-        # interpolation) so latency reports are deterministic; p50 keeps
-        # the historical upper-median convention
-        def rank(q: float) -> float:
-            return s[min(len(s) - 1, max(0, math.ceil(q * len(s)) - 1))]
+        p50, p90, p95, p99 = (s[i] for i in quantile_ranks(len(s)))
         return {"count": len(s), "min": s[0], "max": s[-1],
-                "mean": sum(s) / len(s), "p50": s[len(s) // 2],
-                "p90": rank(0.90), "p95": rank(0.95), "p99": rank(0.99)}
+                "mean": sum(s) / len(s), "p50": p50, "p90": p90,
+                "p95": p95, "p99": p99}
 
     def render(self) -> str:
         """Plain-text dump, one series per line, grouped by type."""

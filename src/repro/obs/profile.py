@@ -23,10 +23,12 @@ Two converters off the existing observability data, both pure:
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Dict, List, Tuple, Union
 
-from .metrics import MetricsRegistry
-from .spans import Span, Tracer, span_rows
+from .metrics import MetricsRegistry, quantile_ranks
+from .spans import Span, Tracer, span_table
 
 _US = 1e6
 
@@ -36,35 +38,39 @@ _US = 1e6
 # ---------------------------------------------------------------------------
 
 def collapse_stacks(source: Union[Tracer, Span]) -> Dict[str, int]:
-    """Span tree(s) → {collapsed stack: self-time in whole µs}."""
-    #: [stack, dur_s, children's dur_s] per span, in pre-order
-    frames: List[list] = []
-    path: List[list] = []
-    for depth, name, _kind, _start, dur_s, _attrs in span_rows(source):
-        del path[depth:]
-        # ";" separates stack frames in the collapsed format; a name that
-        # contains one would silently split into two frames
-        stack = name.replace(";", ",")
-        if path:
-            parent = path[-1]
-            parent[2] += dur_s
-            if parent[0]:
-                stack = f"{parent[0]};{stack}"
-        frame = [stack, dur_s, 0]
-        frames.append(frame)
-        path.append(frame)
+    """Span tree(s) → {collapsed stack: self-time in whole µs}. A row's
+    parent is the latest row one level up; ``bincount`` adds children's
+    durations in row order, so self times are a sequential fold's."""
+    import numpy as np
+    t = span_table(source)
+    depth = np.fromiter(t.depth, np.int64, len(t.depth))
+    dur = np.fromiter(t.dur_s, float, len(t.dur_s))
+    rows = np.arange(len(depth))
+    parent = np.full(len(depth), -1)
+    for level in range(1, int(depth.max(initial=0)) + 1):
+        last = np.maximum.accumulate(np.where(depth == level - 1, rows, -1))
+        parent[depth == level] = last[depth == level]
+    child_s = np.bincount(parent + 1, weights=dur,
+                          minlength=len(depth) + 1)[1:]
+    self_us = np.rint(np.maximum(0.0, dur - child_s) * _US)
+    # ";" separates stack frames in the collapsed format; a name that
+    # contains one would silently split into two frames
+    stacks = [""]  # row i's stack is stacks[i + 1], a root's parent's ""
+    for p, name in zip((parent + 1).tolist(), t.name):
+        name = name.replace(";", ",")
+        up = stacks[p]
+        stacks.append(f"{up};{name}" if up else name)
     out: Dict[str, int] = {}
-    for stack, dur_s, child_s in frames:
-        self_us = int(round(max(0.0, dur_s - child_s) * _US))
-        if self_us > 0:
-            out[stack] = out.get(stack, 0) + self_us
+    kept = np.flatnonzero(self_us > 0)
+    for i, us in zip((kept + 1).tolist(), self_us[kept].tolist()):
+        out[stacks[i]] = out.get(stacks[i], 0) + int(us)
     return out
 
 
 def render_collapsed(source: Union[Tracer, Span]) -> str:
     """One ``stack weight`` line per frame path, sorted for stability."""
     folded = collapse_stacks(source)
-    return "\n".join(f"{stack} {us}" for stack, us in sorted(folded.items()))
+    return "\n".join(f"{stack} {folded[stack]}" for stack in sorted(folded))
 
 
 def write_collapsed(path: str, source: Union[Tracer, Span]) -> None:
@@ -79,6 +85,7 @@ def write_collapsed(path: str, source: Union[Tracer, Span]) -> None:
 # Prometheus / OpenMetrics text exposition
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4096)
 def _sanitize(name: str) -> str:
     out = []
     for i, ch in enumerate(name):
@@ -89,16 +96,14 @@ def _sanitize(name: str) -> str:
     return "".join(out)
 
 
-def _split_series(series: str) -> Tuple[str, List[Tuple[str, str]]]:
+@functools.lru_cache(maxsize=4096)
+def _split_series(series: str) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
     """Undo metrics.py's label folding: ``name{k=v,...}`` → (name, kv)."""
     if "{" not in series:
-        return series, []
+        return series, ()
     name, _, rest = series.partition("{")
-    labels = []
-    for part in rest.rstrip("}").split(","):
-        k, _, v = part.partition("=")
-        labels.append((k, v))
-    return name, labels
+    return name, tuple(part.partition("=")[::2]
+                       for part in rest.rstrip("}").split(","))
 
 
 def _escape(v: str) -> str:
@@ -111,11 +116,40 @@ def _escape(v: str) -> str:
              .replace("\n", "\\n"))
 
 
-def _label_str(labels: List[Tuple[str, str]]) -> str:
+@functools.lru_cache(maxsize=4096)
+def _label_str(labels: Tuple[Tuple[str, str], ...]) -> str:
     if not labels:
         return ""
     quoted = ",".join(f'{_sanitize(k)}="{_escape(v)}"' for k, v in labels)
     return "{" + quoted + "}"
+
+
+def _sample(v: float) -> str:
+    """A sample value as the exposition format spells it: integral values
+    whole, other finite ones by ``repr`` (the shortest string that reads
+    back as the same double), and ``+Inf``, ``-Inf``, ``NaN``."""
+    v = float(v)
+    if math.isfinite(v):
+        return f"{v:.0f}" if v.is_integer() and abs(v) < 2 ** 53 else repr(v)
+    return "NaN" if math.isnan(v) else "+Inf" if v > 0 else "-Inf"
+
+
+def _quantiles(vals: List[float]) -> List[float]:
+    """p50, p90, p95 and p99 of ``vals`` (no nan), as
+    ``MetricsRegistry.histogram_stats_of`` has them, from one partial
+    sort at those four ranks."""
+    if not vals:
+        return [0.0] * 4
+    import numpy as np
+    ranks = quantile_ranks(len(vals))
+    at = np.fromiter(vals, float, len(vals))
+    at.partition(ranks)
+    picked = at[ranks].tolist()
+    if 0.0 in picked and np.signbit(at[at == 0.0]).any():
+        # -0.0 ties 0.0, and only a stable sort picks the one sorted() does
+        ordered = sorted(vals)
+        return [ordered[r] for r in ranks]
+    return picked
 
 
 def prometheus_text(metrics: MetricsRegistry) -> str:
@@ -130,7 +164,8 @@ def prometheus_text(metrics: MetricsRegistry) -> str:
             if pname not in typed:
                 typed.add(pname)
                 lines.append(f"# TYPE {pname} {mtype}")
-            lines.append(f"{pname}{_label_str(labels)} {table[series]:g}")
+            lines.append(f"{pname}{_label_str(labels)} "
+                         f"{_sample(table[series])}")
 
     emit(metrics.counters, "counter")
     emit(metrics.gauges, "gauge")
@@ -142,11 +177,10 @@ def prometheus_text(metrics: MetricsRegistry) -> str:
             typed.add(pname)
             lines.append(f"# TYPE {pname} summary")
         vals = metrics.histograms[series]
-        st = MetricsRegistry.histogram_stats_of(vals)
-        for q in ("p50", "p90", "p95", "p99"):
-            qlabels = labels + [("quantile", f"0.{q[1:]}")]
-            lines.append(f"{pname}{_label_str(qlabels)} {st[q]:g}")
-        lines.append(f"{pname}_sum{_label_str(labels)} {sum(vals):g}")
+        for q, v in zip(("50", "90", "95", "99"), _quantiles(vals)):
+            qlabels = labels + (("quantile", f"0.{q}"),)
+            lines.append(f"{pname}{_label_str(qlabels)} {_sample(v)}")
+        lines.append(f"{pname}_sum{_label_str(labels)} {_sample(sum(vals))}")
         lines.append(f"{pname}_count{_label_str(labels)} {len(vals)}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"

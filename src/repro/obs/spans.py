@@ -11,24 +11,76 @@ exporters (``repro.obs.export``) can walk the tree without any runtime
 state. Tracing is strictly opt-in — when ``ExecOptions.tracer`` is unset
 the executor never allocates a span.
 
-Every consumer reads a tree through :func:`span_rows`: flat
-``(depth, name, kind, start_s, dur_s, attrs)`` rows in pre-order. A run
-may leave the spans under its root as a *derivation* instead of objects
-(:meth:`Tracer.defer`; a serving run records flat and derives with
-:meth:`ServeRecord.rows`): the derivation runs once, when the first
-exporter reads it, and ``Span`` objects are built from the same rows only
-when somebody asks for the tree (``Tracer.runs`` / ``last_run``).
+Every consumer reads a tree as columns in pre-order, one
+:class:`SpanTable` (:func:`span_table`; :func:`span_rows` is its row
+view). A run may leave the spans under its root as a *derivation*
+instead of objects (:meth:`Tracer.defer`; a serving run records flat and
+fills a table with :meth:`ServeRecord.table`): the derivation runs once,
+when the first exporter reads it, and ``Span`` objects are built from
+the table only when somebody asks for the tree (``Tracer.runs`` /
+``last_run``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 #: one span, flat: (depth, name, kind, start_s, dur_s, attrs)
 Row = Tuple[int, str, str, float, float, Dict[str, Any]]
+
+#: Chrome-trace processes of request lifecycles (with their queue/exec
+#: children) and of execution attempts: a track per rid, so overlapping
+#: lifecycles never fight over slice nesting on the machine tracks
+REQUEST_PID, ATTEMPT_PID = 2, 3
+
+
+def _track(kind: str, attrs: Dict[str, Any]) -> Tuple[int, int]:
+    """A span's Chrome track (pid, tid): its rid's, or in process 1 the
+    run/loop timeline (tid 0) or its simulated machine's (index + 1)."""
+    if kind in ("request", "queue", "exec"):
+        return REQUEST_PID, int(attrs.get("rid", 0))
+    if kind == "attempt":
+        return ATTEMPT_PID, int(attrs.get("rid", 0))
+    m = attrs.get("machine")
+    return 1, 0 if m is None else int(m) + 1
+
+
+class SpanTable:
+    """Spans as columns, in pre-order: ``depth``, ``name``, ``kind``,
+    ``start_s``, ``dur_s``, ``attrs`` and the Chrome track (``pid``,
+    ``tid``). Every exporter computes from these columns (the numeric
+    ones as NumPy arrays); a row is one index across them."""
+
+    COLUMNS = ("depth", "name", "kind", "start_s", "dur_s", "pid", "tid",
+               "attrs")
+
+    def __init__(self) -> None:
+        for col in self.COLUMNS:
+            setattr(self, col, [])
+
+    def add(self, depth: int, name: str, kind: str, start_s: float,
+            dur_s: float, attrs: Dict[str, Any], pid: int, tid: int) -> None:
+        self.depth.append(depth)
+        self.name.append(name)
+        self.kind.append(kind)
+        self.start_s.append(start_s)
+        self.dur_s.append(dur_s)
+        self.attrs.append(attrs)
+        self.pid.append(pid)
+        self.tid.append(tid)
+
+    def extend(self, other: "SpanTable", copy_attrs: bool = False) -> None:
+        for col in self.COLUMNS[:-1]:
+            getattr(self, col).extend(getattr(other, col))
+        self.attrs.extend(map(dict, other.attrs) if copy_attrs
+                          else other.attrs)
+
+    def rows(self) -> Iterator[Row]:
+        return zip(self.depth, self.name, self.kind, self.start_s,
+                   self.dur_s, self.attrs)
 
 
 @dataclass(frozen=True)
@@ -63,6 +115,8 @@ class RequestContext:
 #: timeline records the simulated second each one happened at
 TIMELINE_MARKS = ("arrive", "enqueue", "seal", "dispatch", "exec_start",
                   "complete")
+#: (stage, the attr a request span records it under)
+_MARK_KEYS = tuple((stage, stage + "_s") for stage in TIMELINE_MARKS)
 
 
 @dataclass
@@ -189,7 +243,7 @@ class ServeRecord:
             out.append((0, "served", resp.request.tl))
         return sorted(out, key=lambda e: e[0])
 
-    def rows(self) -> Iterator[Row]:
+    def table(self) -> SpanTable:
         """The run span's children, in the one order every view keeps:
         the dispatches as they happened, each batch tiled by its priced
         loops; per-request lifecycles (arrive → complete) by rid, each
@@ -200,19 +254,21 @@ class ServeRecord:
         one; the crash windows on the machine tracks. This is the only
         place that knows what a serving span looks like. Every ``attrs``
         is a dict of scalars."""
+        table = SpanTable()
+        add = table.add
         for b in self.batches:
-            yield (1, b.name, b.kind, b.start_s, b.dur_s, b.attrs)
             # the memoized pricing carries its own machine indices, which
             # would land the loops on the wrong row: pin them to the batch's
             machine = b.attrs["machine"]
+            add(1, b.name, b.kind, b.start_s, b.dur_s, b.attrs, 1, machine + 1)
             cursor = b.start_s
             for loop in b.loops:
-                yield (2, loop.name, "loop", cursor, loop.time_s,
-                       {"machine": machine, "op": loop.op_name,
-                        "iters": loop.iters, "workers": loop.workers,
-                        "compute_s": loop.compute_s,
-                        "memory_s": loop.memory_s, "comm_s": loop.comm_s,
-                        "overhead_s": loop.overhead_s})
+                add(2, loop.name, "loop", cursor, loop.time_s,
+                    {"machine": machine, "op": loop.op_name,
+                     "iters": loop.iters, "workers": loop.workers,
+                     "compute_s": loop.compute_s, "memory_s": loop.memory_s,
+                     "comm_s": loop.comm_s, "overhead_s": loop.overhead_s},
+                    1, machine + 1)
                 cursor += loop.time_s
         timelines = self.timelines
         for rid in sorted(self.served):
@@ -232,21 +288,22 @@ class ServeRecord:
                      "machine": resp.machine, "backend": resp.backend,
                      "fallback": resp.fallback_reason,
                      "latency_s": resp.latency_s}
-            for stage in TIMELINE_MARKS:
+            for stage, key in _MARK_KEYS:
                 if stage in marks:
-                    attrs[stage + "_s"] = marks[stage]
+                    attrs[key] = marks[stage]
             if req.attempt > 0:
                 attrs["attempts"] = req.attempt + 1
-            yield (1, f"r{rid}:{req.app}", "request", t0, t_end - t0, attrs)
+            add(1, f"r{rid}:{req.app}", "request", t0, t_end - t0, attrs,
+                REQUEST_PID, rid)
             t_q0 = marks.get("enqueue")
             t_disp = marks.get("dispatch")
             if t_q0 is not None and t_disp is not None:
-                yield (2, "queued", "queue", t_q0, t_disp - t_q0,
-                       {"rid": rid})
+                add(2, "queued", "queue", t_q0, t_disp - t_q0, {"rid": rid},
+                    REQUEST_PID, rid)
             t_x0 = marks.get("exec_start")
             if t_x0 is not None:
-                yield (2, "exec", "exec", t_x0, t_end - t_x0,
-                       {"rid": rid, "batch_id": resp.batch_id})
+                add(2, "exec", "exec", t_x0, t_end - t_x0,
+                    {"rid": rid, "batch_id": resp.batch_id}, REQUEST_PID, rid)
         for rid in sorted(self.attempts):
             resp = self.served.get(rid)
             win_end = None if resp is None else resp.finish_s
@@ -263,11 +320,13 @@ class ServeRecord:
                 attrs = {"rid": rid, "attempt": attempt, "status": status}
                 for stage, t in stages:
                     attrs[stage + "_s"] = t
-                yield (1, f"r{rid}:a{attempt}", "attempt", t0, t1 - t0, attrs)
+                add(1, f"r{rid}:a{attempt}", "attempt", t0, t1 - t0, attrs,
+                    ATTEMPT_PID, rid)
         for label, index, name, t0, t1 in self.crashes:
-            yield (1, f"crash:{label}", "fault", t0, t1 - t0,
-                   {"machine": index, "machine_name": name,
-                    "fault": "crash"})
+            add(1, f"crash:{label}", "fault", t0, t1 - t0,
+                {"machine": index, "machine_name": name, "fault": "crash"},
+                1, index + 1)
+        return table
 
 
 class Tracer:
@@ -282,32 +341,33 @@ class Tracer:
         self.enabled = enabled
         self._runs: List[Span] = []
         #: id(run root) → the children it does not hold as objects (yet):
-        #: their derivation, or once somebody read them, its rows
-        self._deferred: Dict[int, Union[Callable[[], Iterable[Row]],
-                                        List[Row]]] = {}
+        #: their derivation, or once somebody read them, its table
+        self._deferred: Dict[int, Union[Callable[[], SpanTable],
+                                        SpanTable]] = {}
 
     def begin_run(self, name: str, **attrs: Any) -> Span:
         root = Span(name, "run", 0.0, 0.0, dict(attrs))
         self._runs.append(root)
         return root
 
-    def defer(self, root: Span, rows: Callable[[], Iterable[Row]]) -> None:
+    def defer(self, root: Span, derive: Callable[[], SpanTable]) -> None:
         """``root``'s remaining children, after the ones it holds, are
-        ``rows()`` (depths counted from ``root`` at 0; every ``attrs`` a
-        dict of scalars). The derivation runs once, when a consumer of
-        :func:`span_rows` or of the tree first needs it; asking for the
-        tree turns its rows into ``Span``s."""
-        self._deferred[id(root)] = rows
+        the rows of ``derive()`` (depths counted from ``root`` at 0; every
+        ``attrs`` a dict of scalars). The derivation runs once, when a
+        consumer of :func:`span_table` or of the tree first needs it;
+        asking for the tree turns its rows into ``Span``s."""
+        self._deferred[id(root)] = derive
 
-    def _derived(self, root: Span) -> List[Row]:
-        rows = self._deferred.get(id(root), ())
-        if callable(rows):
-            rows = self._deferred[id(root)] = list(rows())
-        return rows
+    def _derived(self, root: Span) -> SpanTable:
+        table = self._deferred.get(id(root)) or SpanTable()
+        if callable(table):
+            table = self._deferred[id(root)] = table()
+        return table
 
     def _tree(self, root: Span) -> Span:
         path = [root]
-        for depth, name, kind, start_s, dur_s, attrs in self._derived(root):
+        for depth, name, kind, start_s, dur_s, attrs in \
+                self._derived(root).rows():
             sp = Span(name, kind, start_s, dur_s, attrs)
             del path[depth:]
             path[-1].children.append(sp)
@@ -330,29 +390,29 @@ class Tracer:
         self._deferred.clear()
 
 
+def span_table(source: Union[Tracer, Span],
+               own: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
+               ) -> SpanTable:
+    """Every span of a tracer's runs (or of one tree) in one table, the
+    same before and after ``Tracer.runs`` built the deferred ones. Its
+    ``attrs`` are the spans' own; a consumer that keeps them passes
+    ``own``, which copies (and may clean) a ``Span``'s — derived attrs
+    are scalars by contract and are copied as they are."""
+    table = SpanTable()
+    tracer = source if isinstance(source, Tracer) else None
+    for root in [source] if tracer is None else tracer._runs:
+        for sp, depth in root.walk():
+            attrs = sp.attrs if own is None else own(sp.attrs)
+            table.add(depth, sp.name, sp.kind, sp.start_s, sp.dur_s, attrs,
+                      *_track(sp.kind, attrs))
+        if tracer is not None:
+            table.extend(tracer._derived(root), copy_attrs=own is not None)
+    return table
+
+
 def span_rows(source: Union[Tracer, Span],
               own: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
               ) -> Iterator[Row]:
-    """Every span of a tracer's runs (or of one tree) as pre-order rows —
-    the one traversal behind the Chrome trace, the flame graph, the text
-    tree and the loop table. Spans that exist as objects are walked,
-    deferred ones are read from their derivation, and the rows are the
-    same before and after ``Tracer.runs`` has built them.
-
-    A row shares its ``attrs`` with the span or the derivation it came
-    from; a consumer that keeps or serialises them passes ``own``, which
-    copies (and may clean) the attrs of a ``Span``. Derived attrs are
-    scalars by contract and are copied as they are."""
-    if isinstance(source, Tracer):
-        runs = [(root, source._derived(root)) for root in source._runs]
-    else:
-        runs = [(source, ())]
-    for root, derived in runs:
-        for sp, depth in root.walk():
-            yield (depth, sp.name, sp.kind, sp.start_s, sp.dur_s,
-                   sp.attrs if own is None else own(sp.attrs))
-        if own is None:
-            yield from derived
-        else:
-            for depth, name, kind, start_s, dur_s, attrs in derived:
-                yield depth, name, kind, start_s, dur_s, dict(attrs)
+    """:func:`span_table` as ``(depth, name, kind, start_s, dur_s, attrs)``
+    rows."""
+    return span_table(source, own).rows()

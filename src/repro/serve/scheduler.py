@@ -291,7 +291,6 @@ class ProgramServer:
             self.record.timelines if self._tracing else {})
         # request/attempt accounting (the zero-lost-requests invariant:
         # a rid leaves _open only into responses or rejected)
-        self._requests: Dict[int, Request] = {}
         self._open: Dict[int, int] = {}
         self._next_attempt: Dict[int, int] = {}
         self._done: Set[int] = set()
@@ -346,7 +345,6 @@ class ProgramServer:
         self._rid += 1
         if self.res is not None and self.res.deadline_s is not None:
             req.deadline_s = at + self.res.deadline_s
-        self._requests[req.rid] = req
         self._open[req.rid] = 1
         self._next_attempt[req.rid] = 1
         if self._tracing:
@@ -433,7 +431,7 @@ class ProgramServer:
                     if t0 < horizon]
             # every span under the run span is a derivation from the
             # record, run when somebody reads them
-            self.tracer.defer(self._root, rec.rows)
+            self.tracer.defer(self._root, rec.table)
         if self.metrics is not None:
             self.metrics.gauge("serve.makespan_s", makespan)
         return self.responses
@@ -460,7 +458,7 @@ class ProgramServer:
         if self.metrics is not None:
             self.metrics.inc("serve.requests", app=req.app)
         if self.res is not None and self.res.hedge_delay_s is not None:
-            self._push(t + self.res.hedge_delay_s, "hedge", req.rid)
+            self._push(t + self.res.hedge_delay_s, "hedge", req)
         # an arrival makes a dispatch possible only by filling its group
         # (or when nothing ever waits); a head's expiry is its flush's job
         if size == self.max_batch or self.max_wait_s == 0:
@@ -483,9 +481,10 @@ class ProgramServer:
         when ``push`` or ``take`` gives a group a new head, and never else."""
         self._push(max(head.arrival_s + self.max_wait_s, now), "flush", None)
 
-    def _on_hedge(self, rid: int, t: float) -> None:
+    def _on_hedge(self, req: Request, t: float) -> None:
         """Hedge timer: duplicate the request if its attempt is still
         executing — first completion wins, the loser is dropped."""
+        rid = req.rid
         if (rid in self._done or rid in self._rejected_rids
                 or rid in self._hedged or rid not in self._executing):
             return
@@ -493,7 +492,7 @@ class ProgramServer:
         self.hedges_launched += 1
         if self.metrics is not None:
             self.metrics.inc("serve.hedges")
-        clone = self._clone_attempt(self._requests[rid], t, hedge=True)
+        clone = self._clone_attempt(req, t, hedge=True)
         self._open[rid] += 1
         self._enqueue(clone, t)
         self._dispatch(t)

@@ -248,13 +248,14 @@ class ServeReport:
     def latency_histogram(self, buckets: int = 20) -> Dict[str, Any]:
         if not self.latencies_s:
             return {"buckets": [], "counts": []}
+        import numpy as np
         lo, hi = min(self.latencies_s), max(self.latencies_s)
         width = (hi - lo) / buckets or 1e-12
-        counts = [0] * buckets
-        for v in self.latencies_s:
-            counts[min(buckets - 1, int((v - lo) / width))] += 1
+        # on these non-negative quotients ``astype`` truncates as ``int``
+        at = ((np.array(self.latencies_s) - lo) / width).astype(np.int64)
+        counts = np.bincount(np.minimum(at, buckets - 1), minlength=buckets)
         edges = [lo + i * width for i in range(buckets + 1)]
-        return {"buckets": edges, "counts": counts}
+        return {"buckets": edges, "counts": counts.tolist()}
 
 
 class ServeSim:
@@ -318,15 +319,22 @@ class ServeSim:
     @staticmethod
     def report(mode: str, server: ProgramServer,
                responses: List[Any]) -> ServeReport:
-        lats = sorted(r.latency_s for r in responses)
-        makespan = max((r.finish_s for r in responses), default=0.0)
+        lats: List[float] = []
+        makespan = 0.0
+        lane_packed = 0
         seen: Dict[int, int] = {}
         by_app: Dict[str, List[float]] = {}
         by_machine: Dict[str, List[float]] = {}
         for r in responses:
+            lat = r.finish_s - r.request.arrival_s  # ``r.latency_s``
+            lats.append(lat)
+            if r.finish_s > makespan:
+                makespan = r.finish_s
+            lane_packed += r.lane_packed
             seen[r.batch_id] = r.batch_size
-            by_app.setdefault(r.request.app, []).append(r.latency_s)
-            by_machine.setdefault(r.machine or "?", []).append(r.latency_s)
+            by_app.setdefault(r.request.app, []).append(lat)
+            by_machine.setdefault(r.machine or "?", []).append(lat)
+        lats.sort()
         batch_sizes = list(seen.values())
         rejected = getattr(server, "rejected", [])
         total = len(responses) + len(rejected)
@@ -346,7 +354,7 @@ class ServeSim:
             batch_mean=(sum(batch_sizes) / len(batch_sizes))
                        if batch_sizes else 0.0,
             batch_max=max(batch_sizes, default=0),
-            lane_packed_requests=sum(1 for r in responses if r.lane_packed),
+            lane_packed_requests=lane_packed,
             # batches served on the reference path (a failed capture's own
             # record carries no requests)
             fallbacks=sum(1 for f in server.fallbacks if f.requests),

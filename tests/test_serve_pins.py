@@ -127,12 +127,13 @@ SMALL = {
 #: the views no report or Chrome-trace pin covers, measured on the commit
 #: before serving spans became a derivation (DESIGN.md §10): flame graph,
 #: span tree and Prometheus text of the chaos scenario, and the Chrome
-#: trace of plain open traffic
+#: trace of plain open traffic (the Prometheus shas, here and at benchmark
+#: size, re-measured when samples stopped being rounded to 6 digits)
 SMALL_VIEWS = {
     "chaos_views": (chaos_views, {
-        0: ("eea2fd3511502462", "f7df6c0d836b0277", "b407b794ca5b873a"),
-        1: ("36a041c86beacfbd", "4648f54119b7cfcc", "e6f9232f70a13de5"),
-        2: ("18c07938dfb23c6e", "34cce59e14168959", "c3124f22fb5c46a6")}),
+        0: ("eea2fd3511502462", "f7df6c0d836b0277", "1ab8708336836733"),
+        1: ("36a041c86beacfbd", "4648f54119b7cfcc", "f07ff2700e39a6f6"),
+        2: ("18c07938dfb23c6e", "34cce59e14168959", "de63102f61e6a015")}),
     "open_traced": (open_traced, {0: "8d4e4b9b073fbf56",
                                   1: "897adb96d84084e4",
                                   2: "c62e131243bcbc22"}),
@@ -154,7 +155,7 @@ OPEN_AT_BENCHMARK_SIZE = {800: "a149058b32634260", 1200: "82dfe6e879b6dacb",
 FLEET_AT_BENCHMARK_SIZE = "ccb0a81e2b161348"
 CHAOS_AT_BENCHMARK_SIZE = ("9f616cf6541f930c", "ddb05088ebbed2ec")
 CHAOS_VIEWS_AT_BENCHMARK_SIZE = ("627e8bf89f08bd3a", "89ad7c24ad4b2de7",
-                                 "2112ba0046f27d6c")
+                                 "591a39cf7e90621d")
 
 
 def test_benchmark_size_runs_are_pinned():
@@ -169,8 +170,31 @@ def test_benchmark_size_runs_are_pinned():
         CHAOS_VIEWS_AT_BENCHMARK_SIZE
 
 
+def open_traced_views(seed, rate=1200, requests=20000):
+    """A traced open run at the size ROADMAP's export targets are measured
+    on: (Chrome trace, flame graph, report ``decomposition``) shas."""
+    tracer = Tracer()
+    sim = ServeSim(APPS, machines="numa", max_batch=8, max_wait_s=0.02,
+                   backend="numpy", payloads=1, tracer=tracer)
+    report = sim.run_open(rate, requests, seed)
+    return (sha(chrome_trace_events(tracer)),
+            text_sha(render_collapsed(tracer)),
+            sha(report.to_json()["decomposition"]))
+
+
+#: the 128,908 events of that run, where timestamps near a rounding tie
+#: are likeliest; measured on the commit before the exporters read columns
+OPEN_TRACED_VIEWS_AT_BENCHMARK_SIZE = ("2a4813453673104f", "9169a803e9a6d551",
+                                       "e85a688a83a72819")
+
+
+def test_open_traced_views_at_benchmark_size_are_pinned():
+    assert open_traced_views(0) == OPEN_TRACED_VIEWS_AT_BENCHMARK_SIZE
+
+
 if __name__ == "__main__":
     for name, (run, pins) in SMALL_ALL.items():
         print(name, {seed: run(seed) for seed in pins})
     print("chaos_views at benchmark size",
           chaos_views(0, 2000, (0.3, 0.5), (0.8, 1.0)))
+    print("open_traced_views at benchmark size", open_traced_views(0))
