@@ -675,7 +675,7 @@ class LoopVectorizer:
     def lanes(self, mask: Optional[np.ndarray]) -> np.ndarray:
         return np.arange(self.L) if mask is None else np.nonzero(mask)[0]
 
-    def child(self, rep: np.ndarray) -> "LoopVectorizer":
+    def nested(self, rep: np.ndarray) -> "LoopVectorizer":
         """A vectorizer over ``len(rep)`` lanes nested in this one."""
         sub = LoopVectorizer(self.host, len(rep), self.delta)
         sub.parent, sub.rep = self, rep
@@ -1150,7 +1150,7 @@ class LoopVectorizer:
         ``lanes`` (``sz[s]`` trips each) and append each one's piece of the
         result to ``parts``."""
         seg, trip = _runs(sz)   # flat lane -> (segment, trip)
-        sub = self.child(lanes[seg])
+        sub = self.nested(lanes[seg])
         memo: Optional[Dict[Any, Any]] = {} if need_memo else None
         for g, (ckey, kkey), ps in zip(gens, share_keys, parts):
             m = sub.gen_mask(g, ckey, trip, memo)
@@ -1230,7 +1230,7 @@ class LoopVectorizer:
         float ``add`` — which a ``reduceat`` or pairwise tree would not be.
         Run ``r`` is charged to outer lane ``lanes[owner[r]]``."""
         first = np.cumsum(cnt) - cnt
-        fold = self.child(lanes[owner])
+        fold = self.nested(lanes[owner])
         fold.in_reducer += 1
         acc = vec_take(vals, first)
         for k in range(1, int(cnt.max())):

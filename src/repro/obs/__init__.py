@@ -2,9 +2,9 @@
 
 Three cooperating pieces make the simulated runtime inspectable:
 
-- **spans** — every priced execution can produce a hierarchical span tree
-  (run → loop → machine → socket/GPU chunk) whose attributes expose the
-  mapping decisions (§4-§5) behind each number;
+- **spans** — every priced execution can produce one span table, a
+  hierarchy in pre-order (run → loop → machine → socket/GPU chunk) whose
+  attributes expose the mapping decisions (§4-§5) behind each number;
 - **metrics** — counters/gauges/histograms fed by the executor and the
   distributed-array runtime;
 - **diagnostics** — typed, loop-attributed events that replace the bare
@@ -17,7 +17,7 @@ Three cooperating pieces make the simulated runtime inspectable:
   through ``repro.tools analyze`` and the regress gate.
 
 Everything is opt-in: with no tracer/registry configured the executor
-allocates no spans and emits nothing.
+writes no span row and emits nothing.
 """
 
 from .analyze import (LoopDelta, RootCause, decompose_timeline,
@@ -30,8 +30,7 @@ from .diagnostics import DiagCategory, Diagnostic, Severity
 from .metrics import MetricsRegistry
 from .provenance import (Decision, DecisionKind, DecisionLedger,
                          diff_ledgers, emit, ledger_scope)
-from .spans import (RequestContext, RequestTimeline, Span, Tracer,
-                    span_rows)
+from .spans import RequestContext, RequestTimeline, SpanTable, Tracer
 from .export import (chrome_trace_events, profile_report, render_spans,
                      write_chrome_trace)
 from .profile import (collapse_stacks, prometheus_text, render_collapsed,
@@ -49,7 +48,7 @@ __all__ = [
     "MetricsRegistry",
     "Decision", "DecisionKind", "DecisionLedger",
     "diff_ledgers", "emit", "ledger_scope",
-    "RequestContext", "RequestTimeline", "Span", "Tracer", "span_rows",
+    "RequestContext", "RequestTimeline", "SpanTable", "Tracer",
     "chrome_trace_events", "profile_report", "render_spans",
     "write_chrome_trace",
     "collapse_stacks", "prometheus_text", "render_collapsed",

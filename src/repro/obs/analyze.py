@@ -1,6 +1,6 @@
 """Trace analytics: latency decomposition, trace diff, root-cause reports.
 
-This module turns the observatory's raw telemetry — span trees
+This module turns the observatory's raw telemetry — span tables
 (``repro.obs.spans``), request timelines, per-loop pricing breakdowns
 and the decision-provenance ledger — into *answers*:
 
@@ -40,12 +40,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..report.tables import render_table
 from .history import RunRecord
 from .provenance import strip_ids
-from .spans import RequestTimeline, Span, span_rows
+from .spans import RequestTimeline, SpanTable, Tracer, span_table
 
 # ---------------------------------------------------------------------------
 # Exact per-request latency decomposition
@@ -213,11 +213,12 @@ def loop_rows_from_sim(sim: Any) -> List[Dict[str, Any]]:
     return rows
 
 
-def loop_rows_from_span(root: Span) -> List[Dict[str, Any]]:
-    """Breakdown rows recovered from a run's span tree (loop spans carry
-    the full pricing record in their attrs)."""
+def loop_rows_from_span(source: Union[Tracer, SpanTable]
+                        ) -> List[Dict[str, Any]]:
+    """Breakdown rows recovered from a run's spans (loop spans carry the
+    full pricing record in their attrs)."""
     rows = []
-    for _depth, name, kind, _start, dur_s, a in span_rows(root):
+    for _depth, name, kind, _start, dur_s, a in span_table(source).rows():
         if kind != "loop":
             continue
         rows.append({"loop": name, "key": strip_ids(name),
@@ -313,10 +314,10 @@ def diff_loop_rows(rows_a: Sequence[Dict[str, Any]],
     return deltas
 
 
-def diff_span_trees(root_a: Span, root_b: Span) -> List[LoopDelta]:
-    """Trace diff of two runs straight from their span trees."""
-    return diff_loop_rows(loop_rows_from_span(root_a),
-                          loop_rows_from_span(root_b))
+def diff_span_trees(a: Union[Tracer, SpanTable],
+                    b: Union[Tracer, SpanTable]) -> List[LoopDelta]:
+    """Trace diff of two runs straight from their spans."""
+    return diff_loop_rows(loop_rows_from_span(a), loop_rows_from_span(b))
 
 
 def render_loop_deltas(deltas: Sequence[LoopDelta],

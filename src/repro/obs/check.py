@@ -28,7 +28,10 @@ from typing import Dict, List, Tuple
 
 def validate_events(events: List[dict]) -> List[str]:
     """Return a list of violations (empty = valid)."""
-    errors: List[str] = []
+    errors = [f"event {i}: not an object"
+              for i, e in enumerate(events) if not isinstance(e, dict)]
+    if errors:
+        return errors
     xs = [e for e in events if e.get("ph") == "X"]
     if not xs:
         errors.append("no complete ('X') events")

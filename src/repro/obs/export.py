@@ -16,11 +16,10 @@ simulated machine, plus metadata events naming the tracks.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Tuple, Union
 
 from ..report.tables import render_table
-from .spans import (ATTEMPT_PID, REQUEST_PID, Span, SpanTable, Tracer,
-                    span_rows, span_table)
+from .spans import ATTEMPT_PID, REQUEST_PID, SpanTable, Tracer, span_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..runtime.executor import SimResult
@@ -51,32 +50,17 @@ def profile_report(sim: "SimResult", title: str = "") -> str:
         rows, title=title or "profile (simulated time, sorted by cost)")
 
 
-def render_spans(root: Span) -> str:
-    """Indented one-line-per-span view of a span tree (debug aid)."""
+def render_spans(source: Union[Tracer, SpanTable]) -> str:
+    """Indented one-line-per-span view of a run (debug aid)."""
     return "\n".join(
         f"{'  ' * depth}{kind}:{name} "
         f"@{start_s * 1e3:.3f}ms +{dur_s * 1e3:.3f}ms"
-        for depth, name, kind, start_s, dur_s, _ in span_rows(root))
+        for depth, name, kind, start_s, dur_s, _ in span_table(source).rows())
 
 
 # ---------------------------------------------------------------------------
 # Chrome trace
 # ---------------------------------------------------------------------------
-
-def _clean_args(attrs: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON-safe copy of span attributes."""
-    out: Dict[str, Any] = {}
-    for k, v in attrs.items():
-        if isinstance(v, (str, int, float, bool)) or v is None:
-            out[k] = v
-        elif isinstance(v, dict):
-            out[k] = {str(kk): str(vv) for kk, vv in v.items()}
-        elif isinstance(v, (list, tuple)):
-            out[k] = [str(x) for x in v]
-        else:
-            out[k] = str(v)
-    return out
-
 
 def exact_round(x: Any, ndigits: int) -> Any:
     """``round(v, ndigits)`` of every element of the float64 array ``x``,
@@ -185,17 +169,17 @@ def _flatten(t: SpanTable) -> Tuple[List[dict], List[dict], List[dict]]:
     return meta, events, flows
 
 
-def chrome_trace_events(source: Union[Tracer, Span]) -> List[dict]:
-    """Flatten span tree(s) into Chrome trace events (``ph: "X"``),
-    plus request↔batch flow arrows when request spans are present —
-    events, track names and arrows out of one span table. Metadata
-    (sorted tracks) first, complete events in ``_event_order``, flow
-    arrows by rid: same-seed runs serialize byte-identically."""
-    meta, events, flows = _flatten(span_table(source, _clean_args))
+def chrome_trace_events(source: Union[Tracer, SpanTable]) -> List[dict]:
+    """Flatten run(s) into Chrome trace events (``ph: "X"``), plus
+    request↔batch flow arrows when request spans are present — events,
+    track names and arrows out of one span table. Metadata (sorted
+    tracks) first, complete events in ``_event_order``, flow arrows by
+    rid: same-seed runs serialize byte-identically."""
+    meta, events, flows = _flatten(span_table(source))
     return meta + events + flows
 
 
-def write_chrome_trace(path: str, source: Union[Tracer, Span]) -> None:
+def write_chrome_trace(path: str, source: Union[Tracer, SpanTable]) -> None:
     """Write a ``{"traceEvents": [...]}`` JSON file loadable in Perfetto."""
     doc = {"traceEvents": chrome_trace_events(source),
            "displayTimeUnit": "ms"}

@@ -2,7 +2,7 @@
 
 Two converters off the existing observability data, both pure:
 
-- :func:`collapse_stacks` folds span trees into the collapsed-stack
+- :func:`collapse_stacks` folds span tables into the collapsed-stack
   format (``root;child;leaf <weight>``) consumed by speedscope,
   ``flamegraph.pl`` and ``inferno``. Each frame's weight is its
   **self time** — its duration minus its children's — in integer
@@ -28,7 +28,7 @@ import math
 from typing import Dict, List, Tuple, Union
 
 from .metrics import MetricsRegistry, quantile_ranks
-from .spans import Span, Tracer, span_table
+from .spans import SpanTable, Tracer, span_table
 
 _US = 1e6
 
@@ -37,21 +37,16 @@ _US = 1e6
 # collapsed-stack flamegraphs
 # ---------------------------------------------------------------------------
 
-def collapse_stacks(source: Union[Tracer, Span]) -> Dict[str, int]:
-    """Span tree(s) → {collapsed stack: self-time in whole µs}. A row's
-    parent is the latest row one level up; ``bincount`` adds children's
-    durations in row order, so self times are a sequential fold's."""
+def collapse_stacks(source: Union[Tracer, SpanTable]) -> Dict[str, int]:
+    """Run(s) → {collapsed stack: self-time in whole µs}. ``bincount``
+    adds children's durations in row order, so self times are a
+    sequential fold's."""
     import numpy as np
     t = span_table(source)
-    depth = np.fromiter(t.depth, np.int64, len(t.depth))
     dur = np.fromiter(t.dur_s, float, len(t.dur_s))
-    rows = np.arange(len(depth))
-    parent = np.full(len(depth), -1)
-    for level in range(1, int(depth.max(initial=0)) + 1):
-        last = np.maximum.accumulate(np.where(depth == level - 1, rows, -1))
-        parent[depth == level] = last[depth == level]
+    parent = t.parents()
     child_s = np.bincount(parent + 1, weights=dur,
-                          minlength=len(depth) + 1)[1:]
+                          minlength=len(dur) + 1)[1:]
     self_us = np.rint(np.maximum(0.0, dur - child_s) * _US)
     # ";" separates stack frames in the collapsed format; a name that
     # contains one would silently split into two frames
@@ -67,13 +62,13 @@ def collapse_stacks(source: Union[Tracer, Span]) -> Dict[str, int]:
     return out
 
 
-def render_collapsed(source: Union[Tracer, Span]) -> str:
+def render_collapsed(source: Union[Tracer, SpanTable]) -> str:
     """One ``stack weight`` line per frame path, sorted for stability."""
     folded = collapse_stacks(source)
     return "\n".join(f"{stack} {folded[stack]}" for stack in sorted(folded))
 
 
-def write_collapsed(path: str, source: Union[Tracer, Span]) -> None:
+def write_collapsed(path: str, source: Union[Tracer, SpanTable]) -> None:
     """Write a flamegraph.pl/speedscope-loadable collapsed-stack file."""
     with open(path, "w") as f:
         text = render_collapsed(source)

@@ -35,6 +35,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 KINDS = ("latency", "availability")
 
 
+def _number(doc: Dict[str, Any], key: str,
+            default: Optional[float] = None) -> Optional[float]:
+    """``doc[key]`` as a float, ``default`` when it is absent (or null,
+    when there is no default); anything else raises ``ValueError`` naming
+    the field."""
+    value = doc.get(key, default)
+    try:
+        return None if value is None and default is None else float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SLOObjective:
     """One objective: at least ``target`` of requests must be good."""
@@ -102,17 +114,21 @@ class SLOSpec:
         """
         if not isinstance(doc, dict):
             raise ValueError("SLO spec must be a JSON object")
+        objectives = doc.get("objectives", [])
+        if not (isinstance(objectives, list)
+                and all(isinstance(o, dict) for o in objectives)):
+            raise ValueError("objectives must be a list of JSON objects")
         objs = []
-        for o in doc.get("objectives", []):
-            thr = o.get("threshold_ms")
+        for o in objectives:
+            thr = _number(o, "threshold_ms")
             objs.append(SLOObjective(
                 name=o.get("name", o.get("kind", "?")),
                 kind=o.get("kind", "latency"),
-                target=float(o.get("target", 0.99)),
-                threshold_s=(float(thr) / 1e3 if thr is not None
-                             else o.get("threshold_s"))))
+                target=_number(o, "target", 0.99),
+                threshold_s=(thr / 1e3 if thr is not None
+                             else _number(o, "threshold_s"))))
         return cls(name=doc.get("name", "slo"), objectives=tuple(objs),
-                   window_s=float(doc.get("window_s", 0.05)))
+                   window_s=_number(doc, "window_s", 0.05))
 
     @classmethod
     def load(cls, path: str) -> "SLOSpec":

@@ -1,24 +1,20 @@
 """Hierarchical spans over *simulated* time.
 
 A span covers a half-open interval ``[start_s, start_s + dur_s)`` of the
-simulated clock and carries structured attributes. The executor builds
-one tree per priced run: run → statement/loop → machine → socket or GPU
-chunk — the §5 execution hierarchy made visible.
+simulated clock and carries structured attributes. Every priced run is
+one :class:`SpanTable`, a tree in pre-order: run → statement/loop →
+machine → socket or GPU chunk — the §5 execution hierarchy made visible.
 
-Spans are plain data on purpose: the executor computes every duration
+Spans are plain rows on purpose: the executor computes every duration
 analytically, so there is no enter/exit bracketing to get wrong, and the
-exporters (``repro.obs.export``) can walk the tree without any runtime
+exporters (``repro.obs.export``) read the columns without any runtime
 state. Tracing is strictly opt-in — when ``ExecOptions.tracer`` is unset
-the executor never allocates a span.
+the executor never writes a row.
 
-Every consumer reads a tree as columns in pre-order, one
-:class:`SpanTable` (:func:`span_table`; :func:`span_rows` is its row
-view). A run may leave the spans under its root as a *derivation*
-instead of objects (:meth:`Tracer.defer`; a serving run records flat and
-fills a table with :meth:`ServeRecord.table`): the derivation runs once,
-when the first exporter reads it, and ``Span`` objects are built from
-the table only when somebody asks for the tree (``Tracer.runs`` /
-``last_run``).
+A run may leave the rows under its run row as a *derivation*
+(:meth:`Tracer.defer`; a serving run records flat and fills a table with
+:meth:`ServeRecord.table`): the derivation runs once, when somebody
+first reads the run (``Tracer.runs`` / ``last_run`` / an exporter).
 """
 
 from __future__ import annotations
@@ -28,31 +24,20 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-#: one span, flat: (depth, name, kind, start_s, dur_s, attrs)
-Row = Tuple[int, str, str, float, float, Dict[str, Any]]
-
 #: Chrome-trace processes of request lifecycles (with their queue/exec
 #: children) and of execution attempts: a track per rid, so overlapping
 #: lifecycles never fight over slice nesting on the machine tracks
 REQUEST_PID, ATTEMPT_PID = 2, 3
 
 
-def _track(kind: str, attrs: Dict[str, Any]) -> Tuple[int, int]:
-    """A span's Chrome track (pid, tid): its rid's, or in process 1 the
-    run/loop timeline (tid 0) or its simulated machine's (index + 1)."""
-    if kind in ("request", "queue", "exec"):
-        return REQUEST_PID, int(attrs.get("rid", 0))
-    if kind == "attempt":
-        return ATTEMPT_PID, int(attrs.get("rid", 0))
-    m = attrs.get("machine")
-    return 1, 0 if m is None else int(m) + 1
-
-
 class SpanTable:
     """Spans as columns, in pre-order: ``depth``, ``name``, ``kind``,
     ``start_s``, ``dur_s``, ``attrs`` and the Chrome track (``pid``,
-    ``tid``). Every exporter computes from these columns (the numeric
-    ones as NumPy arrays); a row is one index across them."""
+    ``tid``: its rid's, or in process 1 the run/loop timeline, tid 0, or
+    its simulated machine's, index + 1). Every ``attrs`` is JSON-ready: a
+    scalar, a list of ``str`` or a ``str → str`` dict per key. Every
+    exporter computes from these columns (the numeric ones as NumPy
+    arrays); a row is one index across them."""
 
     COLUMNS = ("depth", "name", "kind", "start_s", "dur_s", "pid", "tid",
                "attrs")
@@ -72,15 +57,26 @@ class SpanTable:
         self.pid.append(pid)
         self.tid.append(tid)
 
-    def extend(self, other: "SpanTable", copy_attrs: bool = False) -> None:
-        for col in self.COLUMNS[:-1]:
+    def extend(self, other: "SpanTable") -> None:
+        for col in self.COLUMNS:
             getattr(self, col).extend(getattr(other, col))
-        self.attrs.extend(map(dict, other.attrs) if copy_attrs
-                          else other.attrs)
 
-    def rows(self) -> Iterator[Row]:
+    def rows(self) -> Iterator[tuple]:
+        """(depth, name, kind, start_s, dur_s, attrs) per row."""
         return zip(self.depth, self.name, self.kind, self.start_s,
                    self.dur_s, self.attrs)
+
+    def parents(self) -> Any:
+        """Each row's parent row (``-1`` for a run row) as a NumPy array:
+        the latest row one level up."""
+        import numpy as np
+        depth = np.fromiter(self.depth, np.int64, len(self.depth))
+        rows = np.arange(len(depth))
+        parent = np.full(len(depth), -1)
+        for level in range(1, int(depth.max(initial=0)) + 1):
+            last = np.maximum.accumulate(np.where(depth == level - 1, rows, -1))
+            parent[depth == level] = last[depth == level]
+        return parent
 
 
 @dataclass(frozen=True)
@@ -146,50 +142,6 @@ class RequestTimeline:
 
 
 @dataclass
-class Span:
-    """One node of the span tree."""
-
-    name: str
-    kind: str                    # "run" | "loop" | "machine" | "socket" | "gpu"
-    start_s: float
-    dur_s: float = 0.0
-    attrs: Dict[str, Any] = field(default_factory=dict)
-    children: List["Span"] = field(default_factory=list)
-
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.dur_s
-
-    def child(self, name: str, kind: str, start_s: float,
-              dur_s: float = 0.0, **attrs: Any) -> "Span":
-        sp = Span(name, kind, start_s, dur_s, attrs)
-        self.children.append(sp)
-        return sp
-
-    def set(self, **attrs: Any) -> "Span":
-        self.attrs.update(attrs)
-        return self
-
-    def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
-        """Depth-first (pre-order) traversal: yields (span, depth)."""
-        todo = [(self, depth)]
-        while todo:
-            sp, d = todo.pop()
-            yield sp, d
-            if sp.children:
-                todo.extend([(c, d + 1) for c in reversed(sp.children)])
-
-    def contains(self, other: "Span", tol: float = 1e-9) -> bool:
-        """Does this span's interval cover ``other``'s (within ``tol``)?"""
-        return (other.start_s >= self.start_s - tol
-                and other.end_s <= self.end_s + tol)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Span({self.kind}:{self.name} @{self.start_s:.6f}"
-                f"+{self.dur_s:.6f}, {len(self.children)} children)")
-
-
-@dataclass
 class BatchRecord:
     """One dispatch of a serving run — a batch on a machine, or the
     instant a kernel fault killed one: a span's fields, which the
@@ -243,8 +195,9 @@ class ServeRecord:
             out.append((0, "served", resp.request.tl))
         return sorted(out, key=lambda e: e[0])
 
-    def table(self) -> SpanTable:
-        """The run span's children, in the one order every view keeps:
+    def table(self, run: SpanTable) -> None:
+        """Append the run span's children to ``run``, in the one order
+        every view keeps:
         the dispatches as they happened, each batch tiled by its priced
         loops; per-request lifecycles (arrive → complete) by rid, each
         followed by its ``queued`` and ``exec`` children and linked to
@@ -254,8 +207,7 @@ class ServeRecord:
         one; the crash windows on the machine tracks. This is the only
         place that knows what a serving span looks like. Every ``attrs``
         is a dict of scalars."""
-        table = SpanTable()
-        add = table.add
+        add = run.add
         for b in self.batches:
             # the memoized pricing carries its own machine indices, which
             # would land the loops on the wrong row: pin them to the batch's
@@ -326,11 +278,10 @@ class ServeRecord:
             add(1, f"crash:{label}", "fault", t0, t1 - t0,
                 {"machine": index, "machine_name": name, "fault": "crash"},
                 1, index + 1)
-        return table
 
 
 class Tracer:
-    """Collects span trees, one root per priced run.
+    """Collects one :class:`SpanTable` per priced run.
 
     ``enabled`` is the single guard the executor checks before doing any
     observability work; flip it off (or simply pass no tracer) for
@@ -339,80 +290,50 @@ class Tracer:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._runs: List[Span] = []
-        #: id(run root) → the children it does not hold as objects (yet):
-        #: their derivation, or once somebody read them, its table
-        self._deferred: Dict[int, Union[Callable[[], SpanTable],
-                                        SpanTable]] = {}
+        self._runs: List[SpanTable] = []
+        #: id(run table) → the derivation of the rows it does not hold yet
+        self._deferred: Dict[int, Callable[[SpanTable], None]] = {}
 
-    def begin_run(self, name: str, **attrs: Any) -> Span:
-        root = Span(name, "run", 0.0, 0.0, dict(attrs))
-        self._runs.append(root)
-        return root
+    def begin_run(self, name: str, **attrs: Any) -> SpanTable:
+        """A new run's table. Its row 0 is the run (depth 0, from 0.0 on
+        track (1, 0)), whose duration and attrs the caller completes in
+        place; the caller appends the rows under it."""
+        run = SpanTable()
+        run.add(0, name, "run", 0.0, 0.0, attrs, 1, 0)
+        self._runs.append(run)
+        return run
 
-    def defer(self, root: Span, derive: Callable[[], SpanTable]) -> None:
-        """``root``'s remaining children, after the ones it holds, are
-        the rows of ``derive()`` (depths counted from ``root`` at 0; every
-        ``attrs`` a dict of scalars). The derivation runs once, when a
-        consumer of :func:`span_table` or of the tree first needs it;
-        asking for the tree turns its rows into ``Span``s."""
-        self._deferred[id(root)] = derive
+    def defer(self, run: SpanTable,
+              derive: Callable[[SpanTable], None]) -> None:
+        """``run``'s remaining rows, after the ones it holds, are the ones
+        ``derive(run)`` appends (depths counted from the run row at 0).
+        The derivation runs once, when somebody first reads the run."""
+        self._deferred[id(run)] = derive
 
-    def _derived(self, root: Span) -> SpanTable:
-        table = self._deferred.get(id(root)) or SpanTable()
-        if callable(table):
-            table = self._deferred[id(root)] = table()
-        return table
-
-    def _tree(self, root: Span) -> Span:
-        path = [root]
-        for depth, name, kind, start_s, dur_s, attrs in \
-                self._derived(root).rows():
-            sp = Span(name, kind, start_s, dur_s, attrs)
-            del path[depth:]
-            path[-1].children.append(sp)
-            path.append(sp)
-        self._deferred.pop(id(root), None)
-        return root
+    def _read(self, run: SpanTable) -> SpanTable:
+        derive = self._deferred.pop(id(run), None)
+        if derive is not None:
+            derive(run)
+        return run
 
     @property
-    def runs(self) -> List[Span]:
-        for root in self._runs:
-            self._tree(root)
-        return self._runs
+    def runs(self) -> List[SpanTable]:
+        return [self._read(run) for run in self._runs]
 
     @property
-    def last_run(self) -> Optional[Span]:
-        return self._tree(self._runs[-1]) if self._runs else None
+    def last_run(self) -> Optional[SpanTable]:
+        return self._read(self._runs[-1]) if self._runs else None
 
     def clear(self) -> None:
         self._runs.clear()
         self._deferred.clear()
 
 
-def span_table(source: Union[Tracer, Span],
-               own: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
-               ) -> SpanTable:
-    """Every span of a tracer's runs (or of one tree) in one table, the
-    same before and after ``Tracer.runs`` built the deferred ones. Its
-    ``attrs`` are the spans' own; a consumer that keeps them passes
-    ``own``, which copies (and may clean) a ``Span``'s — derived attrs
-    are scalars by contract and are copied as they are."""
+def span_table(source: Union[Tracer, SpanTable]) -> SpanTable:
+    """A run's table itself, or every run of a tracer in one table."""
+    if isinstance(source, SpanTable):
+        return source
     table = SpanTable()
-    tracer = source if isinstance(source, Tracer) else None
-    for root in [source] if tracer is None else tracer._runs:
-        for sp, depth in root.walk():
-            attrs = sp.attrs if own is None else own(sp.attrs)
-            table.add(depth, sp.name, sp.kind, sp.start_s, sp.dur_s, attrs,
-                      *_track(sp.kind, attrs))
-        if tracer is not None:
-            table.extend(tracer._derived(root), copy_attrs=own is not None)
+    for run in source.runs:
+        table.extend(run)
     return table
-
-
-def span_rows(source: Union[Tracer, Span],
-              own: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
-              ) -> Iterator[Row]:
-    """:func:`span_table` as ``(depth, name, kind, start_s, dur_s, attrs)``
-    rows."""
-    return span_table(source, own).rows()

@@ -33,7 +33,7 @@ from .machine import (DMLL_CPP, GB, ClusterSpec, GPUSpec, SystemProfile)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
-    from ..obs.spans import Span, Tracer
+    from ..obs.spans import SpanTable, Tracer
 
 #: collections up to this size are replicated per memory region rather
 #: than fetched remotely (the §4.2 replicate-vs-move policy)
@@ -58,7 +58,7 @@ class ExecOptions:
     #: defaults to ``scale``
     data_scale: Optional[float] = None
     #: observability (repro.obs): when a tracer is set (and enabled) every
-    #: priced run produces a span tree (run → loop → machine →
+    #: priced run produces a span table (run → loop → machine →
     #: socket/GPU chunk); when a metrics registry is set the executor
     #: feeds counters/histograms into it. Both default to off — the
     #: pricing paths then do no observability work at all.
@@ -242,9 +242,9 @@ class Simulator:
         self._mx = self.options.metrics
         sim = SimResult(cap.results, cap.stats, backend=cap.backend,
                         fallbacks=list(cap.fallbacks))
-        root: Optional["Span"] = None
+        run: Optional["SpanTable"] = None
         if self._obs:
-            root = tr.begin_run(
+            run = tr.begin_run(
                 self.cluster.name, target=self.compiled.target,
                 **self.cluster.describe(), **self.profile.describe(),
                 cores=self.options.cores, sequential=self.options.sequential,
@@ -266,13 +266,14 @@ class Simulator:
                 self._mx.observe("executor.loop_seconds", ls.time_s,
                                  loop=ls.name)
             if self._obs:
-                self._emit_loop_span(root, cursor, ls, rec, info, stencils,
+                self._emit_loop_span(run, cursor, ls, rec, info, stencils,
                                      loop_def)
             cursor += ls.time_s
         sim.total_seconds = sum(l.time_s for l in sim.loops)
         if self._obs:
-            root.dur_s = sim.total_seconds
-            root.set(total_seconds=sim.total_seconds, loops=len(sim.loops))
+            run.dur_s[0] = sim.total_seconds
+            run.attrs[0].update(total_seconds=sim.total_seconds,
+                                loops=len(sim.loops))
         if self._mx is not None:
             self._mx.gauge("executor.total_seconds", sim.total_seconds)
             self._mx.gauge("interp.loop_iterations",
@@ -296,13 +297,13 @@ class Simulator:
 
     # -- observability ---------------------------------------------------
 
-    def _emit_loop_span(self, root: "Span", t0: float, ls: LoopSim,
+    def _emit_loop_span(self, run: "SpanTable", t0: float, ls: LoopSim,
                         rec: DefRecord, info: Optional[LoopDistInfo],
                         stencils, loop_def: Optional[Def]) -> None:
-        """One loop's slice of the span tree: the loop span carries the
-        full pricing record; its children mirror the §5 hierarchy —
+        """One loop's rows of the run's table: the loop span carries the
+        full pricing record; the rows under it mirror the §5 hierarchy —
         machine-level chunks (stencil ∩ partition directory), then
-        socket chunks or the GPU kernel."""
+        socket chunks or the GPU kernel, each on its machine's track."""
         detail = ls.detail or {}
         attrs = {"op": ls.op_name, "iters": ls.iters, "workers": ls.workers,
                  "distributed": ls.distributed,
@@ -322,7 +323,7 @@ class Simulator:
             attrs["broadcasts"] = [str(s) for s in info.broadcasts]
             attrs["remote_random"] = [str(s) for s in info.remote_random]
         attrs.update(detail)
-        span = root.child(ls.name, "loop", t0, ls.time_s, **attrs)
+        run.add(1, ls.name, "loop", t0, ls.time_s, attrs, 1, 0)
 
         # the parallel region: machine chunks, then socket/GPU chunks
         par = max(ls.compute_s, ls.memory_s)
@@ -335,17 +336,18 @@ class Simulator:
         cores = int(detail.get("cores_used", detail.get("cores", 1)))
         for m in range(chunks.num_partitions):
             lo, hi = chunks.range_of(m)
-            mspan = span.child(f"{ls.name}/m{m}", "machine", t0, par,
-                               machine=m, iter_lo=lo, iter_hi=hi)
+            name = f"{ls.name}/m{m}"
+            run.add(2, name, "machine", t0, par,
+                    {"machine": m, "iter_lo": lo, "iter_hi": hi}, 1, m + 1)
             if gpu is not None:
-                mspan.child(f"{ls.name}/m{m}/kernel", "gpu", t0, par,
-                            machine=m, device=gpu)
+                run.add(3, f"{name}/kernel", "gpu", t0, par,
+                        {"machine": m, "device": gpu}, 1, m + 1)
             else:
                 per_socket = Directory.even(max(cores, 1), sockets)
                 for sk in range(per_socket.num_partitions):
-                    mspan.child(f"{ls.name}/m{m}/s{sk}", "socket", t0, par,
-                                machine=m, socket=sk,
-                                cores=per_socket.size_of(sk))
+                    run.add(3, f"{name}/s{sk}", "socket", t0, par,
+                            {"machine": m, "socket": sk,
+                             "cores": per_socket.size_of(sk)}, 1, m + 1)
 
     def _worker_layout(self) -> Tuple[int, int, int]:
         """(machines, sockets_per_machine, cores_per_machine) actually used."""

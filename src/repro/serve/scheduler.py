@@ -279,7 +279,6 @@ class ProgramServer:
         self._window_end = float("-inf")
         self._rid = 0
         self._bid = 0
-        self._root = None
         # request-level tracing state — populated only while a tracer is
         # attached and enabled; the untraced path never touches it
         self._tracing = tracer is not None and tracer.enabled
@@ -377,7 +376,7 @@ class ProgramServer:
         if self._tracing:
             attrs = ({} if self.faults is None
                      else {"faults": len(self.faults.specs)})
-            self._root = self.tracer.begin_run(
+            spans = self.tracer.begin_run(
                 "serve", backend=self.backend,
                 policy=getattr(self.policy, "name", "?"),
                 machines=len(self.machines), max_batch=self.max_batch,
@@ -411,7 +410,7 @@ class ProgramServer:
         for r in self.queue.drain():
             self._attempt_ended(r, REJECT_UNSERVED, self.now)
         makespan = max((r.finish_s for r in self.responses), default=0.0)
-        if self._root is not None:
+        if self._tracing:
             # the run span must cover *all* machine activity, not just
             # kept responses: a wasted hedge batch (its twin won) or a
             # late rejection can outlive the last winner, and the trace
@@ -420,18 +419,18 @@ class ProgramServer:
             horizon = max([makespan]
                           + [b.start_s + b.dur_s for b in rec.batches]
                           + [j.t_s for j in self.rejected])
-            self._root.dur_s = rec.horizon = horizon
-            self._root.set(requests=len(self.responses),
-                           batches=self._bid, makespan_s=makespan)
+            spans.dur_s[0] = rec.horizon = horizon
+            spans.attrs[0].update(requests=len(self.responses),
+                                  batches=self._bid, makespan_s=makespan)
             if self.faults is not None:
                 rec.crashes = [
                     (m.label, m.index, m.name, t0, min(t1, horizon))
                     for m in self.machines
                     for t0, t1 in self.faults.crash_windows(m.label, m.name)
                     if t0 < horizon]
-            # every span under the run span is a derivation from the
+            # every row under the run row is a derivation from the
             # record, run when somebody reads them
-            self.tracer.defer(self._root, rec.table)
+            self.tracer.defer(spans, rec.table)
         if self.metrics is not None:
             self.metrics.gauge("serve.makespan_s", makespan)
         return self.responses

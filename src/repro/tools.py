@@ -129,7 +129,7 @@ def _run_observed(args) -> int:
     sim = bundle.simulate(variant, cluster=cluster, use_gpu=gpu,
                           gpu_transposed=gpu, tracer=tracer, metrics=metrics,
                           backend=args.backend)
-    tracer.last_run.name = f"{args.app}:{cluster.name}"
+    tracer.last_run.name[0] = f"{args.app}:{cluster.name}"
 
     if args.profile:
         print(profile_report(
@@ -228,29 +228,18 @@ def explain_main(argv=None) -> int:
     return EXIT_OK
 
 
-def _add_traffic_args(ap) -> None:
-    """Traffic/fleet flags shared by ``serve-sim`` and ``slo-report``."""
-    ap.add_argument("apps", nargs="*",
-                    help="served applications (need bundled datasets)")
-    ap.add_argument("--requests", type=int, default=64,
-                    help="total requests (default %(default)s)")
+def _add_fleet_args(ap) -> None:
+    """Arrival, batching and fleet flags shared by ``serve-sim``,
+    ``slo-report`` and ``analyze --requests``."""
     ap.add_argument("--rate", type=float, default=None, metavar="RPS",
                     help="open-loop Poisson arrival rate in req/s "
                          "(default: closed loop)")
-    ap.add_argument("--clients", type=int, default=8,
-                    help="closed-loop concurrent clients "
-                         "(default %(default)s)")
-    ap.add_argument("--think-ms", type=float, default=0.0,
-                    help="closed-loop think time between requests")
     ap.add_argument("--batch", type=int, default=8,
                     help="max requests one lane-packed execution serves "
                          "(default %(default)s)")
     ap.add_argument("--max-wait-ms", type=float, default=20.0,
                     help="admission window: max time a request waits for "
                          "lane-mates (default %(default)s)")
-    ap.add_argument("--payloads", type=int, default=1,
-                    help="distinct logical payloads per app (tenants); "
-                         "only equal payloads lane-pack")
     ap.add_argument("--seed", type=int, default=0,
                     help="traffic RNG seed (same seed, same report)")
     ap.add_argument("--policy",
@@ -260,6 +249,23 @@ def _add_traffic_args(ap) -> None:
     ap.add_argument("--machines", default="numa", metavar="SPEC",
                     help='machine fleet, e.g. "numa*2,gpunode" '
                          "(default %(default)s)")
+
+
+def _add_traffic_args(ap) -> None:
+    """Traffic/fleet flags shared by ``serve-sim`` and ``slo-report``."""
+    ap.add_argument("apps", nargs="*",
+                    help="served applications (need bundled datasets)")
+    ap.add_argument("--requests", type=int, default=64,
+                    help="total requests (default %(default)s)")
+    ap.add_argument("--clients", type=int, default=8,
+                    help="closed-loop concurrent clients "
+                         "(default %(default)s)")
+    ap.add_argument("--think-ms", type=float, default=0.0,
+                    help="closed-loop think time between requests")
+    ap.add_argument("--payloads", type=int, default=1,
+                    help="distinct logical payloads per app (tenants); "
+                         "only equal payloads lane-pack")
+    _add_fleet_args(ap)
     ap.add_argument("--backend", choices=("reference", "numpy"),
                     default="numpy",
                     help="functional engine; only numpy lane-packs "
@@ -400,7 +406,7 @@ def serve_main(argv=None) -> int:
     ap.add_argument("--flame-out", metavar="FILE.txt",
                     help="write a collapsed-stack flamegraph "
                          "(flamegraph.pl / speedscope format) of the "
-                         "serving span tree")
+                         "serving run's spans")
     ap.add_argument("--metrics-out", metavar="FILE.prom",
                     help="write the metrics registry in Prometheus/"
                          "OpenMetrics text exposition format")
@@ -564,16 +570,16 @@ def _analyze_critical(app: str, backend, as_json: bool) -> int:
     bundle = get_bundle(app)
     tracer = Tracer()
     bundle.simulate("opt", tracer=tracer, backend=backend)
-    root = tracer.last_run
-    root.name = app
-    cp = critical_path(root)
+    run = tracer.last_run
+    run.name[0] = app
+    cp = critical_path(run)
     if as_json:
         print(_json.dumps(cp.to_json(), indent=2, sort_keys=True))
     else:
         print(cp.render())
         dom = cp.dominant(kind="loop")
         if dom is not None:
-            print(f"dominant loop: {dom.span.name} "
+            print(f"dominant loop: {dom.name} "
                   f"(self {dom.self_s * 1e3:.3f} ms of "
                   f"{cp.total_s * 1e3:.3f} ms)")
         print(f"self-time attribution covers "
@@ -634,19 +640,27 @@ def _analyze_diff(app: str, ref_a: str, ref_b: str, history,
 
 def _analyze_requests(app: str, args) -> int:
     """Seeded serving run; print the exact per-request latency
-    decomposition and fleet bottleneck attribution."""
+    decomposition and fleet bottleneck attribution. The run is
+    ``serve-sim``'s traffic, checked and run as there, at its defaults
+    but for the flags ``analyze`` has."""
     from .obs import Tracer
     from .obs.analyze import COMPONENTS, request_decomposition
     from .obs.critical import fleet_attribution
-    from .serve import ServeSim
+    traffic = argparse.ArgumentParser()
+    _add_traffic_args(traffic)
+    # argparse fills in a default only where the namespace has no value
+    targs = traffic.parse_args([app], argparse.Namespace(**{
+        **vars(args), "requests": args.count,
+        "backend": args.backend or "numpy"}))
+    rc = _check_traffic_args(targs, "analyze --requests")
+    if rc != EXIT_OK:
+        return rc
     tracer = Tracer()
-    sim = ServeSim([app], machines=args.machines, max_batch=args.batch,
-                   max_wait_s=args.max_wait_ms / 1e3, policy=args.policy,
-                   backend=args.backend or "numpy", tracer=tracer)
-    if args.rate is not None:
-        report = sim.run_open(args.rate, args.count, seed=args.seed)
-    else:
-        report = sim.run_closed(args.clients, args.count, seed=args.seed)
+    try:
+        sim, report = _run_traffic(targs, None, tracer)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rows = request_decomposition(sim.last_server)
     # the decomposition identity is exact by construction; verify it
     # anyway so a future refactor can't silently break the contract
@@ -721,24 +735,7 @@ def analyze_main(argv=None) -> int:
     ap.add_argument("--clients", type=int, default=4,
                     help="--requests: closed-loop clients "
                          "(default %(default)s)")
-    ap.add_argument("--rate", type=float, default=None, metavar="RPS",
-                    help="--requests: open-loop arrival rate "
-                         "(default: closed loop)")
-    ap.add_argument("--batch", type=int, default=8,
-                    help="--requests: max lane-packed batch "
-                         "(default %(default)s)")
-    ap.add_argument("--max-wait-ms", type=float, default=20.0,
-                    help="--requests: admission window "
-                         "(default %(default)s)")
-    ap.add_argument("--machines", default="numa", metavar="SPEC",
-                    help="--requests: machine fleet (default %(default)s)")
-    ap.add_argument("--policy",
-                    choices=("round-robin", "least-loaded", "fastest"),
-                    default="round-robin",
-                    help="--requests: placement policy")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="--requests: traffic seed (same seed, "
-                         "byte-identical --json output)")
+    _add_fleet_args(ap)
     args, rc = _parse(ap, argv)
     if args is None:
         return rc
@@ -793,7 +790,7 @@ def main(argv=None) -> int:
                          "simulated run")
     ap.add_argument("--flame-out", metavar="FILE.txt",
                     help="write a collapsed-stack flamegraph of the "
-                         "simulated run's span tree")
+                         "simulated run's spans")
     ap.add_argument("--metrics", action="store_true",
                     help="print runtime metrics of the simulated run")
     ap.add_argument("--metrics-out", metavar="FILE.prom",

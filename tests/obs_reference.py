@@ -9,20 +9,68 @@ flame-graph fold (``collapse_stacks``), the latency decomposition
 (``request_decomposition``, ``decomposition_summary``), the report's
 latency histogram (``latency_histogram``) and the Prometheus text
 (``prometheus_text``, quantiles by a full sort). Only the tests read it.
+
+Its input is a tracer or a run's ``SpanTable``, read as rows; ``track``
+and ``clean_args`` are the per-span Chrome track and attrs cleaning the
+table columns replaced, and ``table`` writes a tree of nested tuples as
+the table a run would hold.
 """
 
 import math
 from typing import Any, Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.obs.analyze import COMPONENTS, decompose_timeline
-from repro.obs.export import _clean_args
 from repro.obs.profile import _escape, _split_series
-from repro.obs.spans import TIMELINE_MARKS, Span, Tracer
+from repro.obs.spans import TIMELINE_MARKS, SpanTable, Tracer
 
 _US = 1e6
 _REQUEST_PID = 2
 _REQUEST_KINDS = ("request", "queue", "exec")
 _ATTEMPT_PID = 3
+
+
+def track(kind: str, attrs: Dict[str, Any]) -> Tuple[int, int]:
+    """A span's Chrome track (pid, tid): its rid's, or in process 1 the
+    run/loop timeline (tid 0) or its simulated machine's (index + 1)."""
+    if kind in _REQUEST_KINDS:
+        return _REQUEST_PID, int(attrs.get("rid", 0))
+    if kind == "attempt":
+        return _ATTEMPT_PID, int(attrs.get("rid", 0))
+    m = attrs.get("machine")
+    return 1, 0 if m is None else int(m) + 1
+
+
+def clean_args(attrs: Dict[str, Any]) -> Dict[str, Any]:
+    """JSON-safe copy of span attributes."""
+    out: Dict[str, Any] = {}
+    for k, v in attrs.items():
+        if isinstance(v, (str, int, float, bool)) or v is None:
+            out[k] = v
+        elif isinstance(v, dict):
+            out[k] = {str(kk): str(vv) for kk, vv in v.items()}
+        elif isinstance(v, (list, tuple)):
+            out[k] = [str(x) for x in v]
+        else:
+            out[k] = str(v)
+    return out
+
+
+def table(*trees) -> SpanTable:
+    """The pre-order table of trees written as nested tuples
+    ``(name, kind, start_s, dur_s[, attrs][, [child, ...]])``, each tree
+    a run."""
+    out = SpanTable()
+
+    def add(node, depth):
+        name, kind, start_s, dur_s, *rest = node
+        attrs = next((r for r in rest if isinstance(r, dict)), {})
+        out.add(depth, name, kind, start_s, dur_s, attrs,
+                *track(kind, attrs))
+        for child in next((r for r in rest if isinstance(r, list)), []):
+            add(child, depth + 1)
+    for tree in trees:
+        add(tree, 0)
+    return out
 
 
 def rows(record) -> Iterator[tuple]:
@@ -95,17 +143,17 @@ def rows(record) -> Iterator[tuple]:
 
 
 def span_rows(source, own=None, records=()) -> Iterator[tuple]:
-    """Pre-order rows of a tracer's runs (``records``: the ``ServeRecord``
-    behind each run that has one, in run order) or of one tree."""
-    roots = source._runs if isinstance(source, Tracer) else [source]
+    """Pre-order rows of a tracer's runs or of one run's table. With
+    ``records`` (the ``ServeRecord`` behind each run, in run order) a
+    run is its run row and then :func:`rows` of its record."""
+    runs = source._runs if isinstance(source, Tracer) else [source]
     records = list(records)
-    for root in roots:
-        for sp, depth in root.walk():
-            yield (depth, sp.name, sp.kind, sp.start_s, sp.dur_s,
-                   sp.attrs if own is None else own(sp.attrs))
-        if not root.children and records:
-            for row in rows(records.pop(0)):
-                yield (*row[:5], row[5] if own is None else dict(row[5]))
+    for run in runs:
+        run_rows = list(run.rows())
+        if records:
+            run_rows[1:] = rows(records.pop(0))
+        for *row, attrs in run_rows:
+            yield (*row, attrs if own is None else own(attrs))
 
 
 def flatten(rows: Iterable[tuple]) -> Tuple[List[dict], List[dict],
@@ -173,7 +221,7 @@ def flatten(rows: Iterable[tuple]) -> Tuple[List[dict], List[dict],
 
 
 def chrome_trace_events(source, records=()) -> List[dict]:
-    meta, events, flows = flatten(span_rows(source, _clean_args, records))
+    meta, events, flows = flatten(span_rows(source, clean_args, records))
     return meta + events + flows
 
 

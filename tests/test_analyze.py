@@ -15,10 +15,12 @@ import math
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import tools
 from repro.bench import get_bundle
-from repro.obs import Span, Tracer
+from repro.obs import Tracer
 from repro.obs.analyze import (COMPONENTS, LoopDelta, decompose_timeline,
                                decomposition_summary, diff_loop_rows,
                                diff_span_trees, loop_rows_from_sim,
@@ -28,6 +30,9 @@ from repro.obs.critical import critical_path, fleet_attribution
 from repro.obs.history import RunRecord
 from repro.obs.spans import RequestContext, RequestTimeline
 from repro.serve import ServeSim
+
+from . import obs_reference as ref
+from .test_serve_pins import chaos_run
 
 TOL = 1e-9
 
@@ -44,19 +49,38 @@ def run_cli(*argv):
 # ---------------------------------------------------------------------------
 
 def make_run(children):
-    """A run span with (start, dur) loop children and a matching total."""
+    """A run with (start, dur) loop children and a matching total."""
     total = max((s + d for s, d in children), default=0.0)
-    root = Span("run", "run", 0.0, total)
-    for i, (s, d) in enumerate(children):
-        root.child(f"loop{i}", "loop", s, d)
-    return root
+    return ref.table(("run", "run", 0.0, total, [
+        (f"loop{i}", "loop", s, d) for i, (s, d) in enumerate(children)]))
+
+
+@st.composite
+def span_trees(draw, depth=0, name="run"):
+    """A tree as nested tuples; siblings have distinct names."""
+    kind = draw(st.sampled_from(["loop", "machine", "socket"])) \
+        if depth else "run"
+    node = (name, kind, draw(st.sampled_from([0.0, 1.0, 2.5])),
+            draw(st.sampled_from([0.0, 1e-13, 1.0, 3.0])))
+    if depth == 3:
+        return node
+    n = draw(st.integers(0, 3))
+    return node + ([draw(span_trees(depth + 1, f"{name}/{i}"))
+                    for i in range(n)],)
+
+
+def permuted(tree, order):
+    """``tree`` with every node's children put in ``order(children)``."""
+    if len(tree) < 5:
+        return tree
+    return tree[:4] + (order([permuted(c, order) for c in tree[4]]),)
 
 
 class TestCriticalPath:
     def test_sequential_children_all_on_path(self):
         root = make_run([(0.0, 1.0), (1.0, 2.0), (3.0, 1.0)])
         cp = critical_path(root)
-        names = [s.span.name for s in cp.steps]
+        names = [s.name for s in cp.steps]
         assert names == ["run", "loop0", "loop1", "loop2"]
         # leaves own their full duration; the parent has no self time
         assert cp.steps[0].self_s == pytest.approx(0.0, abs=TOL)
@@ -65,44 +89,44 @@ class TestCriticalPath:
     def test_gap_is_parent_self_time(self):
         root = make_run([(0.0, 1.0), (2.0, 2.0)])  # hole in [1, 2)
         cp = critical_path(root)
-        run_step = next(s for s in cp.steps if s.span.kind == "run")
+        run_step = next(s for s in cp.steps if s.kind == "run")
         assert run_step.self_s == pytest.approx(1.0, abs=TOL)
         assert cp.attributed_s == pytest.approx(4.0, abs=TOL)
 
     def test_overlapping_children_pick_bounding_chain(self):
         # loopB ends last and bounds the end; loopA is fully shadowed
-        root = Span("run", "run", 0.0, 4.0)
-        root.child("loopA", "loop", 0.0, 2.0)
-        root.child("loopB", "loop", 0.0, 4.0)
+        root = ref.table(("run", "run", 0.0, 4.0, [
+            ("loopA", "loop", 0.0, 2.0), ("loopB", "loop", 0.0, 4.0)]))
         cp = critical_path(root)
-        names = [s.span.name for s in cp.steps]
+        names = [s.name for s in cp.steps]
         assert names == ["run", "loopB"]
         assert cp.attributed_s == pytest.approx(4.0, abs=TOL)
 
-    def test_deterministic_under_child_order(self):
-        a = make_run([(0.0, 1.0), (1.0, 2.0), (3.0, 1.5)])
-        b = make_run([(0.0, 1.0), (1.0, 2.0), (3.0, 1.5)])
-        b.children.reverse()
-        pa = [(s.span.name, s.self_s) for s in critical_path(a).steps]
-        pb = [(s.span.name, s.self_s) for s in critical_path(b).steps]
-        assert pa == pb
+    @settings(max_examples=200, deadline=None)
+    @given(span_trees(), st.data())
+    def test_deterministic_under_child_order(self, tree, data):
+        # the same tree with its sibling rows in any order has the same
+        # path, step for step
+        want = critical_path(ref.table(tree)).to_json()
+        for order in (lambda kids: kids[::-1],
+                      lambda kids: data.draw(st.permutations(kids))):
+            got = critical_path(ref.table(permuted(tree, order))).to_json()
+            assert got == want
 
     def test_nested_self_time_attribution(self):
         # loop [0,4) with machine chunk [0,3): 1s of loop self time
-        root = Span("run", "run", 0.0, 4.0)
-        loop = root.child("loop", "loop", 0.0, 4.0)
-        loop.child("loop/m0", "machine", 0.0, 3.0)
+        root = ref.table(("run", "run", 0.0, 4.0, [
+            ("loop", "loop", 0.0, 4.0, [("loop/m0", "machine", 0.0, 3.0)])]))
         cp = critical_path(root)
-        loop_step = next(s for s in cp.steps if s.span.name == "loop")
+        loop_step = next(s for s in cp.steps if s.name == "loop")
         assert loop_step.self_s == pytest.approx(1.0, abs=TOL)
         assert cp.attributed_s == pytest.approx(4.0, abs=TOL)
 
     def test_kind_filter(self):
-        root = Span("run", "run", 0.0, 4.0)
-        loop = root.child("loop", "loop", 0.0, 4.0)
-        loop.child("loop/m0", "machine", 0.0, 4.0)
+        root = ref.table(("run", "run", 0.0, 4.0, [
+            ("loop", "loop", 0.0, 4.0, [("loop/m0", "machine", 0.0, 4.0)])]))
         cp = critical_path(root, kinds=("loop",))
-        assert [s.span.kind for s in cp.steps] == ["run", "loop"]
+        assert [s.kind for s in cp.steps] == ["run", "loop"]
         # the machine child is excluded, so the loop owns its time
         assert cp.steps[-1].self_s == pytest.approx(4.0, abs=TOL)
 
@@ -115,7 +139,7 @@ class TestCriticalPathReal:
         assert cp.total_s == pytest.approx(sim.total_seconds, abs=TOL)
         assert cp.attributed_s == pytest.approx(cp.total_s, rel=1e-9)
         # chronological and inside the run
-        starts = [s.span.start_s for s in cp.steps]
+        starts = [s.start_s for s in cp.steps]
         assert starts == sorted(starts)
         assert cp.render()  # renders without blowing up
         doc = cp.to_json()
@@ -127,7 +151,7 @@ class TestCriticalPathReal:
         cp = critical_path(tracer.last_run)
         dom = cp.dominant(kind="loop")
         heaviest = max(sim.loops, key=lambda l: l.time_s)
-        assert dom is not None and dom.span.name == heaviest.name
+        assert dom is not None and dom.name == heaviest.name
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +262,16 @@ class TestServeDecomposition:
                                                        rel=1e-9)
         assert all(m.critical_s <= m.busy_s + TOL for m in fleet.machines)
         assert fleet.render() and fleet.to_json()["machines"]
+
+    def test_fleet_attribution_tiles_the_benchmark_chaos_run(self):
+        # the chaos workload at its benchmark size: crashes, retries and
+        # hedges leave overlapping batches and idle gaps on two replicas
+        _, tracer, report = chaos_run(0, 2000, (0.3, 0.5), (0.8, 1.0))
+        fleet = fleet_attribution(tracer.last_run)
+        assert fleet.makespan_s >= report.makespan_s
+        assert {seg.kind for seg in fleet.chain} == {"batch", "wait"}
+        assert sum(m.critical_s for m in fleet.machines) + fleet.wait_s == \
+            fleet.makespan_s
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Observability layer: span trees, metrics, typed diagnostics, and the
+"""Observability layer: span tables, metrics, typed diagnostics, and the
 Chrome-trace exporter — plus the guarantee that all of it costs nothing
 when disabled."""
 
@@ -12,90 +12,120 @@ from repro import tools
 from repro.bench import get_bundle
 from repro.bench.apps import _FACTORIES
 from repro.obs import (DiagCategory, MetricsRegistry, RequestContext,
-                       RequestTimeline, Span, Tracer, chrome_trace_events,
+                       RequestTimeline, Tracer, chrome_trace_events,
                        collapse_stacks, profile_report, prometheus_text,
                        render_collapsed, render_spans, write_chrome_trace,
                        write_collapsed, write_prometheus)
 from repro.obs.check import validate_events, validate_file
 from repro.runtime import set_metrics, set_reader_location
+from repro.runtime import GPU_CLUSTER, single_node
 from repro.runtime.distarray import PartitionedArray
+
+from . import obs_reference as ref
 
 APPS = sorted(_FACTORIES)
 
 TOL = 1e-9
 
 
-def traced(name):
-    """Price a bundled app with a tracer attached; returns (sim, root)."""
+def traced(name, gpu=False):
+    """Price a bundled app with a tracer attached, on the NUMA box or one
+    GPU node; returns (sim, the run's SpanTable)."""
     tracer = Tracer()
-    sim = get_bundle(name).simulate(tracer=tracer)
+    kw = dict(cluster=single_node(GPU_CLUSTER), use_gpu=True,
+              gpu_transposed=True) if gpu else {}
+    sim = get_bundle(name).simulate("gpu" if gpu else "opt", tracer=tracer,
+                                    **kw)
     return sim, tracer.last_run
 
 
+def spans(run, kind=None, parent=None):
+    """Row indices of ``run`` (of one kind, under one parent row)."""
+    parents = run.parents().tolist()
+    return [i for i, k in enumerate(run.kind)
+            if (kind is None or k == kind)
+            and (parent is None or parents[i] == parent)]
+
+
 # ---------------------------------------------------------------------------
-# span trees
+# span tables
 # ---------------------------------------------------------------------------
 
 class TestSpanTree:
     @pytest.mark.parametrize("name", APPS)
     def test_well_formed(self, name):
-        sim, root = traced(name)
-        assert root is not None and root.kind == "run"
+        sim, run = traced(name)
+        assert run is not None and run.kind[0] == "run"
+        assert run.depth[0] == 0 and 0 not in run.depth[1:]
         # every child interval nests inside its parent
-        def check(parent):
-            for c in parent.children:
-                assert parent.contains(c, TOL), (parent, c)
-                check(c)
-        check(root)
+        start, dur = run.start_s, run.dur_s
+        for i, up in enumerate(run.parents().tolist()):
+            if up >= 0:
+                assert start[i] >= start[up] - TOL, (up, i)
+                assert start[i] + dur[i] <= start[up] + dur[up] + TOL
         # the loop layer tiles [0, total] back-to-back
-        loops = [c for c in root.children if c.kind == "loop"]
+        loops = spans(run, "loop", parent=0)
         assert len(loops) == len(sim.loops)
         cursor = 0.0
-        for sp in loops:
-            assert sp.start_s == pytest.approx(cursor, abs=TOL)
-            cursor = sp.end_s
+        for i in loops:
+            assert start[i] == pytest.approx(cursor, abs=TOL)
+            cursor = start[i] + dur[i]
         assert cursor == pytest.approx(sim.total_seconds, abs=TOL)
-        assert root.dur_s == pytest.approx(sim.total_seconds, abs=TOL)
+        assert dur[0] == pytest.approx(sim.total_seconds, abs=TOL)
 
     @pytest.mark.parametrize("name", APPS)
     def test_breakdown_identity(self, name):
         """time_s == max(compute, memory) + comm + overhead, and the span
         attributes carry exactly the LoopSim split."""
-        sim, root = traced(name)
-        loops = {sp.name: sp for sp in root.children if sp.kind == "loop"}
+        sim, run = traced(name)
+        loops = {run.name[i]: i for i in spans(run, "loop")}
         for ls in sim.loops:
             assert ls.time_s == pytest.approx(
                 max(ls.compute_s, ls.memory_s) + ls.comm_s + ls.overhead_s)
-            sp = loops[ls.name]
-            assert sp.dur_s == pytest.approx(ls.time_s, abs=TOL)
+            i = loops[ls.name]
+            assert run.dur_s[i] == pytest.approx(ls.time_s, abs=TOL)
             for k in ("compute_s", "memory_s", "comm_s", "overhead_s"):
-                assert sp.attrs[k] == getattr(ls, k)
+                assert run.attrs[i][k] == getattr(ls, k)
         assert sum(l.time_s for l in sim.loops) == pytest.approx(
             sim.total_seconds)
 
+    @pytest.mark.parametrize("gpu", [False, True], ids=["numa", "gpu"])
+    @pytest.mark.parametrize("name", APPS)
+    def test_attrs_are_json_ready(self, name, gpu):
+        """Every executor row's attrs are a scalar, a list of ``str`` or a
+        ``str → str`` dict per key, so the Chrome trace takes them as
+        they are; and each row sits on its machine's track."""
+        _, run = traced(name, gpu)
+        for kind, attrs, pid, tid in zip(run.kind, run.attrs, run.pid,
+                                         run.tid):
+            for v in attrs.values():
+                if isinstance(v, list):
+                    assert all(type(x) is str for x in v), v
+                elif isinstance(v, dict):
+                    assert all(type(k) is str and type(x) is str
+                               for k, x in v.items()), v
+                else:
+                    assert type(v) in (str, int, float, bool, type(None)), v
+            assert ref.clean_args(attrs) == attrs
+            assert (pid, tid) == ref.track(kind, attrs)
+
     def test_machine_and_socket_layers(self):
-        _, root = traced("kmeans")
-        kinds = {sp.kind for sp, _ in root.walk()}
-        assert {"run", "loop", "machine", "socket"} <= kinds
+        _, run = traced("kmeans")
+        assert {"run", "loop", "machine", "socket"} <= set(run.kind)
         # machine chunks sit on the parallel region of their loop
-        for sp, _ in root.walk():
-            if sp.kind == "machine":
-                assert sp.attrs.get("machine") is not None
-                assert sp.attrs["iter_hi"] >= sp.attrs["iter_lo"]
+        for i in spans(run, "machine"):
+            assert run.attrs[i].get("machine") is not None
+            assert run.attrs[i]["iter_hi"] >= run.attrs[i]["iter_lo"]
 
     def test_gpu_layer(self):
-        from repro.runtime import GPU_CLUSTER, single_node
-        tracer = Tracer()
-        get_bundle("kmeans").simulate(
-            "gpu", cluster=single_node(GPU_CLUSTER), use_gpu=True,
-            gpu_transposed=True, tracer=tracer)
-        kinds = {sp.kind for sp, _ in tracer.last_run.walk()}
-        assert "gpu" in kinds
+        _, run = traced("kmeans", gpu=True)
+        assert "gpu" in run.kind
 
     def test_render_spans(self):
-        _, root = traced("logreg")
-        text = render_spans(root)
+        _, run = traced("logreg")
+        text = render_spans(run)
         assert "run:" in text and "loop:" in text and "ms" in text
+        assert text.count("\n") + 1 == len(run.name)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +159,8 @@ class TestZeroCost:
 
 class TestChromeTrace:
     def test_events_validate(self):
-        _, root = traced("q1")
-        events = chrome_trace_events(root)
+        _, run = traced("q1")
+        events = chrome_trace_events(run)
         assert validate_events(events) == []
         xs = [e for e in events if e["ph"] == "X"]
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in xs)
@@ -141,38 +171,35 @@ class TestChromeTrace:
                {e["tid"] for e in xs}
 
     def test_file_round_trip(self, tmp_path):
-        sim, root = traced("gene")
+        sim, run = traced("gene")
         path = tmp_path / "gene.json"
-        write_chrome_trace(str(path), root)
+        write_chrome_trace(str(path), run)
         doc = json.loads(path.read_text())
         assert doc["displayTimeUnit"] == "ms"
         assert validate_file(str(path)) == []
-        run = next(e for e in doc["traceEvents"] if e.get("cat") == "run")
-        assert run["dur"] == pytest.approx(sim.total_seconds * 1e6, rel=1e-6)
+        event = next(e for e in doc["traceEvents"] if e.get("cat") == "run")
+        assert event["dur"] == pytest.approx(sim.total_seconds * 1e6,
+                                             rel=1e-6)
 
     def test_event_order_deterministic_under_child_permutation(self):
         # two structurally identical trees whose children were recorded
         # in different orders must export byte-identical event streams —
         # the exporter sorts on (pid, tid, ts, -dur, cat, name)
-        def tree():
-            root = Span("run", "run", 0.0, 10.0)
-            a = root.child("loopA", "loop", 0.0, 4.0)
-            a.child("loopA/m0", "machine", 0.0, 2.0)
-            a.child("loopA/m1", "machine", 0.0, 2.0)
-            root.child("loopB", "loop", 4.0, 6.0)
-            return root
-
-        t1, t2 = tree(), tree()
-        t2.children.reverse()
-        t2.children[-1].children.reverse()
+        m0 = ("loopA/m0", "machine", 0.0, 2.0)
+        m1 = ("loopA/m1", "machine", 0.0, 2.0)
+        loop_b = ("loopB", "loop", 4.0, 6.0)
+        t1 = ref.table(("run", "run", 0.0, 10.0, [
+            ("loopA", "loop", 0.0, 4.0, [m0, m1]), loop_b]))
+        t2 = ref.table(("run", "run", 0.0, 10.0, [
+            loop_b, ("loopA", "loop", 0.0, 4.0, [m1, m0])]))
         e1, e2 = chrome_trace_events(t1), chrome_trace_events(t2)
         assert e1 == e2
         assert json.dumps(e1, sort_keys=True) == json.dumps(e2,
                                                             sort_keys=True)
 
     def test_event_order_sorted_within_track(self):
-        _, root = traced("kmeans")
-        xs = [e for e in chrome_trace_events(root) if e["ph"] == "X"]
+        _, run = traced("kmeans")
+        xs = [e for e in chrome_trace_events(run) if e["ph"] == "X"]
         keys = [(e["pid"], e["tid"], e["ts"], -e["dur"], e["cat"], e["name"])
                 for e in xs]
         assert keys == sorted(keys)
@@ -187,6 +214,18 @@ class TestChromeTrace:
         from repro.obs import check
         assert check.main([str(bad)]) == 1
         assert check.main([]) == 2
+
+    def test_validator_reports_non_object_events(self, tmp_path, capsys):
+        assert validate_events([1, "x"]) == ["event 0: not an object",
+                                             "event 1: not an object"]
+        assert validate_events([_slice("run", 1, 0, 0.0, 1.0, cat="run"),
+                                None]) == ["event 1: not an object"]
+        bad = tmp_path / "ints.json"
+        bad.write_text('{"traceEvents": [1, "x"]}')
+        from repro.obs import check
+        assert check.main([str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out and "event 1: not an object" in out
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +384,8 @@ class TestContainmentValidation:
 
     def test_real_traces_contain(self):
         for app in ("kmeans", "q1"):
-            _, root = traced(app)
-            assert validate_events(chrome_trace_events(root)) == []
+            _, run = traced(app)
+            assert validate_events(chrome_trace_events(run)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +420,28 @@ class TestRequestContext:
 
 class TestProfileExports:
     def test_collapse_stacks_self_time(self):
-        root = Span("run", "run", 0.0, 10.0)
-        loop = root.child("loopA", "loop", 0.0, 6.0)
-        loop.child("m0", "machine", 0.0, 4.0)
-        stacks = collapse_stacks(root)
+        stacks = collapse_stacks(ref.table(("run", "run", 0.0, 10.0, [
+            ("loopA", "loop", 0.0, 6.0, [("m0", "machine", 0.0, 4.0)])])))
         # self time = dur - children dur, in integer microseconds
         assert stacks["run"] == 4_000_000
         assert stacks["run;loopA"] == 2_000_000
         assert stacks["run;loopA;m0"] == 4_000_000
 
     def test_collapsed_render_and_write(self, tmp_path):
-        _, root = traced("kmeans")
-        text = render_collapsed(root)
+        _, run = traced("kmeans")
+        text = render_collapsed(run)
         lines = text.strip().splitlines()
         assert lines == sorted(lines)
         for line in lines:
             stack, weight = line.rsplit(" ", 1)
             assert int(weight) > 0 and stack
         p = tmp_path / "flame.txt"
-        write_collapsed(str(p), root)
+        write_collapsed(str(p), run)
         assert p.read_text() == text + "\n"
 
     def test_semicolons_in_frames_escaped(self):
-        root = Span("a;b", "run", 0.0, 1.0)
-        assert list(collapse_stacks(root)) == ["a,b"]
+        run = ref.table(("a;b", "run", 0.0, 1.0))
+        assert list(collapse_stacks(run)) == ["a,b"]
 
     def test_prometheus_text(self, tmp_path):
         m = MetricsRegistry()

@@ -4,7 +4,7 @@ gave, byte for byte (DESIGN.md §10).
 The oracle is the per-row code itself, kept in ``tests/obs_reference.py``:
 the serving-span derivation, the Chrome-trace flattening, the flame-graph
 fold, the latency decomposition summary, the report's latency histogram
-and the Prometheus quantiles. Both sides run on hypothesis span trees
+and the Prometheus quantiles. Both sides run on hypothesis span tables
 (ties, ``;`` in names, zero, −0.0 and huge durations) and on seeds 0–9 of
 the small chaos and open-traced runs.
 """
@@ -16,8 +16,8 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (MetricsRegistry, Span, Tracer, chrome_trace_events,
-                       prometheus_text, render_collapsed)
+from repro.obs import (MetricsRegistry, SpanTable, Tracer,
+                       chrome_trace_events, prometheus_text, render_collapsed)
 from repro.obs.analyze import decomposition_summary, request_decomposition
 from repro.obs.export import exact_round
 from repro.obs.profile import _quantiles, _sample
@@ -89,7 +89,7 @@ class TestExactRound:
 
 
 # ---------------------------------------------------------------------------
-# span trees: Chrome trace and flame graph
+# span tables: Chrome trace and flame graph
 # ---------------------------------------------------------------------------
 
 starts = st.one_of(st.sampled_from([0.0, 0.001, 0.0015, 0.25]),
@@ -103,18 +103,23 @@ attrs = st.fixed_dictionaries({}, optional={
     "rid": st.integers(0, 5), "machine": st.one_of(st.none(),
                                                      st.integers(0, 3)),
     "batch_id": st.integers(0, 3), "flow_id": st.integers(0, 2 ** 53),
-    "dispatch_s": starts, "op": st.sampled_from(["map", ("x", 1)]),
-    "layouts": st.just({"a": 1})})
+    "dispatch_s": starts, "op": st.sampled_from(["map", ["x", "1"]]),
+    "layouts": st.just({"a": "1"})})
 
 
 @st.composite
-def span_trees(draw, depth=0):
-    sp = Span(draw(names), draw(kinds) if depth else "run", draw(starts),
-              draw(durations), draw(attrs))
-    if depth < 5:
-        sp.children = draw(st.lists(span_trees(depth=depth + 1),
-                                    max_size=3 if depth < 3 else 1))
-    return sp
+def span_tables(draw):
+    """One run's rows in pre-order: a run row, then rows each at most one
+    level below the row before it, five levels deep at most."""
+    table = SpanTable()
+    depth = 0
+    for row in range(draw(st.integers(1, 30))):
+        depth = draw(st.integers(1, min(depth + 1, 5))) if row else 0
+        kind = draw(kinds) if depth else "run"
+        a = draw(attrs)
+        table.add(depth, draw(names), kind, draw(starts), draw(durations), a,
+                  *ref.track(kind, a))
+    return table
 
 
 def ref_rows(source):
@@ -123,17 +128,17 @@ def ref_rows(source):
 
 class TestSpanTrees:
     @settings(max_examples=100, deadline=None)
-    @given(span_trees())
-    def test_one_tree(self, root):
-        assert json.dumps(chrome_trace_events(root)) == \
-            json.dumps(ref.chrome_trace_events(root))
-        assert render_collapsed(root) == ref.render_collapsed(ref_rows(root))
+    @given(span_tables())
+    def test_one_tree(self, run):
+        assert json.dumps(chrome_trace_events(run)) == \
+            json.dumps(ref.chrome_trace_events(run))
+        assert render_collapsed(run) == ref.render_collapsed(ref_rows(run))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(span_trees(), max_size=3))
-    def test_a_tracer_of_several_runs(self, roots):
+    @given(st.lists(span_tables(), max_size=3))
+    def test_a_tracer_of_several_runs(self, runs):
         tracer = Tracer()
-        tracer._runs.extend(roots)
+        tracer._runs.extend(runs)
         assert json.dumps(chrome_trace_events(tracer)) == \
             json.dumps(ref.chrome_trace_events(tracer))
         assert render_collapsed(tracer) == \
@@ -165,10 +170,8 @@ def check_run(server, tracer, report):
         json.dumps(ref.request_decomposition(server))
     assert report.latency_histogram() == \
         ref.latency_histogram(report.latencies_s)
-    # the derivation, read after the tree was built from it
-    tree = [(depth, sp.name, sp.kind, sp.start_s, sp.dur_s, sp.attrs)
-            for sp, depth in tracer.last_run.walk()]
-    assert tree[1:] == list(ref.rows(server.record))
+    # the derivation, read after the exports filled the run's table
+    assert list(tracer.last_run.rows())[1:] == list(ref.rows(server.record))
 
 
 class TestServingRuns:

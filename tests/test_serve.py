@@ -767,20 +767,24 @@ class TestServeTracing:
 
     def test_batch_spans_carry_loop_children(self):
         tr, sim, rep = self.traced_run()
-        batches = [sp for sp, _ in tr.last_run.walk() if sp.kind == "batch"]
+        run = tr.last_run
+        parents = run.parents().tolist()
+        batches = [i for i, k in enumerate(run.kind) if k == "batch"]
         assert batches
-        lane_packed = [b for b in batches if b.attrs.get("lane_packed")
-                       or b.attrs.get("fallback") is None]
+        lane_packed = [b for b in batches if run.attrs[b].get("lane_packed")
+                       or run.attrs[b].get("fallback") is None]
         assert lane_packed
         for b in lane_packed:
-            loops = [c for c in b.children if c.kind == "loop"]
+            loops = [i for i, k in enumerate(run.kind)
+                     if k == "loop" and parents[i] == b]
             assert loops
             # loops tile the batch span on the serving machine's track
-            cursor = b.start_s
-            for sp in loops:
-                assert sp.start_s == pytest.approx(cursor, abs=1e-9)
-                assert sp.attrs["machine"] == b.attrs["machine"]
-                cursor = sp.end_s
+            cursor = run.start_s[b]
+            for i in loops:
+                assert run.start_s[i] == pytest.approx(cursor, abs=1e-9)
+                assert run.attrs[i]["machine"] == run.attrs[b]["machine"]
+                assert run.tid[i] == run.tid[b]
+                cursor = run.start_s[i] + run.dur_s[i]
 
     def test_untraced_server_allocates_no_request_state(self):
         sim = ServeSim(["q1"], backend="numpy")

@@ -4,11 +4,11 @@ from it (DESIGN.md §10).
 The contracts a lazy derivation could quietly break:
 
 - **views do not depend on who looked first** — Chrome trace, flame graph
-  and latency decomposition are the same whether they were produced from
-  the rows or after somebody walked ``tracer.last_run``, under any fault
-  plan and resilience config;
-- **nothing is built that nobody reads** — a run and its exports construct
-  one ``Span`` (the run's); asking for the tree constructs the rest, once;
+  and latency decomposition are the same whether an exporter or
+  ``tracer.last_run`` read the run first, under any fault plan and
+  resilience config;
+- **nothing is built that nobody reads** — a run holds its run row only;
+  the first reader derives the rest, once;
 - **the record is rows** — a tracer that outlives its server does not keep
   the server alive, and an untraced server keeps no record at all.
 """
@@ -23,15 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (MetricsRegistry, Span, Tracer, chrome_trace_events,
+from repro.obs import (MetricsRegistry, Tracer, chrome_trace_events,
                        prometheus_text, render_collapsed, render_spans)
 from repro.obs.analyze import decomposition_summary
-from repro.obs.export import _clean_args
-from repro.obs.spans import span_rows
+from repro.obs.spans import ServeRecord
 from repro.serve import (BreakerConfig, ClosedLoop, FaultPlan, FaultSpec,
                          OpenLoop, ProgramServer, ResilienceConfig,
                          RetryPolicy, ServedApp, ServeSim, make_machines)
 
+from . import obs_reference as ref
 from .test_serve import SERVICE
 from .test_serve_pins import chaos_run
 
@@ -60,8 +60,7 @@ def views(tracer, server):
 
 
 def tree(tracer):
-    return [(depth, sp.name, sp.kind, sp.start_s, sp.dur_s, sp.attrs)
-            for sp, depth in tracer.last_run.walk()]
+    return list(tracer.last_run.rows())
 
 
 def attempts_by_scan(server, rid):
@@ -84,7 +83,7 @@ def check_views_do_not_depend_on_order(run):
     spans = tree(tracer)
     assert views(tracer, server) == lazy
     assert render_spans(tracer.last_run).count("\n") + 1 == len(spans)
-    # the same run, its tree asked for before any export
+    # the same run, its table read before any export
     tracer2, server2 = run()
     assert tree(tracer2) == spans
     assert views(tracer2, server2) == lazy
@@ -168,9 +167,10 @@ class TestViewsDoNotDependOnWhoLookedFirst:
         cut = [tl for entries in server.record.attempts.values()
                for tl, _, status in entries if status == "requeued"]
         assert cut and all(max(tl.marks.values()) == 0.0125 for tl in cut)
-        cancelled = [sp for sp, _ in tracer.last_run.walk()
-                     if sp.attrs.get("cancelled")]
-        assert len(cancelled) == 1 and cancelled[0].end_s == 0.0125
+        run = tracer.last_run
+        cancelled = [i for i, a in enumerate(run.attrs) if a.get("cancelled")]
+        assert len(cancelled) == 1
+        assert run.start_s[cancelled[0]] + run.dur_s[cancelled[0]] == 0.0125
 
     def test_with_a_winning_later_attempt(self):
         tracer, server = self.run_of(
@@ -178,12 +178,12 @@ class TestViewsDoNotDependOnWhoLookedFirst:
             ResilienceConfig(retry=RetryPolicy(max_attempts=4)))
         later = [r for r in server.responses if r.request.attempt > 0]
         assert later
-        spans = {sp.name: sp for sp, _ in tracer.last_run.walk()}
+        attrs = dict(zip(tracer.last_run.name, tracer.last_run.attrs))
         for r in later:
             rid = r.request.rid
-            assert spans[f"r{rid}:{r.request.app}"].attrs["attempts"] == \
+            assert attrs[f"r{rid}:{r.request.app}"]["attempts"] == \
                 r.request.attempt + 1
-            assert spans[f"r{rid}:a{r.request.attempt}"].attrs["status"] == \
+            assert attrs[f"r{rid}:a{r.request.attempt}"]["status"] == \
                 "served"
 
     def test_on_the_real_chaos_scenario(self):
@@ -192,54 +192,50 @@ class TestViewsDoNotDependOnWhoLookedFirst:
             server, tracer, _ = chaos_run(2, 120, (0.04, 0.08), (0.1, 0.15))
             return tracer, server
         tracer, _ = check_views_do_not_depend_on_order(run)
-        assert any(sp.kind == "loop" for sp, _ in tracer.last_run.walk())
+        assert "loop" in tracer.last_run.kind
 
 
 @pytest.fixture
-def spans_made(monkeypatch):
-    """``Span`` constructions from here on, by kind."""
-    made = Counter()
-    init = Span.__init__
+def derivations(monkeypatch):
+    """``ServeRecord.table`` calls from here on."""
+    calls = []
+    table = ServeRecord.table
 
-    def counting(self, name, kind, *args, **kwargs):
-        made[kind] += 1
-        init(self, name, kind, *args, **kwargs)
-    monkeypatch.setattr(Span, "__init__", counting)
-    return made
+    def counting(self, run):
+        calls.append(self)
+        table(self, run)
+    monkeypatch.setattr(ServeRecord, "table", counting)
+    return calls
 
 
 class TestNothingIsBuiltThatNobodyReads:
-    def test_a_run_and_its_exports_build_the_run_span_only(self, spans_made):
+    def test_a_run_and_its_exports_build_the_run_span_only(self, derivations):
         registry = MetricsRegistry()
         server, tracer, report = chaos_run(0, 300, (0.04, 0.08), (0.1, 0.15),
                                            registry)
         assert report.decomposition["requests"] == 300
-        chrome_trace_events(tracer)
-        render_collapsed(tracer)
         prometheus_text(registry)
-        assert spans_made == {"run": 1}
-        # the tree, when asked for: what the eager emitters used to build
+        (run,) = tracer._runs
+        assert run.kind == ["run"] and derivations == []
+        # the rows, when read: what the eager emitters used to build
         # inside ``run`` (counted on the commit before the derivation)
-        list(tracer.last_run.walk())
-        assert spans_made == {"run": 1, "batch": 78, "loop": 177, "fault": 2,
-                              "request": 300, "queue": 300, "exec": 300,
-                              "attempt": 22}
-        tracer.runs, tracer.last_run, chrome_trace_events(tracer)
-        assert sum(spans_made.values()) == 1180  # built once
+        chrome_trace_events(tracer)
+        assert Counter(run.kind) == {
+            "run": 1, "batch": 78, "loop": 177, "fault": 2, "request": 300,
+            "queue": 300, "exec": 300, "attempt": 22}
+        render_collapsed(tracer), tracer.runs, tracer.last_run
+        chrome_trace_events(tracer)
+        assert len(run.kind) == 1180 and len(derivations) == 1  # built once
 
     def test_derived_attrs_are_scalars(self):
         _, tracer, _ = chaos_run(1, 120, (0.04, 0.08), (0.1, 0.15))
-        rows = list(span_rows(tracer))
+        rows = list(tracer.last_run.rows())
         assert len(rows) > 400
         for _depth, _name, _kind, start_s, dur_s, attrs in rows:
             assert type(start_s) is float and type(dur_s) is float
             assert all(type(v) in (str, int, float, bool, type(None))
                        for v in attrs.values())
-            assert _clean_args(attrs) == attrs
-        # ... and an exporter that keeps them gets its own
-        owned = list(span_rows(tracer, _clean_args))
-        assert [r[5] for r in owned] == [r[5] for r in rows]
-        assert not any(a[5] is b[5] for a, b in zip(owned, rows))
+            assert ref.clean_args(attrs) == attrs
 
 
 class TestTheRecordIsRows:
@@ -256,7 +252,7 @@ class TestTheRecordIsRows:
         assert gone() is None and machine() is None
         events = chrome_trace_events(tracer)
         assert sum(e.get("cat") == "request" for e in events) == 40
-        assert len(list(tracer.last_run.walk())) > 80
+        assert len(tracer.last_run.name) > 80
 
     def test_clear_forgets_the_deferred_run_too(self):
         tracer = Tracer()

@@ -81,6 +81,20 @@ class TestSpec:
         with pytest.raises(ValueError):
             SLOSpec.from_json([])
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"objectives": [1]}, "objectives"),
+        ({"objectives": 5}, "objectives"),
+        ({"objectives": [{"kind": "availability", "target": None}]},
+         "target"),
+        ({"objectives": [{"kind": "latency", "threshold_ms": "fast"}]},
+         "threshold_ms"),
+        ({"window_s": None, "objectives": [{"kind": "availability"}]},
+         "window_s"),
+    ])
+    def test_malformed_fields_are_named(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            SLOSpec.from_json(doc)
+
     def test_describe(self):
         s = spec(target=0.99, threshold_ms=80.0)
         assert "99%" in s.objectives[0].describe()
@@ -270,3 +284,17 @@ class TestSLOReportCLI:
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "x", "objectives": []}')
         assert self.run("slo-report", "q1", "--spec", str(bad))[0] == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"objectives": [1]}, {"objectives": 5},
+        {"objectives": [{"kind": "availability", "target": None}]},
+        {"window_s": None, "objectives": [{"kind": "availability"}]}])
+    @pytest.mark.parametrize("cmd", ["slo-report", "serve-sim"])
+    def test_malformed_spec_is_one_line_usage_error(self, tmp_path, capsys,
+                                                   cmd, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        flag = "--spec" if cmd == "slo-report" else "--slo"
+        assert self.run(cmd, "q1", "--requests", "2", flag, str(bad))[0] == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot load SLO spec" in err

@@ -81,6 +81,16 @@ class TestCli:
                       "gpu")
         assert "gpu-rules" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--count", "0"], ["--batch", "0"], ["--rate", "-5"],
+        ["--machines", "bogus"]])
+    def test_analyze_requests_rejects_bad_traffic(self, capsys, flags):
+        # the checks and the error path serve-sim has for the same values
+        argv = ["analyze", "kmeans", "--requests"] + flags
+        assert tools.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestPrettyPrinter:
     def test_round_trips_structures(self):
