@@ -10,17 +10,21 @@ every arrival in time order before the loop starts), and a binary heap
 charges O(log n) twice for what is a plain queue. So a push that is not
 earlier than the last streamed entry is appended to a ``deque`` — the
 *stream*, sorted by construction — and only the rest go to the heap.
-``pop`` takes the smaller of the two fronts: both structures are ordered
-by the same ``(t, seq)`` key and every entry is in exactly one of them,
-so the pop order is the one a single heap would give. ``popleft``
-releases a consumed entry at once, as ``heappop`` did.
+``drain`` takes the smaller of the two fronts: both structures are
+ordered by the same ``(t, seq)`` key and every entry is in exactly one of
+them, so the pop order is the one a single heap would give. ``popleft``
+releases a consumed entry at once, as ``heappop`` did. ``extend``
+issues a column the seqs its single pushes would have had; a sorted one
+not behind the stream's tail is one ``deque.extend``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from itertools import islice, repeat
+from operator import le
+from typing import Any, Deque, Iterator, List, Sequence, Tuple
 
 #: ``(t, seq, kind, data)`` — ``seq`` is unique, so comparing two entries
 #: never reaches ``kind`` or ``data``
@@ -44,12 +48,27 @@ class EventQueue:
         else:
             heapq.heappush(self._heap, entry)
 
-    def pop(self) -> Event:
-        """Remove and return the earliest entry (``IndexError`` if empty)."""
+    def extend(self, ts: Sequence[float], kind: str,
+               data: Sequence[Any]) -> None:
+        """``push(t, kind, d)`` for each ``(t, d)``, in order."""
+        stream, seq = self._stream, self._seq
+        if (ts and (not stream or ts[0] >= stream[-1][0])
+                and all(map(le, ts, islice(ts, 1, None)))):
+            stream.extend(zip(ts, range(seq, seq + len(ts)), repeat(kind),
+                              data))
+            self._seq = seq + len(ts)
+        else:
+            for t, d in zip(ts, data):
+                self.push(t, kind, d)
+
+    def drain(self) -> Iterator[Event]:
+        """Pop entries in order until none is left, later pushes too."""
         stream, heap = self._stream, self._heap
-        if stream and (not heap or stream[0] < heap[0]):
-            return stream.popleft()
-        return heapq.heappop(heap)
+        while stream or heap:
+            if stream and (not heap or stream[0] < heap[0]):
+                yield stream.popleft()
+            else:
+                yield heapq.heappop(heap)
 
     def __bool__(self) -> bool:
         return bool(self._stream or self._heap)

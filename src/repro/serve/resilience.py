@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Deque, Dict, Optional
 
 from .faults import derive_unit
@@ -77,10 +78,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        if not 0 <= self.backoff_s < inf:
+            raise ValueError("backoff_s must be finite and >= 0")
+        if not 1.0 <= self.multiplier < inf:
+            raise ValueError("multiplier must be finite and >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
         if self.budget < 0:
@@ -115,8 +116,8 @@ class BreakerConfig:
             raise ValueError("threshold must be in (0, 1]")
         if self.min_events < 1:
             raise ValueError("min_events must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
+        if not 0 <= self.cooldown_s < inf:
+            raise ValueError("cooldown_s must be finite and >= 0")
 
 
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
@@ -202,10 +203,10 @@ class ResilienceConfig:
     degrade_after: int = 3
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0")
-        if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
-            raise ValueError("hedge_delay_s must be > 0")
+        if self.deadline_s is not None and not 0 < self.deadline_s < inf:
+            raise ValueError("deadline_s must be finite and > 0")
+        if self.hedge_delay_s is not None and not 0 < self.hedge_delay_s < inf:
+            raise ValueError("hedge_delay_s must be finite and > 0")
         if self.shed_depth is not None and self.shed_depth < 1:
             raise ValueError("shed_depth must be >= 1")
         if self.degrade_after < 1:

@@ -34,9 +34,10 @@ byte-identical to the pre-chaos scheduler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend import resolve_backend
 from ..core.ir import Program
@@ -188,6 +189,48 @@ POLICIES: Dict[str, Callable[[], Any]] = {
 }
 
 
+class AttemptLedger(dict):
+    """rid → ``[live attempts, next attempt index, ended]`` for the
+    requests that had a second attempt: every request ends exactly once,
+    served or rejected. ``ProgramServer._clone_attempt`` is the only place
+    a second attempt is born (``clone``), so a rid without an entry has
+    one live attempt, cannot be superseded and ends once — admitting a
+    request writes nothing here. An attempt is live until it completes or
+    dies."""
+
+    def clone(self, rid: int, hedge: bool) -> int:
+        """Index of a new attempt: a hedge races the live one, a retry or
+        a re-enqueue replaces the one that died."""
+        entry = self.setdefault(rid, [1, 1, False])
+        entry[0] += hedge
+        entry[1] += 1
+        return entry[1] - 1
+
+    def ended(self, rid: int) -> bool:
+        return rid in self and self[rid][2]
+
+    def served(self, rid: int) -> bool:
+        """An attempt completed: is it the one that serves the rid?"""
+        entry = self.get(rid)
+        if entry is None:
+            return True
+        entry[0] -= 1
+        won, entry[2] = not entry[2], True
+        return won
+
+    def died(self, rid: int) -> int:
+        """An attempt ended without completing: the attempts spent if it
+        was the open rid's last live one (the rid is rejected), else 0."""
+        entry = self.get(rid)
+        if entry is None:
+            return 1
+        entry[0] -= 1
+        if entry[0] or entry[2]:
+            return 0
+        entry[2] = True
+        return entry[1]
+
+
 # ---------------------------------------------------------------------------
 # the server
 # ---------------------------------------------------------------------------
@@ -221,8 +264,8 @@ class ProgramServer:
                  resilience: Optional[ResilienceConfig] = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
+        if not 0.0 <= max_wait_s < math.inf:
+            raise ValueError("max_wait_s must be finite and >= 0")
         self.apps: Dict[str, ServedApp] = {a.name: a for a in apps}
         self.machines = machines or make_machines("numa")
         self.max_batch = max_batch
@@ -288,17 +331,10 @@ class ProgramServer:
         self.record = ServeRecord() if self._tracing else None
         self._timelines: Dict[int, RequestTimeline] = (
             self.record.timelines if self._tracing else {})
-        # request/attempt accounting (the zero-lost-requests invariant:
-        # a rid leaves _open only into responses or rejected)
-        self._open: Dict[int, int] = {}
-        self._next_attempt: Dict[int, int] = {}
-        self._done: Set[int] = set()
-        self._rejected_rids: Set[int] = set()
-        self._executing: Set[int] = set()
-        self._hedged: Set[int] = set()
-        # fault/breaker state
+        self._attempts = AttemptLedger()
+        # fault/breaker state; bid -> a dispatched batch until its
+        # ``complete`` event pops or a crash cancels it
         self._inflight: Dict[int, Dict[str, Any]] = {}
-        self._cancelled: Set[int] = set()
         self._kernel_strikes: Dict[str, int] = {}
         self._app_attempts: Dict[str, int] = {}
         self._retry_left = (resilience.retry.budget
@@ -333,36 +369,49 @@ class ProgramServer:
 
     def submit(self, app: str, payload: Optional[Payload] = None,
                at: float = 0.0, client: int = -1) -> Request:
-        if app not in self.apps:
-            raise KeyError(f"unknown app {app!r}; served apps: "
-                           f"{sorted(self.apps)}")
-        if self._running and at < self.now:
-            raise ValueError(f"submit at={at!r} is before the server's clock "
-                             f"now={self.now!r}: time cannot run backwards")
-        req = Request(self._rid, app, payload or self.payload_for(app),
-                      at, client)
-        self._rid += 1
+        return self.admit((at,), (app,), (payload,), client)[0]
+
+    def admit(self, at: Sequence[float], apps: Sequence[str],
+              payloads: Sequence[Optional[Payload]],
+              client: int = -1) -> List[Request]:
+        """A column of requests (``at``, ``apps``, ``payloads``; a ``None``
+        payload is the app's default) with consecutive rids, whose
+        ``arrive`` events enter the queue as one column. A bad row admits
+        none of them."""
+        # once the loop runs, time cannot run backwards; NaN fails the check
+        floor = self.now if self._running else 0.0
+        known, payload_for = self.apps, self.payload_for
+        rid, reqs = self._rid, []
+        for t, app, payload in zip(at, apps, payloads):
+            if app not in known:
+                raise KeyError(f"unknown app {app!r}; served apps: "
+                               f"{sorted(known)}")
+            if not floor <= t < math.inf:
+                raise ValueError(f"submit at={t!r}: an arrival time must be "
+                                 f"finite and >= {floor!r} (now={self.now!r})")
+            reqs.append(Request(rid, app, payload or payload_for(app), t,
+                                client))
+            rid += 1
+        self._rid = rid
         if self.res is not None and self.res.deadline_s is not None:
-            req.deadline_s = at + self.res.deadline_s
-        self._open[req.rid] = 1
-        self._next_attempt[req.rid] = 1
+            for req in reqs:
+                req.deadline_s = req.arrival_s + self.res.deadline_s
         if self._tracing:
-            req.ctx = RequestContext.derive(self.trace_seed, req.rid)
-            req.tl = self._timelines[req.rid] = RequestTimeline(
-                req.ctx, {"arrive": at})
-        self._push(at, "arrive", req)
-        return req
+            for req in reqs:
+                req.ctx = RequestContext.derive(self.trace_seed, req.rid)
+                req.tl = self._timelines[req.rid] = RequestTimeline(
+                    req.ctx, {"arrive": req.arrival_s})
+        self._events.extend(at, "arrive", reqs)
+        return reqs
 
     def _clone_attempt(self, req: Request, spawn_s: float,
                        hedge: bool = False) -> Request:
         """A fresh execution attempt for ``req``'s logical request:
         same rid/payload/arrival (latency stays end-to-end), next
         attempt index, its own per-attempt timeline."""
-        rid = req.rid
-        attempt = self._next_attempt[rid]
-        self._next_attempt[rid] = attempt + 1
-        clone = Request(rid, req.app, req.payload, req.arrival_s,
-                        req.client, ctx=req.ctx, attempt=attempt,
+        clone = Request(req.rid, req.app, req.payload, req.arrival_s,
+                        req.client, ctx=req.ctx,
+                        attempt=self._attempts.clone(req.rid, hedge),
                         hedge=hedge, deadline_s=req.deadline_s)
         if self._tracing:
             clone.tl = RequestTimeline(req.ctx, {"arrive": spawn_s})
@@ -383,14 +432,13 @@ class ProgramServer:
                 max_wait_s=self.max_wait_s, **attrs)
         if self.faults is not None:
             self._schedule_faults()
-        events, by_kind = self._events, self.events_by_kind
+        by_kind = self.events_by_kind
         handlers = {"arrive": self._on_arrive, "hedge": self._on_hedge,
                     "complete": self._on_complete_event,
                     "crash": self._on_crash,
                     "cache-fault": self._on_cache_fault}
         self._running = True
-        while events:
-            t, _, kind, data = events.pop()
+        for t, _, kind, data in self._events.drain():
             self.now = t
             by_kind[kind] = by_kind.get(kind, 0) + 1
             handler = handlers.get(kind)
@@ -482,17 +530,16 @@ class ProgramServer:
 
     def _on_hedge(self, req: Request, t: float) -> None:
         """Hedge timer: duplicate the request if its attempt is still
-        executing — first completion wins, the loser is dropped."""
-        rid = req.rid
-        if (rid in self._done or rid in self._rejected_rids
-                or rid in self._hedged or rid not in self._executing):
+        executing — first completion wins, the loser is dropped. A rid
+        gets one timer (at arrival) and has one live attempt until it
+        fires, so an attempt in an in-flight batch is that live one."""
+        if not any(r.rid == req.rid for inf in self._inflight.values()
+                   for r in inf["requests"]):
             return
-        self._hedged.add(rid)
         self.hedges_launched += 1
         if self.metrics is not None:
             self.metrics.inc("serve.hedges")
         clone = self._clone_attempt(req, t, hedge=True)
-        self._open[rid] += 1
         self._enqueue(clone, t)
         self._dispatch(t)
 
@@ -504,9 +551,12 @@ class ProgramServer:
         self._count("crash")
         if self._breakers is not None:
             self._record_failure(idx, t)
-        inf = self._inflight.pop(idx, None)
+        # the batch placed here last (one placed before it may still
+        # await its ``complete`` event at this very instant)
+        placed = [b for b, inf in self._inflight.items()
+                  if inf["machine"] == idx]
+        inf = self._inflight.pop(max(placed)) if placed else None
         if inf is not None:
-            self._cancelled.add(inf["bid"])
             self._count("cancelled-batches")
             # the unfinished tail never ran: free the busy accounting
             m.busy_s -= inf["finish"] - t
@@ -517,12 +567,10 @@ class ProgramServer:
                 ran.loops = ()
                 ran.attrs.update(cancelled=True, cancelled_at_s=t)
             for r in inf["requests"]:
-                self._executing.discard(r.rid)
                 if self._tracing and r.tl is not None:
                     self._truncate_tl(r.tl, t)
                     self._attempt_recorded(r, "requeued")
-                if r.rid in self._done or r.rid in self._rejected_rids:
-                    self._open[r.rid] -= 1
+                if self._attempts.ended(r.rid):
                     continue
                 clone = self._clone_attempt(r, t)
                 self.requeues += 1
@@ -542,39 +590,36 @@ class ProgramServer:
 
     def _on_complete_event(self, data: Tuple[Any, ...], t: float) -> None:
         machine, bid, responses = data
-        if bid in self._cancelled:
+        if self._inflight.pop(bid, None) is None and self.faults is not None:
             # the batch was cancelled by a crash after this event was
             # scheduled; its requests were already re-enqueued
-            self._cancelled.discard(bid)
             self._dispatch(t)
             return
-        self._inflight.pop(machine.index, None)
         if self._breakers is not None:
             self._breakers[machine.index].record(t, True)
-        fresh = []
-        for r in responses:
-            rid = r.request.rid
-            self._executing.discard(rid)
-            self._open[rid] = self._open.get(rid, 1) - 1
-            if rid in self._done or rid in self._rejected_rids:
-                # a hedge/requeue race: another attempt already won
-                self.hedges_wasted += 1
-                if self._tracing and r.request.tl is not None:
-                    self._attempt_recorded(r.request, "superseded")
-                continue
-            self._done.add(rid)
-            fresh.append(r)
-            if self._tracing:
-                self._finalize_timeline(r)
+        fresh = responses
+        if self._attempts or self._tracing:
+            fresh = []
+            for r in responses:
+                if not self._attempts.served(r.request.rid):
+                    # a hedge/requeue race: another attempt already won
+                    self.hedges_wasted += 1
+                    if self._tracing and r.request.tl is not None:
+                        self._attempt_recorded(r.request, "superseded")
+                    continue
+                fresh.append(r)
+                if self._tracing:
+                    self._finalize_timeline(r)
         self.responses.extend(fresh)
         if self.metrics is not None:
             for r in fresh:
                 self.metrics.observe("serve.latency_s", r.latency_s,
                                      app=r.request.app)
                 self.metrics.observe("serve.queue_wait_s", r.queue_wait_s)
-        for r in fresh:
-            for hook in self.on_complete:
-                hook(self, r)
+        if self.on_complete:
+            for r in fresh:
+                for hook in self.on_complete:
+                    hook(self, r)
         self._dispatch(t)
 
     # -- rejection bookkeeping -------------------------------------------
@@ -601,16 +646,13 @@ class ProgramServer:
         """An attempt died without completing (shed / deadline / retry
         exhausted / shutdown). When it was the rid's last live attempt,
         the request leaves as a typed ``Rejected``."""
-        rid = req.rid
-        self._open[rid] = self._open.get(rid, 1) - 1
         if self._tracing and req.tl is not None:
             self._attempt_recorded(req, status or reason)
-        if (self._open[rid] <= 0 and rid not in self._done
-                and rid not in self._rejected_rids):
-            self._rejected_rids.add(rid)
+        attempts = self._attempts.died(req.rid)
+        if attempts:
             self.rejected.append(Rejected(
-                rid, req.app, reason, t, arrival_s=req.arrival_s,
-                client=req.client, attempts=self._next_attempt.get(rid, 1)))
+                req.rid, req.app, reason, t, arrival_s=req.arrival_s,
+                client=req.client, attempts=attempts))
             if self.metrics is not None:
                 self.metrics.inc("serve.rejected", app=req.app, reason=reason)
             if self._running:
@@ -824,7 +866,6 @@ class ProgramServer:
                  "fault": "kernel-error", "reason": reason}))
         rp = self.res.retry if self.res is not None else None
         for r in requests:
-            self._executing.discard(r.rid)
             if self._tracing and r.tl is not None:
                 r.tl.marks["complete"] = now
             nxt = r.attempt + 1
@@ -848,8 +889,6 @@ class ProgramServer:
         n = len(requests)
         bid = self._bid
         self._bid += 1
-        for r in requests:
-            self._executing.add(r.rid)
         if self._breakers is not None:
             # a half-open breaker's probe is in flight from placement on
             self._breakers[machine.index].on_dispatch(now)
@@ -897,9 +936,10 @@ class ProgramServer:
             # the group — its lanes are the batch
             svc = self._price(machine, app, cap, payload) * slow
             finish = now + svc
-            responses = [Response(r, cap.results, cap.stats, cap.backend,
-                                  bid, n, now, finish, lane_packed=n > 1,
-                                  machine=mname)
+            # positional: the one object a batch builds per request
+            results, stats, backend = cap.results, cap.stats, cap.backend
+            responses = [Response(r, results, stats, backend, bid, n, now,
+                                  finish, n > 1, None, mname)
                          for r in requests]
             if self._tracing:
                 for r in requests:
@@ -956,7 +996,6 @@ class ProgramServer:
                               sim.loops if sim is not None else ())
             self.record.batches.append(ran)
         if self.faults is not None or self.res is not None:
-            self._inflight[machine.index] = {
-                "bid": bid, "requests": requests, "ran": ran,
-                "finish": finish}
+            self._inflight[bid] = {"machine": machine.index, "ran": ran,
+                                   "requests": requests, "finish": finish}
         self._push(finish, "complete", (machine, bid, responses))

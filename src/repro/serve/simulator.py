@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence
 
 from .cache import ProgramCache
@@ -35,12 +36,17 @@ def quantile(sorted_vals: Sequence[float], q: float) -> float:
     return sorted_vals[i]
 
 
-def latency_breakdown(groups: Dict[str, List[float]]
+def latency_breakdown(lat: Any, batch: Any, group_of: List[str]
                       ) -> Dict[str, Dict[str, Any]]:
-    """Per-group latency summary (count/mean/p50/p95/p99), sorted keys."""
+    """Per-group latency summary (count/mean/p50/p95/p99), sorted keys:
+    latency ``lat[i]`` is of batch ``batch[i]`` (NumPy arrays), which is
+    of group ``group_of[batch[i]]``; groups are coded in first-seen order."""
+    import numpy as np
+    index = {name: k for k, name in enumerate(dict.fromkeys(group_of))}
+    codes = np.array(list(map(index.__getitem__, group_of)), np.intp)[batch]
     out: Dict[str, Dict[str, Any]] = {}
-    for name in sorted(groups):
-        vals = sorted(groups[name])
+    for name in sorted(index):
+        vals = np.sort(lat[codes == index[name]]).tolist()
         out[name] = {
             "count": len(vals),
             "mean_s": (sum(vals) / len(vals)) if vals else 0.0,
@@ -57,8 +63,8 @@ class OpenLoop:
 
     def __init__(self, apps: Sequence[str], rate_rps: float, requests: int,
                  seed: int = 0, payloads: int = 1):
-        if rate_rps <= 0:
-            raise ValueError("rate_rps must be > 0")
+        if not 0.0 < rate_rps < math.inf:
+            raise ValueError("rate_rps must be finite and > 0")
         if requests < 1:
             raise ValueError(f"requests must be >= 1, got {requests}")
         self.apps = list(apps)
@@ -68,14 +74,29 @@ class OpenLoop:
         self.payloads = max(1, payloads)
 
     def prime(self, server: ProgramServer) -> None:
+        """Draw every arrival — its gap, app and tenant, in that order —
+        and admit them as one column."""
         rng = random.Random(self.seed)
+        expo, choice, rate, names, k = (rng.expovariate, rng.choice,
+                                        self.rate_rps, self.apps,
+                                        self.payloads)
+        at: List[float] = []
+        apps: List[str] = []
+        salts: List[str] = []
         t = 0.0
         for _ in range(self.requests):
-            t += rng.expovariate(self.rate_rps)
-            app = rng.choice(self.apps)
-            salt = (f"p{rng.randrange(self.payloads)}"
-                    if self.payloads > 1 else None)
-            server.submit(app, server.payload_for(app, salt), at=t)
+            t += expo(rate)
+            at.append(t)
+            apps.append(choice(names))
+            if k > 1:
+                salts.append(f"p{rng.randrange(k)}")
+        if k > 1:
+            payloads = list(map(server.payload_for, apps, salts))
+        else:  # one tenant: each app's payload, looked up once
+            payload = {app: server.payload_for(app)
+                       for app in dict.fromkeys(apps)}
+            payloads = list(map(payload.__getitem__, apps))
+        server.admit(at, apps, payloads)
 
 
 class ClosedLoop:
@@ -89,6 +110,8 @@ class ClosedLoop:
             raise ValueError("clients must be >= 1")
         if requests < 1:
             raise ValueError(f"requests must be >= 1, got {requests}")
+        if not 0.0 <= think_s < math.inf:
+            raise ValueError("think_s must be finite and >= 0")
         self.apps = list(apps)
         self.clients = clients
         self.requests = requests
@@ -249,10 +272,11 @@ class ServeReport:
         if not self.latencies_s:
             return {"buckets": [], "counts": []}
         import numpy as np
-        lo, hi = min(self.latencies_s), max(self.latencies_s)
+        lats = np.array(self.latencies_s)
+        lo, hi = float(lats.min()), float(lats.max())
         width = (hi - lo) / buckets or 1e-12
         # on these non-negative quotients ``astype`` truncates as ``int``
-        at = ((np.array(self.latencies_s) - lo) / width).astype(np.int64)
+        at = ((lats - lo) / width).astype(np.int64)
         counts = np.bincount(np.minimum(at, buckets - 1), minlength=buckets)
         edges = [lo + i * width for i in range(buckets + 1)]
         return {"buckets": edges, "counts": counts.tolist()}
@@ -319,23 +343,25 @@ class ServeSim:
     @staticmethod
     def report(mode: str, server: ProgramServer,
                responses: List[Any]) -> ServeReport:
-        lats: List[float] = []
-        makespan = 0.0
-        lane_packed = 0
-        seen: Dict[int, int] = {}
-        by_app: Dict[str, List[float]] = {}
-        by_machine: Dict[str, List[float]] = {}
-        for r in responses:
-            lat = r.finish_s - r.request.arrival_s  # ``r.latency_s``
-            lats.append(lat)
-            if r.finish_s > makespan:
-                makespan = r.finish_s
-            lane_packed += r.lane_packed
-            seen[r.batch_id] = r.batch_size
-            by_app.setdefault(r.request.app, []).append(lat)
-            by_machine.setdefault(r.machine or "?", []).append(lat)
-        lats.sort()
-        batch_sizes = list(seen.values())
+        """``responses`` reduced over NumPy columns with the float
+        operations of the loop they replaced (DESIGN.md §9): ``finish −
+        arrival`` elementwise, means a Python ``sum`` in sorted order."""
+        import numpy as np
+        n = len(responses)
+
+        def column(attr: str, dtype: Any = float) -> Any:
+            return np.fromiter(map(attrgetter(attr), responses), dtype, n)
+        finish = column("finish_s")
+        lat = finish - column("request.arrival_s")  # ``r.latency_s``
+        makespan = float(finish.max(initial=0.0))
+        # a batch is one app on one machine, lane-packed or not: its first
+        # response speaks for all of them
+        _, first, batch = np.unique(column("batch_id", np.int64),
+                                    return_index=True, return_inverse=True)
+        heads = [responses[i] for i in first.tolist()]
+        batch_sizes = [h.batch_size for h in heads]
+        packed = np.array([h.lane_packed for h in heads], dtype=bool)
+        lats = np.sort(lat).tolist()
         rejected = getattr(server, "rejected", [])
         total = len(responses) + len(rejected)
         resilience = server.resilience_summary()
@@ -354,7 +380,7 @@ class ServeSim:
             batch_mean=(sum(batch_sizes) / len(batch_sizes))
                        if batch_sizes else 0.0,
             batch_max=max(batch_sizes, default=0),
-            lane_packed_requests=lane_packed,
+            lane_packed_requests=int(np.count_nonzero(packed[batch])),
             # batches served on the reference path (a failed capture's own
             # record carries no requests)
             fallbacks=sum(1 for f in server.fallbacks if f.requests),
@@ -366,8 +392,10 @@ class ServeSim:
                     (m.busy_s / makespan) if makespan else 0.0
                 for m in server.machines},
             latencies_s=lats,
-            latency_by_app=latency_breakdown(by_app),
-            latency_by_machine=latency_breakdown(by_machine),
+            latency_by_app=latency_breakdown(
+                lat, batch, [h.request.app for h in heads]),
+            latency_by_machine=latency_breakdown(
+                lat, batch, [h.machine or "?" for h in heads]),
             decomposition=ServeSim._decomposition_of(server),
             resilience=resilience)
 

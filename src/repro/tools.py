@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json as _json
+import math
 import sys
 
 from .core.pretty import pretty
@@ -318,10 +319,16 @@ def _check_traffic_args(args, prog: str) -> int:
     if args.retry is not None and args.retry < 1:
         print("--retry must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    for flag, val in (("--timeout-ms", args.timeout_ms),
+    # each check is written so that NaN fails it
+    for flag, val in (("--rate", args.rate), ("--timeout-ms", args.timeout_ms),
                       ("--hedge-ms", args.hedge_ms)):
-        if val is not None and val <= 0:
-            print(f"{flag} must be > 0", file=sys.stderr)
+        if val is not None and not 0 < val < math.inf:
+            print(f"{flag} must be finite and > 0", file=sys.stderr)
+            return EXIT_USAGE
+    for flag, val in (("--think-ms", args.think_ms),
+                      ("--max-wait-ms", args.max_wait_ms)):
+        if not 0 <= val < math.inf:
+            print(f"{flag} must be finite and >= 0", file=sys.stderr)
             return EXIT_USAGE
     if args.shed_depth is not None and args.shed_depth < 1:
         print("--shed-depth must be >= 1", file=sys.stderr)

@@ -31,6 +31,8 @@ from repro.serve import (BreakerConfig, CircuitBreaker, FaultPlan,
 from repro.serve.resilience import (CLOSED, HALF_OPEN, OPEN, REJECT_DEADLINE,
                                     REJECT_SHED)
 
+from .test_serve_pins import chaos_run
+
 REPO = pathlib.Path(__file__).parent.parent
 PLAN_PATH = REPO / "examples" / "faults_outage.json"
 
@@ -195,10 +197,44 @@ class TestResilienceConfig:
     @pytest.mark.parametrize("bad", [
         dict(deadline_s=0.0), dict(hedge_delay_s=-0.1),
         dict(shed_depth=0), dict(degrade_after=0),
+        dict(deadline_s=math.nan), dict(deadline_s=math.inf),
+        dict(hedge_delay_s=math.nan), dict(hedge_delay_s=math.inf),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ResilienceConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        lambda v: RetryPolicy(backoff_s=v), lambda v: RetryPolicy(multiplier=v),
+        lambda v: BreakerConfig(cooldown_s=v)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_nan_and_inf_fail_the_policy_checks(self, bad, value):
+        with pytest.raises(ValueError, match="finite"):
+            bad(value)
+
+
+class TestInflightRecords:
+    def test_a_completion_keeps_the_record_of_the_batch_placed_after_it(self):
+        # seed 8 of the benchmark-size chaos run places b59 on numa[1] at
+        # 0.135113, the instant the batch before it there completes and
+        # before that batch's ``complete`` event pops; when that event
+        # erased b59's record, the crash below missed b59 and its four
+        # responses were served through the outage
+        crash = (0.136411, 0.186411)
+        server, _, report = chaos_run(8, 2000, crash, (0.8, 1.0))
+        (b59,) = [b for b in server.record.batches
+                  if b.name.startswith("b59:")]
+        assert b59.attrs["machine"] == 1 and b59.start_s < crash[0]
+        assert b59.attrs["cancelled"] and b59.dur_s == crash[0] - b59.start_s
+        assert report.resilience["fault_counts"]["cancelled-batches"] == 1
+        requeued = sorted(rid for rid, entries in server.record.attempts.items()
+                          for _, _, status in entries if status == "requeued")
+        assert len(requeued) == 4 == report.resilience["requeues"]
+        served = {r.request.rid: r for r in server.responses}
+        assert all(served[rid].batch_id != 59 and served[rid].request.attempt
+                   for rid in requeued)
+        assert not [r for r in server.responses if r.machine == "numa[1]"
+                    and r.start_s < crash[0] < r.finish_s]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import dataclasses
 import heapq
 import io
 import json
+import math
 import random
+from collections import Counter
 from contextlib import redirect_stdout
 from types import SimpleNamespace
 
@@ -666,6 +668,26 @@ class TestServeSim:
         with pytest.raises(ValueError):
             sim.run_closed(clients=2, requests=0, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_traffic_rejects_non_finite_and_negative_numbers(self, bad):
+        with pytest.raises(ValueError, match="rate_rps must be finite"):
+            OpenLoop(["q1"], rate_rps=bad, requests=5)
+        with pytest.raises(ValueError, match="rate_rps must be finite"):
+            ServeSim(["q1"], backend="numpy").run_open(bad, 50)
+        with pytest.raises(ValueError, match="think_s must be finite"):
+            ClosedLoop(["q1"], clients=2, requests=4, think_s=bad)
+        with pytest.raises(ValueError, match="max_wait_s must be finite"):
+            ProgramServer([ServedApp.from_bundle("q1")], max_wait_s=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_admission_times_must_be_finite_and_non_negative(self, bad):
+        server = table_server()
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            server.submit("a", at=bad)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            server.admit([0.0, bad, 2.0], "abc", [None] * 3)
+        assert not server._events and server._rid == 0  # nothing admitted
+
     def test_responses_name_their_machine(self):
         sim = ServeSim(["q1"], machines="numa*2", backend="numpy")
         sim.run_open(rate_rps=500, requests=8, seed=2)
@@ -843,6 +865,10 @@ class NaiveServer:
         self.push(at, "arrive", Request(self.rid, app, payload, at, client))
         self.rid += 1
 
+    def admit(self, at, apps, payloads, client=-1):
+        for t, app, payload in zip(at, apps, payloads):
+            self.submit(app, payload, at=t, client=client)
+
     def run(self, source):
         source.prime(self)
         early_at = None     # an early start its enabling event must match
@@ -983,6 +1009,31 @@ class TestEventLoop:
         assert server.events_by_kind == {"arrive": 5, "flush": 3,
                                          "complete": 3}
 
+    def test_a_plain_open_run_pays_per_batch(self, monkeypatch):
+        # the arrivals are one stream append, only flushes and completions
+        # are pushed one by one, and no first attempt writes attempt state
+        calls = Counter()
+
+        def counted(cls, name):
+            real = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+            monkeypatch.setattr(cls, name, wrapper)
+        for cls, name in ((EventQueue, "extend"), (EventQueue, "push"),
+                          (scheduler.AttemptLedger, "clone")):
+            counted(cls, name)
+        server = table_server()
+        OpenLoop("abc", 1500.0, 2000, seed=3).prime(server)
+        assert len(server._events._stream) == 2000 and not server._events._heap
+        server.run()
+        events = server.events_by_kind
+        assert events["arrive"] == len(server.responses) == 2000
+        assert calls == {"extend": 1,
+                         "push": events["flush"] + events["complete"]}
+        assert len(server._attempts) == 0
+
     def test_one_flush_per_head_not_per_arrival(self):
         server = table_server(max_batch=8, max_wait_s=0.02)
         server.run(OpenLoop("abc", 1500.0, 2000, seed=3))
@@ -993,7 +1044,7 @@ class TestEventLoop:
     def test_submit_in_the_past_is_refused(self):
         server = table_server(max_wait_s=0.0)
         server.submit("a", at=1.0)
-        server.submit("b", at=-5.0)       # before run: any time goes
+        server.submit("b", at=0.25)       # before run: any order goes
 
         def answer_in_the_past(srv, resp):
             if resp.request.app == "a":
@@ -1018,6 +1069,11 @@ class TestEventLoop:
             by_client[r.request.client] = r
 
 
+#: event times with many ties
+EVENT_TIMES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 7.0]),
+                        st.floats(0.0, 10.0))
+
+
 class TestEventQueue:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(
@@ -1026,18 +1082,58 @@ class TestEventQueue:
         st.floats(0.0, 10.0)), max_size=80))
     def test_pops_in_heap_order(self, ops):
         queue, heap, seq = EventQueue(), [], 0
+        popped = queue.drain()
         for op in ops:
             if op is None:
                 assert bool(queue) == bool(heap)
                 if heap:
-                    assert queue.pop() == heapq.heappop(heap)
+                    assert next(popped) == heapq.heappop(heap)
             else:
                 queue.push(op, "k", seq)
                 heapq.heappush(heap, (op, seq, "k", seq))
                 seq += 1
-        while heap:
-            assert queue.pop() == heapq.heappop(heap)
+        assert list(popped) == [heapq.heappop(heap) for _ in list(heap)]
         assert not queue
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.none(),                                 # a pop
+        EVENT_TIMES,                               # a push
+        st.lists(EVENT_TIMES, max_size=12),        # a column, as drawn
+        st.lists(EVENT_TIMES, max_size=12).map(sorted)), max_size=40))
+    def test_a_column_pops_as_its_single_pushes_would(self, ops):
+        # sorted columns land on the stream, or behind its tail; unsorted
+        # ones go in entry by entry — either way they pop as n pushes do
+        queue, pushed = EventQueue(), EventQueue()
+        popped, expected = queue.drain(), pushed.drain()
+        for op in ops:
+            if op is None:
+                assert bool(queue) == bool(pushed)
+                if pushed:
+                    assert next(popped) == next(expected)
+            elif isinstance(op, float):
+                queue.push(op, "k", op)
+                pushed.push(op, "k", op)
+            else:
+                queue.extend(op, "col", [f"d{i}" for i in range(len(op))])
+                for i, t in enumerate(op):
+                    pushed.push(t, "col", f"d{i}")
+        assert list(popped) == list(expected)
+        assert not queue
+
+    def test_a_sorted_column_is_one_stream_append(self):
+        queue = EventQueue()
+        queue.push(1.0, "flush")
+        queue.extend([1.0, 1.5, 2.0], "arrive", "abc")
+        assert list(queue._stream) == [(1.0, 0, "flush", None),
+                                       (1.0, 1, "arrive", "a"),
+                                       (1.5, 2, "arrive", "b"),
+                                       (2.0, 3, "arrive", "c")]
+        queue.extend([0.5, 3.0], "arrive", "de")     # behind the tail
+        queue.extend([4.0, 3.5], "arrive", "fg")     # unsorted
+        assert sorted(queue._heap) == [(0.5, 4, "arrive", "d"),
+                                       (3.5, 7, "arrive", "g")]
+        assert [e[1] for e in queue.drain()] == [4, 0, 1, 2, 3, 5, 7, 6]
 
     def test_sorted_pushes_bypass_the_heap_and_are_released(self):
         queue = EventQueue()
@@ -1049,8 +1145,9 @@ class TestEventQueue:
         assert not queue._heap and len(queue._stream) == 1000
         queue.push(0.5, "flush")                   # out of order: heap
         assert len(queue._heap) == 1
+        popped = queue.drain()
         for _ in range(600):
-            queue.pop()
+            next(popped)
         assert len(queue._stream) + len(queue._heap) == 401
 
 
@@ -1103,6 +1200,23 @@ class TestServeCLI:
         assert doc["requests"] == 6
         assert "latency_histogram" in doc
         assert validate_file(str(trace)) == []
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--rate", "nan"), ("--rate", "inf"), ("--rate", "0"),
+        ("--think-ms", "-5"), ("--think-ms", "nan"),
+        ("--max-wait-ms", "nan"), ("--max-wait-ms", "inf"),
+        ("--timeout-ms", "nan"), ("--hedge-ms", "nan"),
+        ("--hedge-ms", "inf")])
+    @pytest.mark.parametrize("command", ["serve-sim", "slo-report"])
+    def test_non_finite_and_negative_numbers_exit_2(self, capsys, command,
+                                                    flag, value):
+        argv = [command, "q1", "--requests", "4", flag, value]
+        if command == "slo-report":
+            argv += ["--spec", "examples/slo_serving.json"]
+        code, out = self.run(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(flag)
 
     def test_json_report(self):
         code, out = self.run("serve-sim", "q1", "--requests", "4",

@@ -195,6 +195,97 @@ class TestViewsDoNotDependOnWhoLookedFirst:
         assert "loop" in tracer.last_run.kind
 
 
+def with_every_rid_kept(server):
+    """``server`` keeping what the scheduler kept before its attempt
+    ledger: an entry for every rid from its admission on, and beside the
+    in-flight batches the set of rids with an attempt executing, which
+    must give the in-flight batches' answer at each hedge timer."""
+    ledger = server._attempts
+    executing = set()
+    admit, execute, fail, crash, complete, hedge = (
+        server.admit, server._execute_batch, server._fail_batch,
+        server._on_crash, server._on_complete_event, server._on_hedge)
+
+    def on_admit(at, apps, payloads, client=-1):
+        reqs = admit(at, apps, payloads, client)
+        for r in reqs:
+            ledger[r.rid] = [1, 1, False]
+        return reqs
+
+    def on_execute(machine, requests, now):
+        executing.update(r.rid for r in requests)
+        execute(machine, requests, now)
+
+    def on_fail(machine, requests, now, bid, reason):
+        executing.difference_update(r.rid for r in requests)
+        fail(machine, requests, now, bid, reason)
+
+    def on_crash(idx, t):
+        placed = [b for b, inf in server._inflight.items()
+                  if inf["machine"] == idx]
+        if placed:
+            executing.difference_update(
+                r.rid for r in server._inflight[max(placed)]["requests"])
+        crash(idx, t)
+
+    def on_complete(data, t):
+        _, bid, responses = data
+        if bid in server._inflight or server.faults is None:  # not cancelled
+            executing.difference_update(r.request.rid for r in responses)
+        complete(data, t)
+
+    def on_hedge(req, t):
+        inflight = any(r.rid == req.rid for inf in server._inflight.values()
+                       for r in inf["requests"])
+        assert inflight == (req.rid in executing
+                            and not ledger.ended(req.rid))
+        hedge(req, t)
+    (server.admit, server._execute_batch, server._fail_batch,
+     server._on_crash, server._on_complete_event, server._on_hedge) = (
+        on_admit, on_execute, on_fail, on_crash, on_complete, on_hedge)
+    return server
+
+
+def outcome(server):
+    return ([(r.request.rid, r.request.attempt, r.batch_id, r.machine,
+              r.start_s, r.finish_s) for r in server.responses],
+            [j.to_json() for j in server.rejected],
+            (server.retries, server.requeues, server.hedges_launched,
+             server.hedges_wasted, server.fault_counts))
+
+
+class TestAttemptBookkeeping:
+    @settings(max_examples=100, deadline=None)
+    @given(specs=st.lists(fault_specs, max_size=4), resilience=resiliences,
+           seed=st.integers(0, 2 ** 16), closed=st.booleans(),
+           requests=st.integers(1, 60), clients=st.integers(1, 12),
+           rate=st.floats(200.0, 4000.0), max_batch=st.integers(1, 6))
+    def test_first_attempts_need_none(self, specs, resilience, seed, closed,
+                                      requests, clients, rate, max_batch):
+        def run(keep_every_rid):
+            server = stub_server(None, FaultPlan(tuple(specs), seed=seed),
+                                 resilience, seed, max_batch=max_batch)
+            if keep_every_rid:
+                with_every_rid_kept(server)
+            server.run(ClosedLoop("abc", clients, requests, seed=seed)
+                       if closed else OpenLoop("abc", rate, requests,
+                                               seed=seed))
+            return server
+        server = run(False)
+        # every rid issued ends exactly once: served xor rejected (a closed
+        # loop issues no request for a refusal made after the loop ran dry)
+        ended = ([r.request.rid for r in server.responses]
+                 + [j.rid for j in server.rejected])
+        assert sorted(ended) == list(range(server._rid))
+        # and exactly as it ended when every rid had bookkeeping
+        assert outcome(server) == outcome(run(True))
+        # the ledger holds the rids that had a second attempt, no others
+        later = {r.request.rid for r in server.responses if r.request.attempt}
+        assert later <= set(server._attempts)
+        assert len(server._attempts) <= (server.retries + server.requeues
+                                         + server.hedges_launched)
+
+
 @pytest.fixture
 def derivations(monkeypatch):
     """``ServeRecord.table`` calls from here on."""
