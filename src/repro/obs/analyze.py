@@ -38,14 +38,14 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..report.tables import render_table
 from .history import RunRecord
 from .provenance import strip_ids
-from .spans import RequestTimeline, SpanTable, Tracer, span_table
+from .spans import (TIMELINE_MARKS, RequestTimeline, SpanTable, Tracer,
+                    response_marks, span_table)
 
 # ---------------------------------------------------------------------------
 # Exact per-request latency decomposition
@@ -108,23 +108,15 @@ def decompose_timeline(tl: RequestTimeline) -> Optional[Dict[str, float]]:
 
 
 def _decomposed(server: Any) -> Tuple[List[Any], List[Any]]:
-    """A run's responses with both bounding marks, by rid, and their
-    ``COMPONENTS`` + ``latency_s`` as columns: :func:`decompose_timeline`
-    of all at once, its float operations in its order, bit for bit."""
+    """A traced run's responses by rid, and their ``COMPONENTS`` +
+    ``latency_s`` as columns: :func:`decompose_timeline` of each served
+    rid's timeline (``ProgramServer.timeline_of``) all at once, its float
+    operations in its order, bit for bit."""
     import numpy as np
-    served, timelines = [], []
-    for resp in sorted(server.responses, key=attrgetter("request.rid")):
-        tl = server.timeline_of(resp.request.rid)
-        if tl is not None and "arrive" in tl.marks and "complete" in tl.marks:
-            served.append(resp)
-            timelines.append(tl.marks)
-    # one column per mark; a missing mark is the previous one, which
-    # makes its component zero-length
-    marks = [list(map(itemgetter("arrive"), timelines))]
-    for _comp, mark in _STAGE_ENDS:
-        marks.append(list(map(dict.get, timelines, repeat(mark), marks[-1])))
-    marks.append(list(map(itemgetter("complete"), timelines)))
-    cols = np.array(marks)
+    served = ([] if server.record is None else
+              sorted(server.responses, key=attrgetter("request.rid")))
+    cols = np.array(list(map(response_marks, served)), float).reshape(
+        len(served), len(TIMELINE_MARKS)).T
     comps = [cols[i + 1] - cols[i] for i in range(len(_STAGE_ENDS))]
     acc = sum(comps, np.zeros(len(served)))  # 0.0 + each, in order
     latency = cols[-1] - cols[0]
@@ -143,9 +135,9 @@ def request_decomposition(server: Any) -> List[Dict[str, Any]]:
     """Per-request decomposition rows for a completed serve run.
 
     ``server`` is duck-typed (``ProgramServer``): it must expose
-    ``responses`` and ``timeline_of(rid)``. Returns one row per request
-    that has a timeline (i.e. the run was traced), ordered by rid so
-    output is deterministic.
+    ``responses`` and ``record``. Returns one row per served request when
+    the run was traced (it has a record), ordered by rid so output is
+    deterministic.
     """
     served, columns = _decomposed(server)
     names = COMPONENTS + ("latency_s",)
@@ -164,9 +156,9 @@ def decomposition_summary(server: Any) -> Optional[Dict[str, Any]]:
          "per_app": {app: {...same...}},
          "per_machine": {machine: {...same...}}}
 
-    Returns ``None`` when the run recorded no timelines (tracing off),
-    so untraced reports carry no section at all. Totals are sequential
-    sums in rid order.
+    Returns ``None`` when the run kept no record (tracing off) or served
+    nothing, so untraced reports carry no section at all. Totals are
+    sequential sums in rid order.
     """
     import numpy as np
     served, columns = _decomposed(server)

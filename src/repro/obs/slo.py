@@ -35,15 +35,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 KINDS = ("latency", "availability")
 
 
-def _number(doc: Dict[str, Any], key: str,
-            default: Optional[float] = None) -> Optional[float]:
-    """``doc[key]`` as a float, ``default`` when it is absent (or null,
-    when there is no default); anything else raises ``ValueError`` naming
-    the field."""
+def spec_number(doc: Dict[str, Any], key: str,
+                default: Optional[float] = None) -> Optional[float]:
+    """``doc[key]`` of a JSON spec (an SLO spec, a fault plan) as a float,
+    ``default`` when it is absent (or null, when there is no default);
+    anything else raises ``ValueError`` naming the field."""
     value = doc.get(key, default)
     try:
         return None if value is None and default is None else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
@@ -120,15 +120,15 @@ class SLOSpec:
             raise ValueError("objectives must be a list of JSON objects")
         objs = []
         for o in objectives:
-            thr = _number(o, "threshold_ms")
+            thr = spec_number(o, "threshold_ms")
             objs.append(SLOObjective(
                 name=o.get("name", o.get("kind", "?")),
                 kind=o.get("kind", "latency"),
-                target=_number(o, "target", 0.99),
+                target=spec_number(o, "target", 0.99),
                 threshold_s=(thr / 1e3 if thr is not None
-                             else _number(o, "threshold_s"))))
+                             else spec_number(o, "threshold_s"))))
         return cls(name=doc.get("name", "slo"), objectives=tuple(objs),
-                   window_s=_number(doc, "window_s", 0.05))
+                   window_s=spec_number(doc, "window_s", 0.05))
 
     @classmethod
     def load(cls, path: str) -> "SLOSpec":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -111,8 +112,27 @@ class RequestContext:
 #: timeline records the simulated second each one happened at
 TIMELINE_MARKS = ("arrive", "enqueue", "seal", "dispatch", "exec_start",
                   "complete")
-#: (stage, the attr a request span records it under)
-_MARK_KEYS = tuple((stage, stage + "_s") for stage in TIMELINE_MARKS)
+#: a served request's ``TIMELINE_MARKS``, read off its response
+#: (``serve.batching.Response``): seal and dispatch are the batch start
+response_marks = attrgetter("request.arrival_s", "request.enqueue_s",
+                            "start_s", "start_s", "exec_start_s", "finish_s")
+
+
+def attempt_marks(req: Any, status: str, t: float,
+                  resp: Any) -> Dict[str, float]:
+    """stage → t, in lifecycle order, of the marks an attempt (a
+    ``serve.batching.Request``) that ended as ``status`` at ``t`` reached,
+    answered by ``resp`` if it executed (DESIGN.md §10 tabulates them)."""
+    arrive = req.arrival_s if req.spawn_s is None else req.spawn_s
+    if resp is not None:  # served, superseded, or requeued by a crash at t
+        marks = (arrive,) + response_marks(resp)[1:]
+        if status == "requeued":
+            marks = tuple(m if m <= t else None for m in marks[:-1]) + (t,)
+    elif status == "failed":  # dispatched, and completed by the fault
+        marks = (arrive, req.enqueue_s, t, t, None, t)
+    else:  # refused in the queue, or before it when shed
+        marks = (arrive, None if status == "shed" else req.enqueue_s)
+    return {s: m for s, m in zip(TIMELINE_MARKS, marks) if m is not None}
 
 
 @dataclass
@@ -163,37 +183,49 @@ class ServeRecord:
     recorded it (machines, queue and compile cache die with the server,
     whoever still holds the tracer).
 
-    The scheduler appends to ``batches`` and fills the three dicts while
-    it runs — they *are* its tracing state — and closes the record with
-    the crash windows and the horizon when the loop is dry. Responses are
-    duck-typed (``serve.batching.Response``), as in ``obs.analyze``.
+    A served request is its response, which carries every mark of the
+    attempt that served it; every other attempt is a row of ``attempts``.
+    Timelines and trace ids are derived when somebody reads them. The
+    scheduler appends as it runs and closes the record with the crash
+    windows and the horizon when the loop is dry. Requests and responses
+    are duck-typed (``serve.batching``), as in ``obs.analyze``.
     """
 
+    #: the server's responses, in completion order (the list it appends to)
+    responses: List[Any]
+    #: the traffic seed the trace ids derive from
+    seed: int = 0
+    #: rid → a row (request, status, t, response or ``None``) for every
+    #: attempt that ended at ``t`` without serving the rid: superseded,
+    #: requeued, failed, refused
+    attempts: Dict[int, List[Tuple[Any, str, float, Any]]] = \
+        field(default_factory=dict)
     #: what was dispatched, in dispatch order
     batches: List[BatchRecord] = field(default_factory=list)
-    #: rid → the request's timeline (its winning attempt's, once served)
-    timelines: Dict[int, RequestTimeline] = field(default_factory=dict)
-    #: rid → (timeline, attempt, status) of every attempt other than a
-    #: first attempt that was served: retries, hedges, re-enqueues, refusals
-    attempts: Dict[int, List[Tuple[RequestTimeline, int, str]]] = \
-        field(default_factory=dict)
-    #: rid → the response that served it
-    served: Dict[int, Any] = field(default_factory=dict)
     #: scripted crash windows that began inside the run, clipped to it:
     #: (machine label, machine index, machine name, t0, t1)
     crashes: List[Tuple[str, int, str, float, float]] = \
         field(default_factory=list)
     #: end of all machine activity and refusals: the run span's duration
     horizon: float = 0.0
+    _by_rid: Dict[int, Any] = field(default_factory=dict, init=False,
+                                    repr=False)
 
-    def attempts_of(self, rid: int) -> List[Tuple[int, str, RequestTimeline]]:
-        """Every attempt of ``rid`` as (attempt, status, timeline), by
-        attempt index."""
-        out = [(a, status, tl) for tl, a, status in self.attempts.get(rid, ())]
-        resp = self.served.get(rid)
-        if resp is not None and resp.request.attempt == 0:
-            out.append((0, "served", resp.request.tl))
-        return sorted(out, key=lambda e: e[0])
+    def by_rid(self) -> Dict[int, Any]:
+        """rid → the response that served it."""
+        if len(self._by_rid) != len(self.responses):  # responses grew
+            self._by_rid = {r.request.rid: r for r in self.responses}
+        return self._by_rid
+
+    def marks_of(self, rid: int) -> List[Tuple[int, str, Dict[str, float]]]:
+        """(attempt, status, marks) of every attempt of ``rid``, the one
+        that served it too, by attempt index."""
+        rows = self.attempts.get(rid, [])
+        resp = self.by_rid().get(rid)
+        if resp is not None:
+            rows = rows + [(resp.request, "served", resp.finish_s, resp)]
+        return sorted(((row[0].attempt, row[1], attempt_marks(*row))
+                       for row in rows), key=itemgetter(0))
 
     def table(self, run: SpanTable) -> None:
         """Append the run span's children to ``run``, in the one order
@@ -222,16 +254,12 @@ class ServeRecord:
                      "comm_s": loop.comm_s, "overhead_s": loop.overhead_s},
                     1, machine + 1)
                 cursor += loop.time_s
-        timelines = self.timelines
-        for rid in sorted(self.served):
-            resp = self.served[rid]
+        served = self.by_rid()
+        for rid in sorted(served):
+            resp = served[rid]
             req = resp.request
-            ctx = req.ctx
-            marks = timelines[rid].marks
-            t0 = marks.get("arrive")
-            t_end = marks.get("complete")
-            if t0 is None or t_end is None:
-                continue
+            ctx = RequestContext.derive(self.seed, rid)
+            t0, t_q0, _, t_disp, t_x0, t_end = marks = response_marks(resp)
             attrs = {"rid": rid, "app": req.app, "trace_id": ctx.trace_id,
                      "span_id": ctx.span_id, "flow_id": ctx.flow_id,
                      "batch_id": resp.batch_id,
@@ -239,40 +267,26 @@ class ServeRecord:
                      "lane_packed": resp.lane_packed,
                      "machine": resp.machine, "backend": resp.backend,
                      "fallback": resp.fallback_reason,
-                     "latency_s": resp.latency_s}
-            for stage, key in _MARK_KEYS:
-                if stage in marks:
-                    attrs[key] = marks[stage]
+                     "latency_s": resp.latency_s,
+                     **{s + "_s": t for s, t in zip(TIMELINE_MARKS, marks)}}
             if req.attempt > 0:
                 attrs["attempts"] = req.attempt + 1
             add(1, f"r{rid}:{req.app}", "request", t0, t_end - t0, attrs,
                 REQUEST_PID, rid)
-            t_q0 = marks.get("enqueue")
-            t_disp = marks.get("dispatch")
-            if t_q0 is not None and t_disp is not None:
-                add(2, "queued", "queue", t_q0, t_disp - t_q0, {"rid": rid},
-                    REQUEST_PID, rid)
-            t_x0 = marks.get("exec_start")
-            if t_x0 is not None:
-                add(2, "exec", "exec", t_x0, t_end - t_x0,
-                    {"rid": rid, "batch_id": resp.batch_id}, REQUEST_PID, rid)
+            add(2, "queued", "queue", t_q0, t_disp - t_q0, {"rid": rid},
+                REQUEST_PID, rid)
+            add(2, "exec", "exec", t_x0, t_end - t_x0,
+                {"rid": rid, "batch_id": resp.batch_id}, REQUEST_PID, rid)
         for rid in sorted(self.attempts):
-            resp = self.served.get(rid)
-            win_end = None if resp is None else resp.finish_s
-            for attempt, status, tl in self.attempts_of(rid):
-                stages = tl.ordered()
-                if not stages:
-                    continue
-                times = [t for _, t in stages]
-                t1 = max(times)
-                if win_end is not None:
-                    t1 = min(t1, win_end)
-                t1 = min(t1, self.horizon)
-                t0 = min(min(times), t1)
-                attrs = {"rid": rid, "attempt": attempt, "status": status}
-                for stage, t in stages:
-                    attrs[stage + "_s"] = t
-                add(1, f"r{rid}:a{attempt}", "attempt", t0, t1 - t0, attrs,
+            # no attempt outlives the rid's winner, or the run
+            end = (min(served[rid].finish_s, self.horizon) if rid in served
+                   else self.horizon)
+            for attempt, status, marks in self.marks_of(rid):
+                t1 = min(max(marks.values()), end)
+                t0 = min(min(marks.values()), t1)
+                add(1, f"r{rid}:a{attempt}", "attempt", t0, t1 - t0,
+                    {"rid": rid, "attempt": attempt, "status": status,
+                     **{s + "_s": t for s, t in marks.items()}},
                     ATTEMPT_PID, rid)
         for label, index, name, t0, t1 in self.crashes:
             add(1, f"crash:{label}", "fault", t0, t1 - t0,

@@ -123,19 +123,16 @@ class Request:
     arrival_s: float
     #: closed-loop client index, or -1 for open-loop traffic
     client: int = -1
-    #: trace identity (``repro.obs.RequestContext``), set only when the
-    #: server runs with a tracer — ``None`` costs nothing
-    ctx: Optional[Any] = None
     #: execution attempt index: 0 for the original submission, bumped
     #: for each retry/re-enqueue/hedge clone (``arrival_s`` stays the
     #: original arrival so latency is always end-to-end)
     attempt: int = 0
-    #: True for a hedge duplicate racing the primary attempt
-    hedge: bool = False
     #: absolute simulated deadline, or None when deadlines are off
     deadline_s: Optional[float] = None
-    #: per-attempt lifecycle timeline (tracing only; None untraced)
-    tl: Optional[Any] = None
+    #: when a clone was spawned; the first attempt's is ``arrival_s``
+    spawn_s: Optional[float] = None
+    #: when this attempt entered the admission queue
+    enqueue_s: Optional[float] = None
 
 
 @dataclass(eq=False)
@@ -154,6 +151,9 @@ class Response:
     fallback_reason: Optional[str] = None
     #: the serving replica that executed the batch, as ``name[index]``
     machine: str = ""
+    #: when this response's execution began: ``start_s``, or its own slot
+    #: in a serialized fallback batch
+    exec_start_s: Optional[float] = None
 
     @property
     def latency_s(self) -> float:

@@ -40,6 +40,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..obs.slo import spec_number
+
 FAULT_KINDS = ("crash", "slow", "kernel", "cache")
 KERNEL_MODES = ("fallback", "error")
 
@@ -84,18 +86,22 @@ class FaultSpec:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
+        # each check is written so that NaN fails it
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; expected "
                              f"one of {FAULT_KINDS}")
-        if not self.target:
-            raise ValueError("fault target must be non-empty")
-        if self.t0_s < 0:
-            raise ValueError(f"fault t0_s must be >= 0, got {self.t0_s}")
-        if self.t1_s < self.t0_s:
+        if not (isinstance(self.target, str) and self.target):
+            raise ValueError(f"fault target must be a non-empty string, "
+                             f"got {self.target!r}")
+        if not 0 <= self.t0_s < math.inf:
+            raise ValueError(f"fault t0_s must be finite and >= 0, "
+                             f"got {self.t0_s}")
+        if not self.t0_s <= self.t1_s:
             raise ValueError(f"fault window is inverted: t1_s={self.t1_s} "
                              f"< t0_s={self.t0_s}")
-        if self.kind == "slow" and self.factor <= 0:
-            raise ValueError(f"slow factor must be > 0, got {self.factor}")
+        if not 0 < self.factor < math.inf:
+            raise ValueError(f"fault factor must be finite and > 0, "
+                             f"got {self.factor}")
         if self.kind == "kernel":
             if self.mode not in KERNEL_MODES:
                 raise ValueError(f"unknown kernel fault mode {self.mode!r}; "
@@ -127,10 +133,11 @@ class FaultSpec:
 def _window(doc: Dict[str, Any], part: str) -> Tuple[float, bool]:
     if f"{part}_s" in doc and f"{part}_ms" in doc:
         raise ValueError(f"fault spec gives both {part}_s and {part}_ms")
+    # a default makes a null value an error
     if f"{part}_ms" in doc:
-        return float(doc[f"{part}_ms"]) * 1e-3, True
+        return spec_number(doc, f"{part}_ms", 0.0) * 1e-3, True
     if f"{part}_s" in doc:
-        return float(doc[f"{part}_s"]), True
+        return spec_number(doc, f"{part}_s", 0.0), True
     return 0.0, False
 
 
@@ -213,8 +220,13 @@ class FaultPlan:
         unknown = set(doc) - {"seed", "faults"}
         if unknown:
             raise ValueError(f"unknown fault-plan keys: {sorted(unknown)}")
+        faults, seed = doc.get("faults", []), doc.get("seed", 0)
+        if not isinstance(faults, list):
+            raise ValueError(f"faults must be a list, got {faults!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         specs: List[FaultSpec] = []
-        for i, f in enumerate(doc.get("faults", [])):
+        for i, f in enumerate(faults):
             if not isinstance(f, dict):
                 raise ValueError(f"faults[{i}] must be an object")
             extra = set(f) - {"kind", "target", "t0_s", "t1_s", "t0_ms",
@@ -227,10 +239,10 @@ class FaultPlan:
             specs.append(FaultSpec(
                 kind=f.get("kind", ""), target=f.get("target", ""),
                 t0_s=t0, t1_s=t1 if has_t1 else math.inf,
-                factor=float(f.get("factor", 1.0)),
+                factor=spec_number(f, "factor", 1.0),
                 mode=f.get("mode", "fallback"),
-                rate=float(f.get("rate", 1.0))))
-        return cls(tuple(specs), seed=int(doc.get("seed", 0)))
+                rate=spec_number(f, "rate", 1.0)))
+        return cls(tuple(specs), seed=seed)
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":

@@ -315,22 +315,17 @@ class ProgramServer:
         #: events popped per kind: the run's host cost, in no report
         self.events_by_kind: Dict[str, int] = {}
         # True inside the event loop: only then does ``submit`` hold ``at``
-        # to the clock and do ``on_reject`` hooks fire (the post-loop
-        # drain mutes them: a submission issued then could never run)
+        # to the clock
         self._running = False
         #: when the admission window of the last request queued closes
         self._window_end = float("-inf")
         self._rid = 0
         self._bid = 0
-        # request-level tracing state — populated only while a tracer is
-        # attached and enabled; the untraced path never touches it
-        self._tracing = tracer is not None and tracer.enabled
-        #: what a traced run records, flat (``None`` untraced): request
-        #: and attempt timelines and the winning responses, from which the
-        #: tracer derives the request spans when somebody reads them
-        self.record = ServeRecord() if self._tracing else None
-        self._timelines: Dict[int, RequestTimeline] = (
-            self.record.timelines if self._tracing else {})
+        #: what a traced run records, flat (``None`` untraced): its
+        #: responses, a row per other attempt and its batches, from which
+        #: the tracer derives the spans when somebody reads them
+        self.record = (ServeRecord(self.responses, trace_seed)
+                       if tracer is not None and tracer.enabled else None)
         self._attempts = AttemptLedger()
         # fault/breaker state; bid -> a dispatched batch until its
         # ``complete`` event pops or a crash cancels it
@@ -347,10 +342,7 @@ class ProgramServer:
         # host-side memo: one pricing per (machine model, app, variant,
         # payload, backend) — a price depends on this server's machines
         # and tracer; the execution it prices is ``cache.capture``'s
-        self._service: Dict[Tuple[str, str, str, str, str], float] = {}
-        #: pricing detail kept alongside ``_service``, under the same keys,
-        #: for span grafting (tracing only; empty on plain runs)
-        self._sims: Dict[Tuple[str, str, str, str, str], SimResult] = {}
+        self._service: Dict[Tuple[str, str, str, str, str], SimResult] = {}
         self._payloads: Dict[Tuple[str, str], Payload] = {}
 
     # -- request admission ----------------------------------------------
@@ -396,33 +388,24 @@ class ProgramServer:
         if self.res is not None and self.res.deadline_s is not None:
             for req in reqs:
                 req.deadline_s = req.arrival_s + self.res.deadline_s
-        if self._tracing:
-            for req in reqs:
-                req.ctx = RequestContext.derive(self.trace_seed, req.rid)
-                req.tl = self._timelines[req.rid] = RequestTimeline(
-                    req.ctx, {"arrive": req.arrival_s})
         self._events.extend(at, "arrive", reqs)
         return reqs
 
     def _clone_attempt(self, req: Request, spawn_s: float,
                        hedge: bool = False) -> Request:
-        """A fresh execution attempt for ``req``'s logical request:
-        same rid/payload/arrival (latency stays end-to-end), next
-        attempt index, its own per-attempt timeline."""
-        clone = Request(req.rid, req.app, req.payload, req.arrival_s,
-                        req.client, ctx=req.ctx,
-                        attempt=self._attempts.clone(req.rid, hedge),
-                        hedge=hedge, deadline_s=req.deadline_s)
-        if self._tracing:
-            clone.tl = RequestTimeline(req.ctx, {"arrive": spawn_s})
-        return clone
+        """A fresh execution attempt for ``req``'s logical request,
+        spawned at ``spawn_s``: same rid/payload/arrival (latency stays
+        end-to-end), next attempt index."""
+        return Request(req.rid, req.app, req.payload, req.arrival_s,
+                       req.client, self._attempts.clone(req.rid, hedge),
+                       req.deadline_s, spawn_s)
 
     # -- the event loop --------------------------------------------------
 
     def run(self, source: Optional[Any] = None) -> List[Response]:
         if source is not None:
             source.prime(self)
-        if self._tracing:
+        if self.record is not None:
             attrs = ({} if self.faults is None
                      else {"faults": len(self.faults.specs)})
             spans = self.tracer.begin_run(
@@ -438,27 +421,29 @@ class ProgramServer:
                     "crash": self._on_crash,
                     "cache-fault": self._on_cache_fault}
         self._running = True
-        for t, _, kind, data in self._events.drain():
-            self.now = t
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-            handler = handlers.get(kind)
-            if handler is not None:
-                handler(data, t)
-            else:  # flush, breaker wake-up, recover, retry
-                if kind == "retry":
-                    self._enqueue(data, t)
-                elif kind == "recover":
-                    self.machines[data].down = False
-                self._dispatch(t)
-        # zero-lost drain: the loop is dry once the last admission window
-        # has closed too; anything still queued then (replicas down for
-        # good, budget exhausted) leaves as an explicit Rejected
-        self.now = max(self.now, self._window_end)
+        while self._events or self.queue:
+            for t, _, kind, data in self._events.drain():
+                self.now = t
+                by_kind[kind] = by_kind.get(kind, 0) + 1
+                handler = handlers.get(kind)
+                if handler is not None:
+                    handler(data, t)
+                else:  # flush, breaker wake-up, recover, retry
+                    if kind == "retry":
+                        self._enqueue(data, t)
+                    elif kind == "recover":
+                        self.machines[data].down = False
+                    self._dispatch(t)
+            # zero-lost drain: the loop is dry once the last admission
+            # window has closed too; anything still queued then (replicas
+            # down for good, budget exhausted) leaves as an explicit
+            # Rejected, and what its hooks submit runs the same way
+            self.now = max(self.now, self._window_end)
+            for r in self.queue.drain():
+                self._attempt_ended(r, REJECT_UNSERVED, self.now)
         self._running = False
-        for r in self.queue.drain():
-            self._attempt_ended(r, REJECT_UNSERVED, self.now)
         makespan = max((r.finish_s for r in self.responses), default=0.0)
-        if self._tracing:
+        if self.record is not None:
             # the run span must cover *all* machine activity, not just
             # kept responses: a wasted hedge batch (its twin won) or a
             # late rejection can outlive the last winner, and the trace
@@ -515,11 +500,10 @@ class ProgramServer:
         """Queue one attempt — an arrival, or a retry / hedge / crash
         re-enqueue clone — and return its group's new size."""
         size = self.queue.push(req)
+        req.enqueue_s = t
         self._window_end = t + self.max_wait_s
         if size == 1:
             self._schedule_flush(req, t)
-        if self._tracing and req.tl is not None:
-            req.tl.marks["enqueue"] = t
         return size
 
     def _schedule_flush(self, head: Request, now: float) -> None:
@@ -533,8 +517,8 @@ class ProgramServer:
         executing — first completion wins, the loser is dropped. A rid
         gets one timer (at arrival) and has one live attempt until it
         fires, so an attempt in an in-flight batch is that live one."""
-        if not any(r.rid == req.rid for inf in self._inflight.values()
-                   for r in inf["requests"]):
+        if not any(r.request.rid == req.rid for inf in self._inflight.values()
+                   for r in inf["responses"]):
             return
         self.hedges_launched += 1
         if self.metrics is not None:
@@ -549,8 +533,7 @@ class ProgramServer:
         m = self.machines[idx]
         m.down = True
         self._count("crash")
-        if self._breakers is not None:
-            self._record_failure(idx, t)
+        self._record_outcome(idx, t, False)
         # the batch placed here last (one placed before it may still
         # await its ``complete`` event at this very instant)
         placed = [b for b, inf in self._inflight.items()
@@ -566,10 +549,9 @@ class ProgramServer:
                 ran.dur_s = t - ran.start_s
                 ran.loops = ()
                 ran.attrs.update(cancelled=True, cancelled_at_s=t)
-            for r in inf["requests"]:
-                if self._tracing and r.tl is not None:
-                    self._truncate_tl(r.tl, t)
-                    self._attempt_recorded(r, "requeued")
+            for resp in inf["responses"]:
+                r = resp.request
+                self._attempt_row(r, "requeued", t, resp)
                 if self._attempts.ended(r.rid):
                     continue
                 clone = self._clone_attempt(r, t)
@@ -586,7 +568,6 @@ class ProgramServer:
         self.cache.invalidate(None if target == "*" else target)
         for k in [k for k in self._service if target in ("*", k[1])]:
             del self._service[k]
-            self._sims.pop(k, None)
 
     def _on_complete_event(self, data: Tuple[Any, ...], t: float) -> None:
         machine, bid, responses = data
@@ -595,21 +576,17 @@ class ProgramServer:
             # scheduled; its requests were already re-enqueued
             self._dispatch(t)
             return
-        if self._breakers is not None:
-            self._breakers[machine.index].record(t, True)
+        self._record_outcome(machine.index, t, True)
         fresh = responses
-        if self._attempts or self._tracing:
+        if self._attempts:
             fresh = []
             for r in responses:
                 if not self._attempts.served(r.request.rid):
                     # a hedge/requeue race: another attempt already won
                     self.hedges_wasted += 1
-                    if self._tracing and r.request.tl is not None:
-                        self._attempt_recorded(r.request, "superseded")
+                    self._attempt_row(r.request, "superseded", t, r)
                     continue
                 fresh.append(r)
-                if self._tracing:
-                    self._finalize_timeline(r)
         self.responses.extend(fresh)
         if self.metrics is not None:
             for r in fresh:
@@ -627,13 +604,17 @@ class ProgramServer:
     def _count(self, key: str) -> None:
         self.fault_counts[key] = self.fault_counts.get(key, 0) + 1
 
-    def _record_failure(self, idx: int, now: float) -> None:
-        """Feed a failure to the machine's breaker; if it trips (or
-        re-trips from half-open), schedule a wake-up for when the
+    def _record_outcome(self, idx: int, now: float, ok: bool) -> None:
+        """Feed an execution's outcome (a completion, a kernel fault, a
+        crash) to the machine's breaker, if it has one. Whenever the
+        breaker trips — a success can trip it too, while its window is
+        still at the failure threshold — schedule a wake-up for when the
         cooldown expires so a quiet queue can't strand requests."""
+        if self._breakers is None:
+            return
         b = self._breakers[idx]
         was_open = b.state == OPEN
-        b.record(now, False)
+        b.record(now, ok)
         if b.state == OPEN and not was_open:
             self._count("breaker-trips")
             if self.metrics is not None:
@@ -646,8 +627,7 @@ class ProgramServer:
         """An attempt died without completing (shed / deadline / retry
         exhausted / shutdown). When it was the rid's last live attempt,
         the request leaves as a typed ``Rejected``."""
-        if self._tracing and req.tl is not None:
-            self._attempt_recorded(req, status or reason)
+        self._attempt_row(req, status or reason, t)
         attempts = self._attempts.died(req.rid)
         if attempts:
             self.rejected.append(Rejected(
@@ -655,44 +635,16 @@ class ProgramServer:
                 client=req.client, attempts=attempts))
             if self.metrics is not None:
                 self.metrics.inc("serve.rejected", app=req.app, reason=reason)
-            if self._running:
-                for hook in self.on_reject:
-                    hook(self, self.rejected[-1])
+            for hook in self.on_reject:
+                hook(self, self.rejected[-1])
 
-    # -- tracing helpers --------------------------------------------------
-
-    @staticmethod
-    def _truncate_tl(tl: RequestTimeline, t: float) -> None:
-        """Clamp a cancelled attempt's timeline at the cancel instant
-        (fallback batches pre-mark staggered exec windows that may lie
-        beyond the crash)."""
-        for stage in list(tl.marks):
-            if tl.marks[stage] > t:
-                del tl.marks[stage]
-        tl.marks["complete"] = t
-
-    def _attempt_recorded(self, req: Request, status: str) -> None:
-        """Keep the timeline of an attempt that was not a served first
-        attempt, with how it ended (tracing only)."""
-        self.record.attempts.setdefault(req.rid, []).append(
-            (req.tl, req.attempt, status))
-
-    def _finalize_timeline(self, resp: Response) -> None:
-        """Record the winner and install its timeline as the request's
-        timeline. Later attempts re-anchor ``arrive`` at the *original*
-        arrival so the exact decomposition identity covers the full
-        end-to-end latency (backoff and failed attempts land in
-        ``admission_s``); the per-attempt view stays available through
-        ``attempt_timelines_of``."""
-        req = resp.request
-        if req.tl is None:
-            return
-        self.record.served[req.rid] = resp
-        if req.attempt > 0:
-            self._timelines[req.rid] = RequestTimeline(
-                req.ctx, {**req.tl.marks, "arrive": req.arrival_s})
-            self._attempt_recorded(req, "served")
-        # attempt 0: self._timelines[rid] already is req.tl
+    def _attempt_row(self, req: Request, status: str, t: float,
+                     resp: Optional[Response] = None) -> None:
+        """An attempt that did not serve its rid ended at ``t``: a row of
+        the record (tracing only; ``obs.spans.attempt_marks`` reads it)."""
+        if self.record is not None:
+            self.record.attempts.setdefault(req.rid, []).append(
+                (req, status, t, resp))
 
     def resilience_summary(self) -> Optional[Dict[str, Any]]:
         """Shed/retry/hedge/breaker counts and per-fault attribution for
@@ -721,15 +673,27 @@ class ProgramServer:
         return out
 
     def timeline_of(self, rid: int) -> Optional[RequestTimeline]:
-        """The recorded lifecycle timeline for a request (tracing only)."""
-        return self._timelines.get(rid)
+        """The lifecycle timeline of a request (tracing only): the attempt
+        that served it, else its first, from the request's arrival, so
+        that backoff and earlier attempts land in admission."""
+        attempts = self.attempt_timelines_of(rid)
+        if not attempts:
+            return None
+        tl = next((tl for _, status, tl in attempts if status == "served"),
+                  attempts[0][2])
+        tl.marks["arrive"] = attempts[0][2].marks["arrive"]
+        return tl
 
     def attempt_timelines_of(self, rid: int
                              ) -> List[Tuple[int, str, RequestTimeline]]:
-        """All recorded per-attempt timelines for a request, as
+        """All per-attempt timelines of a request, as
         ``(attempt, status, timeline)`` sorted by attempt — the
         per-attempt decomposition input (tracing only)."""
-        return [] if self.record is None else self.record.attempts_of(rid)
+        if self.record is None:
+            return []
+        ctx = RequestContext.derive(self.trace_seed, rid)
+        return [(a, status, RequestTimeline(ctx, marks))
+                for a, status, marks in self.record.marks_of(rid)]
 
     # -- dispatch ---------------------------------------------------------
 
@@ -760,10 +724,6 @@ class ProgramServer:
                     continue
                 requests = live
             machine = self.policy.place(self, idle, requests, now)
-            if self._tracing:
-                for r in requests:
-                    marks = r.tl.marks
-                    marks["seal"] = marks["dispatch"] = now
             self._execute_batch(machine, requests, now)
 
     # -- execution --------------------------------------------------------
@@ -807,23 +767,18 @@ class ProgramServer:
                cap: RunCapture, payload: Payload) -> float:
         skey = (machine.name, app, machine.variant, payload.key,
                 cap.backend)
-        svc = self._service.get(skey)
-        if svc is None:
+        sim = self._service.get(skey)
+        if sim is None:
             served = self.apps[app]
             entry = self.cache.get(app, machine.variant)
             opts = ExecOptions(scale=served.scale,
                                data_scale=served.data_scale,
                                use_gpu=machine.use_gpu,
                                gpu_transposed=machine.use_gpu)
-            sim = Simulator(entry.compiled, machine.cluster, machine.profile,
-                            opts).price(cap)
-            svc = sim.total_seconds
-            self._service[skey] = svc
-            if self._tracing:
-                # keep the per-loop pricing detail so batch spans can
-                # graft loop children (see ``_execute_batch``)
-                self._sims[skey] = sim
-        return svc
+            sim = self._service[skey] = Simulator(
+                entry.compiled, machine.cluster, machine.profile,
+                opts).price(cap)
+        return sim.total_seconds
 
     def predict_service(self, machine: MachineInstance, app: str,
                         payload: Payload) -> float:
@@ -854,11 +809,10 @@ class ProgramServer:
                     now: float, bid: int, reason: str) -> None:
         """A hard kernel fault: the attempt dies instantly; each request
         retries (budget and attempts permitting) or leaves Rejected."""
-        if self._breakers is not None:
-            self._record_failure(machine.index, now)
+        self._record_outcome(machine.index, now, False)
         if self.metrics is not None:
             self.metrics.inc("serve.kernel_faults", app=requests[0].app)
-        if self._tracing:
+        if self.record is not None:
             self.record.batches.append(BatchRecord(
                 f"b{bid}:{requests[0].app}!fault", "fault", now, 0.0,
                 {"machine": machine.index, "machine_name": machine.name,
@@ -866,15 +820,12 @@ class ProgramServer:
                  "fault": "kernel-error", "reason": reason}))
         rp = self.res.retry if self.res is not None else None
         for r in requests:
-            if self._tracing and r.tl is not None:
-                r.tl.marks["complete"] = now
             nxt = r.attempt + 1
             if (rp is not None and nxt < rp.max_attempts
                     and self._retry_left > 0):
                 self._retry_left -= 1
                 self.retries += 1
-                if self._tracing and r.tl is not None:
-                    self._attempt_recorded(r, "failed")
+                self._attempt_row(r, "failed", now)
                 delay = rp.delay_s(self.trace_seed, r.rid, nxt)
                 clone = self._clone_attempt(r, now)
                 self._push(now + delay, "retry", clone)
@@ -939,32 +890,22 @@ class ProgramServer:
             # positional: the one object a batch builds per request
             results, stats, backend = cap.results, cap.stats, cap.backend
             responses = [Response(r, results, stats, backend, bid, n, now,
-                                  finish, n > 1, None, mname)
+                                  finish, n > 1, None, mname, now)
                          for r in requests]
-            if self._tracing:
-                for r in requests:
-                    marks = r.tl.marks
-                    marks["exec_start"] = now
-                    marks["complete"] = finish
             if self.metrics is not None and n > 1:
                 self.metrics.inc("serve.lane_packed_requests", n, app=app)
         else:
             cap = self._reference_capture(app, machine.variant, payload)
             single = self._price(machine, app, cap, payload) * slow
             svc = single * n
+            # fallback executions run back-to-back, so each request's
+            # exec window is its own slot in the serialized batch
             responses = [Response(r, cap.results, cap.stats, cap.backend,
                                   bid, n, now, now + single * (i + 1),
                                   lane_packed=False,
                                   fallback_reason=fallback_reason,
-                                  machine=mname)
+                                  machine=mname, exec_start_s=now + single * i)
                          for i, r in enumerate(requests)]
-            if self._tracing:
-                # fallback executions run back-to-back, so each request's
-                # exec window is its own slot in the serialized batch
-                for i, r in enumerate(requests):
-                    marks = r.tl.marks
-                    marks["exec_start"] = now + single * i
-                    marks["complete"] = now + single * (i + 1)
             finish = now + svc
             self.fallbacks.append(ServeFallback(app, fallback_reason, n))
             if self.metrics is not None:
@@ -979,7 +920,7 @@ class ProgramServer:
             self.metrics.observe("serve.service_s", svc,
                                  machine=machine.name)
         ran = None
-        if self._tracing:
+        if self.record is not None:
             attrs = {"machine": machine.index, "machine_name": machine.name,
                      "app": app, "batch": n, "batch_id": bid,
                      "lane_packed": fallback_reason is None and n > 1,
@@ -989,13 +930,13 @@ class ProgramServer:
                 attrs["slow_factor"] = slow
             # the priced per-loop breakdown becomes the batch span's
             # children, on the *serving* replica's track
-            sim = (self._sims.get((machine.name, app, machine.variant,
-                                   payload.key, cap.backend))
+            sim = (self._service.get((machine.name, app, machine.variant,
+                                      payload.key, cap.backend))
                    if fallback_reason is None else None)
             ran = BatchRecord(f"b{bid}:{app}x{n}", "batch", now, svc, attrs,
                               sim.loops if sim is not None else ())
             self.record.batches.append(ran)
         if self.faults is not None or self.res is not None:
             self._inflight[bid] = {"machine": machine.index, "ran": ran,
-                                   "requests": requests, "finish": finish}
+                                   "responses": responses, "finish": finish}
         self._push(finish, "complete", (machine, bid, responses))

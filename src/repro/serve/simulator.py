@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..obs.analyze import decomposition_summary
 from .cache import ProgramCache
 from .scheduler import ProgramServer, ServedApp, make_machines
 
@@ -396,14 +397,6 @@ class ServeSim:
                 lat, batch, [h.request.app for h in heads]),
             latency_by_machine=latency_breakdown(
                 lat, batch, [h.machine or "?" for h in heads]),
-            decomposition=ServeSim._decomposition_of(server),
+            # ``None`` untraced: only a traced run keeps a record
+            decomposition=decomposition_summary(server),
             resilience=resilience)
-
-    @staticmethod
-    def _decomposition_of(server: ProgramServer) -> Optional[Dict[str, Any]]:
-        # only a traced run keeps a record; untraced reports carry no
-        # decomposition section (and pay no analysis cost)
-        if server.record is None:
-            return None
-        from ..obs.analyze import decomposition_summary
-        return decomposition_summary(server)

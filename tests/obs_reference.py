@@ -17,11 +17,13 @@ the table a run would hold.
 """
 
 import math
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.obs.analyze import COMPONENTS, decompose_timeline
 from repro.obs.profile import _escape, _split_series
-from repro.obs.spans import TIMELINE_MARKS, SpanTable, Tracer
+from repro.obs.spans import (TIMELINE_MARKS, RequestContext, SpanTable,
+                             Tracer)
 
 _US = 1e6
 _REQUEST_PID = 2
@@ -73,8 +75,20 @@ def table(*trees) -> SpanTable:
     return out
 
 
-def rows(record) -> Iterator[tuple]:
-    """A ``ServeRecord``'s spans under its run span, one row each."""
+def rows(server) -> Iterator[tuple]:
+    """A traced server's spans under its run span, one row each."""
+    # input adapter: the record and the server's public views, in the
+    # shapes this code read when the record held timelines, winners and
+    # request contexts
+    rec = server.record
+    served = rec.by_rid()
+    contexts = {rid: RequestContext.derive(rec.seed, rid) for rid in served}
+    record = SimpleNamespace(
+        batches=rec.batches, crashes=rec.crashes, horizon=rec.horizon,
+        served=served,
+        timelines={rid: server.timeline_of(rid) for rid in served},
+        attempts=rec.attempts,
+        attempts_of=server.attempt_timelines_of)
     for b in record.batches:
         yield (1, b.name, b.kind, b.start_s, b.dur_s, b.attrs)
         machine = b.attrs["machine"]
@@ -91,7 +105,7 @@ def rows(record) -> Iterator[tuple]:
     for rid in sorted(record.served):
         resp = record.served[rid]
         req = resp.request
-        ctx = req.ctx
+        ctx = contexts[rid]
         marks = timelines[rid].marks
         t0 = marks.get("arrive")
         t_end = marks.get("complete")
@@ -142,16 +156,16 @@ def rows(record) -> Iterator[tuple]:
                {"machine": index, "machine_name": name, "fault": "crash"})
 
 
-def span_rows(source, own=None, records=()) -> Iterator[tuple]:
+def span_rows(source, own=None, servers=()) -> Iterator[tuple]:
     """Pre-order rows of a tracer's runs or of one run's table. With
-    ``records`` (the ``ServeRecord`` behind each run, in run order) a
-    run is its run row and then :func:`rows` of its record."""
+    ``servers`` (the traced server behind each run, in run order) a run
+    is its run row and then :func:`rows` of its server."""
     runs = source._runs if isinstance(source, Tracer) else [source]
-    records = list(records)
+    servers = list(servers)
     for run in runs:
         run_rows = list(run.rows())
-        if records:
-            run_rows[1:] = rows(records.pop(0))
+        if servers:
+            run_rows[1:] = rows(servers.pop(0))
         for *row, attrs in run_rows:
             yield (*row, attrs if own is None else own(attrs))
 
@@ -220,8 +234,8 @@ def flatten(rows: Iterable[tuple]) -> Tuple[List[dict], List[dict],
     return meta, events, flows
 
 
-def chrome_trace_events(source, records=()) -> List[dict]:
-    meta, events, flows = flatten(span_rows(source, clean_args, records))
+def chrome_trace_events(source, servers=()) -> List[dict]:
+    meta, events, flows = flatten(span_rows(source, clean_args, servers))
     return meta + events + flows
 
 

@@ -18,6 +18,8 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import tools
 from repro.obs import Tracer, chrome_trace_events, evaluate_slo
@@ -35,6 +37,34 @@ from .test_serve_pins import chaos_run
 
 REPO = pathlib.Path(__file__).parent.parent
 PLAN_PATH = REPO / "examples" / "faults_outage.json"
+
+#: any JSON value ``json.load`` returns, NaN and infinities included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(
+        ["crash", "slow", "kernel", "cache", "*", "numa", "error", "0.5"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10)
+#: the values a well-formed spec holds, so that some documents parse
+plausible = st.floats(0.0, 2.0) | st.sampled_from(
+    ["crash", "slow", "kernel", "cache", "numa", "latency", "availability"])
+
+
+def specs_of(schema):
+    """Any JSON value, or an object over ``schema``'s keys whose values
+    are any JSON, or for a key naming fields, a list of objects over
+    those fields (the first two always present): documents that reach
+    every field of a spec parser."""
+    def field(items):
+        if not items:
+            return json_values
+        value = json_values | plausible
+        row = st.fixed_dictionaries(dict.fromkeys(items[:2], value),
+                                    optional=dict.fromkeys(items[2:], value))
+        return json_values | st.lists(row | json_values, max_size=3)
+    return json_values | st.fixed_dictionaries({}, optional={
+        key: field(items) for key, items in schema.items()})
 
 
 def outage_sim(app="kmeans", tracer=None, requests=24, faults="plan"):
@@ -99,6 +129,45 @@ class TestFaultPlan:
         plan = FaultPlan.from_json(
             {"faults": [{"kind": "slow", "target": "m", "factor": 2.0}]})
         assert math.isinf(plan.specs[0].t1_s)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"faults": 5}, "faults"),
+        ({"faults": None}, "faults"),
+        ({"seed": None}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"faults": [{"kind": "crash", "target": 5}]}, "target"),
+        ({"faults": [{"kind": "crash", "target": "m", "t0_s": math.nan}]},
+         "t0_s"),
+        ({"faults": [{"kind": "crash", "target": "m", "t1_s": math.nan}]},
+         "t1_s"),
+        ({"faults": [{"kind": "crash", "target": "m", "t0_s": math.inf}]},
+         "t0_s"),
+    ] + [({"faults": [{"kind": "slow", "target": "m", key: value}]}, key)
+         for key in ("factor", "rate", "t0_ms") for value in (None, [1])] + [
+        ({"faults": [{"kind": "slow", "target": "m", "factor": value}]},
+         "factor") for value in (math.nan, math.inf, 0.0)])
+    def test_malformed_fields_are_named(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan.from_json(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(plan=specs_of({"seed": (), "faults": ("kind", "target", "t0_s",
+                          "t1_s", "t0_ms", "t1_ms", "factor", "mode",
+                          "rate")}),
+           slo=specs_of({"name": (), "window_s": (), "objectives": (
+               "kind", "target", "name", "threshold_ms", "threshold_s")}))
+    def test_any_json_returns_or_raises_value_error(self, plan, slo):
+        try:
+            specs = FaultPlan.from_json(plan).specs
+        except ValueError:
+            specs = ()
+        for s in specs:
+            assert isinstance(s.target, str) and 0 <= s.t0_s <= s.t1_s
+            assert s.t0_s < math.inf and 0 < s.factor < math.inf
+        try:
+            SLOSpec.from_json(slo)
+        except ValueError:
+            pass
 
     def test_derive_unit_deterministic_and_uniform_range(self):
         a = derive_unit(7, "kernel", "kmeans", 3)
@@ -227,8 +296,9 @@ class TestInflightRecords:
         assert b59.attrs["machine"] == 1 and b59.start_s < crash[0]
         assert b59.attrs["cancelled"] and b59.dur_s == crash[0] - b59.start_s
         assert report.resilience["fault_counts"]["cancelled-batches"] == 1
-        requeued = sorted(rid for rid, entries in server.record.attempts.items()
-                          for _, _, status in entries if status == "requeued")
+        requeued = sorted(rid for rid in range(2000)
+                          for _, status, _ in server.attempt_timelines_of(rid)
+                          if status == "requeued")
         assert len(requeued) == 4 == report.resilience["requeues"]
         served = {r.request.rid: r for r in server.responses}
         assert all(served[rid].batch_id != 59 and served[rid].request.attempt
@@ -480,6 +550,32 @@ class TestChaosCLI:
         assert self.run("serve-sim", "q1", "--shed-depth", "0")[0] == 2
         assert self.run("serve-sim", "q1",
                         "--faults", "nosuch-plan.json")[0] == 2
+
+    @pytest.mark.parametrize("plan", [
+        '{"faults": 5}',
+        '{"faults": [{"kind": "slow", "target": "numa", "factor": null}]}',
+        '{"faults": [{"kind": "crash", "target": "numa", "t0_s": NaN}]}',
+        '{"faults": [{"kind": "slow", "target": "numa", '
+        '"factor": Infinity}]}'])
+    def test_malformed_plans_exit_2_with_one_line(self, plan, tmp_path,
+                                                  capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(plan)
+        assert self.run("serve-sim", "q1", "--requests", "4",
+                        "--faults", str(path))[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_permanent_outage_refuses_every_request(self, tmp_path):
+        # the closed loop's clients keep issuing through the refusals at
+        # shutdown: no request is left neither served nor refused
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"faults": [
+            {"kind": "crash", "target": "numa", "t0_s": 0}]}))
+        code, out = self.run("serve-sim", "kmeans", "--requests", "20",
+                             "--json", "--faults", str(path))
+        doc = json.loads(out)
+        assert code == 0 and doc["requests"] == 0 and doc["rejected"] == 20
 
     def test_slo_report_scores_rejections(self, tmp_path):
         out_file = tmp_path / "slo.json"

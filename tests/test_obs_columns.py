@@ -159,11 +159,10 @@ def open_traced_run(seed, rate=1200, requests=600):
 
 
 def check_run(server, tracer, report):
-    records = [server.record]
     assert json.dumps(chrome_trace_events(tracer)) == \
-        json.dumps(ref.chrome_trace_events(tracer, records))
+        json.dumps(ref.chrome_trace_events(tracer, [server]))
     assert render_collapsed(tracer) == \
-        ref.render_collapsed(ref.span_rows(tracer, records=records))
+        ref.render_collapsed(ref.span_rows(tracer, servers=[server]))
     assert json.dumps(decomposition_summary(server)) == \
         json.dumps(ref.decomposition_summary(server))
     assert json.dumps(request_decomposition(server)) == \
@@ -171,7 +170,7 @@ def check_run(server, tracer, report):
     assert report.latency_histogram() == \
         ref.latency_histogram(report.latencies_s)
     # the derivation, read after the exports filled the run's table
-    assert list(tracer.last_run.rows())[1:] == list(ref.rows(server.record))
+    assert list(tracer.last_run.rows())[1:] == list(ref.rows(server))
 
 
 class TestServingRuns:

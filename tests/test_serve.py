@@ -784,8 +784,10 @@ class TestServeTracing:
     def test_request_ctx_matches_derivation(self):
         from repro.obs import RequestContext
         tr, sim, rep = self.traced_run(seed=9)
-        for r in sim.last_server.responses:
-            assert r.request.ctx == RequestContext.derive(9, r.request.rid)
+        server = sim.last_server
+        for r in server.responses:
+            assert server.timeline_of(r.request.rid).ctx == \
+                RequestContext.derive(9, r.request.rid)
 
     def test_batch_spans_carry_loop_children(self):
         tr, sim, rep = self.traced_run()
@@ -812,8 +814,9 @@ class TestServeTracing:
         sim = ServeSim(["q1"], backend="numpy")
         sim.run_closed(clients=2, requests=6, seed=0)
         server = sim.last_server
-        assert server._timelines == {} and server._sims == {}
-        assert all(r.request.ctx is None for r in server.responses)
+        assert server.record is None
+        assert all(server.timeline_of(r.request.rid) is None
+                   for r in server.responses)
 
 
 # ---------------------------------------------------------------------------
