@@ -5,13 +5,13 @@ top-level multiloop execution: each loop is first checked by the static
 planner, then lowered generator-by-generator onto NumPy kernels —
 
 - ``Collect``       → masked value computation, compacted to a list;
-- ``Reduce``        → ``ufunc.reduce`` for associative scalar reducers,
-                      otherwise an order-preserving pairwise tree fold
-                      evaluated by a masked sub-vectorizer;
-- ``BucketCollect`` → stable sort by first-seen key codes, segmented
-                      slicing;
-- ``BucketReduce``  → ``ufunc.reduceat`` over code-sorted values, or the
-                      same pairwise fold applied per segment.
+- ``Reduce``        → ``ufunc.reduce`` for an associative scalar prim; a
+                      zip of one folds whole rows in the interpreter's
+                      order (``fold_elementwise``); any other reducer, an
+                      order-preserving pairwise tree of sub-vectorizers;
+- ``BucketCollect`` → stable sort by first-seen key codes, then split;
+- ``BucketReduce``  → the same per code-sorted segment (``reduceat`` for
+                      the scalar prim).
 
 Any construct the vectorizer cannot handle (statically or at runtime)
 raises ``VecError``; the loop then re-executes on the inherited
@@ -39,7 +39,8 @@ from ..core.values import Buckets
 from ..obs.provenance import FALLBACK, VECTORIZED, DecisionKind, emit
 from .vectorize import (ASSOC_UFUNCS, ArrVec, LoopVectorizer, Rows, StatsDelta,
                         SVec, VecError, as_lane_vec, first_seen_codes, is_vec,
-                        plan_loop, recognize_assoc_prim, vec_take, vec_where)
+                        plan_loop, recognize_elementwise, reducer_operands,
+                        vec_take, vec_where)
 
 
 @dataclass
@@ -275,9 +276,25 @@ class NumpyInterp(Interp):
             return self._empty_result(g)
         if g.kind is GenKind.COLLECT:
             return self._vec_collect(vz, g, idx, mask)
-        if g.kind is GenKind.REDUCE:
-            return self._vec_reduce(vz, g, idx, mask)
-        return self._vec_bucket(vz, g, kkey, idx, mask, memo)
+        karr = None if g.key is None else vz.gen_key(g, kkey, idx, mask,
+                                                     memo)
+        if g.reducer is None:
+            v = vz.eval_block(g.value, (idx,), mask)
+            vz.count_alloc(g.value_type, mask, 1)
+        else:
+            vz.in_reduce_value += 1
+            try:
+                v = vz.eval_block(g.value, (idx,), mask)
+            finally:
+                vz.in_reduce_value -= 1
+        actives = idx if mask is None else idx[mask]
+        if not len(actives):
+            return self._empty_result(g)
+        vfull = v if is_vec(v) else as_lane_vec(v, vz.L)
+        if g.key is not None:
+            return self._vec_bucket(vz, g, karr, vfull, actives)
+        return self._fold_codes(vz, g, vfull, actives,
+                                np.zeros(len(actives), dtype=np.int64), 1)[0]
 
     def _empty_result(self, g: Generator) -> Any:
         if g.kind is GenKind.COLLECT:
@@ -311,45 +328,40 @@ class NumpyInterp(Interp):
         vz.count_alloc(g.value_type, mask, 1)
         return self.to_host(v, actives, g.value_type)
 
-    # -- Reduce ------------------------------------------------------------
+    # -- Reduce / BucketReduce ---------------------------------------------
 
-    def _vec_reduce(self, vz: LoopVectorizer, g: Generator,
-                    idx: np.ndarray, mask: Optional[np.ndarray]) -> Any:
-        vz.in_reduce_value += 1
-        try:
-            v = vz.eval_block(g.value, (idx,), mask)
-        finally:
-            vz.in_reduce_value -= 1
-        actives = idx if mask is None else idx[mask]
-        n = len(actives)
-        if n == 0:
-            return self._reduce_identity(g)
-        vfull = v if is_vec(v) else as_lane_vec(v, vz.L)
-        name = recognize_assoc_prim(g.reducer)
-        if name is not None and isinstance(vfull, np.ndarray):
-            return self._ufunc_reduce(vz, name, vfull[actives], actives)
-        vals = vec_take(vfull, actives)
-        codes = np.zeros(n, dtype=np.int64)
-        red = self._generic_segmented(vz, g, vals, codes, 1, actives[1:])
-        return self.to_host(red, np.arange(1), g.value_type)[0]
-
-    def _ufunc_reduce(self, vz: LoopVectorizer, name: str,
-                      vals: np.ndarray, actives: np.ndarray) -> Any:
-        vals = self._reducer_operands(name, vals)
-        out = ASSOC_UFUNCS[name].reduce(vals)
-        n = len(vals)
-        if n > 1:
-            vz.ess[actives[1:]] += PRIMS[name].cost
-            vz.delta.op_counts[f"prim.{name}"] += n - 1
-        return out.item() if isinstance(out, np.generic) else out
-
-    @staticmethod
-    def _reducer_operands(name: str, vals: np.ndarray) -> np.ndarray:
-        if name in ("and", "or") and vals.dtype != np.bool_:
-            raise VecError("logical reducer on non-boolean values")
-        if name in ("add", "mul") and vals.dtype == np.bool_:
-            return vals.astype(np.int64)  # Python bool arithmetic widens
-        return vals
+    def _fold_codes(self, vz: LoopVectorizer, g: Generator, vfull: Any,
+                    actives: np.ndarray, codes: np.ndarray, K: int) -> List:
+        """Each code's values (a Reduce has one code) folded by the reducer,
+        one host value per code. Every combine is charged to the lane of the
+        value it folds in: each active lane but its code's first."""
+        sidx = np.argsort(codes, kind="stable")
+        starts = np.searchsorted(codes[sidx], np.arange(K))
+        rest = np.ones(len(actives), dtype=np.bool_)
+        rest[sidx[starts]] = False
+        rest_lanes = actives[rest]
+        name, depth = recognize_elementwise(g.reducer) or (None, None)
+        if depth == 0 and isinstance(vfull, np.ndarray):
+            # scalars fold in NumPy's order: reduce, or reduceat per bucket
+            uf = ASSOC_UFUNCS[name]
+            svals = reducer_operands(name, vfull[actives][sidx])
+            red = uf.reduce(svals, keepdims=True) if g.key is None \
+                else uf.reduceat(svals, starts)
+            if len(rest_lanes):
+                vz.ess[rest_lanes] += PRIMS[name].cost
+                vz.delta.op_counts[f"prim.{name}"] += len(rest_lanes)
+            return red.tolist()
+        vals = vec_take(vfull, actives[sidx])
+        folded = vz.fold_elementwise(g.reducer, vals,
+                                     np.bincount(codes, minlength=K))
+        if folded is None:
+            red = self._generic_segmented(vz, g, vals, codes[sidx], K,
+                                          rest_lanes)
+        else:
+            red, ess, ovh = folded
+            vz.ess[rest_lanes] += ess
+            vz.ovh[rest_lanes] += ovh
+        return self.to_host(red, np.arange(K), g.value_type)
 
     def _generic_segmented(self, vz: LoopVectorizer, g: Generator,
                            vals: Any, codes: np.ndarray, K: int,
@@ -395,60 +407,19 @@ class NumpyInterp(Interp):
                 vz.ovh[rest_lanes] += ovh_all[0]
         return cur
 
-    # -- BucketCollect / BucketReduce --------------------------------------
-
-    def _vec_bucket(self, vz: LoopVectorizer, g: Generator, kkey,
-                    idx: np.ndarray, mask: Optional[np.ndarray],
-                    memo: Optional[Dict[Any, Any]]) -> Buckets:
-        karr = vz.gen_key(g, kkey, idx, mask, memo)
-
-        reduce_kind = g.kind is GenKind.BUCKET_REDUCE
-        if reduce_kind:
-            vz.in_reduce_value += 1
-            try:
-                v = vz.eval_block(g.value, (idx,), mask)
-            finally:
-                vz.in_reduce_value -= 1
-        else:
-            v = vz.eval_block(g.value, (idx,), mask)
-            vz.count_alloc(g.value_type, mask, 1)
-
-        actives = idx if mask is None else idx[mask]
-        n = len(actives)
-        codes, uniq_keys = self._key_codes(karr, actives, n)
+    def _vec_bucket(self, vz: LoopVectorizer, g: Generator, karr: Any,
+                    vfull: Any, actives: np.ndarray) -> Buckets:
+        codes, uniq_keys = self._key_codes(karr, actives, len(actives))
         K = len(uniq_keys)
-        b = Buckets(default=self._bucket_default(g))
-        vfull = v if is_vec(v) else as_lane_vec(v, vz.L)
-        sidx = np.argsort(codes, kind="stable")
-        csort = codes[sidx]
-        starts = np.searchsorted(csort, np.arange(K))
-
-        if not reduce_kind:
-            host_vals = self.to_host(vfull, actives, g.value_type)
-            for ki, key in enumerate(uniq_keys):
-                p = b.get_or_create(key, None)
-                hi = starts[ki + 1] if ki + 1 < K else n
-                b.values[p] = [host_vals[j]
-                               for j in sidx[starts[ki]:hi].tolist()]
-            return b
-
-        first_pos = np.unique(codes, return_index=True)[1]
-        rest_sel = np.ones(n, dtype=np.bool_)
-        rest_sel[first_pos] = False
-        rest_lanes = actives[rest_sel]
-        name = recognize_assoc_prim(g.reducer)
-        if name is not None and isinstance(vfull, np.ndarray):
-            svals = self._reducer_operands(name, vfull[actives][sidx])
-            red = ASSOC_UFUNCS[name].reduceat(svals, starts)
-            if n > K:
-                vz.ess[rest_lanes] += PRIMS[name].cost
-                vz.delta.op_counts[f"prim.{name}"] += n - K
-            host_red = red.tolist()
+        if g.reducer is not None:
+            host_vals = self._fold_codes(vz, g, vfull, actives, codes, K)
         else:
-            svals = vec_take(vfull, actives[sidx])
-            red = self._generic_segmented(vz, g, svals, csort, K, rest_lanes)
-            host_red = self.to_host(red, np.arange(K), g.value_type)
-        for key, hv in zip(uniq_keys, host_red):
+            sidx = np.argsort(codes, kind="stable")
+            host = self.to_host(vfull, actives, g.value_type)
+            host_vals = [[host[j] for j in grp.tolist()] for grp in np.split(
+                sidx, np.searchsorted(codes[sidx], np.arange(1, K)))]
+        b = Buckets(default=self._bucket_default(g))
+        for key, hv in zip(uniq_keys, host_vals):
             b.get_or_create(key, hv)
         return b
 

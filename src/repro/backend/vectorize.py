@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -316,7 +316,13 @@ def _pad_to(v: ArrVec, w: int) -> ArrVec:
 
 
 def _pad_pair(a: ArrVec, b: ArrVec) -> Tuple[ArrVec, ArrVec]:
-    """Pad two ArrVecs to a common inner width."""
+    """Pad two ArrVecs to a common inner width; empty rows (an identity
+    ``[]``) take the element shape and dtype of the other side's rows."""
+    if not a.data.shape[1]:
+        a = ArrVec(np.zeros(a.data.shape[:2] + b.data.shape[2:],
+                            b.data.dtype), a.lengths)
+    elif not b.data.shape[1]:
+        return _pad_pair(b, a)[::-1]
     w = max(a.data.shape[1], b.data.shape[1])
     return _pad_to(a, w), _pad_to(b, w)
 
@@ -476,25 +482,53 @@ def _truncate(a):
         else a.astype(np.int64)
 
 
-def recognize_assoc_prim(block: Block) -> Optional[str]:
-    """``(a, b) => prim(a, b)`` with an associative prim, in either
-    argument order — the shape a ufunc reduction can execute directly."""
-    if len(block.params) != 2 or len(block.stmts) != 1:
+def reducer_operands(name: str, vals: np.ndarray) -> np.ndarray:
+    """``vals`` as operands of ufunc ``name`` with the interpreter's
+    meaning: Python bool arithmetic widens to int."""
+    if name in ("and", "or") and vals.dtype != np.bool_:
+        raise VecError("logical reducer on non-boolean values")
+    if name in ("add", "mul") and vals.dtype == np.bool_:
+        return vals.astype(np.int64)
+    return vals
+
+
+def recognize_elementwise(block: Block) -> Optional[Tuple[str, int]]:
+    """``(prim, depth)`` when ``block`` is the elementwise lift of an
+    associative prim: depth 0 is ``(a, b) => prim(a, b)``, either argument
+    order; depth ``d`` is ``(a, b) => { n = len(a); Collect_n(i => { ai =
+    a(i); bi = b(i); <depth d-1 on (ai, bi)> }) }``, the ``zipWith`` the
+    interchange rules build. A structural match, kept on the immutable
+    block as ``free_syms`` keeps its answer."""
+    if "_elementwise" not in block.__dict__:
+        object.__setattr__(block, "_elementwise", len(block.params) == 2
+                           and _match_elementwise(*block.params, block.stmts,
+                                                  block.results) or None)
+    return block.__dict__["_elementwise"]
+
+
+def _match_elementwise(a: Sym, b: Sym, stmts, results):
+    if len(stmts) == 1:
+        d, op = stmts[0], stmts[0].op
+        return (op.name, 0) if isinstance(op, Prim) \
+            and op.name in ASSOC_UFUNCS and d.syms == results \
+            and len(op.args) == 2 and set(op.args) == {a, b} else None
+    if len(stmts) != 2:
         return None
-    if len(block.results) != 1:
+    (nd, ld), loop = stmts, stmts[1].op
+    if not (isinstance(nd.op, ArrayLength) and nd.op.arr == a
+            and isinstance(loop, MultiLoop) and len(loop.gens) == 1
+            and loop.size == nd.syms[0] and ld.syms == results):
         return None
-    d = block.stmts[0]
-    op = d.op
-    if not isinstance(op, Prim) or op.name not in ASSOC_UFUNCS:
+    g, vb = loop.gens[0], loop.gens[0].value
+    reads = [d.op for d in vb.stmts[:2]]
+    if g.kind is not GenKind.COLLECT or g.cond is not None or g.flatten \
+            or len(reads) < 2 or not all(
+                isinstance(r, ArrayApply) and r.arr == x
+                and r.idx == vb.params[0] for r, x in zip(reads, (a, b))):
         return None
-    if len(d.syms) != 1 or not isinstance(block.results[0], Sym) \
-            or block.results[0].id != d.syms[0].id:
-        return None
-    a, b = block.params
-    ids = {x.id for x in op.args if isinstance(x, Sym)}
-    if len(op.args) == 2 and ids == {a.id, b.id}:
-        return op.name
-    return None
+    inner = _match_elementwise(vb.stmts[0].syms[0], vb.stmts[1].syms[0],
+                               vb.stmts[2:], vb.results)
+    return inner and (inner[0], inner[1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +597,7 @@ def _plan_shared_keys(gens: Sequence[Generator]) -> Optional[str]:
 
 
 def _plan_reducer(block: Block) -> Optional[str]:
-    if recognize_assoc_prim(block) is not None:
+    if recognize_elementwise(block) is not None:
         return None
     if len(block.stmts) == 1 and isinstance(block.stmts[0].op, Prim):
         # a single non-associative prim (sub, div, ...) would change
@@ -625,6 +659,12 @@ class StatsDelta:
         stats.bytes_read += self.bytes_read
         stats.elements_emitted += self.elements_emitted
         stats.bytes_alloc += self.bytes_alloc
+
+    def scaled(self, k: int) -> "StatsDelta":
+        """These tallies ``k`` times over."""
+        return StatsDelta(
+            Counter({n: c * k for n, c in self.op_counts.items()}),
+            *(getattr(self, f.name) * k for f in fields(self)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -1225,10 +1265,17 @@ class LoopVectorizer:
         """Reduce each run of ``vals`` (``cnt[r] >= 1`` consecutive
         elements: one segment's, or one group's) strictly left to right,
         all runs in lock step: step ``k`` combines every accumulator with
-        its run's ``k``-th element. This is the interpreter's own
-        association order, so a result is bit-identical to it even for
-        float ``add`` — which a ``reduceat`` or pairwise tree would not be.
-        Run ``r`` is charged to outer lane ``lanes[owner[r]]``."""
+        its run's ``k``-th element — the interpreter's association order,
+        bit-identical to it even for float ``add``. An elementwise reducer
+        does it in whole-row ufunc calls (``fold_elementwise``), any other
+        by evaluating it. Run ``r`` is charged to ``lanes[owner[r]]``."""
+        folded = self.fold_elementwise(g.reducer, vals, cnt)
+        if folded is not None:
+            acc, ess, ovh = folded
+            for mine, c in ((self.ess, ess), (self.ovh, ovh)):
+                mine[lanes] += np.bincount(owner, weights=(cnt - 1) * c,
+                                           minlength=len(lanes))
+            return acc
         first = np.cumsum(cnt) - cnt
         fold = self.nested(lanes[owner])
         fold.in_reducer += 1
@@ -1245,6 +1292,62 @@ class LoopVectorizer:
                     acc, fold.L)
         self.absorb(fold, lanes, owner)
         return acc
+
+    def fold_elementwise(self, reducer: Block, vals: Any, cnt: np.ndarray
+                         ) -> Optional[Tuple[Any, float, float]]:
+        """``_fold`` as whole-row ufunc calls, for an elementwise reducer
+        (``recognize_elementwise``) over one dense numeric block. Runs go
+        longest first, so step ``k``'s live runs are a prefix and the step
+        is one call; the last live run ends in ``ufunc.accumulate``,
+        sequential by definition. (Never ``reduce``/``reduceat``: NumPy
+        does not promise their order.) Every combine costs the same — the
+        shape has no branch, the rows one width — so one probe evaluation
+        prices them all: its tallies times the combines go to ``delta``,
+        its per-combine essential and overhead cycles to the caller.
+        ``None``, with nothing charged, when the reducer or rows do not
+        qualify."""
+        name, depth = recognize_elementwise(reducer) or (None, -1)
+        try:
+            v = _materialize(vals) if depth > 0 else vals
+        except VecError:
+            return None  # rows of structs, of buckets
+        if depth > 0 and isinstance(v, ArrVec) and v.data.ndim == depth + 1 \
+                and (v.lengths is None or v.lengths.min() == v.lengths.max()):
+            data = v.data[:, : int(v.length_array()[0])]
+        elif depth == 0 and isinstance(v, np.ndarray):
+            data = v
+        else:
+            return None
+        if data.dtype.kind not in "biuf":
+            return None
+        data = reducer_operands(name, data)
+        uf = ASSOC_UFUNCS[name]
+        order = np.argsort(-cnt, kind="stable")
+        run_cnt, run_first = cnt[order], (np.cumsum(cnt) - cnt)[order]
+        acc = data[run_first]
+        live = np.searchsorted(-run_cnt, -np.arange(int(run_cnt[0])))
+        for k, m in enumerate(live.tolist()[1:], 1):
+            if m == 1:  # one run left: finish it in bounded chunks
+                tail = data[run_first[0] + k: run_first[0] + run_cnt[0]]
+                step = max(1, STRIP_LANES // max(1, acc[0].size))
+                for s in range(0, len(tail), step):
+                    acc[:1] = uf.accumulate(np.concatenate(
+                        (acc[:1], tail[s: s + step])), axis=0)[-1:]
+                break
+            uf(acc[:m], data[run_first[:m] + k], out=acc[:m])
+        out = np.empty_like(acc)
+        out[order] = acc
+        out = ArrVec(out, None) if depth else out
+        combines = int(cnt.sum()) - len(cnt)
+        if not combines:
+            return out, 0.0, 0.0
+        probe = LoopVectorizer(self.host, 1, StatsDelta())
+        probe.in_reducer = self.in_reducer + 1
+        probe.in_reduce_value = self.in_reduce_value
+        pair = ArrVec(data[:1], None) if depth else data[:1]
+        probe.eval_block(reducer, (pair, pair), None)
+        probe.delta.scaled(combines).merge_into(self.delta)
+        return out, float(probe.ess[0]), float(probe.ovh[0])
 
     def _finish_bucket(self, g: Generator, parts: List[Tuple[Any, ...]],
                        lanes: np.ndarray) -> Rows:

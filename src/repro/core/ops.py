@@ -280,14 +280,25 @@ def _sorted_intersect_count_batch(a, a_lens, b, b_lens):
         kb = b + np.repeat(tag, b_lens)
         if (ka[1:] < ka[:-1]).any() or (kb[1:] < kb[:-1]).any():
             return None
-        ua, ca = np.unique(ka, return_counts=True)
-        ub, cb = np.unique(kb, return_counts=True)
+        ua, ca = _run_lengths(ka)
+        ub, cb = _run_lengths(kb)
         at = np.minimum(np.searchsorted(ub, ua), len(ub) - 1)
         hit = ub[at] == ua
         np.add.at(counts, ua[hit] // span,
                   np.minimum(ca[hit], cb[at[hit]]))
     reads = a_lens + b_lens
     return counts, 2.0 * reads, int(reads.sum())
+
+
+def _run_lengths(keys):
+    """The distinct values of a sorted non-empty array and how often each
+    occurs: a first-of-run mask, no sort."""
+    import numpy as np
+    head = np.empty(len(keys), dtype=np.bool_)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return keys[starts], np.diff(starts, append=len(keys))
 
 
 COLL_PRIMS: Dict[str, CollPrimSpec] = {

@@ -83,25 +83,37 @@ def decompose_timeline(tl: RequestTimeline) -> Optional[Dict[str, float]]:
     if "arrive" not in marks or "complete" not in marks:
         return None
     latency = marks["complete"] - marks["arrive"]
-    comps: Dict[str, float] = {}
+    stages: List[float] = []
     prev = marks["arrive"]
-    acc = 0.0
-    for comp, mark in _STAGE_ENDS:
+    for _, mark in _STAGE_ENDS:
         t = marks.get(mark, prev)
-        comps[comp] = t - prev
-        acc += comps[comp]
+        stages.append(t - prev)
         prev = t
-    execution = latency - acc
     # make the identity bit-exact, not just correctly rounded: when
     # acc >= latency/2 Sterbenz's lemma already makes `latency - acc`
     # exact; otherwise the remainder dominates and a few one-ulp nudges
-    # land `acc + execution` exactly on `latency`
-    for _ in range(8):
-        s = acc + execution
-        if s == latency:
+    # land `acc + execution` exactly on `latency`. They all miss on a
+    # tie: when acc's part below latency's ulp is exactly half of it,
+    # round-half-even lets `acc + execution` reach only every other
+    # float. Moving one ulp of acc into the last non-zero stage breaks
+    # the tie, and the nudges run again.
+    for _ in range(4):
+        acc = 0.0
+        for c in stages:
+            acc += c
+        execution = latency - acc
+        for _ in range(8):
+            s = acc + execution
+            if s == latency:
+                break
+            execution = math.nextafter(
+                execution, math.inf if s < latency else -math.inf)
+        nonzero = [j for j, c in enumerate(stages) if c]
+        if acc + execution == latency or not nonzero:
             break
-        execution = math.nextafter(
-            execution, math.inf if s < latency else -math.inf)
+        stages[nonzero[-1]] += math.ulp(acc)
+    comps: Dict[str, float] = {comp: c for (comp, _), c in
+                               zip(_STAGE_ENDS, stages)}
     comps["execution_s"] = execution
     comps["latency_s"] = latency
     return comps
@@ -118,16 +130,27 @@ def _decomposed(server: Any) -> Tuple[List[Any], List[Any]]:
     cols = np.array(list(map(response_marks, served)), float).reshape(
         len(served), len(TIMELINE_MARKS)).T
     comps = [cols[i + 1] - cols[i] for i in range(len(_STAGE_ENDS))]
-    acc = sum(comps, np.zeros(len(served)))  # 0.0 + each, in order
     latency = cols[-1] - cols[0]
-    execution = latency - acc
-    for _ in range(8):
-        s = acc + execution
-        off = s != latency
-        if not off.any():
+    for _ in range(4):
+        acc = sum(comps, np.zeros(len(served)))  # 0.0 + each, in order
+        execution = latency - acc
+        for _ in range(8):
+            s = acc + execution
+            off = s != latency
+            if not off.any():
+                break
+            execution = np.where(off, np.nextafter(
+                execution, np.where(s < latency, np.inf, -np.inf)),
+                execution)
+        # a tie: one ulp of acc into the last non-zero stage, and again
+        nonzero = np.array(comps) != 0
+        tie = (acc + execution != latency) & nonzero.any(axis=0)
+        if not tie.any():
             break
-        execution = np.where(off, np.nextafter(
-            execution, np.where(s < latency, np.inf, -np.inf)), execution)
+        last = len(comps) - 1 - np.argmax(nonzero[::-1], axis=0)
+        for j in range(len(comps)):
+            comps[j] = np.where(tie & (last == j),
+                                comps[j] + np.spacing(np.abs(acc)), comps[j])
     return served, comps + [execution, latency]
 
 
