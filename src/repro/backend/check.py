@@ -3,11 +3,9 @@
 Runs 16 programs — the ``opt`` and ``gpu`` compiles of the 8 bundled apps
 (gda, gene, gibbs, kmeans, logreg, pagerank, q1, triangle) — on the numpy
 backend and exits non-zero if any loop fell back to the reference
-interpreter, or results (within 1e-9) or cycles diverge from it — a
+interpreter, or results (to the bit) or cycles diverge from it — a
 fallback is correct but silent in results, so only this gate (and the
 ``backend.fallback`` metric) keeps vectorization coverage from rotting.
-Each ``ok`` line says ``bit-identical`` (tolerance 0.0) or ``within
-1e-9``: top-level scalar reductions (q1, gene) fold in NumPy's order.
 
 Usage::
 
@@ -46,7 +44,7 @@ def check_apps(names=None) -> int:
             problems = []
             for fb in fallbacks:
                 problems.append(f"fallback {fb.loop} ({fb.op}): {fb.reason}")
-            if not deep_eq(results, ref_results):
+            if not deep_eq(results, ref_results, tol=0.0):
                 problems.append("results diverge from reference interpreter")
             if stats.total_cycles != ref_stats.total_cycles:
                 problems.append(
@@ -58,11 +56,9 @@ def check_apps(names=None) -> int:
                 for p in problems:
                     print(f"  {p}")
             else:
-                exact = "bit-identical" if deep_eq(results, ref_results,
-                                                   tol=0.0) else "within 1e-9"
                 print(f"ok   {name}/{variant}: {stats.loops_executed} loop "
                       f"executions vectorized, cycles identical, results "
-                      f"{exact}")
+                      f"bit-identical")
     if bad:
         print(f"{bad}/{len(names) * len(VARIANTS)} programs not fully "
               f"vectorized", file=sys.stderr)

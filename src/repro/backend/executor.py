@@ -1,17 +1,16 @@
 """Vectorized NumPy execution of multiloops, with recorded fallback.
 
 ``NumpyInterp`` subclasses the reference interpreter and replaces only
-top-level multiloop execution: each loop is first checked by the static
-planner, then lowered generator-by-generator onto NumPy kernels —
-
-- ``Collect``       → masked value computation, compacted to a list;
-- ``Reduce``        → ``ufunc.reduce`` for an associative scalar prim; a
-                      zip of one folds whole rows in the interpreter's
-                      order (``fold_elementwise``); any other reducer, an
-                      order-preserving pairwise tree of sub-vectorizers;
-- ``BucketCollect`` → stable sort by first-seen key codes, then split;
-- ``BucketReduce``  → the same per code-sorted segment (``reduceat`` for
-                      the scalar prim).
+top-level multiloop execution. Each loop is first checked by the static
+planner, then run by the one engine that also runs nested loops: a loop
+of ``size`` iterations is the one segment of a one-lane root
+``LoopVectorizer``, evaluated as a single strip whose child lanes are the
+iterations (``LoopVectorizer.eval_strip``). Every ``Reduce`` and
+``BucketReduce`` folds left to right in the interpreter's order
+(``LoopVectorizer._fold``), so results are ``repr``-identical to it. Lane 0
+of each generator's result becomes the host value; a ``Collect`` goes to
+the host straight from its strip parts, and the child's per-lane costs
+are the per-iteration cost stream.
 
 Any construct the vectorizer cannot handle (statically or at runtime)
 raises ``VecError``; the loop then re-executes on the inherited
@@ -31,16 +30,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import types as T
-from ..core.interp import ExecStats, Interp, LoopObserver, loop_share_plan
+from ..core.interp import ExecStats, Interp, LoopObserver
 from ..core.ir import Def, Program
-from ..core.multiloop import GenKind, Generator, MultiLoop
-from ..core.ops import PRIMS
+from ..core.multiloop import Generator, MultiLoop
 from ..core.values import Buckets
 from ..obs.provenance import FALLBACK, VECTORIZED, DecisionKind, emit
-from .vectorize import (ASSOC_UFUNCS, ArrVec, LoopVectorizer, Rows, StatsDelta,
-                        SVec, VecError, as_lane_vec, first_seen_codes, is_vec,
-                        plan_loop, recognize_elementwise, reducer_operands,
-                        vec_take, vec_where)
+from .vectorize import (ArrVec, LoopVectorizer, Rows, StatsDelta, SVec,
+                        VecError, is_vec, plan_loop)
 
 
 @dataclass
@@ -167,12 +163,15 @@ class NumpyInterp(Interp):
         """Lane vector → list of plain Python values for ``lanes``.
 
         Type-directed: an ``SVec`` is a per-lane struct under a Struct
-        type but a columnar array-of-structs under a Coll type."""
+        type but a columnar array-of-structs under a Coll type. A ``Rows``
+        hands out the host objects it gathers, whatever their type."""
         k = len(lanes)
         if not is_vec(v):
             return [v] * k
         if isinstance(v, np.ndarray):
             return v[lanes].tolist()
+        if isinstance(v, Rows):
+            return [v.base[i] for i in v.idx[lanes].tolist()]
         if isinstance(tpe, T.Struct):
             if not isinstance(v, SVec) or len(v.fields) != len(tpe.fields):
                 raise VecError("struct value shape mismatch")
@@ -180,8 +179,6 @@ class NumpyInterp(Interp):
                     for f, (_, ft) in zip(v.fields, tpe.fields)]
             return [tuple(t) for t in zip(*cols)] if cols else [()] * k
         if isinstance(tpe, (T.Coll, T.KeyedColl)):
-            if isinstance(v, Rows):
-                return [v.base[i] for i in v.idx[lanes].tolist()]
             if isinstance(v, ArrVec):
                 data = v.data[lanes]
                 if v.lengths is None:
@@ -245,195 +242,45 @@ class NumpyInterp(Interp):
 
     def _vec_loop(self, d: Def, loop: MultiLoop) -> None:
         size = int(self.eval_exp(loop.size))
-        gens = loop.gens
-        delta = StatsDelta()
-        vz = LoopVectorizer(self, size, delta)
-        share_keys, need_memo = loop_share_plan(gens)
-        memo: Optional[Dict[Any, Any]] = {} if need_memo else None
-        idx = np.arange(size, dtype=np.int64)
-        outs = [self._vec_gen(vz, g, sk, idx, memo)
-                for g, sk in zip(gens, share_keys)]
+        delta = StatsDelta(loops_executed=1, loop_iterations=size)
+        # the loop is the one segment of a one-lane root, so it runs as one
+        # strip (_strips never splits a segment) whose child lanes are the
+        # iterations
+        root = LoopVectorizer(self, 1, delta)
+        lane = np.zeros(1, dtype=np.int64)
+        parts: List[List[Tuple[Any, ...]]] = [[] for _ in loop.gens]
+        sub = None  # no iteration, no strip
+        if size > 0:
+            sub = root.eval_strip(loop.gens, lane, np.array([size]), parts)
+        outs = [self._host_result(root, g, ps, lane)
+                for g, ps in zip(loop.gens, parts)]
         # success — commit everything atomically
         delta.merge_into(self.stats)
-        self.stats.loops_executed += 1
-        self.stats.loop_iterations += size
         fr = self._frames[-1]
-        fr[0] += float(vz.ess.sum())
-        fr[1] += float(vz.ovh.sum())
+        fr[0] += float(root.ess[0])
+        fr[1] += float(root.ovh[0])
         for s, out in zip(d.syms, outs):
             self.env[s.id] = out
         obs = self.observer
         if obs is not None:
             obs.on_loop_start(d, size)
-            obs.on_iteration_costs(d, (vz.ess + vz.ovh).tolist())
+            obs.on_iteration_costs(
+                d, [] if sub is None else (sub.ess + sub.ovh).tolist())
             obs.on_loop_end(d)
 
-    def _vec_gen(self, vz: LoopVectorizer, g: Generator, sk,
-                 idx: np.ndarray, memo: Optional[Dict[Any, Any]]) -> Any:
-        ckey, kkey = sk
-        mask = vz.gen_mask(g, ckey, idx, memo)
-        if mask is not None and not bool(mask.any()):
-            return self._empty_result(g)
-        if g.kind is GenKind.COLLECT:
-            return self._vec_collect(vz, g, idx, mask)
-        karr = None if g.key is None else vz.gen_key(g, kkey, idx, mask,
-                                                     memo)
-        if g.reducer is None:
-            v = vz.eval_block(g.value, (idx,), mask)
-            vz.count_alloc(g.value_type, mask, 1)
-        else:
-            vz.in_reduce_value += 1
-            try:
-                v = vz.eval_block(g.value, (idx,), mask)
-            finally:
-                vz.in_reduce_value -= 1
-        actives = idx if mask is None else idx[mask]
-        if not len(actives):
-            return self._empty_result(g)
-        vfull = v if is_vec(v) else as_lane_vec(v, vz.L)
+    def _host_result(self, root: LoopVectorizer, g: Generator,
+                     parts: List[Tuple[Any, ...]], lane: np.ndarray) -> Any:
+        """Lane 0 of one generator's result, as the host value. A Collect
+        is read straight from its strip parts: its rows may be ragged,
+        structs or ``Buckets``, which a padded lane array cannot carry."""
         if g.key is not None:
-            return self._vec_bucket(vz, g, karr, vfull, actives)
-        return self._fold_codes(vz, g, vfull, actives,
-                                np.zeros(len(actives), dtype=np.int64), 1)[0]
-
-    def _empty_result(self, g: Generator) -> Any:
-        if g.kind is GenKind.COLLECT:
-            return []
-        if g.kind is GenKind.REDUCE:
-            return self._reduce_identity(g)
-        return Buckets(default=self._bucket_default(g))
-
-    def _reduce_identity(self, g: Generator) -> Any:
-        if g.init is not None:
-            return self.eval_exp(g.init)
-        return g.identity_value()
-
-    # -- Collect -----------------------------------------------------------
-
-    def _vec_collect(self, vz: LoopVectorizer, g: Generator,
-                     idx: np.ndarray, mask: Optional[np.ndarray]) -> List:
-        v = vz.eval_block(g.value, (idx,), mask)
-        actives = idx if mask is None else idx[mask]
-        if g.flatten:
-            elem = g.value_type.elem if isinstance(g.value_type, T.Coll) \
-                else g.value_type
-            lens = vz._length(v)
-            vz.count_alloc(elem, mask,
-                           lens if isinstance(lens, np.ndarray)
-                           else int(lens))
-            out: List[Any] = []
-            for row in self.to_host(v, actives, g.value_type):
-                out.extend(row)
-            return out
-        vz.count_alloc(g.value_type, mask, 1)
-        return self.to_host(v, actives, g.value_type)
-
-    # -- Reduce / BucketReduce ---------------------------------------------
-
-    def _fold_codes(self, vz: LoopVectorizer, g: Generator, vfull: Any,
-                    actives: np.ndarray, codes: np.ndarray, K: int) -> List:
-        """Each code's values (a Reduce has one code) folded by the reducer,
-        one host value per code. Every combine is charged to the lane of the
-        value it folds in: each active lane but its code's first."""
-        sidx = np.argsort(codes, kind="stable")
-        starts = np.searchsorted(codes[sidx], np.arange(K))
-        rest = np.ones(len(actives), dtype=np.bool_)
-        rest[sidx[starts]] = False
-        rest_lanes = actives[rest]
-        name, depth = recognize_elementwise(g.reducer) or (None, None)
-        if depth == 0 and isinstance(vfull, np.ndarray):
-            # scalars fold in NumPy's order: reduce, or reduceat per bucket
-            uf = ASSOC_UFUNCS[name]
-            svals = reducer_operands(name, vfull[actives][sidx])
-            red = uf.reduce(svals, keepdims=True) if g.key is None \
-                else uf.reduceat(svals, starts)
-            if len(rest_lanes):
-                vz.ess[rest_lanes] += PRIMS[name].cost
-                vz.delta.op_counts[f"prim.{name}"] += len(rest_lanes)
-            return red.tolist()
-        vals = vec_take(vfull, actives[sidx])
-        folded = vz.fold_elementwise(g.reducer, vals,
-                                     np.bincount(codes, minlength=K))
-        if folded is None:
-            red = self._generic_segmented(vz, g, vals, codes[sidx], K,
-                                          rest_lanes)
-        else:
-            red, ess, ovh = folded
-            vz.ess[rest_lanes] += ess
-            vz.ovh[rest_lanes] += ovh
-        return self.to_host(red, np.arange(K), g.value_type)
-
-    def _generic_segmented(self, vz: LoopVectorizer, g: Generator,
-                           vals: Any, codes: np.ndarray, K: int,
-                           rest_lanes: np.ndarray) -> Any:
-        """Order-preserving pairwise fold of code-sorted values down to one
-        value per code. Each round pairs adjacent same-code elements and
-        combines them with a masked sub-vectorizer; per-combine costs must
-        be uniform so they can be re-attributed to ``rest_lanes`` (every
-        active lane except each code's first) exactly as the sequential
-        fold charges them."""
-        cur, cur_codes = vals, codes
-        ess_parts: List[np.ndarray] = []
-        ovh_parts: List[np.ndarray] = []
-        while len(cur_codes) > K:
-            m = len(cur_codes)
-            first_occ = np.searchsorted(cur_codes, cur_codes, side="left")
-            pos = np.arange(m) - first_occ
-            nxt_same = np.zeros(m, dtype=np.bool_)
-            nxt_same[:-1] = cur_codes[1:] == cur_codes[:-1]
-            left = (pos % 2 == 0) & nxt_same
-            right = np.zeros(m, dtype=np.bool_)
-            right[1:] = left[:-1]
-            partner = vec_take(cur, np.minimum(np.arange(m) + 1, m - 1))
-            sub = LoopVectorizer(self, m, vz.delta)
-            sub.in_reducer = 1
-            combined = sub.eval_block(g.reducer, (cur, partner), left)
-            ess_parts.append(sub.ess[left])
-            ovh_parts.append(sub.ovh[left])
-            merged = vec_where(left, combined, cur, m)
-            keep = np.nonzero(~right)[0]
-            cur = vec_take(merged, keep)
-            cur_codes = cur_codes[keep]
-        if ess_parts:
-            ess_all = np.concatenate(ess_parts)
-            ovh_all = np.concatenate(ovh_parts)
-            if ess_all.size:
-                if (ess_all.max() != ess_all.min()
-                        or ovh_all.max() != ovh_all.min()):
-                    raise VecError("data-dependent reducer cost")
-                if len(rest_lanes) != ess_all.size:
-                    raise VecError("combine count mismatch")
-                vz.ess[rest_lanes] += ess_all[0]
-                vz.ovh[rest_lanes] += ovh_all[0]
-        return cur
-
-    def _vec_bucket(self, vz: LoopVectorizer, g: Generator, karr: Any,
-                    vfull: Any, actives: np.ndarray) -> Buckets:
-        codes, uniq_keys = self._key_codes(karr, actives, len(actives))
-        K = len(uniq_keys)
+            return root._finish_bucket(g, parts, lane).base[0]
         if g.reducer is not None:
-            host_vals = self._fold_codes(vz, g, vfull, actives, codes, K)
-        else:
-            sidx = np.argsort(codes, kind="stable")
-            host = self.to_host(vfull, actives, g.value_type)
-            host_vals = [[host[j] for j in grp.tolist()] for grp in np.split(
-                sidx, np.searchsorted(codes[sidx], np.arange(1, K)))]
-        b = Buckets(default=self._bucket_default(g))
-        for key, hv in zip(uniq_keys, host_vals):
-            b.get_or_create(key, hv)
-        return b
-
-    def _key_codes(self, karr: Any, actives: np.ndarray,
-                   n: int) -> Tuple[np.ndarray, List[Any]]:
-        """Dense first-seen-order codes + host key values."""
-        if not is_vec(karr):
-            return np.zeros(n, dtype=np.int64), [
-                karr.item() if isinstance(karr, np.generic) else karr]
-        if not isinstance(karr, np.ndarray):
-            raise VecError("non-scalar bucket key")
-        keys = karr[actives]
-        codes, first = first_seen_codes(keys)
-        return codes, keys[first].tolist()
+            return self.to_host(root._finish_reduce(g, parts, lane), lane,
+                                g.value_type)[0]
+        et = g.value_type.elem if g.flatten else g.value_type
+        return [x for v, ids, _ in parts
+                for x in self.to_host(v, np.arange(len(ids)), et)]
 
 
 def run_program_numpy(prog: Program, inputs: Dict[str, Any],

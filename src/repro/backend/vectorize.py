@@ -22,7 +22,8 @@ trip) pairs by a child vectorizer, nested ``Collect`` results are
 scattered back by (segment, position), nested ``Reduce`` folds every
 segment left to right in trip order, and nested bucket generators group
 the flat lanes by (segment, key) and fold or collect every group the same
-way (``LoopVectorizer._nested_loop``).
+way (``LoopVectorizer._nested_loop``). A top-level loop is the one-segment
+case: the executor runs it as one strip of a one-lane root vectorizer.
 
 Cost accounting stays *analytic* and matches the interpreter cycle for
 cycle: every operation adds its cost to per-lane essential/overhead
@@ -117,6 +118,24 @@ def first_seen_codes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rank[inv.reshape(-1)], first[order]
 
 
+def _grouping(key: Any, kseg: np.ndarray, flat: np.ndarray
+              ) -> Tuple[Any, ...]:
+    """The groups of a strip's keyed elements (keys ``key``, lanes
+    ``flat``, segments ``kseg``) by (segment, key), numbered in first-seen
+    order: by segment and, within a segment, the order its ``Buckets``
+    lists keys in. Returns the element order that lays every group out as
+    one run, the run lengths, the lanes in that order, and every group's
+    segment and host key."""
+    if not isinstance(key, np.ndarray):
+        raise VecError("non-scalar bucket key")
+    code, first = first_seen_codes(key)
+    if kseg[0] != kseg[-1]:  # more than one segment: code (segment, key)
+        code, first = first_seen_codes(kseg * len(first) + code)
+    order = np.argsort(code, kind="stable")
+    return (order, np.bincount(code, minlength=len(first)), flat[order],
+            kseg[first], key[first].tolist())
+
+
 # ---------------------------------------------------------------------------
 # Lane-vector value representations
 # ---------------------------------------------------------------------------
@@ -204,8 +223,9 @@ def _materialize(v: Any) -> Any:
     if v.host is None:
         raise VecError("cannot materialize detached row gather")
     if not isinstance(v.base, ArrVec) and len(v.base) \
-            and isinstance(v.base[0], Buckets):
-        raise VecError("cannot materialize per-lane buckets")  # keys lost
+            and isinstance(v.base[0], (Buckets, tuple)):
+        # keys lost, or a struct read as a row
+        raise VecError("cannot materialize per-lane buckets or structs")
     lens, pad = v.host.row_cache(v.base)
     if pad is None:
         raise VecError("cannot materialize non-scalar rows")
@@ -329,9 +349,17 @@ def _pad_pair(a: ArrVec, b: ArrVec) -> Tuple[ArrVec, ArrVec]:
 
 def _row_elems(v: Any, row: np.ndarray, col: np.ndarray) -> Any:
     """Elements ``(row[e], col[e])`` of per-lane arrays as a lane vector
-    over ``e``; an array of structs stays columnar."""
+    over ``e``; an array of structs stays columnar, and host rows that do
+    not pad (of structs, of rows, ``Buckets``) become a gather of their
+    elements, laid end to end."""
     if isinstance(v, SVec):
         return SVec(tuple(_row_elems(f, row, col) for f in v.fields))
+    if isinstance(v, Rows) and v.host is not None \
+            and not isinstance(v.base, ArrVec) and len(v.base):
+        lens, pad = v.host.row_cache(v.base)
+        if pad is None or isinstance(v.base[0], Buckets):
+            start = (np.cumsum(lens) - lens)[v.idx[row]]
+            return Rows(v.host.flat_cache(v.base), start + col, v.host)
     v = _materialize(v)
     if not isinstance(v, ArrVec):
         raise VecError("flatten of a non-array value")
@@ -433,8 +461,9 @@ VEC_PRIMS = {
     "idiv": _guard_idiv,
     "mod": _guard_mod,
     "neg": lambda a: -a,
-    "min": np.minimum,
-    "max": np.maximum,
+    # Python's rule, NaN and signed zeros included: b only if b < a (b > a)
+    "min": lambda a, b: np.where(b < a, b, a),
+    "max": lambda a, b: np.where(b > a, b, a),
     "eq": lambda a, b: np.equal(a, b),
     "ne": lambda a, b: np.not_equal(a, b),
     "lt": lambda a, b: np.less(a, b),
@@ -461,16 +490,36 @@ VEC_PRIMS = {
     "hash": _pyfunc(PRIMS["hash"].eval_fn, np.int64),
 }
 
-#: scalar reducers safe for ufunc-tree evaluation (associative; ``sub``
-#: and friends are rejected, which is the associativity check the paper's
-#: reduce contract calls for)
-ASSOC_UFUNCS = {
-    "add": np.add,
-    "mul": np.multiply,
-    "min": np.minimum,
-    "max": np.maximum,
-    "and": np.logical_and,
-    "or": np.logical_or,
+def _ufunc_kernel(uf):
+    return uf, lambda seq: uf.accumulate(seq, axis=0)[-1]
+
+
+def _extreme_kernel(better, nan_ignoring):
+    """Python's ``max``/``min`` (``b if better(b, a) else a``) as a fold: a
+    run that starts with NaN stays NaN, any other ends at its first element
+    equal to the NaN-ignoring extreme (so of two signed zeros, the first)."""
+    def step(acc, x, out):
+        np.copyto(out, x, where=better(x, acc))
+
+    def run(seq):
+        top = nan_ignoring.accumulate(seq, axis=0)[-1]
+        pick = np.take_along_axis(seq, (seq == top).argmax(axis=0)[None], 0)
+        return np.where(seq[0] != seq[0], seq[0], pick[0])
+    return step, run
+
+
+#: the associative prims whose elementwise lift folds as whole rows, each
+#: as ``(step, run)``: ``step(acc, x, out=acc)`` combines rows ``acc`` with
+#: rows ``x`` in place, ``run(seq)`` folds the rows ``seq`` left to right
+#: in one sequential call. ``sub`` and other non-associative prims are
+#: absent: they fold per step.
+FOLD_KERNELS = {
+    "add": _ufunc_kernel(np.add),
+    "mul": _ufunc_kernel(np.multiply),
+    "min": _extreme_kernel(np.less, np.fmin),
+    "max": _extreme_kernel(np.greater, np.fmax),
+    "and": _ufunc_kernel(np.logical_and),
+    "or": _ufunc_kernel(np.logical_or),
 }
 
 
@@ -510,7 +559,7 @@ def _match_elementwise(a: Sym, b: Sym, stmts, results):
     if len(stmts) == 1:
         d, op = stmts[0], stmts[0].op
         return (op.name, 0) if isinstance(op, Prim) \
-            and op.name in ASSOC_UFUNCS and d.syms == results \
+            and op.name in FOLD_KERNELS and d.syms == results \
             and len(op.args) == 2 and set(op.args) == {a, b} else None
     if len(stmts) != 2:
         return None
@@ -536,21 +585,12 @@ def _match_elementwise(a: Sym, b: Sym, stmts, results):
 # ---------------------------------------------------------------------------
 
 def plan_loop(loop: MultiLoop) -> Optional[str]:
-    """Static scan of one top-level loop; returns a fallback reason or
-    ``None`` when every construct has a vectorized lowering."""
+    """Static scan of one loop, nested loops included; returns a fallback
+    reason or ``None`` when every construct has a vectorized lowering."""
     reason = _plan_shared_keys(loop.gens)
-    if reason is not None:
-        return reason
-    for g in loop.gens:
-        for b in g.blocks():
-            reason = _plan_block(b)
-            if reason is not None:
-                return reason
-        if g.kind in (GenKind.REDUCE, GenKind.BUCKET_REDUCE):
-            reason = _plan_reducer(g.reducer)
-            if reason is not None:
-                return reason
-    return None
+    for b in loop.blocks():
+        reason = reason or _plan_block(b)
+    return reason
 
 
 def plan_program(prog) -> Dict[str, Optional[str]]:
@@ -596,17 +636,6 @@ def _plan_shared_keys(gens: Sequence[Generator]) -> Optional[str]:
     return None
 
 
-def _plan_reducer(block: Block) -> Optional[str]:
-    if recognize_elementwise(block) is not None:
-        return None
-    if len(block.stmts) == 1 and isinstance(block.stmts[0].op, Prim):
-        # a single non-associative prim (sub, div, ...) would change
-        # meaning under tree reduction
-        return (f"non-associative scalar reducer "
-                f"prim.{block.stmts[0].op.name}")
-    return None  # compound reducers are associative by the reduce contract
-
-
 def _plan_block(block: Block) -> Optional[str]:
     for d in block.stmts:
         op = d.op
@@ -622,15 +651,9 @@ def _plan_block(block: Block) -> Optional[str]:
                 if reason is not None:
                     return reason
         if isinstance(op, MultiLoop):
-            # (a nested reducer needs no associativity check: nested folds
-            # run strictly left to right)
-            reason = _plan_shared_keys(op.gens)
+            reason = plan_loop(op)
             if reason is not None:
                 return reason
-            for b in op.blocks():
-                reason = _plan_block(b)
-                if reason is not None:
-                    return reason
     return None
 
 
@@ -1167,13 +1190,11 @@ class LoopVectorizer:
         self.delta.loops_executed += n
         self.delta.loop_iterations += int(sz.sum())
         sz = np.maximum(sz, 0)
-        share_keys, need_memo = loop_share_plan(gens)
         # no strip at all when no lane has a trip: every generator then
         # finishes from no parts, and the body is never entered
         parts: List[List[Tuple[Any, ...]]] = [[] for _ in gens]
         for start, stop in _strips(np.cumsum(sz), STRIP_LANES):
-            self._nested_strip(gens, share_keys, need_memo,
-                               lanes[start:stop], sz[start:stop], parts)
+            self.eval_strip(gens, lanes[start:stop], sz[start:stop], parts)
         for s, g, ps in zip(d.syms, gens, parts):
             if g.key is not None:
                 finish = self._finish_bucket
@@ -1183,15 +1204,21 @@ class LoopVectorizer:
                 finish = self._finish_collect
             self.env[s.id] = finish(g, ps, lanes)
 
-    def _nested_strip(self, gens: Sequence[Generator], share_keys,
-                      need_memo: bool, lanes: np.ndarray, sz: np.ndarray,
-                      parts: List[List[Tuple[Any, ...]]]) -> None:
+    def eval_strip(self, gens: Sequence[Generator], lanes: np.ndarray,
+                   sz: np.ndarray, parts: List[List[Tuple[Any, ...]]]
+                   ) -> "LoopVectorizer":
         """Evaluate every generator once over the flat space of the outer
-        ``lanes`` (``sz[s]`` trips each) and append each one's piece of the
-        result to ``parts``."""
+        ``lanes`` (``sz[s]`` trips each), append each one's piece of the
+        result to ``parts`` and charge the child's per-lane costs to
+        ``lanes``. Returns the child, whose ``ess``/``ovh`` are the costs
+        of every (lane, trip) pair."""
         seg, trip = _runs(sz)   # flat lane -> (segment, trip)
         sub = self.nested(lanes[seg])
+        share_keys, need_memo = loop_share_plan(gens)
         memo: Optional[Dict[Any, Any]] = {} if need_memo else None
+        # siblings with alpha-equal conds and keys group their elements alike
+        groupings: Dict[Any, Tuple[Any, ...]] = {}
+        every = np.arange(sub.L)
         for g, (ckey, kkey), ps in zip(gens, share_keys, parts):
             m = sub.gen_mask(g, ckey, trip, memo)
             if m is not None and not m.any():
@@ -1211,101 +1238,104 @@ class LoopVectorizer:
                     sub.count_alloc(g.value_type.elem, m, width)
                 else:
                     sub.count_alloc(g.value_type, m, 1)
-            # the generator's elements: the values of the kept flat lanes,
-            # still in (segment, trip) order, and the segment of each
-            v, kseg = as_lane_vec(v, sub.L), seg
+            # the generator's elements: the values of the kept flat lanes
+            # (``flat``), still in (segment, trip) order, and their segments
+            v, kseg, flat = as_lane_vec(v, sub.L), seg, every
             if m is not None:
-                kept = np.nonzero(m)[0]
-                v, key = vec_take(v, kept), vec_take(key, kept)
-                kseg = seg[kept]
+                flat = np.nonzero(m)[0]
+                v, key = vec_take(v, flat), vec_take(key, flat)
+                kseg = seg[flat]
             if key is not None:
-                ps.append(self._group(g, key, v, kseg, lanes))
+                grp = groupings.get((ckey, kkey))
+                if grp is None:
+                    grp = groupings[ckey, kkey] = _grouping(key, kseg, flat)
+                *runs, gseg, gkeys = grp
+                ps.append((lanes[gseg], gkeys, sub._group(g, runs, v)))
                 continue
             if g.flatten:
                 # every kept lane contributes a whole row of elements
-                row, col = _runs(width if m is None else width[kept])
+                row, col = _runs(width[flat])
                 v, kseg = _row_elems(v, row, col), kseg[row]
             if g.reducer is not None:
                 cnt = np.bincount(kseg, minlength=len(lanes))
                 ne = np.nonzero(cnt)[0]
-                ps.append((self._fold(g, v, cnt[ne], lanes, ne), lanes[ne]))
+                ps.append((sub._fold(g, v, cnt[ne], flat), lanes[ne]))
             elif kseg is seg:
                 ps.append((v, lanes[seg], trip))
             else:
                 cnt = np.bincount(kseg, minlength=len(lanes))
                 ps.append((v, lanes[kseg], _runs(cnt)[1]))
         self.absorb(sub, lanes, seg)
+        return sub
 
-    def _group(self, g: Generator, key: Any, vals: Any, kseg: np.ndarray,
-               lanes: np.ndarray) -> Tuple[np.ndarray, List[Any], List[Any]]:
-        """Bucket the elements ``vals`` of one strip by (segment, key):
-        groups are numbered in first-seen order, which is by segment and,
-        within a segment, the order its ``Buckets`` lists keys in. Returns
-        every group's outer lane, host key and host value (the folded
-        elements, or the list of them)."""
-        if not isinstance(key, np.ndarray):
-            raise VecError("non-scalar bucket key")
-        kcode, kfirst = first_seen_codes(key)
-        code, first = first_seen_codes(kseg * len(kfirst) + kcode)
-        n_groups = len(first)
-        order = np.argsort(code, kind="stable")
-        cnt = np.bincount(code, minlength=n_groups)
-        gseg = kseg[first]
+    def _group(self, g: Generator, runs: Sequence[np.ndarray],
+               vals: Any) -> List[Any]:
+        """Every group's host value: its run (``_grouping``'s element
+        order, run lengths and lanes) of ``vals`` folded, or listed."""
+        order, cnt, flat = runs
         if g.reducer is not None:
-            acc = self._fold(g, vec_take(vals, order), cnt, lanes, gseg)
-            host = self.host.to_host(acc, np.arange(n_groups), g.value_type)
-        else:
-            elems = self.host.to_host(vals, order, g.value_type)
-            ends = np.cumsum(cnt).tolist()
-            host = [elems[lo:hi] for lo, hi in zip([0] + ends, ends)]
-        return lanes[gseg], key[first].tolist(), host
+            acc = self._fold(g, vec_take(vals, order), cnt, flat)
+            return self.host.to_host(acc, np.arange(len(cnt)), g.value_type)
+        elems = self.host.to_host(vals, order, g.value_type)
+        ends = np.cumsum(cnt).tolist()
+        return [elems[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     def _fold(self, g: Generator, vals: Any, cnt: np.ndarray,
-              lanes: np.ndarray, owner: np.ndarray) -> Any:
+              flat: np.ndarray) -> Any:
         """Reduce each run of ``vals`` (``cnt[r] >= 1`` consecutive
         elements: one segment's, or one group's) strictly left to right,
         all runs in lock step: step ``k`` combines every accumulator with
         its run's ``k``-th element — the interpreter's association order,
         bit-identical to it even for float ``add``. An elementwise reducer
-        does it in whole-row ufunc calls (``fold_elementwise``), any other
-        by evaluating it. Run ``r`` is charged to ``lanes[owner[r]]``."""
+        does it in whole-row NumPy calls (``fold_elementwise``), any other
+        by evaluating it. As in the interpreter, each combine is charged to
+        the lane of the element it folds in: element ``j`` is lane
+        ``flat[j]``."""
+        first = np.cumsum(cnt) - cnt
         folded = self.fold_elementwise(g.reducer, vals, cnt)
         if folded is not None:
             acc, ess, ovh = folded
+            # every element but its run's first pays one combine: all pay,
+            # the firsts pay back (exact: the cycle constants are dyadic)
+            every = slice(None) if len(flat) == self.L else flat
             for mine, c in ((self.ess, ess), (self.ovh, ovh)):
-                mine[lanes] += np.bincount(owner, weights=(cnt - 1) * c,
-                                           minlength=len(lanes))
+                mine[every] += c
+                mine[flat[first]] -= c
             return acc
-        first = np.cumsum(cnt) - cnt
-        fold = self.nested(lanes[owner])
+        fold = self.nested(flat[first])
         fold.in_reducer += 1
         acc = vec_take(vals, first)
         for k in range(1, int(cnt.max())):
             live = cnt > k
+            pos = np.where(live, first + k, first)
+            nxt = vec_take(vals, pos)
             if live.all():
-                acc = fold.eval_block(
-                    g.reducer, (acc, vec_take(vals, first + k)), None)
+                acc = fold.eval_block(g.reducer, (acc, nxt), None)
             else:
-                nxt = vec_take(vals, np.where(live, first + k, first))
                 acc = vec_where(
                     live, fold.eval_block(g.reducer, (acc, nxt), live),
                     acc, fold.L)
-        self.absorb(fold, lanes, owner)
+            # a run with no k-th element was charged nothing this step
+            self.absorb(fold, flat[pos])
+            fold.ess[:] = fold.ovh[:] = 0.0
         return acc
 
     def fold_elementwise(self, reducer: Block, vals: Any, cnt: np.ndarray
                          ) -> Optional[Tuple[Any, float, float]]:
-        """``_fold`` as whole-row ufunc calls, for an elementwise reducer
-        (``recognize_elementwise``) over one dense numeric block. Runs go
-        longest first, so step ``k``'s live runs are a prefix and the step
-        is one call; the last live run ends in ``ufunc.accumulate``,
-        sequential by definition. (Never ``reduce``/``reduceat``: NumPy
-        does not promise their order.) Every combine costs the same — the
-        shape has no branch, the rows one width — so one probe evaluation
-        prices them all: its tallies times the combines go to ``delta``,
-        its per-combine essential and overhead cycles to the caller.
-        ``None``, with nothing charged, when the reducer or rows do not
-        qualify."""
+        """``_fold`` as whole-row NumPy calls, for an elementwise reducer
+        (``recognize_elementwise``) over one dense numeric block, with the
+        prim's ``FOLD_KERNELS``. With at least as many runs as steps, runs
+        go in lock step, longest first, so step ``k``'s live runs are a
+        prefix and the step is one ``step`` call; with fewer, each run
+        finishes alone in ``run`` calls (sequential by definition) over
+        bounded chunks that carry its running row. A fold is thus
+        min(runs, steps) calls plus one per further chunk. (Never
+        ``ufunc.reduce``/``reduceat``: NumPy does not promise their order.)
+        Every combine costs the same — the shape has no branch, the rows
+        one width — so one probe evaluation prices them all: its tallies
+        times the combines go to ``delta``, its per-combine essential and
+        overhead cycles to the caller. ``None``, with nothing charged, when
+        the reducer or rows do not qualify."""
         name, depth = recognize_elementwise(reducer) or (None, -1)
         try:
             v = _materialize(vals) if depth > 0 else vals
@@ -1321,22 +1351,28 @@ class LoopVectorizer:
         if data.dtype.kind not in "biuf":
             return None
         data = reducer_operands(name, data)
-        uf = ASSOC_UFUNCS[name]
-        order = np.argsort(-cnt, kind="stable")
-        run_cnt, run_first = cnt[order], (np.cumsum(cnt) - cnt)[order]
-        acc = data[run_first]
-        live = np.searchsorted(-run_cnt, -np.arange(int(run_cnt[0])))
-        for k, m in enumerate(live.tolist()[1:], 1):
-            if m == 1:  # one run left: finish it in bounded chunks
-                tail = data[run_first[0] + k: run_first[0] + run_cnt[0]]
-                step = max(1, STRIP_LANES // max(1, acc[0].size))
-                for s in range(0, len(tail), step):
-                    acc[:1] = uf.accumulate(np.concatenate(
-                        (acc[:1], tail[s: s + step])), axis=0)[-1:]
-                break
-            uf(acc[:m], data[run_first[:m] + k], out=acc[:m])
-        out = np.empty_like(acc)
-        out[order] = acc
+        step, run = FOLD_KERNELS[name]
+        first = np.cumsum(cnt) - cnt
+        steps = int(cnt.max()) - 1
+        if len(cnt) < steps:
+            out = data[first]
+            chunk = max(1, STRIP_LANES // max(1, out[0].size))
+            for r, (lo, hi) in enumerate(zip(first.tolist(),
+                                             (first + cnt).tolist())):
+                for s in range(lo + 1, hi, chunk):
+                    top = min(s + chunk, hi)
+                    out[r] = run(data[lo: top] if s == lo + 1 else
+                                 np.concatenate((out[r: r + 1], data[s: top])))
+        else:
+            order = np.argsort(-cnt, kind="stable")
+            run_cnt, run_first = cnt[order], first[order]
+            acc = data[run_first]
+            live = np.searchsorted(-run_cnt, -np.arange(1, steps + 1))
+            for k, m in enumerate(live.tolist(), 1):
+                head = acc[:m]
+                step(head, data[run_first[:m] + k], out=head)
+            out = np.empty_like(acc)
+            out[order] = acc
         out = ArrVec(out, None) if depth else out
         combines = int(cnt.sum()) - len(cnt)
         if not combines:
@@ -1374,7 +1410,7 @@ class LoopVectorizer:
         ident = self.lookup(g.init) if g.init is not None \
             else g.identity_value()
         if not parts:
-            return as_lane_vec(ident, self.L)
+            return ident
         sizes = [len(ids) for _, ids in parts]
         res = vec_concat([acc for acc, _ in parts], sizes)
         if sum(sizes) == self.L:

@@ -56,7 +56,7 @@ def assert_stats_equal(ref, vec):
 def run_both(prog, inputs):
     ref_results, ref_stats = run_program(prog, inputs)
     vec_results, vec_stats, fallbacks = run_program_numpy(prog, inputs)
-    assert deep_eq(ref_results, vec_results)
+    assert deep_eq(ref_results, vec_results, tol=0.0)
     assert_stats_equal(ref_stats, vec_stats)
     return fallbacks
 
@@ -81,7 +81,7 @@ class TestBundledApps:
     def test_identical_and_fully_vectorized(self, app):
         prog, inputs, ref_results, ref_stats = reference_run(app, "opt")
         vec_results, vec_stats, fallbacks = run_program_numpy(prog, inputs)
-        assert deep_eq(ref_results, vec_results)
+        assert deep_eq(ref_results, vec_results, tol=0.0)
         assert_stats_equal(ref_stats, vec_stats)
         assert fallbacks == [], (
             f"{app} fell back to the interpreter: "
@@ -117,7 +117,7 @@ class TestBundledApps:
                           backend="numpy")
         assert ref.backend == "reference" and vec.backend == "numpy"
         assert vec.fallbacks == []
-        assert deep_eq(ref.results, vec.results)
+        assert deep_eq(ref.results, vec.results, tol=0.0)
         assert_stats_equal(ref.stats, vec.stats)
         # the per-iteration cost streams feed load-imbalance bounds and
         # must match element-for-element
@@ -188,20 +188,17 @@ class TestSelection:
 # ---------------------------------------------------------------------------
 
 class TestFallback:
-    def test_non_associative_reducer_falls_back(self):
-        # a - b is not associative: the planner must reject the ufunc
-        # path and the loop must still produce interpreter-identical
-        # results through the recorded fallback
-        prog = F.build(lambda xs: xs.reduce(lambda a, b: a - b, 0),
-                       [F.InputSpec("xs", T.Coll(T.INT), True)])
-        inputs = {"xs": [5, 3, 9, 1]}
-        ref_results, ref_stats = run_program(prog, inputs)
-        vec_results, vec_stats, fallbacks = run_program_numpy(prog, inputs)
-        assert deep_eq(ref_results, vec_results)
-        assert_stats_equal(ref_stats, vec_stats)
+    def test_struct_keys_fall_back_recorded(self):
+        # a struct-valued bucket key has no lane coding: the loop must
+        # still produce interpreter-identical results through the
+        # recorded fallback
+        prog = F.build(lambda xs: xs.group_by_reduce(
+            lambda x: F.pair(x, x), lambda x: x, lambda a, b: a + b),
+            [F.vector_input("xs", True)])
+        fallbacks = run_both(prog, {"xs": [1.0, 2.0, 1.0]})
         assert len(fallbacks) == 1
         assert isinstance(fallbacks[0], FallbackRecord)
-        assert "associative" in fallbacks[0].reason
+        assert fallbacks[0].reason == "non-scalar bucket key"
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +684,10 @@ def build_zip_program(elem, prim, depth):
 
 _SCALARS = {
     T.INT: st.integers(-9, 9),
-    # magnitudes far apart, so any other association order shows
-    # (not -0.0: np.maximum(0.0, -0.0) is -0.0, Python's max says 0.0,
-    # a divergence of the prim itself, per step or not)
+    # magnitudes far apart, so any other association order shows, and
+    # both signed zeros, which min and max tell apart as Python's do
     T.DOUBLE: st.sampled_from([0.1, -0.3, 1e-9, 7.0, 1e12, -2.5e-4, 0.0,
-                               3.3]),
+                               -0.0, 3.3]),
     T.BOOL: st.booleans(),
 }
 
@@ -728,7 +724,7 @@ def zip_cases(draw):
     return elem, prim, depth, ragged, xs, ys
 
 
-def _run_zip(prog, inputs, strip, exact, ragged=False):
+def _run_zip(prog, inputs, strip, exact):
     ref_obs, vec_obs = PerIterCosts(prog), PerIterCosts(prog)
     ref_results, ref_stats = run_program(prog, inputs, observer=ref_obs)
     with pytest.MonkeyPatch.context() as mp:
@@ -736,10 +732,8 @@ def _run_zip(prog, inputs, strip, exact, ragged=False):
             mp.setattr(vectorize, "STRIP_LANES", strip)
         vec_results, vec_stats, fallbacks = run_program_numpy(
             prog, inputs, observer=vec_obs)
-    # ragged rows at top level: the pairwise tree prices combines of
-    # different widths, which it cannot attribute, so the loop falls back
-    allowed = {"data-dependent reducer cost"} if ragged else set()
-    assert {f.reason for f in fallbacks} <= allowed, fallbacks
+    # ragged rows fold per step, at top level as nested
+    assert fallbacks == [], fallbacks
     if exact:
         assert repr(ref_results) == repr(vec_results)
     else:  # bool add widens to int once a run combines: True == 1
@@ -762,11 +756,8 @@ class TestElementwiseFold:
 
     def test_kernel_charges_what_the_per_step_path_charges(self):
         # with no reducer recognized the kernel declines everywhere, so
-        # nested folds run per step and top-level zips take the pairwise
-        # tree; stats, cost streams and fallbacks must not tell them apart.
-        # (The planner is patched too: unrecognized, a scalar prim would
-        # read as non-associative. The executor's own reference keeps
-        # top-level scalar reductions on their ufunc.)
+        # every fold, nested or top-level, runs per step; stats, cost
+        # streams and fallbacks must not tell them apart.
         def run(prog, inputs):
             obs = PerIterCosts(prog)
             res, stats, fallbacks = run_program_numpy(prog, inputs,
@@ -782,8 +773,6 @@ class TestElementwiseFold:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(vectorize, "recognize_elementwise",
                                lambda block: None)
-                    mp.setattr(vectorize, "_plan_reducer",
-                               lambda block: None)
                     res0, stats0, costs0, fbs0 = run(compiled.program,
                                                      inputs)
                 assert deep_eq(res, res0)
@@ -791,13 +780,17 @@ class TestElementwiseFold:
                 assert costs == costs0 and fbs == fbs0
 
     @given(zip_cases())
+    # ragged rows at top level: 0.1 + 0.1 + 0.1 - 0.3 is 5.55e-17 left to
+    # right, 2.78e-17 reassociated
+    @example((T.DOUBLE, "add", 1, True, [[]],
+              [[0.1], [0.1], [0.1], [-0.3, 0.1]]))
     @settings(**{**SETTINGS, "max_examples": 120})
     def test_zip_nests_match_interpreter(self, case):
-        elem, prim, depth, ragged, xs, ys = case
+        elem, prim, depth, _, xs, ys = case
         prog = build_zip_program(elem, prim, depth)
         exact = not (elem is T.BOOL and prim in ("add", "mul"))
         for strip in (None, 7):
-            _run_zip(prog, {"xs": xs, "ys": ys}, strip, exact, ragged)
+            _run_zip(prog, {"xs": xs, "ys": ys}, strip, exact)
 
     def test_ragged_rows_take_the_per_step_path(self, monkeypatch):
         prog = build_zip_program(T.DOUBLE, "add", 1)
@@ -808,7 +801,7 @@ class TestElementwiseFold:
         monkeypatch.setattr(
             vectorize.LoopVectorizer, "fold_elementwise",
             lambda self, *a: folded.append(kernel(self, *a)) or folded[-1])
-        _run_zip(prog, {"xs": xs, "ys": ys}, None, True, ragged=True)
+        _run_zip(prog, {"xs": xs, "ys": ys}, None, True)
         assert None in folded  # the ragged nested fold declined
 
     def test_a_run_allocates_no_symbols(self):
@@ -848,3 +841,133 @@ class TestElementwiseFold:
         grown = {k: (first.get(k), n) for k, n in sizes().items()
                  if n > first.get(k, n)}
         assert not grown
+
+
+# ---------------------------------------------------------------------------
+# A top-level loop: the one-segment case of the segmented lane axis
+# ---------------------------------------------------------------------------
+
+def _doubles(seed, n):
+    """``n`` doubles of magnitudes far apart: any association order other
+    than left to right shows in the last bits of a sum."""
+    import random
+    rng = random.Random(seed)
+    return [rng.uniform(-1e3, 1e3) * 10 ** rng.randint(-6, 6)
+            for _ in range(n)]
+
+
+_NAN = float("nan")
+
+
+class TestTopLevelLoops:
+    def test_long_float_fold_is_left_to_right(self):
+        xs = _doubles(7, 40_000)
+        prog = F.build(lambda xs: xs.sum(), [F.vector_input("xs", True)])
+        run_nested(prog, {"xs": xs})
+        run_nested(prog, {"xs": xs}, strip=7)
+        assert float(np.sum(xs)) != sum(xs[1:], xs[0])
+
+    def test_long_float_group_fold_is_left_to_right(self):
+        # q1's shape: a BucketReduce of four long, unequal groups
+        xs = _doubles(13, 8_000)
+        prog = F.build(lambda xs: xs.group_by_reduce(
+            lambda x: x.to_int() % 4, lambda x: x, _add),
+            [F.vector_input("xs", True)])
+        run_nested(prog, {"xs": xs})
+        run_nested(prog, {"xs": xs}, strip=7)
+        groups = [[x for x in xs if int(x) % 4 == k] for k in range(4)]
+        assert min(len(g) for g in groups) >= 1_000
+        assert any(float(np.sum(g)) != sum(g[1:], g[0]) for g in groups)
+
+    def test_non_associative_reducer_vectorizes(self):
+        # a - b depends on the association order: folded in lock step, the
+        # one segment goes left to right like the interpreter
+        prog = F.build(lambda xs: xs.reduce(lambda a, b: a - b),
+                       [F.vector_input("xs", True)])
+        xs = _doubles(3, 300)
+        run_nested(prog, {"xs": xs})
+        run_nested(prog, {"xs": xs}, strip=7)
+
+    def test_knn_compound_reducer_vectorizes(self):
+        from repro.apps.knn import knn_program
+        from repro.data.datasets import gaussian_clusters
+        train, labels = gaussian_clusters(60, 4, k=3)
+        inputs = {"train": train, "labels": labels, "query": train[0],
+                  "radius": 8.0}
+        compiled = compile_program(knn_program(), "distributed")
+        run_nested(knn_program(), inputs)
+        run_nested(compiled.program, compiled.prepare_inputs(inputs))
+
+    @pytest.mark.parametrize("elem,rows", [
+        (T.Struct("P", (("a", T.INT), ("b", T.DOUBLE))),
+         [[(1, 2.0), (3, 4.0)], [], [(5, 6.0)]]),
+        (T.Coll(T.INT), [[[1, 2], [3]], [], [[4]]])],
+        ids=["structs", "rows"])
+    def test_flatten_of_host_rows_vectorizes(self, elem, rows):
+        # rows that pad into no matrix reach the host as their elements
+        prog = F.build(lambda xs: xs.flat_map(lambda row: row),
+                       [F.InputSpec("xs", T.Coll(T.Coll(elem)), True)])
+        run_nested(prog, {"xs": rows})
+
+    @pytest.mark.parametrize("where", ["top", "nested", "bucket"])
+    @pytest.mark.parametrize("xs", [[1.0, _NAN, 2.0, 0.5], [0.0, -0.0, -0.0],
+                                    [-0.0, 0.0]],
+                             ids=["nan", "zeros", "signed_zeros"])
+    @pytest.mark.parametrize("prim", [F.fmax, F.fmin], ids=["max", "min"])
+    def test_min_max_follow_pythons_rule(self, prim, xs, where):
+        # max(a, b) is b only if b > a: NaN sticks only as a first value,
+        # and of equal zeros the first wins
+        if where == "top":
+            prog = F.build(lambda v: v.reduce(prim),
+                           [F.vector_input("v", True)])
+            inputs = {"v": xs}
+        elif where == "nested":
+            # four runs, so the row kernel goes in lock step
+            prog = F.build(lambda m: m.map(lambda row: row.reduce(prim)),
+                           [F.matrix_input("m", True)])
+            inputs = {"m": [xs] * 4}
+        else:
+            prog = F.build(lambda v: v.group_by_reduce(
+                lambda x: 0, lambda x: x, prim), [F.vector_input("v", True)])
+            inputs = {"v": xs}
+        run_nested(prog, inputs)
+        with pytest.MonkeyPatch.context() as mp:  # per step, by VEC_PRIMS
+            mp.setattr(vectorize, "recognize_elementwise", lambda block: None)
+            run_nested(prog, inputs)
+
+    @pytest.mark.parametrize("strip", [None, 500])
+    def test_fold_calls_are_min_runs_steps_plus_chunks(self, strip,
+                                                       monkeypatch):
+        # q1/opt folds four long groups at top level: a call per run and
+        # per further chunk, not one per step of the second-longest run
+        calls = []
+        for name, (step, run) in list(vectorize.FOLD_KERNELS.items()):
+            monkeypatch.setitem(vectorize.FOLD_KERNELS, name, (
+                lambda acc, x, out, step=step: (calls.append(1),
+                                                step(acc, x, out=out)),
+                lambda seq, run=run: (calls.append(1), run(seq))[1]))
+        kernel = vectorize.LoopVectorizer.fold_elementwise
+        folds = []
+
+        def counted(self, reducer, vals, cnt):
+            before = len(calls)
+            out = kernel(self, reducer, vals, cnt)
+            folds.append((cnt, len(calls) - before))
+            return out
+        monkeypatch.setattr(vectorize.LoopVectorizer, "fold_elementwise",
+                            counted)
+        if strip is not None:
+            monkeypatch.setattr(vectorize, "STRIP_LANES", strip)
+        chunk = vectorize.STRIP_LANES
+        bundle = get_bundle("q1")
+        compiled = bundle.compiled("opt")
+        _, _, fallbacks = run_program_numpy(
+            compiled.program, compiled.prepare_inputs(bundle.inputs))
+        assert fallbacks == [] and len(folds) == 6
+        for cnt, n in folds:
+            runs, steps = len(cnt), int(cnt.max()) - 1
+            assert runs == 4 and steps > 1000
+            chunks = sum(-(-(int(c) - 1) // chunk) - 1 for c in cnt)
+            assert n == min(runs, steps) + chunks
+        assert chunks == (0 if strip is None else 4)
+
