@@ -110,13 +110,13 @@ def measure_backends(app: str, repeats: int = 3) -> dict:
 # Per-loop host wall-clock attribution
 # ---------------------------------------------------------------------------
 #
-# The loop observers cannot time the numpy backend: its hooks fire
-# back-to-back at the *end* of a vectorized loop (stats are staged until
-# the loop is known not to fall back, so a mid-loop failure leaves the
-# accounting untouched). Timing therefore wraps ``_eval_loop`` itself in
-# interpreter subclasses; only top-level loops are attributed — time
-# spent in loops nested inside a fallback rolls up into their parent,
-# matching how the simulator's per-loop breakdown reports them.
+# The numpy backend stages a vectorized loop's accounting until the loop
+# is known not to fall back (a mid-loop failure leaves it untouched), so
+# nothing it records marks when a loop started. Timing therefore wraps
+# ``_eval_loop`` itself in interpreter subclasses; only top-level loops
+# are attributed — time spent in loops nested inside a fallback rolls up
+# into their parent, matching how the simulator's per-loop breakdown
+# reports them.
 
 def _timed_interp(base):
     class Timed(base):

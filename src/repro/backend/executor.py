@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import types as T
-from ..core.interp import ExecStats, Interp, LoopObserver
+from ..core.interp import ExecStats, Interp
 from ..core.ir import Def, Program
 from ..core.multiloop import Generator, MultiLoop
 from ..core.values import Buckets
@@ -57,9 +57,8 @@ class NumpyInterp(Interp):
     backend = "numpy"
 
     def __init__(self, stats: Optional[ExecStats] = None,
-                 observer: Optional[LoopObserver] = None,
-                 profile_host: bool = False):
-        super().__init__(stats, observer)
+                 per_iter: bool = False, profile_host: bool = False):
+        super().__init__(stats, per_iter)
         self.fallbacks: List[FallbackRecord] = []
         #: host wall-clock seconds per top-level loop; populated only when
         #: ``profile_host`` — cost-model calibration data, never part of
@@ -261,12 +260,10 @@ class NumpyInterp(Interp):
         fr[1] += float(root.ovh[0])
         for s, out in zip(d.syms, outs):
             self.env[s.id] = out
-        obs = self.observer
-        if obs is not None:
-            obs.on_loop_start(d, size)
-            obs.on_iteration_costs(
-                d, [] if sub is None else (sub.ess + sub.ovh).tolist())
-            obs.on_loop_end(d)
+        costs = None if self.per_iter is None else self.per_iter.get(
+            d.syms[0].id)
+        if costs is not None and sub is not None:
+            costs.extend((sub.ess + sub.ovh).tolist())
 
     def _host_result(self, root: LoopVectorizer, g: Generator,
                      parts: List[Tuple[Any, ...]], lane: np.ndarray) -> Any:
@@ -283,12 +280,11 @@ class NumpyInterp(Interp):
                 for x in self.to_host(v, np.arange(len(ids)), et)]
 
 
-def run_program_numpy(prog: Program, inputs: Dict[str, Any],
-                      observer: Optional[LoopObserver] = None
+def run_program_numpy(prog: Program, inputs: Dict[str, Any]
                       ) -> Tuple[Tuple[Any, ...], ExecStats,
                                  List[FallbackRecord]]:
     """Evaluate ``prog`` on the NumPy backend; return
     (results, stats, fallbacks)."""
-    interp = NumpyInterp(observer=observer)
+    interp = NumpyInterp()
     results = interp.eval_program(prog, inputs)
     return results, interp.stats, interp.fallbacks

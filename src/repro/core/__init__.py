@@ -2,14 +2,14 @@
 interpreter."""
 
 from . import types
-from .interp import ExecStats, Interp, LoopObserver, run_program
+from .interp import ExecStats, Interp, run_program
 from .ir import Block, Const, Def, Exp, Program, Sym, fresh
 from .multiloop import GenKind, Generator, MultiLoop
 from .pretty import pretty
 from .verify import IRVerificationError, verify_program
 
 __all__ = [
-    "types", "ExecStats", "Interp", "LoopObserver", "run_program",
+    "types", "ExecStats", "Interp", "run_program",
     "Block", "Const", "Def", "Exp", "Program", "Sym", "fresh",
     "GenKind", "Generator", "MultiLoop", "pretty",
     "IRVerificationError", "verify_program",

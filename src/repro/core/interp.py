@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import types as T
 from .ir import Block, Const, Def, Exp, Program, Sym
@@ -66,36 +66,19 @@ class ExecStats:
     def_records: List[DefRecord] = field(default_factory=list)
 
 
-class LoopObserver:
-    """Runtime hook points; the executor subclasses this to collect the
-    per-iteration costs that bound load imbalance."""
-
-    def on_loop_start(self, d: Def, size: int) -> None:  # pragma: no cover
-        pass
-
-    def on_iteration_cost(self, d: Def, i: int, cycles: float) -> None:  # pragma: no cover
-        pass
-
-    def on_iteration_costs(self, d: Def, costs: Sequence[float]) -> None:
-        """Bulk delivery of one loop's per-iteration costs. The vectorized
-        backend computes all iteration costs at once and hands them over in
-        a single call; the default keeps per-iteration observers working."""
-        for i, c in enumerate(costs):
-            self.on_iteration_cost(d, i, c)
-
-    def on_loop_end(self, d: Def) -> None:  # pragma: no cover
-        pass
-
-
 class InterpError(Exception):
     pass
 
 
 class Interp:
     def __init__(self, stats: Optional[ExecStats] = None,
-                 observer: Optional[LoopObserver] = None):
+                 per_iter: bool = False):
         self.stats = stats if stats is not None else ExecStats()
-        self.observer = observer
+        #: top-level loop sym id -> cost of each of its iterations (the
+        #: load-imbalance input of the machine model); ``None`` unless
+        #: ``per_iter``. Nested loops are never recorded.
+        self.per_iter: Optional[Dict[int, List[float]]] = (
+            {} if per_iter else None)
         self.env: Dict[int, Any] = {}
         # cost frames: [-1] is the innermost accumulation target;
         # each frame is [essential, overhead]
@@ -142,6 +125,8 @@ class Interp:
         rec = DefRecord(
             sym_id=d.syms[0].id, name=d.syms[0].name, op_name=d.op.op_name(),
             is_loop=isinstance(d.op, MultiLoop))
+        if self.per_iter is not None and rec.is_loop:
+            self.per_iter[rec.sym_id] = []
         before = _StatSnapshot(self.stats)
         self._push_frame()
         try:
@@ -283,9 +268,8 @@ class Interp:
         size = int(self.eval_exp(loop.size))
         self.stats.loops_executed += 1
         self.stats.loop_iterations += size
-        obs = self.observer
-        if obs is not None:
-            obs.on_loop_start(d, size)
+        costs = (None if self.per_iter is None
+                 else self.per_iter.get(d.syms[0].id))
 
         accs = [self._make_acc(g) for g in loop.gens]
         gens = loop.gens
@@ -295,10 +279,9 @@ class Interp:
         # accounting matches what the backends emit.
         share_keys, need_memo = loop_share_plan(gens)
         triples = list(zip(gens, accs, share_keys))
-        if obs is None:
-            # hot path: no per-iteration hooks, no per-iteration cost
-            # frames, and no memo dict unless two generators can actually
-            # share an evaluation
+        if costs is None:
+            # hot path: no per-iteration cost frames, and no memo dict
+            # unless two generators can actually share an evaluation
             if need_memo:
                 for i in range(size):
                     memo = {}
@@ -309,20 +292,17 @@ class Interp:
                     for g, acc, sk in triples:
                         self._eval_gen_iter(g, acc, i, None, sk)
         else:
+            # a recorded top-level loop: one cost frame per iteration
             for i in range(size):
                 self._push_frame()
                 memo = {} if need_memo else None
                 for g, acc, sk in triples:
                     self._eval_gen_iter(g, acc, i, memo, sk)
-                f = self._frames[-1]
-                cost = f[0] + f[1]
-                self._pop_frame()
-                obs.on_iteration_cost(d, i, cost)
+                ess, ovh = self._pop_frame()
+                costs.append(ess + ovh)
 
         for s, g, acc in zip(d.syms, gens, accs):
             self.env[s.id] = self._finish_acc(g, acc)
-        if obs is not None:
-            obs.on_loop_end(d)
 
     def _shared_eval(self, block: Block, i: int, memo, mkey):
         """Evaluate a generator component, reusing an alpha-equivalent
@@ -489,9 +469,9 @@ class _StatSnapshot:
         rec.bytes_alloc = stats.bytes_alloc - self.bytes_alloc
 
 
-def run_program(prog: Program, inputs: Dict[str, Any],
-                observer: Optional[LoopObserver] = None) -> Tuple[Tuple[Any, ...], ExecStats]:
+def run_program(prog: Program, inputs: Dict[str, Any]
+                ) -> Tuple[Tuple[Any, ...], ExecStats]:
     """Evaluate ``prog`` on ``inputs``; return (results, stats)."""
-    interp = Interp(observer=observer)
+    interp = Interp()
     results = interp.eval_program(prog, inputs)
     return results, interp.stats

@@ -1,9 +1,7 @@
 """Metrics registry: counters, gauges, and histograms.
 
 Fed by the executor (pricing decisions: replication vs dynamic fetches,
-broadcast/shuffle volumes, per-loop seconds) and by the distributed-array
-runtime (remote-read traps, directory lookups — see
-``repro.runtime.distarray.set_metrics``).
+broadcast/shuffle volumes, per-loop seconds) and by the serving layer.
 
 Labels follow the Prometheus convention of being folded into the series
 key: ``inc("executor.remote_fetch_bytes", n, loop="x12")`` records under

@@ -132,7 +132,7 @@ class CompiledProgram:
         program expects."""
         return soa_input_values(self.program, inputs)
 
-    def run(self, inputs: Dict[str, object], observer=None, backend=None):
+    def run(self, inputs: Dict[str, object], backend=None):
         """Execute on the selected backend, returning (results, stats).
 
         ``backend`` is resolved by ``repro.backend.resolve_backend``:
@@ -144,11 +144,10 @@ class CompiledProgram:
         prepared = self.prepare_inputs(inputs)
         if resolve_backend(backend) == "numpy":
             from .backend import run_program_numpy
-            results, stats, _ = run_program_numpy(self.program, prepared,
-                                                  observer=observer)
+            results, stats, _ = run_program_numpy(self.program, prepared)
             return results, stats
         from .core.interp import run_program
-        return run_program(self.program, prepared, observer=observer)
+        return run_program(self.program, prepared)
 
 
 def compile_program(prog: Program, target: str = "cpu",

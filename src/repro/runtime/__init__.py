@@ -1,8 +1,7 @@
-"""Simulated heterogeneous runtime: machine models, distributed arrays,
-and the hierarchical executor (§5)."""
+"""Simulated heterogeneous runtime: machine models, partition
+directories, and the hierarchical executor (§5)."""
 
-from .distarray import (Directory, PartitionedArray, set_metrics,
-                        set_reader_location)
+from .distarray import Directory
 from .executor import (ExecOptions, LoopSim, RunCapture, SimResult,
                        Simulator, capture_run, simulate)
 from .machine import (DELITE, DIMMWITTED, DMLL_CPP, DMLL_JVM, DMLL_PIN_ONLY,
@@ -11,7 +10,7 @@ from .machine import (DELITE, DIMMWITTED, DMLL_CPP, DMLL_JVM, DMLL_PIN_ONLY,
                       NodeSpec, SocketSpec, SystemProfile, single_node)
 
 __all__ = [
-    "Directory", "PartitionedArray", "set_metrics", "set_reader_location",
+    "Directory",
     "ExecOptions", "LoopSim", "RunCapture", "SimResult", "Simulator",
     "capture_run", "simulate",
     "DELITE", "DIMMWITTED", "DMLL_CPP", "DMLL_JVM", "DMLL_PIN_ONLY",

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..analysis.partitioning import DataLayout, LoopDistInfo
+from ..analysis.partitioning import LoopDistInfo
 from ..analysis.stencil import Stencil
 from ..core import types as T
-from ..core.interp import DefRecord, ExecStats, Interp, LoopObserver
-from ..core.ir import Def, Program, Sym
+from ..core.interp import DefRecord, ExecStats, Interp
+from ..core.ir import Def, Program
 from ..core.multiloop import GenKind, MultiLoop
 from ..core.ops import InputSource
 from ..pipeline import CompiledProgram
@@ -112,30 +112,6 @@ class SimResult:
         return "\n".join(lines)
 
 
-class _PerIterObserver(LoopObserver):
-    """Collects per-iteration cycle costs of top-level loops so the machine
-    model can bound load imbalance."""
-
-    def __init__(self, top_ids):
-        self.top_ids = set(top_ids)
-        self.costs: Dict[int, List[float]] = {}
-
-    def on_loop_start(self, d: Def, size: int) -> None:
-        if d.syms[0].id in self.top_ids:
-            self.costs[d.syms[0].id] = []
-
-    def on_iteration_cost(self, d: Def, i: int, cycles: float) -> None:
-        lst = self.costs.get(d.syms[0].id)
-        if lst is not None:
-            lst.append(cycles)
-
-    def on_iteration_costs(self, d: Def, cycles) -> None:
-        # bulk hook used by the vectorized backend (one call per loop)
-        lst = self.costs.get(d.syms[0].id)
-        if lst is not None:
-            lst.extend(cycles)
-
-
 def _deep_bytes(value: Any, tpe: T.Type) -> int:
     """Payload size of a runtime collection. Nested collections are summed
     exactly (ragged rows — adjacency lists — would be badly estimated from
@@ -162,6 +138,8 @@ class RunCapture:
     compiled: CompiledProgram
     results: Tuple[Any, ...]
     stats: ExecStats
+    #: top-level loop sym id -> per-iteration cycle costs, as recorded by
+    #: the engine that ran the program (``Interp.per_iter``)
     per_iter: Dict[int, List[float]]
     footprints: Dict[int, int]   # unscaled payload bytes per collection
     backend: str = "reference"
@@ -189,14 +167,11 @@ def capture_run(compiled: CompiledProgram, inputs: Dict[str, Any],
     backend = resolve_backend(backend)
     prog = compiled.program
     prepared = compiled.prepare_inputs(inputs)
-    top_ids = [d.syms[0].id for d in prog.body.stmts
-               if isinstance(d.op, MultiLoop)]
-    obs = _PerIterObserver(top_ids)
     if backend == "numpy":
         from ..backend import NumpyInterp
-        interp = NumpyInterp(observer=obs, profile_host=profile_host)
+        interp = NumpyInterp(per_iter=True, profile_host=profile_host)
     else:
-        interp = Interp(observer=obs)
+        interp = Interp(per_iter=True)
     results = interp.eval_program(prog, prepared)
     stats = interp.stats
     fallbacks = list(getattr(interp, "fallbacks", ()))
@@ -210,7 +185,7 @@ def capture_run(compiled: CompiledProgram, inputs: Dict[str, Any],
     for rec in stats.def_records:
         if rec.sym_id not in footprints and rec.output_len:
             footprints[rec.sym_id] = max(rec.bytes_alloc, rec.output_len * 8)
-    return RunCapture(compiled, results, stats, obs.costs, footprints,
+    return RunCapture(compiled, results, stats, interp.per_iter, footprints,
                       backend, fallbacks, host_loop_s)
 
 
@@ -583,60 +558,43 @@ class Simulator:
                     footprints: Dict[int, int], bytes_read: int) -> None:
         prof = self.profile
         node = self.cluster.node
-        net_bw = self.cluster.network_gbs * GB if self.cluster.nodes > 1 else 0.0
         rate = prof.effective_rate(node.socket)
         comm = 0.0
         mx = getattr(self, "_mx", None)
 
         if info is not None and ls.distributed and machines > 1:
+            # a loop is distributed only across several nodes, and a
+            # multi-node ClusterSpec always has a network
+            net_bw = self.cluster.network_gbs * GB
             # broadcast All/Const partitioned inputs to every machine
             for s in info.broadcasts:
                 nbytes = footprints.get(s.id, 0)
-                if net_bw > 0:
-                    comm += nbytes / net_bw
-                    comm += nbytes * prof.ser_cycles_per_byte / rate
-                    if ls.detail is not None:
-                        ls.detail["bytes_broadcast"] = (
-                            ls.detail.get("bytes_broadcast", 0.0) + nbytes)
-                    if mx is not None:
-                        mx.inc("executor.broadcast_bytes", nbytes,
-                               loop=ls.name)
+                comm += nbytes / net_bw
+                comm += nbytes * prof.ser_cycles_per_byte / rate
+                if ls.detail is not None:
+                    ls.detail["bytes_broadcast"] = (
+                        ls.detail.get("bytes_broadcast", 0.0) + nbytes)
+                if mx is not None:
+                    mx.inc("executor.broadcast_bytes", nbytes, loop=ls.name)
 
             # dynamic remote fetches for Unknown accesses
             for s in info.remote_random:
                 nbytes = footprints.get(s.id, 0)
                 frac = self._remote_fraction(machines, nbytes)
                 moved = bytes_read * frac
-                if net_bw > 0:
-                    comm += moved / net_bw / machines
-                    comm += (moved * prof.ser_cycles_per_byte / rate
-                             / machines)
-                    comm += self.cluster.network_latency_us * 1e-6 * machines
-                    if ls.detail is not None:
-                        ls.detail["bytes_network"] = (
-                            ls.detail.get("bytes_network", 0.0) + moved)
-                        ls.detail["remote_fraction"] = frac
-                    if mx is not None:
-                        mx.inc("executor.remote_fetch_bytes", moved,
-                               loop=ls.name)
-                        mx.inc("executor.remote_fetch_decisions")
-                else:
-                    # NUMA: remote-socket reads at reduced bandwidth
-                    s_frac = self._remote_fraction(sockets, nbytes)
-                    remote = bytes_read * s_frac
-                    bw = (node.socket.mem_bandwidth_gbs * GB
-                          * node.numa_remote_factor * max(1, sockets - 1))
-                    ls.memory_s += remote / bw
-                    if ls.detail is not None:
-                        ls.detail["bytes_remote_numa"] = (
-                            ls.detail.get("bytes_remote_numa", 0.0) + remote)
-                        ls.detail["remote_fraction"] = s_frac
-                    if mx is not None:
-                        mx.inc("executor.numa_remote_bytes", remote,
-                               loop=ls.name)
+                comm += moved / net_bw / machines
+                comm += moved * prof.ser_cycles_per_byte / rate / machines
+                comm += self.cluster.network_latency_us * 1e-6 * machines
+                if ls.detail is not None:
+                    ls.detail["bytes_network"] = (
+                        ls.detail.get("bytes_network", 0.0) + moved)
+                    ls.detail["remote_fraction"] = frac
+                if mx is not None:
+                    mx.inc("executor.remote_fetch_bytes", moved, loop=ls.name)
+                    mx.inc("executor.remote_fetch_decisions")
 
             # merge partial reduction results across machines
-            if loop_def is not None and net_bw > 0:
+            if loop_def is not None:
                 out_bytes = sum(
                     footprints.get(s.id, rec.output_len * 8)
                     for s, g in zip(loop_def.syms, loop_def.op.gens)
@@ -652,17 +610,16 @@ class Simulator:
                                loop=ls.name)
 
             # a distributed BucketCollect is a shuffle of the whole payload
-            if loop_def is not None and net_bw > 0:
-                if any(g.kind is GenKind.BUCKET_COLLECT
-                       for g in loop_def.op.gens):
-                    payload = rec.bytes_alloc * self.options.dscale
-                    moved = payload * (machines - 1) / machines
-                    comm += moved / (net_bw * machines)
-                    comm += moved * 2 * prof.ser_cycles_per_byte / rate / machines
-                    if ls.detail is not None:
-                        ls.detail["bytes_shuffle"] = moved
-                    if mx is not None:
-                        mx.inc("executor.shuffle_bytes", moved, loop=ls.name)
+            if loop_def is not None and any(
+                    g.kind is GenKind.BUCKET_COLLECT for g in loop_def.op.gens):
+                payload = rec.bytes_alloc * self.options.dscale
+                moved = payload * (machines - 1) / machines
+                comm += moved / (net_bw * machines)
+                comm += moved * 2 * prof.ser_cycles_per_byte / rate / machines
+                if ls.detail is not None:
+                    ls.detail["bytes_shuffle"] = moved
+                if mx is not None:
+                    mx.inc("executor.shuffle_bytes", moved, loop=ls.name)
 
         # NUMA box, Unknown accesses on a single machine (graph apps):
         # cache misses land on a remote socket whether the array is

@@ -78,6 +78,15 @@ class ClusterSpec:
     network_gbs: float           # per-link bandwidth
     network_latency_us: float = 80.0
 
+    def __post_init__(self) -> None:
+        # written so that NaN fails: a multi-node cluster without a network
+        # would price every broadcast, merge and shuffle as free
+        if not self.nodes >= 1:
+            raise ValueError(f"cluster nodes must be >= 1, got {self.nodes}")
+        if self.nodes > 1 and not self.network_gbs > 0:
+            raise ValueError(f"a {self.nodes}-node cluster needs "
+                             f"network_gbs > 0, got {self.network_gbs}")
+
     @property
     def total_cores(self) -> int:
         return self.nodes * self.node.cores

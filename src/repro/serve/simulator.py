@@ -68,11 +68,13 @@ class OpenLoop:
             raise ValueError("rate_rps must be finite and > 0")
         if requests < 1:
             raise ValueError(f"requests must be >= 1, got {requests}")
+        if payloads < 1:
+            raise ValueError(f"payloads must be >= 1, got {payloads}")
         self.apps = list(apps)
         self.rate_rps = rate_rps
         self.requests = requests
         self.seed = seed
-        self.payloads = max(1, payloads)
+        self.payloads = payloads
 
     def prime(self, server: ProgramServer) -> None:
         """Draw every arrival — its gap, app and tenant, in that order —
@@ -111,6 +113,8 @@ class ClosedLoop:
             raise ValueError("clients must be >= 1")
         if requests < 1:
             raise ValueError(f"requests must be >= 1, got {requests}")
+        if payloads < 1:
+            raise ValueError(f"payloads must be >= 1, got {payloads}")
         if not 0.0 <= think_s < math.inf:
             raise ValueError("think_s must be finite and >= 0")
         self.apps = list(apps)
@@ -118,7 +122,7 @@ class ClosedLoop:
         self.requests = requests
         self.think_s = think_s
         self.seed = seed
-        self.payloads = max(1, payloads)
+        self.payloads = payloads
         self._rng = random.Random(self.seed)
         self._issued = 0
 

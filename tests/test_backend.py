@@ -20,12 +20,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import frontend as F
-from repro.backend import (FallbackRecord, resolve_backend,
+from repro.backend import (FallbackRecord, NumpyInterp, resolve_backend,
                            resolve_backend_ex, run_program_numpy, vectorize)
 from repro.bench.apps import get_bundle
-from repro.core import run_program
+from repro.core import Interp, run_program
 from repro.core import types as T
-from repro.core.interp import LoopObserver
 from repro.core.multiloop import (MultiLoop, bucket_collect, bucket_reduce,
                                   collect, reduce_gen)
 from repro.core.ir import Const
@@ -108,22 +107,27 @@ class TestBundledApps:
         plan = vectorize.plan_program(compiled.program)
         assert plan and set(plan.values()) == {None}, plan
 
-    def test_capture_records_backend_and_per_iter(self):
+    # q1/plain holds the suite's one fallback loop: its numpy cost stream
+    # comes from the reference path inside NumpyInterp
+    @pytest.mark.parametrize("app,variant", [("logreg", "opt"),
+                                             ("q1", "plain")])
+    def test_capture_records_backend_and_per_iter(self, app, variant):
         from repro.runtime.executor import capture_run
-        bundle = get_bundle("logreg")
-        ref = capture_run(bundle.compiled("opt"), bundle.inputs,
-                          backend="reference")
-        vec = capture_run(bundle.compiled("opt"), bundle.inputs,
-                          backend="numpy")
+        bundle = get_bundle(app)
+        compiled = bundle.compiled(variant)
+        ref = capture_run(compiled, bundle.inputs, backend="reference")
+        vec = capture_run(compiled, bundle.inputs, backend="numpy")
         assert ref.backend == "reference" and vec.backend == "numpy"
-        assert vec.fallbacks == []
+        assert bool(vec.fallbacks) == (app == "q1")
         assert deep_eq(ref.results, vec.results, tol=0.0)
         assert_stats_equal(ref.stats, vec.stats)
-        # the per-iteration cost streams feed load-imbalance bounds and
-        # must match element-for-element
-        assert set(ref.per_iter) == set(vec.per_iter)
-        for k in ref.per_iter:
-            assert ref.per_iter[k] == vec.per_iter[k]
+        # one cost stream per top-level loop, none for a nested one; the
+        # streams feed load-imbalance bounds and must match element for
+        # element
+        top = [d.syms[0].id for d in compiled.program.body.stmts
+               if isinstance(d.op, MultiLoop)]
+        assert list(ref.per_iter) == top and list(vec.per_iter) == top
+        assert ref.per_iter == vec.per_iter
 
     def test_simulated_price_backend_invariant(self):
         bundle = get_bundle("q1")
@@ -179,7 +183,7 @@ class TestSelection:
         compiled = bundle.compiled("opt")
         r1, s1 = compiled.run(bundle.inputs, backend="reference")
         r2, s2 = compiled.run(bundle.inputs, backend="numpy")
-        assert deep_eq(r1, r2)
+        assert repr(r1) == repr(r2)
         assert_stats_equal(s1, s2)
 
 
@@ -321,33 +325,27 @@ class TestPropertyDifferential:
 # Nested multiloops: the flattened (outer lane, trip) space
 # ---------------------------------------------------------------------------
 
-class PerIterCosts(LoopObserver):
-    """Per-iteration cost vectors of the top-level loops."""
-
-    def __init__(self, prog):
-        self.costs = {d.syms[0].id: [] for d in prog.body.stmts
-                      if isinstance(d.op, MultiLoop)}
-
-    def on_iteration_cost(self, d, i, cycles):
-        if d.syms[0].id in self.costs:
-            self.costs[d.syms[0].id].append(cycles)
+def run_with_costs(interp, prog, inputs):
+    """Run ``prog`` on ``interp``, built with ``per_iter=True``; return
+    (results, stats, per-iteration costs of the top-level loops)."""
+    return interp.eval_program(prog, inputs), interp.stats, interp.per_iter
 
 
 def run_nested(prog, inputs, strip=None):
     """Interpreter vs numpy on a nested program: results bit for bit, full
     ``ExecStats``, per-iteration cost vectors, and no fallback. ``strip``
     shrinks the strip budget so strip boundaries fall inside the data."""
-    ref_obs, vec_obs = PerIterCosts(prog), PerIterCosts(prog)
-    ref_results, ref_stats = run_program(prog, inputs, observer=ref_obs)
+    ref_results, ref_stats, ref_costs = run_with_costs(
+        Interp(per_iter=True), prog, inputs)
+    vec = NumpyInterp(per_iter=True)
     with pytest.MonkeyPatch.context() as mp:
         if strip is not None:
             mp.setattr(vectorize, "STRIP_LANES", strip)
-        vec_results, vec_stats, fallbacks = run_program_numpy(
-            prog, inputs, observer=vec_obs)
-    assert fallbacks == [], [(f.loop, f.reason) for f in fallbacks]
+        vec_results, vec_stats, vec_costs = run_with_costs(vec, prog, inputs)
+    assert vec.fallbacks == [], [(f.loop, f.reason) for f in vec.fallbacks]
     assert repr(ref_results) == repr(vec_results)
     assert_stats_equal(ref_stats, vec_stats)
-    assert ref_obs.costs == vec_obs.costs
+    assert ref_costs == vec_costs
 
 
 def _block(types, fn, names):
@@ -725,21 +723,21 @@ def zip_cases(draw):
 
 
 def _run_zip(prog, inputs, strip, exact):
-    ref_obs, vec_obs = PerIterCosts(prog), PerIterCosts(prog)
-    ref_results, ref_stats = run_program(prog, inputs, observer=ref_obs)
+    ref_results, ref_stats, ref_costs = run_with_costs(
+        Interp(per_iter=True), prog, inputs)
+    vec = NumpyInterp(per_iter=True)
     with pytest.MonkeyPatch.context() as mp:
         if strip is not None:
             mp.setattr(vectorize, "STRIP_LANES", strip)
-        vec_results, vec_stats, fallbacks = run_program_numpy(
-            prog, inputs, observer=vec_obs)
+        vec_results, vec_stats, vec_costs = run_with_costs(vec, prog, inputs)
     # ragged rows fold per step, at top level as nested
-    assert fallbacks == [], fallbacks
+    assert vec.fallbacks == [], vec.fallbacks
     if exact:
         assert repr(ref_results) == repr(vec_results)
     else:  # bool add widens to int once a run combines: True == 1
         assert deep_eq(ref_results, vec_results, tol=0.0)
     assert_stats_equal(ref_stats, vec_stats)
-    assert ref_obs.costs == vec_obs.costs
+    assert ref_costs == vec_costs
 
 
 class TestElementwiseFold:
@@ -759,11 +757,10 @@ class TestElementwiseFold:
         # every fold, nested or top-level, runs per step; stats, cost
         # streams and fallbacks must not tell them apart.
         def run(prog, inputs):
-            obs = PerIterCosts(prog)
-            res, stats, fallbacks = run_program_numpy(prog, inputs,
-                                                      observer=obs)
-            return res, stats, obs.costs, [(f.loop, f.reason)
-                                           for f in fallbacks]
+            interp = NumpyInterp(per_iter=True)
+            res, stats, costs = run_with_costs(interp, prog, inputs)
+            return res, stats, costs, [(f.loop, f.reason)
+                                       for f in interp.fallbacks]
         for app in APPS:
             bundle = get_bundle(app)
             for variant in ("opt", "plain", "gpu"):
@@ -775,7 +772,7 @@ class TestElementwiseFold:
                                lambda block: None)
                     res0, stats0, costs0, fbs0 = run(compiled.program,
                                                      inputs)
-                assert deep_eq(res, res0)
+                assert repr(res) == repr(res0)
                 assert_stats_equal(stats0, stats)
                 assert costs == costs0 and fbs == fbs0
 

@@ -17,9 +17,7 @@ from repro.obs import (DiagCategory, MetricsRegistry, RequestContext,
                        render_collapsed, render_spans, write_chrome_trace,
                        write_collapsed, write_prometheus)
 from repro.obs.check import validate_events, validate_file
-from repro.runtime import set_metrics, set_reader_location
 from repro.runtime import GPU_CLUSTER, single_node
-from repro.runtime.distarray import PartitionedArray
 
 from . import obs_reference as ref
 
@@ -589,22 +587,6 @@ class TestMetrics:
             st = metrics.histogram_stats("executor.loop_seconds",
                                          loop=ls.name)
             assert st["count"] >= 1
-
-    def test_distarray_traps_feed_metrics(self):
-        metrics = MetricsRegistry()
-        prev = set_metrics(metrics)
-        try:
-            arr = PartitionedArray(list(range(100)), parts=4)
-            set_reader_location(0)
-            arr[3]       # partition 0: local
-            arr[99]      # partition 3: remote
-        finally:
-            set_metrics(prev)
-            set_reader_location(None)
-        assert metrics.counter("distarray.local_reads") == 1
-        assert metrics.counter("distarray.remote_reads") == 1
-        assert metrics.counter("distarray.remote_bytes") == arr.elem_bytes
-        assert metrics.counter("distarray.directory_lookups") == 2
 
     def test_replication_decision_is_counted(self):
         metrics = MetricsRegistry()

@@ -1,5 +1,5 @@
-"""Tests for the simulated runtime: directories, partitioned arrays with
-remote-read trapping, and the executor's scaling behavior."""
+"""Tests for the simulated runtime: partition directories, machine
+models, and the executor's scaling behavior."""
 
 import pytest
 
@@ -10,25 +10,19 @@ from repro.data.datasets import gaussian_clusters
 from repro.apps.kmeans import kmeans_oracle, kmeans_shared_program
 from repro.pipeline import compile_program
 from repro.runtime import (DELITE, DMLL_CPP, DMLL_PIN_ONLY, EC2_CLUSTER,
-                           GPU_CLUSTER, NUMA_BOX, SPARK, Directory,
-                           ExecOptions, PartitionedArray, simulate,
-                           set_reader_location)
+                           GPU_CLUSTER, NUMA_BOX, SPARK, ClusterSpec,
+                           Directory, ExecOptions, simulate)
+
+
+def ranges(d):
+    return [d.range_of(p) for p in range(d.num_partitions)]
 
 
 class TestDirectory:
     def test_even_split(self):
         d = Directory.even(10, 3)
-        assert d.ranges() == [(0, 4), (4, 7), (7, 10)]
+        assert ranges(d) == [(0, 4), (4, 7), (7, 10)]
         assert sum(d.size_of(p) for p in range(3)) == 10
-
-    def test_owner(self):
-        d = Directory.even(10, 3)
-        assert d.owner(0) == 0
-        assert d.owner(3) == 0
-        assert d.owner(4) == 1
-        assert d.owner(9) == 2
-        with pytest.raises(IndexError):
-            d.owner(10)
 
     def test_more_parts_than_elements(self):
         d = Directory.even(2, 8)
@@ -37,39 +31,19 @@ class TestDirectory:
     def test_empty(self):
         d = Directory.even(0, 4)
         assert d.num_partitions == 1
-        assert d.ranges() == [(0, 0)]
+        assert ranges(d) == [(0, 0)]
 
 
-class TestPartitionedArray:
-    def test_reads_without_context_are_untracked(self):
-        pa = PartitionedArray([1, 2, 3, 4], parts=2)
-        assert pa[0] == 1
-        assert pa.local_reads == 0 and pa.remote_reads == 0
-
-    def test_remote_read_trapping(self):
-        pa = PartitionedArray(list(range(8)), parts=2)
-        set_reader_location(0)
-        try:
-            assert pa[1] == 1    # local to partition 0
-            assert pa[6] == 6    # owned by partition 1 -> trapped
-        finally:
-            set_reader_location(None)
-        assert pa.local_reads == 1
-        assert pa.remote_reads == 1
-        assert pa.remote_bytes == 8
-
-    def test_local_chunk(self):
-        pa = PartitionedArray(list(range(10)), parts=3)
-        assert list(pa.local_chunk(0)) == [0, 1, 2, 3]
-
-    def test_interp_consumes_partitioned_array(self):
-        """The reference interpreter reads PartitionedArray unchanged."""
-        from repro.core import run_program
-        prog = F.build(lambda xs: xs.map(lambda x: x * 2).sum(),
-                       [F.InputSpec("xs", T.Coll(T.INT), True)])
-        pa = PartitionedArray([1, 2, 3, 4, 5], parts=2)
-        (out,), _ = run_program(prog, {"xs": pa})
-        assert out == 30
+class TestClusterSpec:
+    @pytest.mark.parametrize("nodes,network_gbs,match", [
+        (0, 0.125, "nodes must be >= 1"),
+        (3, 0.0, "needs network_gbs > 0"),
+        (3, float("nan"), "needs network_gbs > 0")])
+    def test_rejects_invalid_topology(self, nodes, network_gbs, match):
+        # a multi-node cluster without a network would price every
+        # broadcast, merge and shuffle of a distributed loop as free
+        with pytest.raises(ValueError, match=match):
+            ClusterSpec("bad", nodes, NUMA_BOX.node, network_gbs=network_gbs)
 
 
 @pytest.fixture(scope="module")

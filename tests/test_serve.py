@@ -664,6 +664,11 @@ class TestServeSim:
             OpenLoop(["q1"], rate_rps=100.0, requests=0)
         with pytest.raises(ValueError, match="requests must be >= 1"):
             ClosedLoop(["q1"], clients=2, requests=-3)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="payloads must be >= 1"):
+                OpenLoop(["q1"], rate_rps=100.0, requests=5, payloads=bad)
+            with pytest.raises(ValueError, match="payloads must be >= 1"):
+                ClosedLoop(["q1"], clients=2, requests=5, payloads=bad)
         sim = ServeSim(["q1"], backend="numpy")
         with pytest.raises(ValueError):
             sim.run_closed(clients=2, requests=0, seed=0)
