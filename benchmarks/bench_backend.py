@@ -22,9 +22,9 @@ from repro.report.tables import render_table
 APPS = ["kmeans", "logreg", "gda", "q1", "gene", "pagerank", "triangle",
         "gibbs"]
 
-#: lenient CI floor — measured median is ~10-12x, but wall-clock on shared
-#: runners is noisy and the hard ≥10x gate belongs to the committed
-#: BENCH_backend.json, not every re-run
+#: lenient CI floor — the measured median is ~60-70x (BENCH_backend.json),
+#: but wall-clock on shared runners is noisy, so a re-run is held only to
+#: this floor
 MIN_MEDIAN_SPEEDUP = 3.0
 
 

@@ -71,7 +71,7 @@ class NumpyInterp(Interp):
         # are immutable during a run); _keep pins the keyed objects so ids
         # cannot be recycled
         self._np: Dict[int, np.ndarray] = {}
-        self._rows: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
+        self._rows: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._cols: Dict[int, Tuple[Any, ...]] = {}
         self._flat: Dict[int, List[Any]] = {}
         self._keep: List[Any] = []
@@ -101,6 +101,22 @@ class NumpyInterp(Interp):
             # a lifted view of an outer lane's array: already columnar, and
             # a loop-local temporary that must not be pinned in the cache
             return base.length_array(), base.data
+        return self._row_entry(base)[:2]
+
+    def csr_cache(self, base) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(the rows laid end to end, each row's offset into them, per-row
+        lengths). A lifted view's rows start every ``width`` elements of
+        its padded data; rows that aren't scalar lay out as an object or
+        2-D array."""
+        if isinstance(base, ArrVec):
+            d = base.data
+            return (d.ravel() if d.ndim == 2 else d,
+                    np.arange(len(d)) * d.shape[1], base.length_array())
+        lens, _, flat, off = self._row_entry(base)
+        return flat, off, lens
+
+    def _row_entry(self, base) -> Tuple[np.ndarray, ...]:
+        """(lens, pad, flat, off) of host rows, built once per base."""
         key = id(base)
         ent = self._rows.get(key)
         if ent is None:
@@ -117,10 +133,12 @@ class NumpyInterp(Interp):
                 flat = np.zeros((0, 0))
             # struct rows flatten to a 2-D array: not scalar either
             if flat.dtype != object and flat.ndim == 1:
-                pad = np.zeros((n, w), dtype=flat.dtype)
-                if w:
+                if (lens == w).all():  # nothing to pad: a view of flat
+                    pad = flat.reshape(n, w)
+                else:
+                    pad = np.zeros((n, w), dtype=flat.dtype)
                     pad[lens[:, None] > np.arange(w)] = flat
-            ent = (lens, pad)
+            ent = (lens, pad, flat, np.cumsum(lens) - lens)
             self._rows[key] = ent
             self._keep.append(base)
         return ent

@@ -1129,22 +1129,25 @@ class LoopVectorizer:
         for a in args:
             if not isinstance(a, Rows):
                 return False
-            lens, pad = self.host.row_cache(a.base)
-            if pad is None or pad.ndim != 2 or pad.dtype.kind != "i":
+            flat, off, lens = self.host.csr_cache(a.base)
+            if flat.ndim != 1 or flat.dtype.kind != "i":
                 return False
             idx = a.idx[lanes]
-            rows.append((pad, idx, lens[idx]))
+            rows.append((flat, off[idx], lens[idx]))
         vals = np.zeros(len(lanes), dtype=out.dtype)
         cycles = np.zeros(len(lanes))
         reads = 0
         for start, stop in _strips(np.cumsum(sum(l for _, _, l in rows)),
                                    PRIM_ELEMS):
-            flat = []
-            for pad, idx, l in rows:
+            operands = []
+            for flat, off, l in rows:
+                # element e of the strip's run r sits at off[r] + (e - its
+                # run's start): one computed source offset per element
                 l = l[start:stop]
-                row, col = _runs(l)
-                flat += [pad[idx[start:stop][row], col], l]
-            res = spec.batch_fn(*flat)
+                ends = np.cumsum(l)
+                operands += [flat[np.repeat(off[start:stop] - (ends - l), l)
+                             + np.arange(ends[-1])], l]
+            res = spec.batch_fn(*operands)
             if res is None:
                 return False
             vals[start:stop], cycles[start:stop], n_read = res

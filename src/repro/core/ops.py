@@ -262,11 +262,24 @@ def _sorted_intersect_count(a, b) -> int:
 
 def _sorted_intersect_count_batch(a, a_lens, b, b_lens):
     """All calls' merges in one pass. Tagging every element with its call
-    number (``call * span + value``) turns per-call sorted rows into two
-    globally sorted key arrays; the matches of their run-length encodings
-    count, per call, the minimum multiplicity of every common value —
-    what the scalar merge computes on sorted rows. On an unsorted row the
-    scalar merge is order-dependent, so the batch is declined."""
+    number (``call * span + value - lo``) turns per-call sorted rows into
+    two globally sorted key arrays. On an unsorted row the scalar merge is
+    order-dependent, so the batch is declined.
+
+    On sorted rows the merge counts, per call, the minimum multiplicity of
+    every common value. Where a call's ``b`` row repeats no value, that is
+    how many of its ``b`` keys occur among its ``a`` keys: ``a`` marks a
+    ``bool`` table of ``n * span`` cells, ``b`` probes it, and a bincount
+    of the hits by call gives the counts.
+
+    The table is bounded by 128 cells per element of the batch. The
+    vectorized backend cuts batches into strips of ``PRIM_ELEMS`` (64 Ki)
+    elements to bound their memory, so a strip's table stays within 8 Mi
+    one-byte cells; triangle's strips need at most 80 cells per element
+    (1200 vertex ids over its short last strip). Calls whose ``b`` row
+    repeats a value, and batches past the bound (wide spans, such as
+    64-bit ids), match the run-length encodings of both key arrays
+    instead."""
     import numpy as np
     n = len(a_lens)
     counts = np.zeros(n, dtype=np.int64)
@@ -280,12 +293,25 @@ def _sorted_intersect_count_batch(a, a_lens, b, b_lens):
         kb = b + np.repeat(tag, b_lens)
         if (ka[1:] < ka[:-1]).any() or (kb[1:] < kb[:-1]).any():
             return None
-        ua, ca = _run_lengths(ka)
-        ub, cb = _run_lengths(kb)
-        at = np.minimum(np.searchsorted(ub, ua), len(ub) - 1)
-        hit = ub[at] == ua
-        np.add.at(counts, ua[hit] // span,
-                  np.minimum(ca[hit], cb[at[hit]]))
+        if n * span <= 128 * (a.size + b.size):  # the table's bound
+            seen = np.zeros(n * span, dtype=np.bool_)
+            seen[ka] = True
+            probe, dup = kb, kb[1:][kb[1:] == kb[:-1]] // span
+            if dup.size:  # calls whose b row repeats a value
+                rep = np.zeros(n, dtype=np.bool_)
+                rep[dup] = True
+                in_rep = rep[kb // span]
+                probe, ka, kb = kb[~in_rep], ka[rep[ka // span]], kb[in_rep]
+            else:  # nothing left to match by runs
+                ka = kb = kb[:0]
+            counts = np.bincount(probe[seen[probe]] // span, minlength=n)
+        if ka.size and kb.size:
+            ua, ca = _run_lengths(ka)
+            ub, cb = _run_lengths(kb)
+            at = np.minimum(np.searchsorted(ub, ua), len(ub) - 1)
+            hit = ub[at] == ua
+            np.add.at(counts, ua[hit] // span,
+                      np.minimum(ca[hit], cb[at[hit]]))
     reads = a_lens + b_lens
     return counts, 2.0 * reads, int(reads.sum())
 

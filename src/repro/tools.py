@@ -188,7 +188,8 @@ def explain_main(argv=None) -> int:
                     help="filter to decisions about one loop/symbol "
                          "(prefix match, ids optional: 'cs' matches cs42)")
     ap.add_argument("--json", action="store_true",
-                    help="emit the full ledger as JSON")
+                    help="emit the ledger as JSON (only --loop's decisions "
+                         "if given; the digest is the full ledger's)")
     ap.add_argument("--target", choices=("cpu", "distributed", "gpu"),
                     default="distributed")
     ap.add_argument("--explain-diff", choices=("no-fusion", "no-transforms"),
@@ -206,6 +207,10 @@ def explain_main(argv=None) -> int:
     if args.app not in _APPS:
         print(f"unknown app {args.app!r}; use --list", file=sys.stderr)
         return EXIT_USAGE
+    if args.explain_diff and (args.json or args.loop is not None):
+        print("--explain-diff prints a text diff of whole ledgers; it takes "
+              "neither --json nor --loop", file=sys.stderr)
+        return EXIT_USAGE
 
     from .obs.provenance import diff_ledgers
     led = _explain_compile(args.app, args.target)
@@ -215,7 +220,10 @@ def explain_main(argv=None) -> int:
         print(diff_ledgers(led, other, "default", args.explain_diff))
         return EXIT_OK
     if args.json:
-        print(_json.dumps(led.to_json(), indent=2, default=str))
+        doc = led.to_json()
+        if args.loop is not None:
+            doc["decisions"] = [d.to_dict() for d in led.for_loop(args.loop)]
+        print(_json.dumps(doc, indent=2, default=str))
     else:
         print(led.render(loop=args.loop,
                          title=f"decision provenance: {args.app} "

@@ -12,6 +12,8 @@ the acceptance bar for the backend actually covering the paper's
 workloads.
 """
 
+import collections
+import dataclasses
 import functools
 
 import numpy as np
@@ -583,14 +585,29 @@ class TestTypedOutcomes:
                     if f.reason.startswith("TypeError:")]
 
 
+def _intersect_rows(values):
+    """A row that repeats no value, or one that may repeat any."""
+    return st.one_of(st.lists(values, max_size=8, unique=True),
+                     st.lists(values, max_size=8))
+
+
+# narrow values take the membership table, values near 2**40 (a span far
+# past the table's budget) the run-length match
+_intersect_pairs = st.sampled_from([st.integers(-5, 12), st.integers(
+    (1 << 40) - 6, (1 << 40) + 6)]).flatmap(lambda values: st.lists(
+        st.tuples(_intersect_rows(values), _intersect_rows(values)),
+        max_size=10))
+
+
 class TestBatchedIntersect:
-    @given(st.lists(st.tuples(
-        st.lists(st.integers(-5, 12), max_size=8),
-        st.lists(st.integers(-5, 12), max_size=8)), max_size=10))
+    @given(_intersect_pairs)
     # empty, one-element and all-duplicate rows; a call with no elements
     @example([([], [4]), ([7], [7]), ([2, 2, 2], [2, 2]), ([], []),
               ([-5], [1, 1]), ([3, 3], [3])])
     @example([([], [])])
+    # negative values; repeat-free calls beside calls that repeat values
+    @example([([-9, -4, -1], [-4, -1, 0]), ([2], [2, 2]), ([1, 2], [2, 3]),
+              ([-3, -3], [-3]), ([-7, 5], [-7, 5])])
     @settings(**SETTINGS)
     def test_matches_scalar_merge_on_sorted_multisets(self, pairs):
         spec = COLL_PRIMS["sorted_intersect_count"]
@@ -620,6 +637,111 @@ class TestBatchedIntersect:
             [F.matrix_input("adj", True, elem=T.INT)])
         adj = [[3, 1, 2], [1, 2, 3], [], [2, 2, 3], [2, 3, 3, 9]]
         assert run_both(prog, {"adj": adj}) == []
+
+    def test_tag_overflow_keeps_the_scalar_loop(self):
+        # two calls spanning 2**62 values: call tags would overflow int64
+        spec = COLL_PRIMS["sorted_intersect_count"]
+        one = np.array([1, 1], dtype=np.int64)
+        assert spec.batch_fn(np.array([-(1 << 61), 0]), one,
+                             np.array([0, 1 << 61]), one) is None
+        prog = F.build(
+            lambda adj: adj.map_indices(lambda i: adj.map_reduce(
+                lambda row: F.intersect_size(adj[i], row),
+                lambda a, b: a + b)),
+            [F.matrix_input("adj", True, elem=T.INT)])
+        adj = [[-(1 << 61), 0], [0, 1 << 61], [], [5, 5, 1 << 61]]
+        assert run_both(prog, {"adj": adj}) == []
+
+    def test_repeats_and_wide_spans_take_the_run_length_match(
+            self, monkeypatch):
+        from repro.core import ops
+        spec = COLL_PRIMS["sorted_intersect_count"]
+        seen = []
+        run_lengths = ops._run_lengths
+        monkeypatch.setattr(ops, "_run_lengths", lambda keys: (
+            seen.append(keys.tolist()), run_lengths(keys))[1])
+
+        def count(pairs):
+            seen.clear()
+            flat = [np.array([x for r in rows for x in r], dtype=np.int64)
+                    for rows in zip(*pairs)]
+            lens = [np.array([len(r) for r in rows], dtype=np.int64)
+                    for rows in zip(*pairs)]
+            counts, _, _ = spec.batch_fn(flat[0], lens[0], flat[1], lens[1])
+            assert counts.tolist() == [spec.eval_fn(a, b) for a, b in pairs]
+            return seen[:]
+        # repeat-free rows: the table alone
+        assert count([([1, 2, 5], [2, 5, 6]), ([0, 3], [3, 4])]) == []
+        # only the call whose b row repeats a value is matched by runs
+        # (keys are call * span + value - lo: lo 1, span 6)
+        assert count([([1, 2, 5], [2, 5, 6]), ([3, 3, 4], [3, 3])]) == [
+            [8, 8, 9], [8, 8]]
+        # a span past the table's budget: every call by runs
+        wide = [([0, 1 << 40], [1 << 40]), ([2], [2])]
+        assert len(count(wide)) == 2
+
+    def test_triangle_across_strips_inside_rows(self, monkeypatch):
+        # 7-element strips: almost every call is a strip, and a membership
+        # table, of its own
+        bundle = get_bundle("triangle")
+        compiled = bundle.compiled("opt")
+        inputs = compiled.prepare_inputs(bundle.inputs)
+        monkeypatch.setattr(vectorize, "PRIM_ELEMS", 7)
+        ref_results, ref_stats = run_program(compiled.program, inputs)
+        results, stats, fallbacks = run_program_numpy(compiled.program,
+                                                      inputs)
+        assert fallbacks == []
+        assert repr(results) == repr(ref_results)
+        assert_stats_equal(ref_stats, stats)
+
+    def test_triangle_counts_by_membership_over_flat_rows(self,
+                                                          monkeypatch):
+        # per run of triangle (opt): no binary search and no run-length
+        # encoding in the evaluator, and no run decomposition in the gather
+        from repro.core import ops
+        calls, scope = collections.Counter(), []
+
+        def counted(name, f):
+            def wrapped(*a, **k):
+                calls[scope[-1] if scope else None, name] += 1
+                return f(*a, **k)
+            return wrapped
+
+        def scoped(name, f):
+            def wrapped(*a, **k):
+                calls[name] += 1
+                scope.append(name)
+                try:
+                    return f(*a, **k)
+                finally:
+                    scope.pop()
+            return wrapped
+        spec = COLL_PRIMS["sorted_intersect_count"]
+        monkeypatch.setitem(COLL_PRIMS, "sorted_intersect_count",
+                            dataclasses.replace(
+                                spec, batch_fn=scoped("evaluator",
+                                                      spec.batch_fn),
+                                eval_fn=scoped("scalar", spec.eval_fn)))
+        monkeypatch.setattr(vectorize.LoopVectorizer, "_coll_prim_batched",
+                            scoped("gather", vectorize.LoopVectorizer.
+                                   _coll_prim_batched))
+        monkeypatch.setattr(np, "searchsorted",
+                            counted("searchsorted", np.searchsorted))
+        monkeypatch.setattr(ops, "_run_lengths",
+                            counted("_run_lengths", ops._run_lengths))
+        monkeypatch.setattr(vectorize, "_runs",
+                            counted("_runs", vectorize._runs))
+        bundle = get_bundle("triangle")
+        compiled = bundle.compiled("opt")
+        _, _, fallbacks = run_program_numpy(
+            compiled.program, compiled.prepare_inputs(bundle.inputs))
+        assert fallbacks == []
+        assert calls["gather"] > 0 and calls["evaluator"] > 0
+        # no strip declined to the per-lane scalar merge
+        assert calls["scalar"] == 0
+        assert calls["evaluator", "searchsorted"] == 0
+        assert calls["evaluator", "_run_lengths"] == 0
+        assert calls["gather", "_runs"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ random pipelines of parallel patterns and any input data,
 runtime data structures (directories, buckets) and the cost model.
 """
 
+import dataclasses
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -189,6 +192,11 @@ class TestRuntimeInvariants:
         assert b.lookup(999) == 0
 
 
+#: the bundled apps, captured once each for the cost-model invariants
+APPS = ("kmeans", "logreg", "gda", "q1", "gene", "pagerank", "triangle",
+        "gibbs")
+
+
 class TestCostModelInvariants:
     @given(st.integers(min_value=2, max_value=8))
     @settings(max_examples=5, deadline=None)
@@ -207,3 +215,30 @@ class TestCostModelInvariants:
         t2 = Simulator(compiled, NUMA_BOX, DMLL_CPP,
                        ExecOptions(scale=100.0 * factor)).price(cap).total_seconds
         assert t2 >= t1
+
+    @pytest.fixture(scope="class")
+    def captures(self):
+        from repro.bench import get_bundle
+        # the numpy engine given explicitly: captures are identical on
+        # both engines, and this one keeps the reference CI leg fast
+        return [(b, b.capture("opt", backend="numpy"))
+                for b in map(get_bundle, APPS)]
+
+    @pytest.mark.parametrize("field", ["mem_bandwidth_gbs", "core_rate_gops"])
+    @pytest.mark.parametrize("k", [1.5, 2.0, 4.0])
+    def test_faster_sockets_are_never_slower(self, captures, field, k):
+        """Scaling a socket's bandwidth or core rate up never raises
+        simulated time. (More cores can: the runtime's serial dispatch term
+        grows with the worker count — a modelled cost, not asserted.)"""
+        from repro.runtime import DMLL_CPP, NUMA_BOX, ExecOptions, Simulator
+        sock = NUMA_BOX.node.socket
+        faster = dataclasses.replace(NUMA_BOX, node=dataclasses.replace(
+            NUMA_BOX.node, socket=dataclasses.replace(
+                sock, **{field: getattr(sock, field) * k})))
+        for bundle, cap in captures:
+            opts = ExecOptions(scale=bundle.scale,
+                               data_scale=bundle.data_scale)
+            base, fast = (Simulator(cap.compiled, cluster, DMLL_CPP, opts)
+                          .price(cap).total_seconds
+                          for cluster in (NUMA_BOX, faster))
+            assert fast <= base, (bundle.name, field, k)

@@ -391,6 +391,31 @@ class TestExplainCLI:
         assert code == 0
         assert json.loads(out)["decisions"]
 
+    def test_explain_json_loop_filter(self, monkeypatch):
+        # one compile for both outputs, so the symbol ids agree
+        led = tools._explain_compile("kmeans", "distributed")
+        monkeypatch.setattr(tools, "_explain_compile", lambda *a, **k: led)
+        code, out = self.run("explain", "kmeans", "--loop", "bktred",
+                             "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc == {"digest": led.digest(), "decisions": [
+            d.to_dict() for d in led.for_loop("bktred")]}
+        full = json.loads(self.run("explain", "kmeans", "--json")[1])
+        full = full["decisions"]
+        assert 0 < len(doc["decisions"]) < len(full)
+        assert all(d in full for d in doc["decisions"])
+
+    def test_explain_json_unknown_loop_is_empty(self):
+        code, out = self.run("explain", "kmeans", "--loop", "nope", "--json")
+        assert code == 0
+        assert json.loads(out)["decisions"] == []
+
+    def test_explain_diff_rejects_json_and_loop(self):
+        for extra in (["--json"], ["--loop", "bktred"]):
+            assert self.run("explain", "kmeans", "--explain-diff",
+                            "no-fusion", *extra)[0] == 2
+
     def test_explain_loop_filter(self):
         code, out = self.run("explain", "kmeans", "--loop", "bktred")
         assert code == 0
