@@ -3,10 +3,10 @@
 from .partitioning import (DataLayout, LoopDistInfo, PartitionReport,
                            partition_and_transform)
 from .stencil import (LoopStencils, Stencil, analyze_loop, analyze_program,
-                      global_stencils, join_stencil)
+                      join_stencil)
 
 __all__ = [
     "DataLayout", "LoopDistInfo", "PartitionReport", "partition_and_transform",
     "LoopStencils", "Stencil", "analyze_loop", "analyze_program",
-    "global_stencils", "join_stencil",
+    "join_stencil",
 ]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from ..core import types as T
 from ..core.ir import Block, Const, Def, Exp, Program, Sym, def_index
 from ..core.multiloop import MultiLoop
 from ..core.ops import ArrayApply, ArrayLength, BucketLookup
@@ -169,14 +168,4 @@ def analyze_program(prog: Program) -> Dict[int, LoopStencils]:
     for d in prog.body.stmts:
         if isinstance(d.op, MultiLoop):
             out[d.syms[0].id] = analyze_loop(d, idx)
-    return out
-
-
-def global_stencils(per_loop: Dict[int, LoopStencils]) -> Dict[Sym, Stencil]:
-    """Conservative per-collection join across all loops (§4.2)."""
-    out: Dict[Sym, Stencil] = {}
-    for ls in per_loop.values():
-        for coll, s in ls.reads.items():
-            cur = out.get(coll)
-            out[coll] = s if cur is None else join_stencil(cur, s)
     return out

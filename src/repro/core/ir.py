@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .types import Type, BOOL, DOUBLE, INT, LONG, STRING, UNIT
+from .types import Type, BOOL, DOUBLE, INT, STRING, UNIT
 
 _sym_ids = itertools.count(1)
 
@@ -163,9 +163,6 @@ class Program:
 
     inputs: Tuple[Sym, ...]
     body: Block
-
-    def output_types(self) -> Tuple[Type, ...]:
-        return tuple(r.tpe for r in self.body.results)
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +409,3 @@ def alpha_equal(a: Optional[Block], b: Optional[Block]) -> bool:
         return a is b
     return alpha_key(a) == alpha_key(b)
 
-
-def uses_in_block(block: Block, sym: Sym) -> int:
-    """Count references to ``sym`` anywhere inside ``block`` (recursive)."""
-    count = 0
-    for d in iter_defs(block, recursive=True):
-        for e in d.op.inputs():
-            if e == sym:
-                count += 1
-        for b in d.op.blocks():
-            for r in b.results:
-                if r == sym:
-                    count += 1
-    for r in block.results:
-        if r == sym:
-            count += 1
-    # results of nested blocks are counted above; top-level block results here
-    return count

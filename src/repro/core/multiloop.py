@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from . import types as T
-from .ir import Block, Const, Def, Exp, Op, Sym, fresh
+from .ir import Block, Const, Def, Exp, Op, fresh
 
 
 class GenKind(enum.Enum):
@@ -214,10 +214,6 @@ def bucket_reduce(key: Block, value: Block, reducer: Block,
                   cond: Optional[Block] = None, init: Optional[Exp] = None) -> Generator:
     return Generator(GenKind.BUCKET_REDUCE, value, cond=cond, key=key,
                      reducer=reducer, init=init)
-
-
-def is_loop(op: Op) -> bool:
-    return isinstance(op, MultiLoop)
 
 
 def single_gen(d: Def) -> Optional[Generator]:

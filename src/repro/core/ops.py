@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from . import types as T
-from .ir import Block, Const, Exp, Op, Sym
+from .ir import Block, Const, Exp, Op
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +494,6 @@ class InputSource(Op):
     def __repr__(self) -> str:
         tag = "Partitioned" if self.partitioned else "Local"
         return f"input[{tag}]({self.label})"
-
-
-def const(value) -> Const:
-    return Const(value)
 
 
 TRUE = Const(True)

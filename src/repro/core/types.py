@@ -105,10 +105,6 @@ def tuple_type(*elems: Type) -> Struct:
     return Struct("Tuple%d" % len(elems), tuple((f"_{i}", t) for i, t in enumerate(elems)))
 
 
-def is_numeric(t: Type) -> bool:
-    return t in (INT, LONG, DOUBLE)
-
-
 def is_collection(t: Type) -> bool:
     return isinstance(t, (Coll, KeyedColl))
 

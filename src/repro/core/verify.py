@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from .ir import Block, Const, Def, Exp, Program, Sym
+from .ir import Block, Def, Program, Sym
 from .multiloop import MultiLoop
 
 
@@ -110,8 +110,3 @@ class _Verifier:
 def verify_program(prog: Program) -> None:
     """Raise :class:`IRVerificationError` if ``prog`` is ill-formed."""
     _Verifier(prog).verify()
-
-
-def verify_block(block: Block, inputs: Tuple[Sym, ...] = ()) -> None:
-    """Verify a single block as if it were a program body."""
-    verify_program(Program(tuple(inputs), block))

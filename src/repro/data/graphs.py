@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 
 @dataclass
@@ -27,14 +27,6 @@ class Graph:
 
     def degrees(self) -> List[int]:
         return [len(a) for a in self.adj]
-
-    def edges(self) -> List[Tuple[int, int]]:
-        out = []
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return out
 
 
 def power_law_graph(n: int, m_per_node: int = 4, seed: int = 3) -> Graph:

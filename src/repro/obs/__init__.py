@@ -22,8 +22,7 @@ writes no span row and emits nothing.
 
 from .analyze import (LoopDelta, RootCause, decompose_timeline,
                       decomposition_summary, diff_loop_rows,
-                      diff_span_trees, request_decomposition,
-                      root_cause_from_records)
+                      request_decomposition, root_cause_from_records)
 from .critical import (CriticalPath, FleetReport, PathStep, critical_path,
                        fleet_attribution)
 from .diagnostics import DiagCategory, Diagnostic, Severity
@@ -40,7 +39,7 @@ from .slo import (BurnWindow, ObjectiveResult, SLOObjective, SLOReport,
 
 __all__ = [
     "LoopDelta", "RootCause", "decompose_timeline",
-    "decomposition_summary", "diff_loop_rows", "diff_span_trees",
+    "decomposition_summary", "diff_loop_rows",
     "request_decomposition", "root_cause_from_records",
     "CriticalPath", "FleetReport", "PathStep", "critical_path",
     "fleet_attribution",

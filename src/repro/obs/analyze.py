@@ -15,7 +15,7 @@ and the decision-provenance ledger — into *answers*:
   those components over a whole serve run (the ``decomposition``
   section of ``serve-sim``'s latency JSON).
 
-* :func:`diff_loop_rows` / :func:`diff_span_trees` — differential trace
+* :func:`diff_loop_rows` — differential trace
   diff: align two runs' per-loop breakdowns by *id-stripped* loop names
   (:func:`~repro.obs.provenance.strip_ids`, so alignment survives
   process-dependent symbol counters) and attribute the simulated-time
@@ -39,13 +39,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..report.tables import render_table
 from .history import RunRecord
 from .provenance import strip_ids
-from .spans import (TIMELINE_MARKS, RequestTimeline, SpanTable, Tracer,
-                    response_marks, span_table)
+from .spans import TIMELINE_MARKS, RequestTimeline, response_marks
 
 # ---------------------------------------------------------------------------
 # Exact per-request latency decomposition
@@ -216,37 +215,6 @@ def decomposition_summary(server: Any) -> Optional[Dict[str, Any]]:
 _LOOP_COMPONENTS = ("compute_s", "memory_s", "comm_s", "overhead_s")
 
 
-def loop_rows_from_sim(sim: Any) -> List[Dict[str, Any]]:
-    """Breakdown rows from a :class:`SimResult` (``sim.loops``)."""
-    rows = []
-    for ls in sim.loops:
-        rows.append({"loop": ls.name, "key": strip_ids(ls.name),
-                     "op": ls.op_name, "workers": ls.workers,
-                     "time_s": ls.time_s, "compute_s": ls.compute_s,
-                     "memory_s": ls.memory_s, "comm_s": ls.comm_s,
-                     "overhead_s": ls.overhead_s})
-    return rows
-
-
-def loop_rows_from_span(source: Union[Tracer, SpanTable]
-                        ) -> List[Dict[str, Any]]:
-    """Breakdown rows recovered from a run's spans (loop spans carry the
-    full pricing record in their attrs)."""
-    rows = []
-    for _depth, name, kind, _start, dur_s, a in span_table(source).rows():
-        if kind != "loop":
-            continue
-        rows.append({"loop": name, "key": strip_ids(name),
-                     "op": str(a.get("op", "?")),
-                     "workers": int(a.get("workers", 0)),
-                     "time_s": dur_s,
-                     "compute_s": float(a.get("compute_s", 0.0)),
-                     "memory_s": float(a.get("memory_s", 0.0)),
-                     "comm_s": float(a.get("comm_s", 0.0)),
-                     "overhead_s": float(a.get("overhead_s", 0.0))})
-    return rows
-
-
 @dataclass
 class LoopDelta:
     """Simulated-time delta of one loop between two runs."""
@@ -327,12 +295,6 @@ def diff_loop_rows(rows_a: Sequence[Dict[str, Any]],
                                     status="only_b"))
     deltas.sort(key=lambda d: (-abs(d.delta_s), d.key, d.op))
     return deltas
-
-
-def diff_span_trees(a: Union[Tracer, SpanTable],
-                    b: Union[Tracer, SpanTable]) -> List[LoopDelta]:
-    """Trace diff of two runs straight from their spans."""
-    return diff_loop_rows(loop_rows_from_span(a), loop_rows_from_span(b))
 
 
 def render_loop_deltas(deltas: Sequence[LoopDelta],

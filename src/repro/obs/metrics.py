@@ -12,7 +12,7 @@ deterministic — the registry is a dict, not a server.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 def _series(name: str, labels: Dict[str, Any]) -> str:
@@ -58,18 +58,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: Any) -> float:
         return self.counters.get(_series(name, labels), 0.0)
 
-    def histogram_stats(self, name: str, **labels: Any) -> Dict[str, float]:
-        return self.histogram_stats_of(
-            self.histograms.get(_series(name, labels), []))
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {k: self.histogram_stats_of(v)
-                           for k, v in self.histograms.items()},
-        }
-
     @staticmethod
     def histogram_stats_of(vals: List[float]) -> Dict[str, float]:
         # every key is always present: an empty histogram (count 0, all
@@ -102,9 +90,4 @@ class MetricsRegistry:
                     f"  {k:<52} n={st['count']} min={st['min']:.3g} "
                     f"mean={st['mean']:.3g} max={st['max']:.3g}")
         return "\n".join(lines) if lines else "(no metrics recorded)"
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
 

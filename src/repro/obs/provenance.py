@@ -29,7 +29,7 @@ import hashlib
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: canonical outcome vocabulary; ``outcome`` is free-form but these cover
 #: almost every site (stencil decisions use the Stencil value instead)
@@ -180,12 +180,6 @@ class DecisionLedger:
 
     def __len__(self) -> int:
         return len(self.decisions)
-
-    def __iter__(self) -> Iterator[Decision]:
-        return iter(self.decisions)
-
-    def of_kind(self, kind: DecisionKind) -> List[Decision]:
-        return [d for d in self.decisions if d.kind is kind]
 
     def for_loop(self, loop: str) -> List[Decision]:
         """Decisions whose site matches ``loop`` — exact, id-stripped, or

@@ -150,16 +150,6 @@ class RequestTimeline:
     ctx: RequestContext
     marks: Dict[str, float] = field(default_factory=dict)
 
-    def mark(self, stage: str, t: float) -> None:
-        if stage not in TIMELINE_MARKS:
-            raise ValueError(f"unknown lifecycle stage {stage!r}")
-        self.marks[stage] = t
-
-    def ordered(self) -> List[Tuple[str, float]]:
-        """(stage, t) pairs in lifecycle order, only recorded stages."""
-        return [(s, self.marks[s]) for s in TIMELINE_MARKS
-                if s in self.marks]
-
 
 @dataclass
 class BatchRecord:

@@ -269,9 +269,6 @@ class PassManager:
         """All rewrite-rule applications, across every phase, in order."""
         return [r for t in self.traces for r in t.rules]
 
-    def trace_table(self) -> str:
-        return trace_table(self.traces)
-
 
 def trace_table(traces: Sequence[PassTrace]) -> str:
     """Human-readable per-pass table (the ``repro.tools --trace`` output)."""

@@ -37,8 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.slo import spec_number
 
@@ -117,18 +117,6 @@ class FaultSpec:
         """Does this fault target the machine ``name[index]`` / app?"""
         return self.target in ("*", label, name)
 
-    def to_json(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {"kind": self.kind, "target": self.target,
-                               "t0_s": self.t0_s}
-        if math.isfinite(self.t1_s):
-            doc["t1_s"] = self.t1_s
-        if self.kind == "slow":
-            doc["factor"] = self.factor
-        if self.kind == "kernel":
-            doc["mode"] = self.mode
-            doc["rate"] = self.rate
-        return doc
-
 
 def _window(doc: Dict[str, Any], part: str) -> Tuple[float, bool]:
     if f"{part}_s" in doc and f"{part}_ms" in doc:
@@ -206,10 +194,6 @@ class FaultPlan:
         ends = [s.t1_s for s in self.specs if math.isfinite(s.t1_s)]
         ends += [s.t0_s for s in self.specs]
         return max(ends, default=0.0)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"seed": self.seed,
-                "faults": [s.to_json() for s in self.specs]}
 
     # -- construction -----------------------------------------------------
 

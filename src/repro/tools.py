@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json as _json
 import math
+import os
 import sys
 
 from .core.pretty import pretty
@@ -68,6 +69,28 @@ def _parse(ap, argv):
         return ap.parse_args(argv), None
     except SystemExit as e:
         return None, int(e.code or 0)
+
+
+def _check_outputs(args, *flags: str) -> int:
+    """EXIT_USAGE, after one line naming the flag and the path, when an
+    output file cannot be written there; checked before the run."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            why = f"directory {parent} does not exist"
+        elif os.path.isdir(path):
+            why = "it is a directory"
+        elif not os.access(parent, os.W_OK):
+            why = f"directory {parent} is not writable"
+        else:
+            continue
+        print(f"error: {flag} {path}: cannot write the file: {why}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _write_exports(args, tracer, metrics, trace_hint: str = "") -> None:
@@ -441,7 +464,9 @@ def serve_main(argv=None) -> int:
     args, rc = _parse(ap, argv)
     if args is None:
         return rc
-    rc = _check_traffic_args(args, "serve-sim")
+    rc = (_check_traffic_args(args, "serve-sim")
+          or _check_outputs(args, "--latency-out", "--trace-out",
+                            "--flame-out", "--metrics-out"))
     if rc != EXIT_OK:
         return rc
     if args.chaos and not (args.faults and args.slo):
@@ -545,7 +570,8 @@ def slo_main(argv=None) -> int:
     args, rc = _parse(ap, argv)
     if args is None:
         return rc
-    rc = _check_traffic_args(args, "slo-report")
+    rc = (_check_traffic_args(args, "slo-report")
+          or _check_outputs(args, "--out"))
     if rc != EXIT_OK:
         return rc
 
@@ -835,6 +861,9 @@ def main(argv=None) -> int:
     if args.app not in _APPS:
         print(f"unknown app {args.app!r}; use --list", file=sys.stderr)
         return EXIT_USAGE
+    rc = _check_outputs(args, "--trace-out", "--flame-out", "--metrics-out")
+    if rc != EXIT_OK:
+        return rc
 
     prog = _APPS[args.app]()
     if args.stage == "staged":

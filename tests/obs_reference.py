@@ -138,7 +138,8 @@ def rows(server) -> Iterator[tuple]:
         resp = record.served.get(rid)
         win_end = None if resp is None else resp.finish_s
         for attempt, status, tl in record.attempts_of(rid):
-            stages = tl.ordered()
+            stages = [(s, tl.marks[s]) for s in TIMELINE_MARKS
+                      if s in tl.marks]
             if not stages:
                 continue
             times = [t for _, t in stages]

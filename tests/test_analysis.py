@@ -5,8 +5,7 @@ import pytest
 
 from repro import frontend as F
 from repro.analysis import (DataLayout, Stencil, analyze_program,
-                            global_stencils, join_stencil,
-                            partition_and_transform)
+                            join_stencil, partition_and_transform)
 from repro.core import types as T
 from repro.core.ir import def_index
 from repro.core.multiloop import MultiLoop
@@ -81,17 +80,6 @@ class TestStencilLattice:
         assert join_stencil(I, A) is A
         assert join_stencil(A, U) is U
         assert join_stencil(I, U) is U
-
-    def test_global_join_across_loops(self):
-        def fn(xs, idxs):
-            a = xs.map(lambda x: x + 1.0).sum()      # Interval
-            b = idxs.map(lambda i: xs[i]).sum()       # Unknown
-            return a + b
-        prog = build(fn, V + [F.InputSpec("idxs", T.Coll(T.INT), True)])
-        per_loop = analyze_program(prog)
-        g = global_stencils(per_loop)
-        xs_sym = prog.inputs[0]
-        assert g[xs_sym] is Stencil.UNKNOWN
 
 
 class TestPartitioning:

@@ -23,7 +23,6 @@ from repro.bench import get_bundle
 from repro.obs import Tracer
 from repro.obs.analyze import (COMPONENTS, LoopDelta, decompose_timeline,
                                decomposition_summary, diff_loop_rows,
-                               diff_span_trees, loop_rows_from_sim,
                                request_decomposition,
                                root_cause_from_records, root_cause_json)
 from repro.obs.critical import critical_path, fleet_attribution
@@ -159,10 +158,7 @@ class TestCriticalPathReal:
 # ---------------------------------------------------------------------------
 
 def timeline(**marks):
-    tl = RequestTimeline(RequestContext.derive(0, 0))
-    for stage, t in marks.items():
-        tl.mark(stage, t)
-    return tl
+    return RequestTimeline(RequestContext.derive(0, 0), marks)
 
 
 class TestDecomposition:
@@ -316,16 +312,6 @@ class TestDiff:
         b = rows([("a2", "F", 1.1, 1.1), ("b2", "F", 3.0, 3.0)])
         deltas = diff_loop_rows(a, b)
         assert deltas[0].key == "b#"
-
-    def test_span_tree_diff_across_processes(self):
-        # two traced runs of the same app: loop names may carry
-        # different symbol ids, but the diff must align and be ~zero
-        t1, t2 = Tracer(), Tracer()
-        get_bundle("q1").simulate(tracer=t1)
-        get_bundle("q1").simulate(tracer=t2)
-        deltas = diff_span_trees(t1.last_run, t2.last_run)
-        assert deltas and all(d.status == "both" for d in deltas)
-        assert all(abs(d.delta_s) < 1e-12 for d in deltas)
 
 
 # ---------------------------------------------------------------------------

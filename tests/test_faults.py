@@ -87,11 +87,9 @@ def outage_sim(app="kmeans", tracer=None, requests=24, faults="plan"):
 # ---------------------------------------------------------------------------
 
 class TestFaultPlan:
-    def test_example_plan_loads_and_round_trips(self):
+    def test_example_plan_loads(self):
         plan = FaultPlan.load(str(PLAN_PATH))
         assert plan and len(plan.specs) == 3
-        again = FaultPlan.from_json(plan.to_json())
-        assert again.specs == plan.specs and again.seed == plan.seed
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()

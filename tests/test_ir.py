@@ -1,9 +1,8 @@
 """Unit tests for IR node mechanics: substitution, free symbols, refresh."""
 
 from repro.core import types as T
-from repro.core.ir import (Block, Const, Def, Program, Sym, def_index,
-                           free_sym_set, fresh, inline_block, refresh_block,
-                           subst_block, uses_in_block)
+from repro.core.ir import (Block, Const, Def, Sym, def_index, free_sym_set,
+                           fresh, inline_block, refresh_block, subst_block)
 from repro.core.multiloop import MultiLoop, collect
 from repro.core.ops import ArrayApply, Prim
 
@@ -87,8 +86,6 @@ def test_def_index_and_uses():
                        Def((t,), Prim("add", (e, e)))), (t,))
     idx = def_index(blk)
     assert idx[e].op == ArrayApply(arr, i)
-    assert uses_in_block(blk, e) == 2
-    assert uses_in_block(blk, arr) == 1
 
 
 def test_multiloop_result_types_and_rebuild():
@@ -100,9 +97,3 @@ def test_multiloop_result_types_and_rebuild():
     assert loop.result_types() == (T.Coll(T.DOUBLE),)
     rebuilt = loop.with_children(list(loop.inputs()), list(loop.blocks()))
     assert rebuilt == loop
-
-
-def test_program_output_types():
-    arr = fresh(T.Coll(T.DOUBLE), "arr")
-    prog = Program((arr,), Block((), (), (arr,)))
-    assert prog.output_types() == (T.Coll(T.DOUBLE),)

@@ -12,7 +12,7 @@ from repro import tools
 from repro.bench import get_bundle
 from repro.bench.apps import _FACTORIES
 from repro.obs import (DiagCategory, MetricsRegistry, RequestContext,
-                       RequestTimeline, Tracer, chrome_trace_events,
+                       Tracer, chrome_trace_events,
                        collapse_stacks, profile_report, prometheus_text,
                        render_collapsed, render_spans, write_chrome_trace,
                        write_collapsed, write_prometheus)
@@ -401,16 +401,6 @@ class TestRequestContext:
         assert RequestContext.derive(3, 8) != a
         assert RequestContext.derive(4, 7) != a
 
-    def test_timeline_lifecycle_order(self):
-        tl = RequestTimeline(RequestContext.derive(0, 0))
-        tl.mark("complete", 5.0)
-        tl.mark("arrive", 1.0)
-        tl.mark("dispatch", 3.0)
-        assert [s for s, _ in tl.ordered()] == \
-            ["arrive", "dispatch", "complete"]
-        with pytest.raises(ValueError):
-            tl.mark("nope", 0.0)
-
 
 # ---------------------------------------------------------------------------
 # profiling exports: flamegraphs and Prometheus text
@@ -529,7 +519,6 @@ class TestProfileExports:
         for key in series:
             name, labels = _split_series(key)
             assert by_definition(name, dict(labels)) == key
-        assert set(metrics.snapshot()["counters"]) == set(metrics.counters)
 
 
 # ---------------------------------------------------------------------------
@@ -547,25 +536,23 @@ class TestMetrics:
         m.observe("h", 3.0)
         assert m.counter("a") == 3.0
         assert m.counter("a", loop="x") == 5.0
-        assert m.histogram_stats("h") == {"count": 2, "min": 1.0, "max": 3.0,
-                                          "mean": 2.0, "p50": 3.0,
-                                          "p90": 3.0, "p95": 3.0, "p99": 3.0}
+        assert m.histogram_stats_of(m.histograms["h"]) == {
+            "count": 2, "min": 1.0, "max": 3.0, "mean": 2.0, "p50": 3.0,
+            "p90": 3.0, "p95": 3.0, "p99": 3.0}
         # empty histograms still expose the full key set (satellite fix:
         # consumers can index p99 without guarding on count)
-        assert m.histogram_stats("absent") == {
+        assert m.histogram_stats_of([]) == {
             "count": 0, "min": 0.0, "max": 0.0, "mean": 0.0,
             "p50": 0.0, "p90": 0.0, "p95": 0.0, "p99": 0.0}
-        snap = m.snapshot()
-        assert snap["counters"]["a{loop=x}"] == 5.0
+        assert m.counters["a{loop=x}"] == 5.0
         text = m.render()
         assert "counters:" in text and "a{loop=x}" in text
-        m.clear()
-        assert m.render() == "(no metrics recorded)"
+        assert MetricsRegistry().render() == "(no metrics recorded)"
 
     def test_single_sample_histogram_well_defined(self):
         m = MetricsRegistry()
         m.observe("h", 2.5)
-        st = m.histogram_stats("h")
+        st = m.histogram_stats_of(m.histograms["h"])
         assert st == {"count": 1, "min": 2.5, "max": 2.5, "mean": 2.5,
                       "p50": 2.5, "p90": 2.5, "p95": 2.5, "p99": 2.5}
 
@@ -573,7 +560,7 @@ class TestMetrics:
         m = MetricsRegistry()
         for v in range(1, 101):
             m.observe("lat", float(v))
-        st = m.histogram_stats("lat")
+        st = m.histogram_stats_of(m.histograms["lat"])
         assert (st["p50"], st["p90"], st["p95"], st["p99"]) == \
             (51.0, 90.0, 95.0, 99.0)
         assert st["max"] == 100.0
@@ -584,9 +571,8 @@ class TestMetrics:
         assert metrics.counter("executor.loops_priced") == len(sim.loops)
         assert metrics.gauges["executor.total_seconds"] == sim.total_seconds
         for ls in sim.loops:
-            st = metrics.histogram_stats("executor.loop_seconds",
-                                         loop=ls.name)
-            assert st["count"] >= 1
+            key = f"executor.loop_seconds{{loop={ls.name}}}"
+            assert len(metrics.histograms[key]) >= 1
 
     def test_replication_decision_is_counted(self):
         metrics = MetricsRegistry()

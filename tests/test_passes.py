@@ -1,6 +1,6 @@
 """PassManager behaviors: tracing, the shared rule log (regression for the
-dropped ``applied_log``), differential checking, the DCE input
-re-attachment fix, and the three things that make a pass cost what it
+dropped ``applied_log``), differential checking, DCE's program inputs
+as live roots, and the three things that make a pass cost what it
 changes (DESIGN.md §2, §6c): structure sharing, the per-block
 ``free_syms`` memo, and the fixpoint rule checked against a naive driver."""
 
@@ -187,6 +187,16 @@ class TestDceInputReattachment:
         (r_before,), _ = run_program(prog, {})
         (r_after,), _ = run_program(out, {})
         assert r_before == r_after
+
+    def test_dead_input_stays_in_its_loop(self):
+        """An input is live from the start, so the loop that binds it
+        keeps both of its generators, in one statement."""
+        prog = _dead_input_program()
+        out = dce(prog)
+        loops = [d for d in out.body.stmts if isinstance(d.op, MultiLoop)]
+        assert len(loops) == 1
+        dead_sym, live_sym = prog.body.stmts[1].syms
+        assert loops[0].syms == (dead_sym, live_sym)
 
     def test_entirely_dead_loop_input_with_deps(self):
         """The size dependency of the dead loop is resurrected too, in
@@ -393,7 +403,8 @@ class TestFixpointRule:
         with ledger_scope(led):
             pm = PassManager()
             pm.run(prog, [fv, fv, fv], phase="x")
-        rejected = led.of_kind(DecisionKind.FUSION_VERTICAL)
+        rejected = [d for d in led.decisions
+                    if d.kind is DecisionKind.FUSION_VERTICAL]
         assert rejected and all(d.count == 3 for d in rejected)
         assert all((d.pass_name, d.snapshot) == ("fuse-vertical", 0)
                    for d in rejected)
@@ -441,8 +452,9 @@ class TestIterationCaps:
 
     @staticmethod
     def capped(led):
-        return [d for d in led.of_kind(DecisionKind.DIAGNOSTIC)
-                if d.evidence.get("category")
+        return [d for d in led.decisions
+                if d.kind is DecisionKind.DIAGNOSTIC
+                and d.evidence.get("category")
                 == DiagCategory.ITERATION_CAP.value]
 
     def test_fuse_vertical_cap(self):

@@ -58,8 +58,8 @@ class TestLedger:
 
     def test_kmeans_unknown_stencil_names_failed_test(self):
         led = explain("kmeans")
-        unknown = [d for d in led.of_kind(DecisionKind.STENCIL)
-                   if d.outcome == "Unknown"]
+        unknown = [d for d in led.decisions if d.kind is DecisionKind.STENCIL
+                   and d.outcome == "Unknown"]
         assert unknown
         reasons = " ".join(d.reason for d in unknown)
         # the reason names *which* affine test failed, not just "Unknown"
@@ -67,7 +67,8 @@ class TestLedger:
 
     def test_q1_records_applied_and_rejected_soa(self):
         led = explain("q1")
-        outcomes = {d.outcome for d in led.of_kind(DecisionKind.SOA)}
+        outcomes = {d.outcome for d in led.decisions
+                    if d.kind is DecisionKind.SOA}
         assert {"applied", REJECTED} <= outcomes
 
     @pytest.mark.parametrize("app", ["logreg", "pagerank"])

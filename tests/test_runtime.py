@@ -7,6 +7,7 @@ from repro import frontend as F
 from repro.core import types as T
 from repro.core.values import deep_eq
 from repro.data.datasets import gaussian_clusters
+from repro.obs import MetricsRegistry
 from repro.apps.kmeans import kmeans_oracle, kmeans_shared_program
 from repro.pipeline import compile_program
 from repro.runtime import (DELITE, DMLL_CPP, DMLL_PIN_ONLY, EC2_CLUSTER,
@@ -110,6 +111,49 @@ class TestSimulator:
         full = simulate(compiled, inputs, EC2_CLUSTER, DMLL_CPP,
                         ExecOptions(scale=800.0)).total_seconds
         assert full < one
+
+    def test_partitioned_all_stencil_input_is_broadcast(self):
+        # the map ranges Interval over xs (so it is distributed) and scans
+        # all of ys per element: ys is broadcast to every machine once,
+        # its whole payload (3 doubles)
+        def fn(xs, ys):
+            return xs.map(lambda x: ys.map(lambda y: x * y).sum())
+        D = T.Coll(T.DOUBLE)
+        compiled = compile_program(
+            F.build(fn, [F.InputSpec("xs", D, True),
+                         F.InputSpec("ys", D, True)]), "distributed")
+        (info,) = compiled.report.loops.values()
+        assert info.distributed and info.broadcasts == [
+            compiled.program.inputs[1]]
+        metrics = MetricsRegistry()
+        res = simulate(compiled, {"xs": [1.0, 2.0, 3.0, 4.0],
+                                  "ys": [0.5, 1.5, 2.5]},
+                       EC2_CLUSTER, DMLL_CPP, ExecOptions(metrics=metrics))
+        assert res.results == ([4.5, 9.0, 13.5, 18.0],)
+        assert metrics.counters["executor.broadcast_bytes{loop=map}"] == \
+            3 * T.DOUBLE.byte_size
+        assert "executor.shuffle_bytes{loop=map}" not in metrics.counters
+
+    def test_distributed_bucket_collect_is_a_shuffle(self):
+        # a group-by over a partitioned input: every emitted element
+        # (7 ints) leaves its machine unless its bucket lives there,
+        # (machines - 1) / machines of the payload
+        def fn(xs):
+            return xs.group_by_value(lambda x: x % 3, lambda x: x)
+        compiled = compile_program(
+            F.build(fn, [F.InputSpec("xs", T.Coll(T.INT), True)]),
+            "distributed")
+        (info,) = compiled.report.loops.values()
+        assert info.distributed and not info.broadcasts
+        metrics = MetricsRegistry()
+        simulate(compiled, {"xs": [1, 2, 3, 4, 5, 6, 7]}, EC2_CLUSTER,
+                 DMLL_CPP, ExecOptions(metrics=metrics))
+        machines = EC2_CLUSTER.nodes
+        payload = 7 * T.INT.byte_size
+        assert metrics.counters["executor.shuffle_bytes{loop=groupby}"] == \
+            payload * (machines - 1) / machines
+        assert not any(k.startswith("executor.broadcast_bytes")
+                       for k in metrics.counters)
 
     def test_gpu_execution(self, kmeans_sim):
         compiled, inputs, *_ = kmeans_sim

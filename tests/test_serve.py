@@ -779,7 +779,7 @@ class TestServeTracing:
         server = sim.last_server
         for r in server.responses:
             tl = server.timeline_of(r.request.rid)
-            marks = dict(tl.ordered())
+            marks = tl.marks
             assert (marks["arrive"] <= marks["enqueue"] <= marks["seal"]
                     <= marks["dispatch"] <= marks["exec_start"]
                     <= marks["complete"])

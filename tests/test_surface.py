@@ -1,15 +1,19 @@
 """The public and private surface of ``src/repro`` is what something uses.
 
-Two rules, both checked from the source text alone (no import of the
+Three rules, all checked from the source text alone (no import of the
 package, so a definition cannot hide behind a lazy import):
 
 1. every function, class and method defined under ``src/repro`` is
    referenced by name — as a name, an attribute or a string that spells
    it (``getattr``/``monkeypatch`` targets) — somewhere other than its
    own definition, an import of it or an ``__all__`` entry, in ``src/``,
-   ``tests/``, ``benchmarks/`` or ``examples/``;
+   ``tests/``, ``benchmarks/``, ``examples/`` or the CI workflows;
 2. the environment is read in one place, ``backend/__init__.py``
-   (``REPRO_BACKEND``).
+   (``REPRO_BACKEND``);
+3. that reference comes from outside ``tests/``: a definition only tests
+   use is dead code with a test around it, unless it is in ``ALLOWED``
+   with the reason it stays (an oracle a test compares against, or a
+   view a test reads production state through).
 
 A new option follows the same bar one level up: it needs two production
 callers (``src/``, ``benchmarks/``, ``examples/``, CI) that pass
@@ -21,13 +25,34 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-REFERENCE_DIRS = ("src", "tests", "benchmarks", "examples")
+PRODUCTION_DIRS = ("src", "benchmarks", "examples")
+REFERENCE_DIRS = PRODUCTION_DIRS + ("tests",)
+WORKFLOWS = Path(".github") / "workflows"
 
-#: definitions nothing refers to by name, each with the reason it stays
+_ORACLE = "the plain-Python oracle the app's tests compare results against"
+
+#: definitions only tests refer to by name, each with the reason it stays
 ALLOWED = {
-    "loop_rows_from_sim": "imported by tests/test_analyze.py, which keeps "
-                          "it as the SimResult-side oracle of "
-                          "loop_rows_from_span",
+    "gda_oracle": _ORACLE,
+    "gene_oracle": _ORACLE,
+    "gibbs_oracle_sweep": _ORACLE,
+    "knn_oracle": _ORACLE,
+    "logreg_oracle": _ORACLE,
+    "nb_oracle": _ORACLE,
+    "pagerank_oracle": _ORACLE,
+    "decompose_timeline": "per-request oracle that tests/obs_reference.py "
+                          "checks the columnar request_decomposition "
+                          "against",
+    "timeline_of": "the server's marks as one RequestTimeline per request: "
+                   "what tests/obs_reference.py rebuilds its reference "
+                   "serving spans from",
+    "render_spans": "the span-tree text tests/test_serve_pins.py pins and "
+                    "tests/test_serve_record.py compares",
+    "group_by_value": "frontend DSL operation that no bundled app writes; "
+                      "the frontend and backend tests stage programs "
+                      "with it",
+    "contains": "frontend DSL operation that no bundled app writes; "
+                "tests/test_analysis.py stages a program with it",
 }
 
 
@@ -88,12 +113,19 @@ def _scan(path: Path) -> _Refs:
     return v
 
 
-def unreferenced_definitions(root: Path = ROOT, allowed=ALLOWED):
+def _workflow_refs(root: Path):
+    return {word for path in sorted((root / WORKFLOWS).glob("*.yml"))
+            for word in re.findall(r"[A-Za-z_]\w*", path.read_text())}
+
+
+def unreferenced_definitions(root: Path = ROOT, allowed=(),
+                             dirs=REFERENCE_DIRS):
     """``[(relative path, line, name)]`` of definitions under
-    ``root/src/repro`` that nothing in the reference directories names."""
-    refs = set()
+    ``root/src/repro`` that nothing in ``dirs`` or the CI workflows
+    names."""
+    refs = _workflow_refs(root)
     defs = []
-    for d in REFERENCE_DIRS:
+    for d in dirs:
         for path in sorted((root / d).rglob("*.py")):
             if path.name == Path(__file__).name:
                 continue      # its allowlist spells the names it allows
@@ -105,6 +137,11 @@ def unreferenced_definitions(root: Path = ROOT, allowed=ALLOWED):
     return [(rel, line, name) for rel, line, name in defs
             if name not in refs and name not in allowed
             and not _is_dunder(name)]
+
+
+def referenced_only_by_tests(root: Path = ROOT, allowed=ALLOWED):
+    """Definitions no production path names (rule 3)."""
+    return unreferenced_definitions(root, allowed, PRODUCTION_DIRS)
 
 
 def environment_reads(root: Path = ROOT):
@@ -120,11 +157,19 @@ def test_every_definition_has_a_reference():
         f"  {rel}:{line} {name}" for rel, line, name in dead)
 
 
+def test_every_definition_has_a_production_reference():
+    only = referenced_only_by_tests()
+    assert not only, (
+        "referenced only from tests/ (delete it with its tests, or add it "
+        "to ALLOWED with the reason it stays):\n" + "\n".join(
+            f"  {rel}:{line} {name}" for rel, line, name in only))
+
+
 def test_allowlist_is_minimal():
-    # an allowlisted name that gained a reference, or lost its definition,
-    # no longer needs its entry
-    dead = {name for _, _, name in unreferenced_definitions(allowed=())}
-    assert set(ALLOWED) <= dead
+    # an allowlisted name that gained a production reference, or lost its
+    # definition, no longer needs its entry
+    only = {name for _, _, name in referenced_only_by_tests(allowed=())}
+    assert set(ALLOWED) <= only
 
 
 def test_environment_is_read_in_one_place():
@@ -138,4 +183,6 @@ if __name__ == "__main__":
     tree = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else ROOT
     for rel, line, name in unreferenced_definitions(tree):
         print(f"{rel}:{line} {name}")
+    for rel, line, name in referenced_only_by_tests(tree):
+        print(f"{rel}:{line} {name} (tests only)")
     print("environment read in:", ", ".join(environment_reads(tree)))

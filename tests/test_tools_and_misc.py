@@ -2,7 +2,11 @@
 driver behaviors (iterative convergence) not covered elsewhere."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+
+    @pytest.mark.parametrize("argv", [
+        ["kmeans", "--trace-out"], ["kmeans", "--flame-out"],
+        ["kmeans", "--metrics-out"],
+        ["serve-sim", "kmeans", "--requests", "4", "--latency-out"],
+        ["serve-sim", "kmeans", "--requests", "4", "--trace-out"],
+        ["serve-sim", "kmeans", "--requests", "4", "--flame-out"],
+        ["serve-sim", "kmeans", "--requests", "4", "--metrics-out"],
+        ["slo-report", "kmeans", "--requests", "4", "--spec",
+         "examples/slo_serving.json", "--out"]],
+        ids=lambda argv: argv[0] + argv[-1])
+    def test_unwritable_output_is_bad_usage(self, tmp_path, argv):
+        # a path whose directory is missing exits 2 with one line naming
+        # the flag and the path, before the run, not with a traceback
+        root = Path(__file__).resolve().parents[1]
+        path = str(tmp_path / "missing" / "x")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.tools", *argv, path], cwd=root,
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert argv[-1] in proc.stderr and path in proc.stderr
+        assert not (tmp_path / "missing").exists()
+
+    def test_directory_as_output_is_bad_usage(self, tmp_path, capsys):
+        assert tools.main(["kmeans", "--trace-out", str(tmp_path)]) == 2
+        assert "--trace-out" in capsys.readouterr().err
 
 class TestPrettyPrinter:
     def test_round_trips_structures(self):

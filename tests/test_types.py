@@ -59,5 +59,3 @@ def test_numeric_promotion():
     assert T.join_numeric(T.INT, T.INT) == T.INT
     assert T.join_numeric(T.INT, T.DOUBLE) == T.DOUBLE
     assert T.join_numeric(T.LONG, T.INT) == T.LONG
-    assert T.is_numeric(T.DOUBLE)
-    assert not T.is_numeric(T.BOOL)
