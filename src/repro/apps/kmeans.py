@@ -8,8 +8,6 @@ Both formulations are provided:
 - ``kmeans_grouped_program`` — the distributed-memory style (bottom of
   Fig. 1): data explicitly shuffled via ``groupRowsBy``. The
   GroupBy-Reduce rule lowers this to the same optimized code.
-
-``kmeans`` is the user-level driver that iterates either program.
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from .. import frontend as F
-from ..core import types as T
 from ..core.ir import Program
-from ..core.interp import run_program
 
 
 def _sq_dist(row: F.ArrayRep, centroid: F.ArrayRep) -> F.NumRep:
@@ -91,16 +87,3 @@ def kmeans_oracle(matrix: Sequence[Sequence[float]],
             out.append([s / counts[ci] for s in sums[ci]])
     return out
 
-
-def kmeans(matrix: Sequence[Sequence[float]], k: int, iterations: int = 10,
-           program: Program = None) -> List[List[float]]:
-    """Run k-means via the DMLL reference interpreter (unoptimized program
-    unless one is supplied). Initial centroids are the first k rows."""
-    prog = program if program is not None else kmeans_shared_program()
-    clusters = [list(matrix[i % len(matrix)]) for i in range(k)]
-    for _ in range(iterations):
-        (new,), _ = run_program(prog, {"matrix": matrix, "clusters": clusters})
-        # keep empty clusters where they were
-        clusters = [list(c) if len(c) else clusters[ci]
-                    for ci, c in enumerate(new)]
-    return clusters

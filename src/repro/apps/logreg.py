@@ -15,7 +15,6 @@ from typing import List, Sequence
 from .. import frontend as F
 from ..core import types as T
 from ..core.ir import Program
-from ..core.interp import run_program
 
 
 def logreg_inputs():
@@ -59,13 +58,3 @@ def logreg_oracle(x: Sequence[Sequence[float]], y: Sequence[float],
         out.append(theta[j] + alpha * g)
     return out
 
-
-def logreg(x, y, alpha: float = 0.1, iterations: int = 10,
-           program: Program = None) -> List[float]:
-    """Iterate the DMLL program to train a model."""
-    prog = program if program is not None else logreg_program()
-    theta = [0.0] * len(x[0])
-    for _ in range(iterations):
-        (theta,), _ = run_program(
-            prog, {"x": x, "y": y, "theta": theta, "alpha": alpha})
-    return theta

@@ -24,15 +24,15 @@ VARIANTS = ("opt", "gpu")
 
 
 def check_apps(names=None) -> int:
-    from ..bench.apps import _FACTORIES, get_bundle
+    from ..bench import BUNDLES, get_bundle
     from ..core.interp import run_program
     from ..core.values import deep_eq
-    names = list(names) if names else sorted(_FACTORIES)
+    names = list(names) if names else sorted(BUNDLES)
     bad = 0
     for name in names:
-        if name not in _FACTORIES:
+        if name not in BUNDLES:
             print(f"unknown app {name!r}; bundled: "
-                  f"{', '.join(sorted(_FACTORIES))}", file=sys.stderr)
+                  f"{', '.join(sorted(BUNDLES))}", file=sys.stderr)
             return 2
         bundle = get_bundle(name)
         for variant in VARIANTS:

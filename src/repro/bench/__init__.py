@@ -1,6 +1,6 @@
 """Benchmark harness: prepared applications with cached functional runs,
 shared across the per-table/per-figure benchmark files."""
 
-from .apps import AppBundle, PAPER_SIZES, get_bundle
+from .apps import BUNDLES, AppBundle, PAPER_SIZES, get_bundle
 
-__all__ = ["AppBundle", "PAPER_SIZES", "get_bundle"]
+__all__ = ["BUNDLES", "AppBundle", "PAPER_SIZES", "get_bundle"]

@@ -16,23 +16,15 @@ functional execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from ..apps.gda import gda_program
-from ..apps.gene import gene_program
-from ..apps.gibbs import gibbs_sweep_program
-from ..apps.kmeans import kmeans_shared_program
-from ..apps.logreg import logreg_program
-from ..apps.tpch import q1_program
-from ..core.ir import Program
+from ..apps import PROGRAMS
 from ..data.datasets import binary_labeled, gaussian_clusters, logistic_data
 from ..data.factor_graphs import grid_ising, random_states, random_uniforms
 from ..data.genes import generate_reads
 from ..data.graphs import power_law_graph
 from ..data.tpch_gen import generate_lineitems
-from ..graph.optigraph import pagerank_pull_program, triangle_program
 from ..pipeline import VARIANTS, CompiledProgram, compile_program
 from ..runtime.executor import RunCapture, capture_run
 
@@ -50,11 +42,10 @@ PAPER_SIZES = {
 
 
 class AppBundle:
-    def __init__(self, name: str, program_factory: Callable[[], Program],
-                 inputs: Dict[str, object], scale: float,
+    def __init__(self, name: str, inputs: Dict[str, object], scale: float,
                  iterative: bool = False, data_scale: float = None):
         self.name = name
-        self._factory = program_factory
+        self._factory = PROGRAMS[name]
         self.inputs = inputs
         self.scale = scale
         #: data volumes may scale differently from compute (see
@@ -82,24 +73,27 @@ class AppBundle:
 
     def simulate(self, variant: str = "opt", cluster=None, profile=None,
                  backend: Optional[str] = None, **opt_kwargs):
-        """Price this bundle's cached capture on a machine/profile combo.
+        """Price this bundle's cached capture of ``variant`` (run on the
+        functional engine ``backend``; the priced time is the same on
+        both) with ``price``."""
+        return self.price(self.compiled(variant),
+                          self.capture(variant, backend=backend),
+                          cluster, profile, **opt_kwargs)
 
-        Extra keyword arguments land on ``ExecOptions`` — including the
-        observability knobs (``tracer=``, ``metrics=``), which is how the
-        CLI profiler attaches to a bundle run. ``scale``/``data_scale``
-        default to the bundle's own factors. ``backend`` picks the
-        functional engine for the capture (reference interpreter or
-        vectorized NumPy); the priced simulated time is backend-invariant
-        because the cycle accounting is."""
+    def price(self, compiled: CompiledProgram, capture: RunCapture,
+              cluster=None, profile=None, **opt_kwargs):
+        """Price ``capture``, a run of ``compiled`` on this bundle's
+        inputs, on a machine/profile combo. Extra keyword arguments land
+        on ``ExecOptions`` (``tracer=``, ``metrics=``, ...);
+        ``scale``/``data_scale`` default to the bundle's own factors."""
         from ..runtime.executor import ExecOptions, Simulator
         from ..runtime.machine import DMLL_CPP, NUMA_BOX
         opt_kwargs.setdefault("scale", self.scale)
         opt_kwargs.setdefault("data_scale", self.data_scale)
-        sim = Simulator(self.compiled(variant),
-                        NUMA_BOX if cluster is None else cluster,
+        sim = Simulator(compiled, NUMA_BOX if cluster is None else cluster,
                         DMLL_CPP if profile is None else profile,
                         ExecOptions(**opt_kwargs))
-        return sim.price(self.capture(variant, backend=backend))
+        return sim.price(capture)
 
 
 def _kmeans_bundle() -> AppBundle:
@@ -108,15 +102,14 @@ def _kmeans_bundle() -> AppBundle:
     # compute volume is n*d*k (modeled k=6); data volume is n*d
     scale = (500_000 * 100 * 6) / (800 * 20 * 8)
     data_scale = (500_000 * 100) / (800 * 20)
-    return AppBundle("kmeans", kmeans_shared_program,
-                     {"matrix": matrix, "clusters": clusters}, scale,
-                     iterative=True, data_scale=data_scale)
+    return AppBundle("kmeans", {"matrix": matrix, "clusters": clusters},
+                     scale, iterative=True, data_scale=data_scale)
 
 
 def _logreg_bundle() -> AppBundle:
     x, y = logistic_data(600, 20)
     scale = (500_000 * 100) / (600 * 20)
-    return AppBundle("logreg", logreg_program,
+    return AppBundle("logreg",
                      {"x": x, "y": y, "theta": [0.0] * 20, "alpha": 0.1},
                      scale, iterative=True)
 
@@ -127,28 +120,27 @@ def _gda_bundle() -> AppBundle:
     # itself scales with n * d
     scale = (500_000 * 100 * 100) / (300 * 24 * 24)
     data_scale = (500_000 * 100) / (300 * 24)
-    return AppBundle("gda", gda_program, {"x": x, "y": y}, scale,
-                     data_scale=data_scale)
+    return AppBundle("gda", {"x": x, "y": y}, scale, data_scale=data_scale)
 
 
 def _q1_bundle() -> AppBundle:
     rows = generate_lineitems(3000)
     scale = 30_000_000 / 3000
-    return AppBundle("q1", q1_program, {"lineitems": rows}, scale)
+    return AppBundle("q1", {"lineitems": rows}, scale)
 
 
 def _gene_bundle() -> AppBundle:
     rows = generate_reads(3000)
     scale = 3_500_000 / 3000
-    return AppBundle("gene", gene_program, {"reads": rows}, scale)
+    return AppBundle("gene", {"reads": rows}, scale)
 
 
 def _pagerank_bundle() -> AppBundle:
     g = power_law_graph(1200, 7)
     scale = 69_000_000 / (2 * g.m)     # LiveJournal edge traversals
-    b = AppBundle("pagerank", pagerank_pull_program,
-                  {"adj": g.adj, "ranks": [1.0] * g.n,
-                   "degrees": g.degrees()}, scale, iterative=True)
+    b = AppBundle("pagerank", {"adj": g.adj, "ranks": [1.0] * g.n,
+                               "degrees": g.degrees()},
+                  scale, iterative=True)
     b.graph = g  # type: ignore[attr-defined]
     return b
 
@@ -159,8 +151,7 @@ def _triangle_bundle() -> AppBundle:
     avg_deg = 2 * g.m / g.n
     scale = (34_500_000 * 2 * 14.4) / (g.m * 2 * avg_deg)
     data_scale = 69_000_000 / (2 * g.m)
-    b = AppBundle("triangle", triangle_program, {"adj": g.adj}, scale,
-                  data_scale=data_scale)
+    b = AppBundle("triangle", {"adj": g.adj}, scale, data_scale=data_scale)
     b.graph = g  # type: ignore[attr-defined]
     return b
 
@@ -171,14 +162,16 @@ def _gibbs_bundle() -> AppBundle:
     states = random_states(fg.n_vars, replicas, seed=3)
     rand = random_uniforms(fg.n_vars, replicas, seed=4)
     scale = 2_000_000 / fg.n_vars
-    b = AppBundle("gibbs", gibbs_sweep_program,
-                  {"nbr_vars": fg.nbr_vars, "nbr_weights": fg.nbr_weights,
-                   "states": states, "rand": rand}, scale, iterative=True)
+    b = AppBundle("gibbs", {"nbr_vars": fg.nbr_vars,
+                            "nbr_weights": fg.nbr_weights,
+                            "states": states, "rand": rand},
+                  scale, iterative=True)
     b.factor_graph = fg  # type: ignore[attr-defined]
     return b
 
 
-_FACTORIES = {
+#: the apps with a bundled dataset: name -> the bundle's factory
+BUNDLES = {
     "kmeans": _kmeans_bundle,
     "logreg": _logreg_bundle,
     "gda": _gda_bundle,
@@ -192,4 +185,4 @@ _FACTORIES = {
 
 @lru_cache(maxsize=None)
 def get_bundle(name: str) -> AppBundle:
-    return _FACTORIES[name]()
+    return BUNDLES[name]()

@@ -26,6 +26,8 @@ and the decision-provenance ledger — into *answers*:
   rolling-median baseline record, ranked per-loop deltas, the dominant
   contributor named with its machine, and a cross-reference into the
   decision-ledger key diff when the provenance digest drifted.
+  :func:`root_cause` builds the same report for any two records
+  (``repro.tools analyze --diff A B``).
 
 Everything here is pure post-processing of recorded data: nothing is
 imported or executed on the hot pricing/serving paths, so the
@@ -440,28 +442,13 @@ class RootCause:
         return "\n".join(lines)
 
 
-def root_cause_from_records(app: str, records: Sequence[RunRecord],
-                            window: int = DEFAULT_WINDOW,
-                            problems: Optional[Sequence[str]] = None,
-                            ) -> Optional[RootCause]:
-    """Build a root-cause report for ``app``'s latest history record.
-
-    The baseline is the *record* whose wall-clock sits at the rolling
-    median of the prior ``window`` runs (closest-to-median, most recent
-    on ties) — the same baseline semantics as the regress gate, but
-    resolved to a concrete record so its per-loop breakdown and ledger
-    keys can be diffed. Needs at least two records; returns ``None``
-    otherwise.
-    """
-    if len(records) < 2:
-        return None
-    latest = records[-1]
-    base = list(records[:-1])[-window:]
-    med = _median([r.wall_s for r in base])
-    baseline = min(reversed(base), key=lambda r: abs(r.wall_s - med))
-    rc = RootCause(app, baseline, latest, len(base),
-                   problems=list(problems or []))
-
+def root_cause(app: str, baseline: RunRecord, latest: RunRecord,
+               window: int, problems: Sequence[str] = (),
+               baseline_desc: str = "") -> RootCause:
+    """Diff two history records of ``app``: the per-loop deltas, and the
+    ledger keys on one side only when the decision digest drifted."""
+    rc = RootCause(app, baseline, latest, window, problems=list(problems),
+                   baseline_desc=baseline_desc)
     rows_a = baseline.extra.get("per_loop")
     rows_b = latest.extra.get("per_loop")
     if rows_a and rows_b:
@@ -484,6 +471,27 @@ def root_cause_from_records(app: str, records: Sequence[RunRecord],
                             "normalized ledger keys; re-run benchmarks "
                             "to capture them")
     return rc
+
+
+def root_cause_from_records(app: str, records: Sequence[RunRecord],
+                            window: int = DEFAULT_WINDOW,
+                            problems: Optional[Sequence[str]] = None,
+                            ) -> Optional[RootCause]:
+    """Build a root-cause report for ``app``'s latest history record.
+
+    The baseline is the *record* whose wall-clock sits at the rolling
+    median of the prior ``window`` runs (closest-to-median, most recent
+    on ties) — the same baseline semantics as the regress gate, but
+    resolved to a concrete record so its per-loop breakdown and ledger
+    keys can be diffed. Needs at least two records; returns ``None``
+    otherwise.
+    """
+    if len(records) < 2:
+        return None
+    base = list(records[:-1])[-window:]
+    med = _median([r.wall_s for r in base])
+    baseline = min(reversed(base), key=lambda r: abs(r.wall_s - med))
+    return root_cause(app, baseline, records[-1], len(base), problems or ())
 
 
 def root_cause_json(rc: RootCause) -> str:

@@ -4,28 +4,24 @@ compilation trace — or run it on the simulated hardware and profile it.
 
 Usage::
 
+    python -m repro.tools --list
     python -m repro.tools kmeans                 # optimized IR
     python -m repro.tools kmeans --stage staged  # as written
     python -m repro.tools logreg --target gpu --emit cuda
-    python -m repro.tools q1 --report            # partitioning/stencils
-    python -m repro.tools kmeans --trace         # per-pass table
-    python -m repro.tools kmeans --verify-each   # verifier at every pass
-    python -m repro.tools kmeans --profile       # per-loop time breakdown
-    python -m repro.tools kmeans --profile --backend numpy  # vectorized
-    python -m repro.tools kmeans --trace-out t.json   # Chrome trace
-    python -m repro.tools kmeans --metrics       # runtime counters
-    python -m repro.tools explain kmeans         # decision provenance
-    python -m repro.tools explain kmeans --loop cs --json
+    python -m repro.tools kmeans --trace --report --verify-each
+    python -m repro.tools kmeans --profile --backend numpy --trace-out t.json
     python -m repro.tools explain kmeans --explain-diff no-fusion
-    python -m repro.tools serve-sim kmeans       # serving simulation
-    python -m repro.tools serve-sim kmeans q1 --rate 200 --requests 64
-    python -m repro.tools serve-sim kmeans --machines numa*2,gpunode
-    python -m repro.tools serve-sim kmeans --trace-out t.json --slo s.json
+    python -m repro.tools serve-sim kmeans q1 --rate 200 --machines numa*2
     python -m repro.tools slo-report kmeans --spec examples/slo_serving.json
-    python -m repro.tools analyze kmeans --critical-path
-    python -m repro.tools analyze kmeans --diff prev latest
-    python -m repro.tools analyze kmeans --requests --json
-    python -m repro.tools --list
+    python -m repro.tools analyze kmeans --critical-path   # or --diff A B
+
+Without a subcommand the app is staged once and compiled once with the
+flags given, and each view asked for reads that compile, in this order:
+the pass table (--trace), the report (--report), the observed run
+(--profile, --metrics, --*-out: the compile priced on the app's bundled
+dataset), the program (--emit; IR when no other view is asked for). A
+flag no requested view reads is bad usage. Under --json stdout is one
+JSON document.
 
 Exit codes (repo-wide convention): 0 ok, 1 check failed, 2 bad usage.
 """
@@ -38,44 +34,47 @@ import math
 import os
 import sys
 
-from .core.pretty import pretty
-from .passes import trace_table
-from .pipeline import compile_program
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-_APPS = {
-    "kmeans": lambda: __import__("repro.apps.kmeans", fromlist=["x"]).kmeans_shared_program(),
-    "kmeans-grouped": lambda: __import__("repro.apps.kmeans", fromlist=["x"]).kmeans_grouped_program(),
-    "logreg": lambda: __import__("repro.apps.logreg", fromlist=["x"]).logreg_program(),
-    "gda": lambda: __import__("repro.apps.gda", fromlist=["x"]).gda_program(),
-    "q1": lambda: __import__("repro.apps.tpch", fromlist=["x"]).q1_program(),
-    "gene": lambda: __import__("repro.apps.gene", fromlist=["x"]).gene_program(),
-    "knn": lambda: __import__("repro.apps.knn", fromlist=["x"]).knn_program(),
-    "naive-bayes": lambda: __import__("repro.apps.naive_bayes", fromlist=["x"]).nb_program(),
-    "gibbs": lambda: __import__("repro.apps.gibbs", fromlist=["x"]).gibbs_sweep_program(),
-    "pagerank": lambda: __import__("repro.graph.optigraph", fromlist=["x"]).pagerank_pull_program(),
-    "pagerank-push": lambda: __import__("repro.graph.optigraph", fromlist=["x"]).pagerank_push_program(),
-    "triangle": lambda: __import__("repro.graph.optigraph", fromlist=["x"]).triangle_program(),
+#: the arguments more than one parser takes, each declared here once
+_FLAGS = {
+    "app": dict(nargs="?", help="application name (see --list)"),
+    "--target": dict(choices=("cpu", "distributed", "gpu"),
+                     help="compile target (default: distributed)"),
+    "--backend": dict(choices=("reference", "numpy"),
+                      help="functional engine of the run (default: "
+                           "$REPRO_BACKEND or reference; numpy for served "
+                           "traffic, the only engine that lane-packs)"),
+    "--json": dict(action="store_true",
+                   help="print one JSON document instead of a table"),
+    "--metrics": dict(action="store_true",
+                      help="print the run's metrics registry"),
+    "--trace-out": dict(metavar="FILE.json",
+                        help="write a Chrome-trace JSON of the run"),
+    "--flame-out": dict(metavar="FILE.txt",
+                        help="write a collapsed-stack flamegraph of the run"),
+    "--metrics-out": dict(metavar="FILE.prom",
+                          help="write the metrics in Prometheus text format"),
 }
+_EXPORTS = ("--trace-out", "--flame-out", "--metrics-out")
 
 
-def _parse(ap, argv):
-    """``(args, None)``, or ``(None, exit code)`` where argparse would
-    have exited the process: 0 after ``--help``, 2 on bad usage."""
-    try:
-        return ap.parse_args(argv), None
-    except SystemExit as e:
-        return None, int(e.code or 0)
+def _add(ap, *names: str) -> None:
+    for name in names:
+        ap.add_argument(name, **_FLAGS[name])
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _check_outputs(args, *flags: str) -> int:
     """EXIT_USAGE, after one line naming the flag and the path, when an
     output file cannot be written there; checked before the run."""
     for flag in flags:
-        path = getattr(args, flag[2:].replace("-", "_"))
+        path = getattr(args, _dest(flag))
         if path is None:
             continue
         parent = os.path.dirname(path) or "."
@@ -93,19 +92,47 @@ def _check_outputs(args, *flags: str) -> int:
     return EXIT_OK
 
 
+def _note(args, line: str) -> None:
+    """A ``wrote FILE`` line; on stderr under ``--json``, so that stdout
+    stays one JSON document."""
+    print(line, file=sys.stderr if getattr(args, "json", False)
+          else sys.stdout)
+
+
 def _write_exports(args, tracer, metrics, trace_hint: str = "") -> None:
     """The ``--trace-out`` / ``--flame-out`` / ``--metrics-out`` tail of an
     observed run."""
     from .obs import write_chrome_trace, write_collapsed, write_prometheus
     if args.trace_out:
         write_chrome_trace(args.trace_out, tracer)
-        print(f"wrote Chrome trace to {args.trace_out}{trace_hint}")
+        _note(args, f"wrote Chrome trace to {args.trace_out}{trace_hint}")
     if args.flame_out:
         write_collapsed(args.flame_out, tracer)
-        print(f"wrote flamegraph stacks to {args.flame_out}")
+        _note(args, f"wrote flamegraph stacks to {args.flame_out}")
     if args.metrics_out:
         write_prometheus(args.metrics_out, metrics)
-        print(f"wrote Prometheus metrics to {args.metrics_out}")
+        _note(args, f"wrote Prometheus metrics to {args.metrics_out}")
+
+
+def _known_app(app, who: str) -> bool:
+    """Whether ``app`` is in the catalogue; one line on stderr if not."""
+    from .apps import PROGRAMS
+    if app in PROGRAMS:
+        return True
+    print(f"{who} requires an application name; see --list" if app is None
+          else f"unknown app {app!r}; use --list", file=sys.stderr)
+    return False
+
+
+def _check_bundled(apps, who: str) -> int:
+    """EXIT_USAGE, after one line, unless every app has a dataset."""
+    from .bench import BUNDLES
+    bad = [a for a in apps if a not in BUNDLES]
+    if not bad:
+        return EXIT_OK
+    print(f"{who} needs a bundled dataset; none for {', '.join(bad)} "
+          f"(apps with one: {', '.join(sorted(BUNDLES))})", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _load_slo(path: str):
@@ -120,39 +147,30 @@ def _load_slo(path: str):
 
 def _emit(prog, emit: str) -> str:
     if emit == "ir":
+        from .core.pretty import pretty
         return pretty(prog)
     from .codegen import generate_cpp, generate_cuda, generate_scala
     return {"cpp": generate_cpp, "cuda": generate_cuda,
             "scala": generate_scala}[emit](prog)
 
 
-def _run_observed(args) -> int:
-    """--profile / --trace-out / --metrics: execute the app on its bundled
-    dataset through the simulated runtime with observability attached."""
-    from .bench.apps import _FACTORIES, get_bundle
-    if args.app not in _FACTORIES:
-        print(f"--profile/--trace-out/--metrics need a bundled dataset; "
-              f"apps with one: {', '.join(sorted(_FACTORIES))}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    from .backend import resolve_backend_ex
+def _run_observed(args, compiled, backend: str, backend_source: str) -> None:
+    """--profile / --metrics / --*-out: price ``compiled`` on the app's
+    bundled dataset through the simulated runtime, observed."""
+    from .bench import get_bundle
     from .obs import MetricsRegistry, Tracer, profile_report
-    from .runtime import DMLL_CPP, GPU_CLUSTER, NUMA_BOX, single_node
+    from .runtime import GPU_CLUSTER, NUMA_BOX, single_node
+    from .runtime.executor import capture_run
 
-    try:
-        _, backend_source = resolve_backend_ex(args.backend)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     bundle = get_bundle(args.app)
     gpu = args.target == "gpu"
-    variant = "gpu" if gpu else ("plain" if args.no_transforms else "opt")
     tracer = Tracer()
     metrics = MetricsRegistry()
     cluster = single_node(GPU_CLUSTER) if gpu else NUMA_BOX
-    sim = bundle.simulate(variant, cluster=cluster, use_gpu=gpu,
-                          gpu_transposed=gpu, tracer=tracer, metrics=metrics,
-                          backend=args.backend)
+    sim = bundle.price(compiled,
+                       capture_run(compiled, bundle.inputs, backend=backend),
+                       cluster, use_gpu=gpu, gpu_transposed=gpu,
+                       tracer=tracer, metrics=metrics)
     tracer.last_run.name[0] = f"{args.app}:{cluster.name}"
 
     if args.profile:
@@ -164,27 +182,26 @@ def _run_observed(args) -> int:
         print(f"execution backend: {sim.backend} "
               f"(resolved from {backend_source})")
         if sim.backend != "reference":
-            if sim.fallbacks:
-                for fb in sim.fallbacks:
-                    print(f"  fallback {fb.loop} ({fb.op}): {fb.reason}")
-            else:
-                print("  all loops vectorized "
-                      "(no interpreter fallbacks)")
-        for d in bundle.compiled(variant).diagnostics:
+            for fb in sim.fallbacks:
+                print(f"  fallback {fb.loop} ({fb.op}): {fb.reason}")
+            if not sim.fallbacks:
+                print("  all loops vectorized (no interpreter fallbacks)")
+        for d in compiled.diagnostics:
             print(d.render())
     if args.metrics:
         print(metrics.render())
     _write_exports(args, tracer, metrics, "; load it in chrome://tracing "
                                           "or https://ui.perfetto.dev")
-    return 0
 
 
 def _explain_compile(app: str, target: str, variant: str = None):
     """Compile ``app`` with a shared ledger scope covering the whole
     pipeline plus the backend's static plan; return the ledger."""
+    from .apps import PROGRAMS
     from .backend.vectorize import plan_program
     from .obs.provenance import DecisionLedger, ledger_scope
-    prog = _APPS[app]()
+    from .pipeline import compile_program
+    prog = PROGRAMS[app]()
     led = DecisionLedger()
     with ledger_scope(led):
         compiled = compile_program(
@@ -201,34 +218,21 @@ def explain_main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="repro.tools explain",
         description="Explain every compiler/backend decision taken for an "
-                    "application: fusions applied and rejected (with the "
-                    "blocking dependency), Fig. 3 transforms fired or "
-                    "found not-applicable, stencil classifications, "
-                    "partition layouts, and the NumPy backend's "
-                    "plan-vs-fallback choices.")
-    ap.add_argument("app", nargs="?", help="application name (see --list)")
+                    "application: fusions, Fig. 3 transforms, stencils, "
+                    "layouts and the NumPy backend's plan-vs-fallback.")
+    _add(ap, "app", "--json", "--target")
+    ap.set_defaults(target="distributed")
     ap.add_argument("--loop", default=None, metavar="L",
                     help="filter to decisions about one loop/symbol "
-                         "(prefix match, ids optional: 'cs' matches cs42)")
-    ap.add_argument("--json", action="store_true",
-                    help="emit the ledger as JSON (only --loop's decisions "
-                         "if given; the digest is the full ledger's)")
-    ap.add_argument("--target", choices=("cpu", "distributed", "gpu"),
-                    default="distributed")
+                         "(prefix match, ids optional: 'cs' matches cs42); "
+                         "the --json digest stays the full ledger's")
     ap.add_argument("--explain-diff", choices=("no-fusion", "no-transforms"),
                     default=None, metavar="VARIANT",
                     help="compile twice (default pipeline vs the ablated "
                          "VARIANT) and show exactly which decisions "
                          "diverge")
-    args, rc = _parse(ap, argv)
-    if args is None:
-        return rc
-    if not args.app:
-        print("explain requires an application name; see "
-              "`python -m repro.tools --list`", file=sys.stderr)
-        return EXIT_USAGE
-    if args.app not in _APPS:
-        print(f"unknown app {args.app!r}; use --list", file=sys.stderr)
+    args = ap.parse_args(argv)
+    if not _known_app(args.app, "explain"):
         return EXIT_USAGE
     if args.explain_diff and (args.json or args.loop is not None):
         print("--explain-diff prints a text diff of whole ledgers; it takes "
@@ -298,15 +302,12 @@ def _add_traffic_args(ap) -> None:
                     help="distinct logical payloads per app (tenants); "
                          "only equal payloads lane-pack")
     _add_fleet_args(ap)
-    ap.add_argument("--backend", choices=("reference", "numpy"),
-                    default="numpy",
-                    help="functional engine; only numpy lane-packs "
-                         "(default %(default)s)")
+    _add(ap, "--backend")
+    ap.set_defaults(backend="numpy")
     # chaos / resilience (all off by default: a plain run stays
     # byte-identical to one where these flags never existed)
     ap.add_argument("--faults", metavar="PLAN.json",
-                    help="seeded fault-injection plan: crash windows, "
-                         "slow replicas, kernel faults, cache drops "
+                    help="seeded fault-injection plan "
                          "(see examples/faults_outage.json)")
     ap.add_argument("--timeout-ms", type=float, default=None,
                     help="per-request deadline in simulated ms; late "
@@ -324,12 +325,10 @@ def _add_traffic_args(ap) -> None:
                     help="admission-queue depth above which arrivals "
                          "are shed with a typed rejection")
     ap.add_argument("--breaker", action="store_true",
-                    help="per-machine circuit breakers (sliding-window "
-                         "failure rate; open replicas are skipped)")
+                    help="per-machine circuit breakers")
     ap.add_argument("--degrade-after", type=int, default=3,
-                    help="consecutive kernel faults before an app "
-                         "degrades to the reference path "
-                         "(default %(default)s)")
+                    help="consecutive kernel faults before an app degrades "
+                         "to the reference path (default %(default)s)")
 
 
 def _check_traffic_args(args, prog: str) -> int:
@@ -337,37 +336,27 @@ def _check_traffic_args(args, prog: str) -> int:
         print(f"{prog} requires at least one application name",
               file=sys.stderr)
         return EXIT_USAGE
-    from .bench.apps import _FACTORIES
-    bad = [a for a in args.apps if a not in _FACTORIES]
-    if bad:
-        print(f"{prog} needs bundled datasets; unknown: "
-              f"{', '.join(bad)} (have: {', '.join(sorted(_FACTORIES))})",
-              file=sys.stderr)
+    if _check_bundled(args.apps, prog) != EXIT_OK:
         return EXIT_USAGE
-    if args.requests < 1 or args.batch < 1 or args.payloads < 1:
-        print("--requests/--batch/--payloads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.retry is not None and args.retry < 1:
-        print("--retry must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    # each check is written so that NaN fails it
-    for flag, val in (("--rate", args.rate), ("--timeout-ms", args.timeout_ms),
-                      ("--hedge-ms", args.hedge_ms)):
-        if val is not None and not 0 < val < math.inf:
-            print(f"{flag} must be finite and > 0", file=sys.stderr)
+    # (flag, value, least value, whether the least is allowed); each
+    # comparison is written so that NaN fails it
+    a = args
+    for flag, val, low, closed in (
+            ("--requests", a.requests, 1, True), ("--batch", a.batch, 1, True),
+            ("--payloads", a.payloads, 1, True), ("--retry", a.retry, 1, True),
+            ("--shed-depth", a.shed_depth, 1, True),
+            ("--retry-budget", a.retry_budget, 0, True),
+            ("--degrade-after", a.degrade_after, 1, True),
+            ("--think-ms", a.think_ms, 0, True),
+            ("--max-wait-ms", a.max_wait_ms, 0, True),
+            ("--rate", a.rate, 0, False),
+            ("--timeout-ms", a.timeout_ms, 0, False),
+            ("--hedge-ms", a.hedge_ms, 0, False)):
+        if val is not None and not (low <= val < math.inf if closed
+                                    else low < val < math.inf):
+            print(f"{flag} must be finite and {'>=' if closed else '>'} {low}",
+                  file=sys.stderr)
             return EXIT_USAGE
-    for flag, val in (("--think-ms", args.think_ms),
-                      ("--max-wait-ms", args.max_wait_ms)):
-        if not 0 <= val < math.inf:
-            print(f"{flag} must be finite and >= 0", file=sys.stderr)
-            return EXIT_USAGE
-    if args.shed_depth is not None and args.shed_depth < 1:
-        print("--shed-depth must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.retry_budget < 0 or args.degrade_after < 1:
-        print("--retry-budget must be >= 0 and --degrade-after >= 1",
-              file=sys.stderr)
-        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -385,23 +374,18 @@ def _resilience_of(args):
         except OSError as exc:
             raise ValueError(
                 f"cannot load fault plan {args.faults}: {exc}") from None
-    retry = (RetryPolicy(max_attempts=args.retry, budget=args.retry_budget)
-             if args.retry is not None else None)
-    breaker = BreakerConfig() if args.breaker else None
-    res = None
-    if (retry is not None or breaker is not None
-            or args.timeout_ms is not None or args.hedge_ms is not None
-            or args.shed_depth is not None):
-        res = ResilienceConfig(
-            deadline_s=(args.timeout_ms / 1e3
-                        if args.timeout_ms is not None else None),
-            retry=retry,
-            hedge_delay_s=(args.hedge_ms / 1e3
-                           if args.hedge_ms is not None else None),
-            shed_depth=args.shed_depth,
-            breaker=breaker,
-            degrade_after=args.degrade_after)
-    return plan, res
+    if not args.breaker and (args.retry, args.timeout_ms, args.hedge_ms,
+                             args.shed_depth) == (None,) * 4:
+        return plan, None
+    # the traffic checks passed: a duration that is not None is > 0
+    return plan, ResilienceConfig(
+        deadline_s=args.timeout_ms / 1e3 if args.timeout_ms else None,
+        hedge_delay_s=args.hedge_ms / 1e3 if args.hedge_ms else None,
+        retry=(None if args.retry is None else
+               RetryPolicy(max_attempts=args.retry, budget=args.retry_budget)),
+        shed_depth=args.shed_depth,
+        breaker=BreakerConfig() if args.breaker else None,
+        degrade_after=args.degrade_after)
 
 
 def _run_traffic(args, metrics, tracer):
@@ -428,49 +412,31 @@ def serve_main(argv=None) -> int:
     """``repro.tools serve-sim <app> [...]``: run the serving simulator."""
     ap = argparse.ArgumentParser(
         prog="repro.tools serve-sim",
-        description="Simulate serving many concurrent invocations of "
-                    "cached compiled programs: seeded open- or "
-                    "closed-loop traffic, lane-packed batching on the "
-                    "NumPy backend, pluggable placement across machine "
-                    "models; reports throughput and p50/p95/p99 latency.")
+        description="Simulate seeded open- or closed-loop traffic to "
+                    "cached compiled programs, lane-packed and placed on "
+                    "a machine fleet; reports throughput and latency.")
     _add_traffic_args(ap)
     ap.add_argument("--latency-out", metavar="FILE.json",
-                    help="write the latency histogram + quantiles JSON "
-                         "(with per-app and per-machine breakdowns)")
-    ap.add_argument("--trace-out", metavar="FILE.json",
-                    help="write a Chrome-trace (Perfetto) JSON of the "
-                         "serving run, with per-request spans and "
-                         "request-to-batch flow arrows")
-    ap.add_argument("--flame-out", metavar="FILE.txt",
-                    help="write a collapsed-stack flamegraph "
-                         "(flamegraph.pl / speedscope format) of the "
-                         "serving run's spans")
-    ap.add_argument("--metrics-out", metavar="FILE.prom",
-                    help="write the metrics registry in Prometheus/"
-                         "OpenMetrics text exposition format")
+                    help="write the report, latency histogram included, "
+                         "as JSON")
+    _add(ap, *_EXPORTS, "--metrics", "--json")
     ap.add_argument("--slo", metavar="SPEC.json",
-                    help="evaluate an SLO spec over the run and attach "
-                         "the result to the report (informational; use "
-                         "slo-report to gate on it)")
+                    help="attach an SLO spec's evaluation to the report "
+                         "(slo-report gates on it)")
     ap.add_argument("--chaos", action="store_true",
-                    help="chaos report mode (needs --faults and --slo): "
-                         "re-score the SLO spec over traffic completing "
-                         "after the last scripted disruption and exit "
-                         "nonzero unless the system recovered")
-    ap.add_argument("--metrics", action="store_true",
-                    help="print the serving metrics registry")
-    ap.add_argument("--json", action="store_true",
-                    help="emit the report as JSON instead of a table")
-    args, rc = _parse(ap, argv)
-    if args is None:
-        return rc
+                    help="with --faults and --slo: exit 1 unless traffic "
+                         "after the last scripted fault meets the SLO")
+    args = ap.parse_args(argv)
     rc = (_check_traffic_args(args, "serve-sim")
-          or _check_outputs(args, "--latency-out", "--trace-out",
-                            "--flame-out", "--metrics-out"))
+          or _check_outputs(args, "--latency-out", *_EXPORTS))
     if rc != EXIT_OK:
         return rc
     if args.chaos and not (args.faults and args.slo):
         print("--chaos requires both --faults and --slo", file=sys.stderr)
+        return EXIT_USAGE
+    if args.json and args.metrics:
+        print("--metrics prints a table, --json one JSON document; write "
+              "the registry with --metrics-out FILE", file=sys.stderr)
         return EXIT_USAGE
 
     from .obs import MetricsRegistry, Tracer, evaluate_slo
@@ -537,7 +503,7 @@ def serve_main(argv=None) -> int:
         with open(args.latency_out, "w") as fh:
             _json.dump(report.to_json(), fh, indent=1, default=str)
             fh.write("\n")
-        print(f"wrote latency report to {args.latency_out}")
+        _note(args, f"wrote latency report to {args.latency_out}")
     _write_exports(args, tracer, metrics)
     if args.chaos:
         if not recovered:
@@ -556,20 +522,15 @@ def slo_main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="repro.tools slo-report",
         description="Run the serving simulator and score the responses "
-                    "against a declarative SLO spec: latency-percentile "
-                    "and availability objectives, error-budget "
-                    "consumption, and sliding-window burn rates over "
-                    "the simulated timeline.")
+                    "against an SLO spec: objectives, error budgets and "
+                    "burn rates over the simulated timeline.")
     _add_traffic_args(ap)
     ap.add_argument("--spec", required=True, metavar="SPEC.json",
                     help="SLO spec file (see examples/slo_serving.json)")
     ap.add_argument("--out", metavar="FILE.json",
                     help="write the evaluation as JSON")
-    ap.add_argument("--json", action="store_true",
-                    help="print the evaluation as JSON instead of a table")
-    args, rc = _parse(ap, argv)
-    if args is None:
-        return rc
+    _add(ap, "--json")
+    args = ap.parse_args(argv)
     rc = (_check_traffic_args(args, "slo-report")
           or _check_outputs(args, "--out"))
     if rc != EXIT_OK:
@@ -595,7 +556,7 @@ def slo_main(argv=None) -> int:
         with open(args.out, "w") as fh:
             _json.dump(result.to_json(), fh, indent=1, default=str)
             fh.write("\n")
-        print(f"wrote SLO report to {args.out}")
+        _note(args, f"wrote SLO report to {args.out}")
     if not result.ok:
         print("SLO VIOLATED: error budget exhausted", file=sys.stderr)
         return EXIT_FAIL
@@ -605,7 +566,7 @@ def slo_main(argv=None) -> int:
 def _analyze_critical(app: str, backend, as_json: bool) -> int:
     """Simulate ``app`` on its bundled dataset with tracing and print the
     critical path of the priced run."""
-    from .bench.apps import get_bundle
+    from .bench import get_bundle
     from .obs import Tracer
     from .obs.critical import critical_path
     bundle = get_bundle(app)
@@ -632,7 +593,7 @@ def _analyze_critical(app: str, backend, as_json: bool) -> int:
 def _analyze_diff(app: str, ref_a: str, ref_b: str, history,
                   window: int, as_json: bool) -> int:
     """Differential diff of two history records of ``app``."""
-    from .obs.analyze import RootCause, root_cause_json
+    from .obs.analyze import root_cause, root_cause_json
     from .obs.history import load_history
     records = load_history(app, history)
     if len(records) < 2:
@@ -641,11 +602,8 @@ def _analyze_diff(app: str, ref_a: str, ref_b: str, history,
         return EXIT_OK
 
     def resolve(ref: str) -> int:
-        if ref == "latest":
-            return len(records) - 1
-        if ref == "prev":
-            return len(records) - 2
-        i = int(ref)                       # may raise ValueError
+        i = {"latest": -1, "prev": -2}.get(ref)
+        i = int(ref) if i is None else i   # may raise ValueError
         return i if i >= 0 else len(records) + i
 
     try:
@@ -656,22 +614,8 @@ def _analyze_diff(app: str, ref_a: str, ref_b: str, history,
               f"index into {len(records)} records; got "
               f"{ref_a!r} {ref_b!r}", file=sys.stderr)
         return EXIT_USAGE
-    rc = RootCause(app, rec_a, rec_b, window,
-                   baseline_desc=f"explicit diff: record {ia} vs {ib}")
-    from .obs.analyze import diff_loop_rows
-    rows_a = rec_a.extra.get("per_loop")
-    rows_b = rec_b.extra.get("per_loop")
-    if rows_a and rows_b:
-        rc.loop_deltas = diff_loop_rows(rows_a, rows_b)
-    else:
-        rc.notes.append("per-loop breakdown missing on at least one "
-                        "record; loop attribution unavailable")
-    if rc.digest_drifted:
-        from collections import Counter
-        ka = Counter(rec_a.extra.get("decisions") or [])
-        kb = Counter(rec_b.extra.get("decisions") or [])
-        rc.ledger_only_baseline = sorted((ka - kb).elements())
-        rc.ledger_only_latest = sorted((kb - ka).elements())
+    rc = root_cause(app, rec_a, rec_b, window,
+                    baseline_desc=f"explicit diff: record {ia} vs {ib}")
     if as_json:
         print(root_cause_json(rc))
     else:
@@ -740,13 +684,11 @@ def analyze_main(argv=None) -> int:
     runtime — critical path, history diff, request decomposition."""
     ap = argparse.ArgumentParser(
         prog="repro.tools analyze",
-        description="Turn recorded telemetry into answers: extract the "
-                    "critical path of a priced run (--critical-path, the "
-                    "default), attribute the delta between two benchmark "
-                    "history records to specific loops and machines "
-                    "(--diff A B), or decompose every request's latency "
-                    "of a seeded serving run exactly (--requests).")
-    ap.add_argument("app", nargs="?", help="application name")
+        description="Trace analytics, one mode per run: the critical path "
+                    "of a priced run (--critical-path, the default), two "
+                    "history records diffed per loop (--diff A B), or the "
+                    "exact latency split of a serving run (--requests).")
+    _add(ap, "app", "--json", "--backend")
     ap.add_argument("--critical-path", action="store_true",
                     help="extract the critical path of one simulated run "
                          "(default mode)")
@@ -758,40 +700,35 @@ def analyze_main(argv=None) -> int:
                     help="run a seeded serving simulation and print the "
                          "exact per-request latency decomposition plus "
                          "fleet bottleneck attribution")
-    ap.add_argument("--json", action="store_true",
-                    help="emit JSON (deterministic: sorted keys; "
-                         "byte-identical for the same seed)")
     ap.add_argument("--history", default=None,
                     help="history directory for --diff "
                          "(default: benchmarks/history)")
     ap.add_argument("--window", type=int, default=8,
                     help="window label recorded on --diff reports "
                          "(default %(default)s)")
-    ap.add_argument("--backend", choices=("reference", "numpy"),
-                    default=None,
-                    help="functional engine (default: $REPRO_BACKEND or "
-                         "reference; --requests defaults to numpy)")
     ap.add_argument("--count", type=int, default=16,
                     help="--requests: total requests (default %(default)s)")
     ap.add_argument("--clients", type=int, default=4,
                     help="--requests: closed-loop clients "
                          "(default %(default)s)")
     _add_fleet_args(ap)
-    args, rc = _parse(ap, argv)
-    if args is None:
-        return rc
+    args = ap.parse_args(argv)
     if not args.app:
         print("analyze requires an application name", file=sys.stderr)
+        return EXIT_USAGE
+    modes = [flag for flag, on in (("--critical-path", args.critical_path),
+                                   ("--diff", args.diff is not None),
+                                   ("--requests", args.requests)) if on]
+    if len(modes) > 1:
+        print(f"analyze runs one mode; got {' and '.join(modes)}",
+              file=sys.stderr)
         return EXIT_USAGE
 
     if args.diff is not None:
         return _analyze_diff(args.app, args.diff[0], args.diff[1],
                              args.history, args.window, args.json)
 
-    from .bench.apps import _FACTORIES
-    if args.app not in _FACTORIES:
-        print(f"analyze needs a bundled dataset; apps with one: "
-              f"{', '.join(sorted(_FACTORIES))}", file=sys.stderr)
+    if _check_bundled([args.app], "analyze") != EXIT_OK:
         return EXIT_USAGE
     if args.requests:
         return _analyze_requests(args.app, args)
@@ -802,91 +739,80 @@ _SUBCOMMANDS = {"explain": explain_main, "serve-sim": serve_main,
                 "slo-report": slo_main, "analyze": analyze_main}
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](argv[1:])
+def inspect_main(argv) -> int:
+    """``repro.tools <app>``: one compile of ``app``, every view of it."""
     ap = argparse.ArgumentParser(prog="repro.tools", description=__doc__)
-    ap.add_argument("app", nargs="?", help="application name (see --list)")
+    _add(ap, "app")
     ap.add_argument("--list", action="store_true", help="list applications")
     ap.add_argument("--stage", choices=("staged", "compiled"),
-                    default="compiled")
-    ap.add_argument("--target", choices=("cpu", "distributed", "gpu"),
-                    default="distributed")
+                    default="compiled",
+                    help="staged: the program as written, not compiled")
+    _add(ap, "--target")
     ap.add_argument("--emit", choices=("ir", "cpp", "cuda", "scala"),
-                    default="ir")
-    ap.add_argument("--report", action="store_true",
-                    help="print the partitioning/stencil report")
-    ap.add_argument("--trace", action="store_true",
-                    help="print the per-pass compilation trace")
-    ap.add_argument("--verify-each", action="store_true",
-                    help="run the structural IR verifier after every pass")
-    ap.add_argument("--no-transforms", action="store_true",
-                    help="disable the Fig. 3 nested pattern rules")
-    ap.add_argument("--profile", action="store_true",
-                    help="simulate the app on its bundled dataset and "
-                         "print the per-loop time breakdown")
-    ap.add_argument("--trace-out", metavar="FILE.json",
-                    help="write a Chrome-trace (Perfetto) JSON of the "
-                         "simulated run")
-    ap.add_argument("--flame-out", metavar="FILE.txt",
-                    help="write a collapsed-stack flamegraph of the "
-                         "simulated run's spans")
-    ap.add_argument("--metrics", action="store_true",
-                    help="print runtime metrics of the simulated run")
-    ap.add_argument("--metrics-out", metavar="FILE.prom",
-                    help="write runtime metrics in Prometheus/OpenMetrics "
-                         "text format")
-    ap.add_argument("--backend", choices=("reference", "numpy"),
-                    default=None,
-                    help="functional execution engine for observed runs "
-                         "(default: $REPRO_BACKEND or reference)")
-    args, rc = _parse(ap, argv)
-    if args is None:
-        return rc
+                    help="print the program as IR or generated code "
+                         "(default: ir when no other view is asked for)")
+    for flag, help in (
+            ("--report", "print the partitioning/stencil report"),
+            ("--trace", "print the per-pass compilation trace"),
+            ("--verify-each", "run the IR verifier after every pass"),
+            ("--no-transforms", "disable the Fig. 3 nested pattern rules"),
+            ("--profile", "price the compile on the app's bundled dataset "
+                          "and print the per-loop time breakdown")):
+        ap.add_argument(flag, action="store_true", help=help)
+    _add(ap, "--metrics", *_EXPORTS, "--backend")
+    args = ap.parse_args(argv)
 
-    observed = (args.profile or args.trace_out or args.metrics
-                or args.flame_out or args.metrics_out)
-    if not args.list and not args.app and (
-            observed or args.report or args.trace or args.verify_each
-            or args.no_transforms):
-        # flags without an app used to print the app list and exit 0,
-        # silently dropping the requested action — that's bad usage
+    given = [flag for flag in ("--target", "--emit", "--report", "--trace",
+                               "--verify-each", "--no-transforms",
+                               "--profile", "--metrics", *_EXPORTS,
+                               "--backend") if getattr(args, _dest(flag))]
+    observed = [flag for flag in ("--profile", "--metrics", *_EXPORTS)
+                if flag in given]
+    if not args.list and not args.app and (given or args.stage == "staged"):
         print("an application name is required with these flags; "
               "see --list", file=sys.stderr)
         return EXIT_USAGE
     if args.list or not args.app:
-        print("applications:", ", ".join(sorted(_APPS)))
+        from .apps import PROGRAMS
+        print("applications:", ", ".join(sorted(PROGRAMS)))
         return EXIT_OK
-    if args.app not in _APPS:
-        print(f"unknown app {args.app!r}; use --list", file=sys.stderr)
+    if not _known_app(args.app, "repro.tools"):
         return EXIT_USAGE
-    rc = _check_outputs(args, "--trace-out", "--flame-out", "--metrics-out")
-    if rc != EXIT_OK:
+    # a flag that no requested view reads is bad usage, never dropped
+    unread = ([flag for flag in given if flag != "--emit"]
+              if args.stage == "staged" else
+              ["--backend"] if args.backend and not observed else [])
+    if unread:
+        print(f"{', '.join(unread)}: " + (
+            "--stage staged prints the program as written, uncompiled"
+            if args.stage == "staged" else
+            "picks the engine of an observed run (--profile, --metrics, "
+            "--*-out); none was asked for"), file=sys.stderr)
+        return EXIT_USAGE
+    rc = (_check_outputs(args, *_EXPORTS)
+          or (observed and _check_bundled([args.app], "/".join(observed))))
+    if rc:
         return rc
-
-    prog = _APPS[args.app]()
-    if args.stage == "staged":
-        # everything below needs a compiled program; --report used to be
-        # *silently* ignored here (same flag-dropping class of bug as the
-        # --emit one) — reject it loudly like the others
-        if args.trace or args.verify_each or args.report or observed:
-            print("--trace/--verify-each/--report/--profile/--trace-out/"
-                  "--metrics require compilation; drop --stage staged",
-                  file=sys.stderr)
+    if observed:
+        from .backend import resolve_backend_ex
+        try:
+            backend, backend_source = resolve_backend_ex(args.backend)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        print(_emit(prog, args.emit))
-        return 0
 
-    if observed and not (args.trace or args.report):
-        # the observed run compiles through its AppBundle; skip the
-        # redundant inspection compile
-        return _run_observed(args)
+    from .apps import PROGRAMS
+    prog = PROGRAMS[args.app]()
+    if args.stage == "staged":
+        print(_emit(prog, args.emit or "ir"))
+        return EXIT_OK
 
-    compiled = compile_program(prog, args.target,
+    from .pipeline import compile_program
+    compiled = compile_program(prog, args.target or "distributed",
                                apply_nested_transforms=not args.no_transforms,
                                verify=args.verify_each)
     if args.trace:
+        from .passes import trace_table
         print(trace_table(compiled.trace))
         total = sum(t.wall_ms for t in compiled.trace)
         changed = sum(1 for t in compiled.trace if t.changed)
@@ -902,12 +828,19 @@ def main(argv=None) -> int:
         for sym, layout in compiled.report.layouts.items():
             print(f"  {sym}: {layout.value}")
     if observed:
-        return _run_observed(args)
-    if args.trace or args.report:
-        return 0
+        _run_observed(args, compiled, backend, backend_source)
+    if args.emit or not (args.trace or args.report or observed):
+        print(_emit(compiled.program, args.emit or "ir"))
+    return EXIT_OK
 
-    print(_emit(compiled.program, args.emit))
-    return 0
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    run = _SUBCOMMANDS.get(argv[0]) if argv else None
+    try:
+        return run(argv[1:]) if run else inspect_main(argv)
+    except SystemExit as e:    # argparse: 0 after --help, 2 on bad usage
+        return int(e.code or 0)
 
 
 if __name__ == "__main__":

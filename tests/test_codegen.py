@@ -134,14 +134,14 @@ class TestAllTargets:
 #: runs in a fresh interpreter: symbol ids depend on what was staged before
 _EMIT_ALL = r'''
 import hashlib
-from repro.bench.apps import _FACTORIES
+from repro.apps import PROGRAMS
+from repro.bench import BUNDLES
 from repro.codegen import generate_cpp, generate_cuda, generate_scala
 from repro.pipeline import compile_program
-from repro.tools import _APPS
 exact, flush_left = hashlib.sha256(), hashlib.sha256()
-for app in sorted(_FACTORIES):
+for app in sorted(BUNDLES):
     for target in ("distributed", "gpu"):     # the opt and gpu variants
-        prog = compile_program(_APPS[app](), target).program
+        prog = compile_program(PROGRAMS[app](), target).program
         for gen in (generate_cpp, generate_cuda, generate_scala):
             src = gen(prog)
             exact.update(src.encode() + b"\0")

@@ -10,7 +10,7 @@ import pytest
 
 from repro import tools
 from repro.bench import get_bundle
-from repro.bench.apps import _FACTORIES
+from repro.bench import BUNDLES
 from repro.obs import (DiagCategory, MetricsRegistry, RequestContext,
                        Tracer, chrome_trace_events,
                        collapse_stacks, profile_report, prometheus_text,
@@ -21,7 +21,7 @@ from repro.runtime import GPU_CLUSTER, single_node
 
 from . import obs_reference as ref
 
-APPS = sorted(_FACTORIES)
+APPS = sorted(BUNDLES)
 
 TOL = 1e-9
 

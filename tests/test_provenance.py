@@ -28,7 +28,8 @@ from repro.obs.regress import (DEFAULT_WALL_PCT, check_records, main as
                                regress_main, trend_table)
 from repro.pipeline import compile_program
 from repro.serve.cache import VARIANTS
-from repro.tools import _APPS, _explain_compile
+from repro.apps import PROGRAMS
+from repro.tools import _explain_compile
 
 EXPLAIN_APPS = ["kmeans", "logreg", "gda", "q1", "gene", "pagerank",
                 "triangle", "gibbs"]
@@ -441,4 +442,4 @@ class TestExplainCLI:
         assert code == 0 and "kmeans" in out
 
     def test_every_explain_app_is_a_tools_app(self):
-        assert set(EXPLAIN_APPS) <= set(_APPS)
+        assert set(EXPLAIN_APPS) <= set(PROGRAMS)

@@ -1,20 +1,22 @@
-"""Coverage for the CLI inspector, the pretty printer, and end-to-end
-driver behaviors (iterative convergence) not covered elsewhere."""
+"""Coverage for the CLI inspector and the pretty printer."""
 
 import io
+import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import tools
-from repro.apps.kmeans import kmeans
-from repro.apps.logreg import logreg
 from repro.core import pretty
-from repro.data.datasets import gaussian_clusters, logistic_data
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv) -> str:
@@ -109,11 +111,10 @@ class TestCli:
     def test_unwritable_output_is_bad_usage(self, tmp_path, argv):
         # a path whose directory is missing exits 2 with one line naming
         # the flag and the path, before the run, not with a traceback
-        root = Path(__file__).resolve().parents[1]
         path = str(tmp_path / "missing" / "x")
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.tools", *argv, path], cwd=root,
+            [sys.executable, "-m", "repro.tools", *argv, path], cwd=ROOT,
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -124,6 +125,114 @@ class TestCli:
     def test_directory_as_output_is_bad_usage(self, tmp_path, capsys):
         assert tools.main(["kmeans", "--trace-out", str(tmp_path)]) == 2
         assert "--trace-out" in capsys.readouterr().err
+
+    def test_importing_the_cli_loads_no_compiler(self):
+        code = ("import json, sys, repro.tools; print(json.dumps(sorted("
+                "m for m in sys.modules if m.split('.')[0] == 'repro')))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert json.loads(out.stdout) == ["repro", "repro.tools"]
+
+    @pytest.mark.parametrize("modes", [
+        ["--critical-path", "--requests"],
+        ["--diff", "prev", "latest", "--requests"],
+        ["--critical-path", "--diff", "prev", "latest"]])
+    def test_analyze_runs_one_mode(self, capsys, modes):
+        assert tools.main(["analyze", "kmeans", *modes]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "one mode" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-sim", "--latency-out"], ["serve-sim", "--trace-out"],
+        ["serve-sim", "--flame-out"], ["serve-sim", "--metrics-out"],
+        ["slo-report", "--spec", str(ROOT / "examples/slo_serving.json"),
+         "--out"]], ids=lambda argv: argv[0] + argv[-1])
+    def test_json_is_one_document(self, tmp_path, capsys, argv):
+        # the "wrote FILE" note goes to stderr, so stdout stays parseable
+        path = tmp_path / "x"
+        assert tools.main([argv[0], "q1", "--requests", "4", "--clients",
+                           "2", *argv[1:], str(path), "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) and path.stat().st_size > 0
+        assert str(path) in err
+
+    def test_json_takes_no_metrics_table(self, capsys):
+        assert tools.main(["serve-sim", "q1", "--requests", "4", "--json",
+                           "--metrics"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--metrics-out" in err
+
+    def test_one_compile_per_run(self, monkeypatch):
+        # the observed run prices the compile that was traced and verified
+        import repro.bench.apps
+        import repro.pipeline
+        real, calls = repro.pipeline.compile_program, []
+
+        def counting(prog, target="distributed", **kwargs):
+            calls.append((target, kwargs.get("verify", False)))
+            return real(prog, target, **kwargs)
+        for module in (repro.pipeline, repro.bench.apps, tools):
+            monkeypatch.setattr(module, "compile_program", counting,
+                                raising=False)
+        out = run_cli("gene", "--trace", "--profile", "--verify-each",
+                      "--target", "cpu")
+        assert "changed the program" in out and "simulated time" in out
+        assert calls == [("cpu", True)]
+
+
+#: what each main-mode view prints, and what each emitter starts with
+_VIEW_MARKS = {"--trace": "changed the program", "--report": "applied rules:",
+               "--profile": "simulated time", "--metrics": "counters:"}
+_EMIT_MARKS = {"ir": "program(", "cpp": "// generated by DMLL (target: c++",
+               "cuda": "__global__", "scala": "// generated by DMLL (target: "
+                                              "scala"}
+_OUTPUTS = {"--trace-out": "t.json", "--flame-out": "f.txt",
+            "--metrics-out": "m.prom"}
+
+
+class TestFlagCombinations:
+    """Every subset of the main mode's flags either runs every view it
+    asks for or exits 2 with one line: no flag is dropped."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(staged=st.booleans(),
+           switches=st.sets(st.sampled_from(sorted(_VIEW_MARKS) + [
+               "--verify-each", "--no-transforms"])),
+           outputs=st.sets(st.sampled_from(sorted(_OUTPUTS))),
+           emit=st.none() | st.sampled_from(sorted(_EMIT_MARKS)),
+           target=st.none() | st.sampled_from(["cpu", "distributed", "gpu"]),
+           numpy=st.booleans())
+    @example(staged=False, switches={"--report"}, outputs=set(),
+             emit="cuda", target=None, numpy=False)
+    def test_views_compose(self, tmp_path, staged, switches, outputs, emit,
+                           target, numpy):
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        argv = ["gene"] + ["--stage", "staged"] * staged + sorted(switches)
+        for flag in sorted(outputs):
+            argv += [flag, str(out_dir / _OUTPUTS[flag])]
+        argv += ["--emit", emit] * bool(emit) + ["--target", target] * bool(
+            target) + ["--backend", "numpy"] * numpy
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = tools.main(argv)
+        observed = bool(outputs or {"--profile", "--metrics"} & switches)
+        unread = (staged and bool(switches or outputs or target or numpy)
+                  or numpy and not observed)
+        assert rc == (2 if unread else 0), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().count("\n") == 1
+            return
+        text = out.getvalue()
+        for flag in switches & set(_VIEW_MARKS):
+            assert _VIEW_MARKS[flag] in text, argv
+        if emit or not (observed or {"--trace", "--report"} & switches):
+            assert _EMIT_MARKS[emit or "ir"] in text, argv
+        for flag in outputs:
+            assert (out_dir / _OUTPUTS[flag]).stat().st_size > 0, argv
+
 
 class TestPrettyPrinter:
     def test_round_trips_structures(self):
@@ -140,24 +249,3 @@ class TestPrettyPrinter:
         for marker in ("BucketCollect", "cond", "value", "if", "then",
                        "else", "return"):
             assert marker in text, marker
-
-
-class TestIterativeDrivers:
-    def test_kmeans_converges_on_separated_clusters(self):
-        matrix, labels = gaussian_clusters(120, 4, k=3, spread=0.3)
-        centers = kmeans(matrix, k=3, iterations=8)
-        # every point should sit close to its assigned center
-        import math
-        for row in matrix[:30]:
-            best = min(sum((a - b) ** 2 for a, b in zip(row, c))
-                       for c in centers)
-            assert math.sqrt(best) < 3.0
-
-    def test_logreg_separates(self):
-        x, y = logistic_data(150, 4)
-        theta = logreg(x, y, alpha=0.3, iterations=25)
-        correct = 0
-        for xi, yi in zip(x, y):
-            score = sum(t * v for t, v in zip(theta, xi))
-            correct += int((score > 0) == (yi > 0.5))
-        assert correct / len(x) > 0.8

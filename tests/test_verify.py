@@ -13,7 +13,7 @@ from repro.core.multiloop import MultiLoop, collect, loop_def
 from repro.core.ops import InputSource, Prim
 from repro.core.verify import IRVerificationError, verify_program
 from repro.pipeline import compile_program
-from repro.tools import _APPS
+from repro.apps import PROGRAMS
 
 SETTINGS = dict(max_examples=15, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -51,16 +51,16 @@ def build_pipeline(spec):
 
 
 class TestAcceptsCompilerOutput:
-    @pytest.mark.parametrize("app", sorted(_APPS))
+    @pytest.mark.parametrize("app", sorted(PROGRAMS))
     def test_staged_apps_verify(self, app):
-        verify_program(_APPS[app]())
+        verify_program(PROGRAMS[app]())
 
-    @pytest.mark.parametrize("app", sorted(_APPS))
+    @pytest.mark.parametrize("app", sorted(PROGRAMS))
     @pytest.mark.parametrize("target", ["cpu", "distributed", "gpu"])
     def test_every_pass_boundary_verifies(self, app, target):
         """verify=True re-checks the IR after *every* pass; a failure
         anywhere in the pipeline raises from inside the PassManager."""
-        compiled = compile_program(_APPS[app](), target, verify=True)
+        compiled = compile_program(PROGRAMS[app](), target, verify=True)
         verify_program(compiled.program)
         assert compiled.trace, "PassManager produced no trace"
 
