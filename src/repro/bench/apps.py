@@ -43,7 +43,7 @@ PAPER_SIZES = {
 
 class AppBundle:
     def __init__(self, name: str, inputs: Dict[str, object], scale: float,
-                 iterative: bool = False, data_scale: float = None):
+                 data_scale: float = None):
         self.name = name
         self._factory = PROGRAMS[name]
         self.inputs = inputs
@@ -51,7 +51,6 @@ class AppBundle:
         #: data volumes may scale differently from compute (see
         #: ExecOptions.data_scale)
         self.data_scale = data_scale if data_scale is not None else scale
-        self.iterative = iterative
         self._compiled: Dict[str, CompiledProgram] = {}
         self._captures: Dict[tuple, RunCapture] = {}
 
@@ -103,7 +102,7 @@ def _kmeans_bundle() -> AppBundle:
     scale = (500_000 * 100 * 6) / (800 * 20 * 8)
     data_scale = (500_000 * 100) / (800 * 20)
     return AppBundle("kmeans", {"matrix": matrix, "clusters": clusters},
-                     scale, iterative=True, data_scale=data_scale)
+                     scale, data_scale=data_scale)
 
 
 def _logreg_bundle() -> AppBundle:
@@ -111,7 +110,7 @@ def _logreg_bundle() -> AppBundle:
     scale = (500_000 * 100) / (600 * 20)
     return AppBundle("logreg",
                      {"x": x, "y": y, "theta": [0.0] * 20, "alpha": 0.1},
-                     scale, iterative=True)
+                     scale)
 
 
 def _gda_bundle() -> AppBundle:
@@ -140,7 +139,7 @@ def _pagerank_bundle() -> AppBundle:
     scale = 69_000_000 / (2 * g.m)     # LiveJournal edge traversals
     b = AppBundle("pagerank", {"adj": g.adj, "ranks": [1.0] * g.n,
                                "degrees": g.degrees()},
-                  scale, iterative=True)
+                  scale)
     b.graph = g  # type: ignore[attr-defined]
     return b
 
@@ -165,7 +164,7 @@ def _gibbs_bundle() -> AppBundle:
     b = AppBundle("gibbs", {"nbr_vars": fg.nbr_vars,
                             "nbr_weights": fg.nbr_weights,
                             "states": states, "rand": rand},
-                  scale, iterative=True)
+                  scale)
     b.factor_graph = fg  # type: ignore[attr-defined]
     return b
 

@@ -287,13 +287,11 @@ class ServeRecord:
 class Tracer:
     """Collects one :class:`SpanTable` per priced run.
 
-    ``enabled`` is the single guard the executor checks before doing any
-    observability work; flip it off (or simply pass no tracer) for
-    zero-cost runs.
+    A run is traced exactly when a tracer is passed: pass none for a
+    zero-cost run.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._runs: List[SpanTable] = []
         #: id(run table) → the derivation of the rows it does not hold yet
         self._deferred: Dict[int, Callable[[SpanTable], None]] = {}

@@ -57,7 +57,7 @@ class ExecOptions:
     #: than the data (e.g. k-means compute is n*k*d but data is n*d);
     #: defaults to ``scale``
     data_scale: Optional[float] = None
-    #: observability (repro.obs): when a tracer is set (and enabled) every
+    #: observability (repro.obs): when a tracer is set every
     #: priced run produces a span table (run → loop → machine →
     #: socket/GPU chunk); when a metrics registry is set the executor
     #: feeds counters/histograms into it. Both default to off — the
@@ -213,7 +213,7 @@ class Simulator:
         footprints = {k: int(v * dscale) for k, v in cap.footprints.items()}
         self._footprints_now = footprints
         tr = self.options.tracer
-        self._obs = tr is not None and tr.enabled
+        self._obs = tr is not None
         self._mx = self.options.metrics
         sim = SimResult(cap.results, cap.stats, backend=cap.backend,
                         fallbacks=list(cap.fallbacks))

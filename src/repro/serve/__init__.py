@@ -11,7 +11,7 @@ request-serving system over the simulated machine models:
   vectorized execution (max-batch / max-wait knobs), with recorded
   fallback to per-request reference execution;
 - **scheduler** — a discrete-event server multiplexing requests across
-  heterogeneous machine instances through a pluggable placement policy
+  heterogeneous machine instances through a named placement policy
   (**events** is its queue: timed entries in one ``(t, seq)`` order);
 - **simulator** — seeded open/closed-loop arrival processes and the
   throughput / p50 / p95 / p99 report, fed through the ``obs`` metrics
@@ -29,9 +29,8 @@ from .cache import VARIANTS, CompiledEntry, ProgramCache
 from .faults import FAULT_KINDS, FaultPlan, FaultSpec, derive_unit
 from .resilience import (BreakerConfig, CircuitBreaker, Rejected,
                          ResilienceConfig, RetryPolicy)
-from .scheduler import (POLICIES, FastestPlacement, LeastLoadedPlacement,
-                        MachineInstance, ProgramServer, RoundRobinPlacement,
-                        ServedApp, make_machines)
+from .scheduler import (POLICIES, MachineInstance, ProgramServer, ServedApp,
+                        make_machines)
 from .simulator import (ClosedLoop, OpenLoop, ServeReport, ServeSim,
                         quantile)
 
@@ -42,8 +41,7 @@ __all__ = [
     "FAULT_KINDS", "FaultPlan", "FaultSpec", "derive_unit",
     "BreakerConfig", "CircuitBreaker", "Rejected", "ResilienceConfig",
     "RetryPolicy",
-    "POLICIES", "FastestPlacement", "LeastLoadedPlacement",
-    "MachineInstance", "ProgramServer", "RoundRobinPlacement", "ServedApp",
+    "POLICIES", "MachineInstance", "ProgramServer", "ServedApp",
     "make_machines",
     "ClosedLoop", "OpenLoop", "ServeReport", "ServeSim", "quantile",
 ]

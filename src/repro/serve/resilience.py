@@ -6,7 +6,8 @@ same sha256 unit-draw the fault plan uses, keyed by
 ``(seed, "retry", rid, attempt)``, so resilience decisions are as
 deterministic as the chaos they respond to.
 
-- :class:`RetryPolicy` — exponential backoff with seeded jitter and a
+- :class:`RetryPolicy` — exponential backoff with seeded jitter (the
+  constants ``BACKOFF_S``, ``BACKOFF_MULTIPLIER``, ``JITTER``) and a
   **global** retry budget shared across the run (a storm of failures
   can't multiply load unboundedly).
 - :class:`CircuitBreaker` — per-machine closed/open/half-open state
@@ -25,7 +26,7 @@ deterministic as the chaos they respond to.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from typing import Any, Deque, Dict, Optional
 
@@ -36,6 +37,10 @@ REJECT_SHED = "shed"
 REJECT_DEADLINE = "deadline"
 REJECT_RETRIES = "retries-exhausted"
 REJECT_UNSERVED = "unserved-at-shutdown"
+
+#: the first retry waits 1 ms, each further one twice as long, each
+#: drawn within +/- 50 % of that (seeded jitter)
+BACKOFF_S, BACKOFF_MULTIPLIER, JITTER = 0.001, 2.0, 0.5
 
 
 @dataclass(eq=False)
@@ -69,31 +74,19 @@ class RetryPolicy:
     """
 
     max_attempts: int = 3
-    backoff_s: float = 0.001
-    multiplier: float = 2.0
-    #: +/- fraction of the backoff added as seeded jitter
-    jitter: float = 0.5
     budget: int = 64
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0 <= self.backoff_s < inf:
-            raise ValueError("backoff_s must be finite and >= 0")
-        if not 1.0 <= self.multiplier < inf:
-            raise ValueError("multiplier must be finite and >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
 
     def delay_s(self, seed: int, rid: int, attempt: int) -> float:
         """Backoff before attempt ``attempt`` (1-based retry index)."""
-        base = self.backoff_s * self.multiplier ** max(0, attempt - 1)
-        if self.jitter == 0.0:
-            return base
+        base = BACKOFF_S * BACKOFF_MULTIPLIER ** max(0, attempt - 1)
         u = derive_unit(seed, "retry", str(rid), attempt)
-        return base * (1.0 + self.jitter * (2.0 * u - 1.0))
+        return base * (1.0 + JITTER * (2.0 * u - 1.0))
 
 
 @dataclass(frozen=True)

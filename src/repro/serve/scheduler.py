@@ -19,23 +19,24 @@ Execution semantics mirror the backend contract:
   per-request reference execution, recorded as a :class:`ServeFallback`
   exactly as the backend records interpreter fallbacks.
 
-Placement is declarative (Mapple-style): a policy object chooses among
-idle machines and nothing else in the scheduler changes.
+Placement is declarative (Mapple-style): a policy is a name in
+``POLICIES``, a function that chooses among idle machines; nothing else
+in the scheduler changes with it.
 
 Chaos and resilience (``faults.py`` / ``resilience.py``) hook into the
 same event loop: crash events cancel and re-enqueue in-flight batches,
 placement skips down or open-circuit replicas, kernel faults either
 force the recorded fallback path or hard-fail the attempt into the
 retry machinery, and every request ends as exactly one ``Response`` or
-one typed ``Rejected`` — never silently lost. All of it is guarded on
-the fault plan / resilience config being present, so a plain run stays
-byte-identical to the pre-chaos scheduler.
+one typed ``Rejected`` — never silently lost. Beyond the in-flight
+record every run keeps, all of it is guarded on the fault plan /
+resilience config being present: a plain run stays byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -47,8 +48,7 @@ from ..obs.spans import (BatchRecord, RequestContext, RequestTimeline,
 from ..pipeline import CompiledProgram
 from ..runtime.executor import (ExecOptions, RunCapture, SimResult,
                                 Simulator, capture_run)
-from ..runtime.machine import (DMLL_CPP, ClusterSpec, MACHINE_MODELS,
-                               SystemProfile)
+from ..runtime.machine import DMLL_CPP, ClusterSpec, MACHINE_MODELS
 from .batching import (AdmissionQueue, Payload, Request, Response,
                        ServeFallback, make_payload)
 from .cache import ProgramCache
@@ -87,14 +87,13 @@ class ServedApp:
 
 @dataclass
 class MachineInstance:
-    """One serving replica: a machine model plus its scheduler state."""
+    """One serving replica: a machine model plus its scheduler state.
+    Every replica prices with the ``DMLL_CPP`` profile."""
 
     name: str
     cluster: ClusterSpec
-    profile: SystemProfile = DMLL_CPP
     #: compile variant requests placed here run ("gpu" on GPU nodes)
     variant: str = "opt"
-    use_gpu: bool = False
     index: int = 0
     busy_until: float = 0.0
     busy_s: float = 0.0
@@ -105,6 +104,10 @@ class MachineInstance:
     @property
     def label(self) -> str:
         return f"{self.name}[{self.index}]"
+
+    @property
+    def use_gpu(self) -> bool:
+        return self.variant == "gpu"
 
 
 def make_machines(spec: str) -> List[MachineInstance]:
@@ -128,10 +131,9 @@ def make_machines(spec: str) -> List[MachineInstance]:
             raise ValueError(f"bad machine count in {part!r}: count must "
                              f"be >= 1, got {n}")
         for _ in range(n):
-            gpu = name == "gpunode"
             out.append(MachineInstance(
                 name, MACHINE_MODELS[name],
-                variant="gpu" if gpu else "opt", use_gpu=gpu,
+                variant="gpu" if name == "gpunode" else "opt",
                 index=len(out)))
     if not out:
         raise ValueError(f"machine spec {spec!r} names no machines")
@@ -142,50 +144,37 @@ def make_machines(spec: str) -> List[MachineInstance]:
 # placement policies
 # ---------------------------------------------------------------------------
 
-class RoundRobinPlacement:
+def _round_robin(server: "ProgramServer", idle: List[MachineInstance],
+                 requests: List[Request]) -> MachineInstance:
     """Cycle through machines, skipping busy ones."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def place(self, server: "ProgramServer", idle: List[MachineInstance],
-              requests: List[Request], now: float) -> MachineInstance:
-        m = min(idle, key=lambda m: ((m.index - self._cursor)
-                                     % len(server.machines)))
-        self._cursor = m.index + 1
-        return m
+    m = min(idle, key=lambda m: ((m.index - server.rr_cursor)
+                                 % len(server.machines)))
+    server.rr_cursor = m.index + 1
+    return m
 
 
-class LeastLoadedPlacement:
+def _least_loaded(server: "ProgramServer", idle: List[MachineInstance],
+                  requests: List[Request]) -> MachineInstance:
     """Machine with the least accumulated busy time so far."""
-
-    name = "least-loaded"
-
-    def place(self, server: "ProgramServer", idle: List[MachineInstance],
-              requests: List[Request], now: float) -> MachineInstance:
-        return min(idle, key=lambda m: (m.busy_s, m.index))
+    return min(idle, key=lambda m: (m.busy_s, m.index))
 
 
-class FastestPlacement:
+def _fastest(server: "ProgramServer", idle: List[MachineInstance],
+             requests: List[Request]) -> MachineInstance:
     """Machine predicted to execute *this* batch fastest — the policy
     that actually exploits heterogeneity (a GPU node wins the dense
     kernels, the NUMA box wins irregular ones)."""
-
-    name = "fastest"
-
-    def place(self, server: "ProgramServer", idle: List[MachineInstance],
-              requests: List[Request], now: float) -> MachineInstance:
-        return min(idle, key=lambda m: (
-            server.predict_service(m, requests[0].app, requests[0].payload),
-            m.index))
+    app, payload = requests[0].app, requests[0].payload
+    return min(idle, key=lambda m: (
+        server.predict_service(m, app, payload), m.index))
 
 
-POLICIES: Dict[str, Callable[[], Any]] = {
-    "round-robin": RoundRobinPlacement,
-    "least-loaded": LeastLoadedPlacement,
-    "fastest": FastestPlacement,
+#: placement: a policy name → the function that picks a batch's replica
+#: among the idle ones, ``(server, idle, requests) -> MachineInstance``
+POLICIES: Dict[str, Callable[..., MachineInstance]] = {
+    "round-robin": _round_robin,
+    "least-loaded": _least_loaded,
+    "fastest": _fastest,
 }
 
 
@@ -254,7 +243,7 @@ class ProgramServer:
     def __init__(self, apps: Sequence[ServedApp],
                  machines: Optional[List[MachineInstance]] = None,
                  max_batch: int = 8, max_wait_s: float = 0.02,
-                 policy: Any = "round-robin",
+                 policy: str = "round-robin",
                  backend: Optional[str] = None,
                  metrics: Optional[Any] = None,
                  tracer: Optional[Any] = None,
@@ -266,19 +255,22 @@ class ProgramServer:
             raise ValueError("max_batch must be >= 1")
         if not 0.0 <= max_wait_s < math.inf:
             raise ValueError("max_wait_s must be finite and >= 0")
+        if not isinstance(policy, str) or policy not in POLICIES:
+            raise ValueError(f"unknown placement policy {policy!r}; "
+                             f"expected one of {sorted(POLICIES)}")
         self.apps: Dict[str, ServedApp] = {a.name: a for a in apps}
         self.machines = machines or make_machines("numa")
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
-        self.policy = POLICIES[policy]() if isinstance(policy, str) else policy
+        self.policy = policy
+        #: the replica index round-robin placement tries first
+        self.rr_cursor = 0
         self.backend = resolve_backend(backend)
         self.metrics = metrics
         self.tracer = tracer
         #: request trace ids derive from this seed (the traffic seed, so
         #: same-seed runs export byte-identical traces)
         self.trace_seed = trace_seed
-        #: an empty plan is falsy and treated exactly like no plan —
-        #: the fault layer's zero-cost-when-disabled contract
         self.faults = faults if faults else None
         self.res = resilience
         self.cache = cache or ProgramCache(
@@ -325,11 +317,12 @@ class ProgramServer:
         #: responses, a row per other attempt and its batches, from which
         #: the tracer derives the spans when somebody reads them
         self.record = (ServeRecord(self.responses, trace_seed)
-                       if tracer is not None and tracer.enabled else None)
+                       if tracer is not None else None)
         self._attempts = AttemptLedger()
-        # fault/breaker state; bid -> a dispatched batch until its
-        # ``complete`` event pops or a crash cancels it
+        #: bid -> a dispatched batch until its ``complete`` event pops or a
+        #: crash cancels it
         self._inflight: Dict[int, Dict[str, Any]] = {}
+        # fault/breaker state
         self._kernel_strikes: Dict[str, int] = {}
         self._app_attempts: Dict[str, int] = {}
         self._retry_left = (resilience.retry.budget
@@ -340,8 +333,7 @@ class ProgramServer:
             self._breakers = {m.index: CircuitBreaker(resilience.breaker)
                               for m in self.machines}
         # host-side memo: one pricing per (machine model, app, variant,
-        # payload, backend) — a price depends on this server's machines
-        # and tracer; the execution it prices is ``cache.capture``'s
+        # payload, backend); the execution it prices is ``cache.capture``'s
         self._service: Dict[Tuple[str, str, str, str, str], SimResult] = {}
         self._payloads: Dict[Tuple[str, str], Payload] = {}
 
@@ -409,8 +401,7 @@ class ProgramServer:
             attrs = ({} if self.faults is None
                      else {"faults": len(self.faults.specs)})
             spans = self.tracer.begin_run(
-                "serve", backend=self.backend,
-                policy=getattr(self.policy, "name", "?"),
+                "serve", backend=self.backend, policy=self.policy,
                 machines=len(self.machines), max_batch=self.max_batch,
                 max_wait_s=self.max_wait_s, **attrs)
         if self.faults is not None:
@@ -523,8 +514,7 @@ class ProgramServer:
         self.hedges_launched += 1
         if self.metrics is not None:
             self.metrics.inc("serve.hedges")
-        clone = self._clone_attempt(req, t, hedge=True)
-        self._enqueue(clone, t)
+        self._enqueue(self._clone_attempt(req, t, hedge=True), t)
         self._dispatch(t)
 
     def _on_crash(self, idx: int, t: float) -> None:
@@ -538,13 +528,13 @@ class ProgramServer:
         # await its ``complete`` event at this very instant)
         placed = [b for b, inf in self._inflight.items()
                   if inf["machine"] == idx]
-        inf = self._inflight.pop(max(placed)) if placed else None
-        if inf is not None:
+        if placed:
+            inf = self._inflight.pop(max(placed))
             self._count("cancelled-batches")
             # the unfinished tail never ran: free the busy accounting
             m.busy_s -= inf["finish"] - t
             m.busy_until = t
-            ran = inf.get("ran")
+            ran = inf["ran"]
             if ran is not None:
                 ran.dur_s = t - ran.start_s
                 ran.loops = ()
@@ -554,9 +544,8 @@ class ProgramServer:
                 self._attempt_row(r, "requeued", t, resp)
                 if self._attempts.ended(r.rid):
                     continue
-                clone = self._clone_attempt(r, t)
                 self.requeues += 1
-                self._enqueue(clone, t)
+                self._enqueue(self._clone_attempt(r, t), t)
         self._dispatch(t)
 
     def _on_cache_fault(self, target: str, t: float) -> None:
@@ -569,15 +558,13 @@ class ProgramServer:
         for k in [k for k in self._service if target in ("*", k[1])]:
             del self._service[k]
 
-    def _on_complete_event(self, data: Tuple[Any, ...], t: float) -> None:
-        machine, bid, responses = data
-        if self._inflight.pop(bid, None) is None and self.faults is not None:
-            # the batch was cancelled by a crash after this event was
-            # scheduled; its requests were already re-enqueued
+    def _on_complete_event(self, bid: int, t: float) -> None:
+        inf = self._inflight.pop(bid, None)
+        if inf is None:  # a crash cancelled it and re-enqueued its requests
             self._dispatch(t)
             return
-        self._record_outcome(machine.index, t, True)
-        fresh = responses
+        self._record_outcome(inf["machine"], t, True)
+        fresh = responses = inf["responses"]
         if self._attempts:
             fresh = []
             for r in responses:
@@ -723,18 +710,10 @@ class ProgramServer:
                 if not live:
                     continue
                 requests = live
-            machine = self.policy.place(self, idle, requests, now)
+            machine = POLICIES[self.policy](self, idle, requests)
             self._execute_batch(machine, requests, now)
 
     # -- execution --------------------------------------------------------
-
-    def _capture(self, app: str, variant: str,
-                 payload: Payload) -> RunCapture:
-        return self._captured(app, variant, payload, self.backend)
-
-    def _reference_capture(self, app: str, variant: str,
-                           payload: Payload) -> RunCapture:
-        return self._captured(app, variant, payload, "reference")
 
     def _captured(self, app: str, variant: str, payload: Payload,
                   backend: str) -> RunCapture:
@@ -764,30 +743,30 @@ class ProgramServer:
         return self.cache.capture(app, variant, payload, backend, execute)
 
     def _price(self, machine: MachineInstance, app: str,
-               cap: RunCapture, payload: Payload) -> float:
+               cap: RunCapture, payload: Payload) -> SimResult:
+        """``cap`` priced on ``machine``'s model, memoized."""
         skey = (machine.name, app, machine.variant, payload.key,
                 cap.backend)
         sim = self._service.get(skey)
         if sim is None:
             served = self.apps[app]
             entry = self.cache.get(app, machine.variant)
+            gpu = machine.use_gpu
             opts = ExecOptions(scale=served.scale,
                                data_scale=served.data_scale,
-                               use_gpu=machine.use_gpu,
-                               gpu_transposed=machine.use_gpu)
+                               use_gpu=gpu, gpu_transposed=gpu)
             sim = self._service[skey] = Simulator(
-                entry.compiled, machine.cluster, machine.profile,
-                opts).price(cap)
-        return sim.total_seconds
+                entry.compiled, machine.cluster, DMLL_CPP, opts).price(cap)
+        return sim
 
     def predict_service(self, machine: MachineInstance, app: str,
                         payload: Payload) -> float:
         """Per-request service time on ``machine`` (placement input)."""
         try:
-            cap = self._capture(app, machine.variant, payload)
+            cap = self._captured(app, machine.variant, payload, self.backend)
         except Exception:
-            cap = self._reference_capture(app, machine.variant, payload)
-        return self._price(machine, app, cap, payload)
+            cap = self._captured(app, machine.variant, payload, "reference")
+        return self._price(machine, app, cap, payload).total_seconds
 
     def _degrade_check(self, app: str, now: float) -> None:
         """Repeated kernel faults permanently route the app to the
@@ -826,18 +805,15 @@ class ProgramServer:
                 self._retry_left -= 1
                 self.retries += 1
                 self._attempt_row(r, "failed", now)
-                delay = rp.delay_s(self.trace_seed, r.rid, nxt)
-                clone = self._clone_attempt(r, now)
-                self._push(now + delay, "retry", clone)
+                self._push(now + rp.delay_s(self.trace_seed, r.rid, nxt),
+                           "retry", self._clone_attempt(r, now))
             else:
                 self._attempt_ended(r, REJECT_RETRIES, now,
                                     status="failed")
 
     def _execute_batch(self, machine: MachineInstance,
                        requests: List[Request], now: float) -> None:
-        app = requests[0].app
-        payload = requests[0].payload
-        n = len(requests)
+        app, payload, n = requests[0].app, requests[0].payload, len(requests)
         bid = self._bid
         self._bid += 1
         if self._breakers is not None:
@@ -849,7 +825,8 @@ class ProgramServer:
             fallback_reason = f"degraded: {self.degraded[app]}"
         elif self.backend == "numpy":
             try:
-                cap = self._capture(app, machine.variant, payload)
+                cap = self._captured(app, machine.variant, payload,
+                                     self.backend)
             except Exception as exc:  # recorded, never silent
                 fallback_reason = f"numpy execution failed: {exc}"
         else:
@@ -881,36 +858,29 @@ class ProgramServer:
         if slow != 1.0:
             self._count("slowed-batches")
 
-        mname = machine.label
-        if fallback_reason is None:
-            # lane-packed path: ONE execution serves every request in
-            # the group — its lanes are the batch
-            svc = self._price(machine, app, cap, payload) * slow
-            finish = now + svc
-            # positional: the one object a batch builds per request
-            results, stats, backend = cap.results, cap.stats, cap.backend
-            responses = [Response(r, results, stats, backend, bid, n, now,
-                                  finish, n > 1, None, mname, now)
-                         for r in requests]
-            if self.metrics is not None and n > 1:
-                self.metrics.inc("serve.lane_packed_requests", n, app=app)
-        else:
-            cap = self._reference_capture(app, machine.variant, payload)
-            single = self._price(machine, app, cap, payload) * slow
-            svc = single * n
-            # fallback executions run back-to-back, so each request's
-            # exec window is its own slot in the serialized batch
-            responses = [Response(r, cap.results, cap.stats, cap.backend,
-                                  bid, n, now, now + single * (i + 1),
-                                  lane_packed=False,
-                                  fallback_reason=fallback_reason,
-                                  machine=mname, exec_start_s=now + single * i)
-                         for i, r in enumerate(requests)]
-            finish = now + svc
+        packed = fallback_reason is None
+        if not packed:
+            cap = self._captured(app, machine.variant, payload, "reference")
             self.fallbacks.append(ServeFallback(app, fallback_reason, n))
             if self.metrics is not None:
                 self.metrics.inc("serve.fallback", app=app)
-
+        elif self.metrics is not None and n > 1:
+            self.metrics.inc("serve.lane_packed_requests", n, app=app)
+        sim = self._price(machine, app, cap, payload)
+        # lane-packed, ONE execution serves the group (its lanes are the
+        # batch) over [now, finish); a fallback batch runs its executions
+        # back-to-back, request i in its own slot
+        one = sim.total_seconds * slow
+        svc = one if packed else one * n
+        finish = now + svc
+        results, stats, backend = cap.results, cap.stats, cap.backend
+        lane_packed, mname = packed and n > 1, machine.label
+        # positional: the one object a batch builds per request
+        responses = [Response(r, results, stats, backend, bid, n, now,
+                              finish if packed else now + one * (i + 1),
+                              lane_packed, fallback_reason, mname,
+                              now if packed else now + one * i)
+                     for i, r in enumerate(requests)]
         machine.busy_until = finish
         machine.busy_s += svc
         machine.batches += 1
@@ -923,20 +893,16 @@ class ProgramServer:
         if self.record is not None:
             attrs = {"machine": machine.index, "machine_name": machine.name,
                      "app": app, "batch": n, "batch_id": bid,
-                     "lane_packed": fallback_reason is None and n > 1,
-                     "backend": cap.backend, "service_s": svc,
+                     "lane_packed": lane_packed,
+                     "backend": backend, "service_s": svc,
                      "fallback": fallback_reason}
             if slow != 1.0:
                 attrs["slow_factor"] = slow
-            # the priced per-loop breakdown becomes the batch span's
-            # children, on the *serving* replica's track
-            sim = (self._service.get((machine.name, app, machine.variant,
-                                      payload.key, cap.backend))
-                   if fallback_reason is None else None)
+            # the priced per-loop breakdown of a lane-packed batch becomes
+            # the batch span's children, on the *serving* replica's track
             ran = BatchRecord(f"b{bid}:{app}x{n}", "batch", now, svc, attrs,
-                              sim.loops if sim is not None else ())
+                              sim.loops if packed else ())
             self.record.batches.append(ran)
-        if self.faults is not None or self.res is not None:
-            self._inflight[bid] = {"machine": machine.index, "ran": ran,
-                                   "responses": responses, "finish": finish}
-        self._push(finish, "complete", (machine, bid, responses))
+        self._inflight[bid] = {"machine": machine.index, "ran": ran,
+                               "responses": responses, "finish": finish}
+        self._push(finish, "complete", bid)

@@ -300,29 +300,18 @@ class ServeSim:
                  resilience: Optional[Any] = None):
         self.app_names = list(apps)
         self.served = [ServedApp.from_bundle(a) for a in self.app_names]
-        self.machine_spec = machines
-        self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
-        self.policy = policy
-        self.backend = backend
         self.payloads = payloads
-        self.metrics = metrics
-        self.tracer = tracer
         self.faults = faults
-        self.resilience = resilience
         #: compile once — every run() below serves from this cache
         self.cache = ProgramCache({a.name: a.factory for a in self.served},
                                   metrics=metrics)
         self.last_server: Optional[ProgramServer] = None
-
-    def _server(self, trace_seed: int = 0) -> ProgramServer:
-        return ProgramServer(
-            self.served, make_machines(self.machine_spec),
-            max_batch=self.max_batch, max_wait_s=self.max_wait_s,
-            policy=self.policy, backend=self.backend,
-            metrics=self.metrics, tracer=self.tracer, cache=self.cache,
-            trace_seed=trace_seed, faults=self.faults,
-            resilience=self.resilience)
+        #: every run's fleet spec and ``ProgramServer`` keywords
+        self._machines = machines
+        self._server_args = dict(
+            max_batch=max_batch, max_wait_s=max_wait_s, policy=policy,
+            backend=backend, metrics=metrics, tracer=tracer, cache=self.cache,
+            faults=faults, resilience=resilience)
 
     def run_open(self, rate_rps: float, requests: int,
                  seed: int = 0) -> ServeReport:
@@ -340,10 +329,10 @@ class ServeSim:
     def _run(self, mode: str, source: Any, seed: int = 0) -> ServeReport:
         # the traffic seed doubles as the trace-identity seed so
         # same-seed runs export byte-identical traces
-        server = self._server(trace_seed=seed)
-        self.last_server = server
-        responses = server.run(source)
-        return self.report(mode, server, responses)
+        self.last_server = server = ProgramServer(
+            self.served, make_machines(self._machines), trace_seed=seed,
+            **self._server_args)
+        return self.report(mode, server, server.run(source))
 
     @staticmethod
     def report(mode: str, server: ProgramServer,
@@ -367,7 +356,7 @@ class ServeSim:
         batch_sizes = [h.batch_size for h in heads]
         packed = np.array([h.lane_packed for h in heads], dtype=bool)
         lats = np.sort(lat).tolist()
-        rejected = getattr(server, "rejected", [])
+        rejected = server.rejected
         total = len(responses) + len(rejected)
         resilience = server.resilience_summary()
         if resilience is not None:

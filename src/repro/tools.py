@@ -20,10 +20,12 @@ flags given, and each view asked for reads that compile, in this order:
 the pass table (--trace), the report (--report), the observed run
 (--profile, --metrics, --*-out: the compile priced on the app's bundled
 dataset), the program (--emit; IR when no other view is asked for). A
-flag no requested view reads is bad usage. Under --json stdout is one
-JSON document.
+flag that no requested view or ``analyze`` mode reads is bad usage, as
+is anything given with --list. Under --json stdout is one JSON document.
 
-Exit codes (repo-wide convention): 0 ok, 1 check failed, 2 bad usage.
+Exit codes (repo-wide convention): 0 ok, 1 check failed, 2 bad usage; a
+reader that closes stdout early (``| head``) ends the run with exit 1
+and nothing written to stderr.
 """
 
 from __future__ import annotations
@@ -66,15 +68,28 @@ def _add(ap, *names: str) -> None:
         ap.add_argument(name, **_FLAGS[name])
 
 
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
+def _parse(ap, argv):
+    """``(args, given)``: ``ap``'s parse of ``argv``, and the options
+    ``argv`` names, at their default value too."""
+    opts = [a for a in ap._actions
+            if a.option_strings and a.default is not argparse.SUPPRESS]
+    # an option argv names parses to a value; one it does not stays None
+    args = ap.parse_args(argv, argparse.Namespace(
+        **dict.fromkeys(a.dest for a in opts)))
+    given = []
+    for a in opts:
+        if getattr(args, a.dest) is None:
+            setattr(args, a.dest, a.default)
+        else:
+            given.append(a.option_strings[0])
+    return args, given
 
 
 def _check_outputs(args, *flags: str) -> int:
     """EXIT_USAGE, after one line naming the flag and the path, when an
     output file cannot be written there; checked before the run."""
     for flag in flags:
-        path = getattr(args, _dest(flag))
+        path = getattr(args, flag[2:].replace("-", "_"))
         if path is None:
             continue
         parent = os.path.dirname(path) or "."
@@ -457,7 +472,7 @@ def serve_main(argv=None) -> int:
         return EXIT_USAGE
 
     slo_report = None
-    rejected = getattr(sim.last_server, "rejected", [])
+    rejected = sim.last_server.rejected
     if spec is not None:
         slo_report = evaluate_slo(spec, sim.last_server.responses,
                                   rejected=rejected)
@@ -547,7 +562,7 @@ def slo_main(argv=None) -> int:
         return EXIT_USAGE
 
     result = evaluate_slo(spec, sim.last_server.responses,
-                          rejected=getattr(sim.last_server, "rejected", []))
+                          rejected=sim.last_server.rejected)
     if args.json:
         print(_json.dumps(result.to_json(), indent=2, default=str))
     else:
@@ -679,6 +694,17 @@ def _analyze_requests(app: str, args) -> int:
     return EXIT_FAIL if inexact else EXIT_OK
 
 
+#: the flags each ``analyze`` mode reads (``--critical-path`` is the
+#: default); any other flag given is bad usage
+_ANALYZE_READS = {
+    "--critical-path": ("--backend", "--json"),
+    "--diff": ("--history", "--window", "--json"),
+    "--requests": ("--backend", "--count", "--clients", "--json", "--rate",
+                   "--batch", "--max-wait-ms", "--seed", "--policy",
+                   "--machines"),   # the last six: ``_add_fleet_args``
+}
+
+
 def analyze_main(argv=None) -> int:
     """``repro.tools analyze``: trace analytics over the simulated
     runtime — critical path, history diff, request decomposition."""
@@ -712,15 +738,20 @@ def analyze_main(argv=None) -> int:
                     help="--requests: closed-loop clients "
                          "(default %(default)s)")
     _add_fleet_args(ap)
-    args = ap.parse_args(argv)
+    args, given = _parse(ap, argv)
     if not args.app:
         print("analyze requires an application name", file=sys.stderr)
         return EXIT_USAGE
-    modes = [flag for flag, on in (("--critical-path", args.critical_path),
-                                   ("--diff", args.diff is not None),
-                                   ("--requests", args.requests)) if on]
+    modes = [flag for flag in _ANALYZE_READS if flag in given]
     if len(modes) > 1:
         print(f"analyze runs one mode; got {' and '.join(modes)}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    mode = modes[0] if modes else "--critical-path"
+    unread = [flag for flag in given
+              if flag != mode and flag not in _ANALYZE_READS[mode]]
+    if unread:
+        print(f"analyze {mode} does not read {', '.join(unread)}",
               file=sys.stderr)
         return EXIT_USAGE
 
@@ -760,26 +791,27 @@ def inspect_main(argv) -> int:
                           "and print the per-loop time breakdown")):
         ap.add_argument(flag, action="store_true", help=help)
     _add(ap, "--metrics", *_EXPORTS, "--backend")
-    args = ap.parse_args(argv)
+    args, given = _parse(ap, argv)
 
-    given = [flag for flag in ("--target", "--emit", "--report", "--trace",
-                               "--verify-each", "--no-transforms",
-                               "--profile", "--metrics", *_EXPORTS,
-                               "--backend") if getattr(args, _dest(flag))]
     observed = [flag for flag in ("--profile", "--metrics", *_EXPORTS)
                 if flag in given]
-    if not args.list and not args.app and (given or args.stage == "staged"):
+    extra = [a for a in (args.app, *given) if a not in (None, "--list")]
+    if args.list and extra:
+        print("--list prints the application list and reads nothing else; "
+              f"got {', '.join(extra)}", file=sys.stderr)
+        return EXIT_USAGE
+    if not args.list and not args.app and given:
         print("an application name is required with these flags; "
               "see --list", file=sys.stderr)
         return EXIT_USAGE
-    if args.list or not args.app:
+    if not args.app:
         from .apps import PROGRAMS
         print("applications:", ", ".join(sorted(PROGRAMS)))
         return EXIT_OK
     if not _known_app(args.app, "repro.tools"):
         return EXIT_USAGE
     # a flag that no requested view reads is bad usage, never dropped
-    unread = ([flag for flag in given if flag != "--emit"]
+    unread = ([flag for flag in given if flag not in ("--stage", "--emit")]
               if args.stage == "staged" else
               ["--backend"] if args.backend and not observed else [])
     if unread:
@@ -838,9 +870,16 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     run = _SUBCOMMANDS.get(argv[0]) if argv else None
     try:
-        return run(argv[1:]) if run else inspect_main(argv)
-    except SystemExit as e:    # argparse: 0 after --help, 2 on bad usage
-        return int(e.code or 0)
+        try:
+            rc = run(argv[1:]) if run else inspect_main(argv)
+        except SystemExit as e:    # argparse: 0 after --help, 2 on bad usage
+            rc = int(e.code or 0)
+        sys.stdout.flush()         # a closed reader surfaces here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout: drop the rest quietly, and fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -456,8 +456,7 @@ class TestForcedRegression:
         assert report["cluster"] == "numa-4x12"
         assert report["problems"]
 
-    def test_unset_knob_is_identity(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INFLATE_LOOP", raising=False)
+    def test_unset_knob_is_identity(self):
         bundle = get_bundle("q1")
         a = bundle.simulate("opt")
         b = bundle.simulate("opt")
@@ -536,8 +535,7 @@ class TestAnalyzeCli:
 # ---------------------------------------------------------------------------
 
 class TestZeroCost:
-    def test_plain_sim_allocates_no_analytics_state(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INFLATE_LOOP", raising=False)
+    def test_plain_sim_allocates_no_analytics_state(self):
         sim = get_bundle("kmeans").simulate("opt")
         assert all(l.detail is None for l in sim.loops)
 

@@ -145,11 +145,6 @@ class TestZeroCost:
         sim = get_bundle("kmeans").simulate()
         assert all(ls.detail is None for ls in sim.loops)
 
-    def test_disabled_tracer_emits_nothing(self):
-        tracer = Tracer(enabled=False)
-        get_bundle("kmeans").simulate(tracer=tracer)
-        assert tracer.runs == []
-
 
 # ---------------------------------------------------------------------------
 # Chrome trace export
@@ -633,20 +628,30 @@ def run_cli(*argv) -> str:
     return buf.getvalue()
 
 
+@pytest.fixture(scope="module")
+def kmeans_observed(tmp_path_factory):
+    """One observed CLI run of kmeans: its stdout and its Chrome trace.
+    The priced time does not depend on the engine, so it runs on the
+    NumPy backend."""
+    path = tmp_path_factory.mktemp("cli") / "km.json"
+    out = run_cli("kmeans", "--profile", "--trace-out", str(path),
+                  "--backend", "numpy")
+    return out, path
+
+
 class TestCli:
-    def test_profile_prints_breakdown(self):
-        out = run_cli("kmeans", "--profile")
+    def test_profile_prints_breakdown(self, kmeans_observed):
+        out, _ = kmeans_observed
         assert "TOTAL" in out and "100.0%" in out
         assert "compute" in out and "comm" in out
 
-    def test_profile_total_matches_sim(self):
-        out = run_cli("kmeans", "--profile")
-        sim = get_bundle("kmeans").simulate()
+    def test_profile_total_matches_sim(self, kmeans_observed):
+        out, _ = kmeans_observed
+        sim = get_bundle("kmeans").simulate(backend="numpy")
         assert f"{sim.total_seconds * 1e3:10.3f}".strip() in out
 
-    def test_trace_out_writes_valid_trace(self, tmp_path):
-        path = tmp_path / "km.json"
-        run_cli("kmeans", "--trace-out", str(path))
+    def test_trace_out_writes_valid_trace(self, kmeans_observed):
+        _, path = kmeans_observed
         assert validate_file(str(path)) == []
 
     def test_metrics_flag(self):

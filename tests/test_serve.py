@@ -304,10 +304,14 @@ class TestFallback:
         server = ProgramServer([served], max_batch=2, max_wait_s=0.0,
                                backend="numpy")
 
-        def boom(app, variant, payload):
-            raise RuntimeError("lane explosion")
+        captured = server._captured
 
-        monkeypatch.setattr(server, "_capture", boom)
+        def boom(app, variant, payload, backend):
+            if backend == "numpy":
+                raise RuntimeError("lane explosion")
+            return captured(app, variant, payload, backend)
+
+        monkeypatch.setattr(server, "_captured", boom)
         server.submit("q1", at=0.0)
         (r,) = server.run()
         assert r.backend == "reference"
@@ -361,7 +365,7 @@ class TestFallback:
         payload = server.payload_for("q1")
         for _ in range(2):      # the first failure and the memoized one
             with pytest.raises(RuntimeError, match="lane explosion") as e:
-                server._capture("q1", "opt", payload)
+                server._captured("q1", "opt", payload, "numpy")
             assert type(e.value) is RuntimeError
         assert len(server.fallbacks) == 1
 
@@ -552,6 +556,14 @@ class TestPlacement:
         # the offending part is named so "a*0,b*x" is debuggable
         with pytest.raises(ValueError, match="numa\\*0"):
             make_machines("gpunode,numa*0")
+
+    @pytest.mark.parametrize("policy", ["nope", POLICIES["fastest"], None])
+    def test_a_policy_is_one_of_three_names(self, policy):
+        with pytest.raises(ValueError) as e:
+            ProgramServer([ServedApp.from_bundle("q1")], policy=policy)
+        assert all(name in str(e.value)
+                   for name in ("round-robin", "least-loaded", "fastest"))
+        assert sorted(POLICIES) == ["fastest", "least-loaded", "round-robin"]
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_policies_spread_salted_load(self, policy):
@@ -856,7 +868,7 @@ class NaiveServer:
     def __init__(self, machines, max_batch, max_wait_s, policy):
         self.machines = make_machines(machines)
         self.max_batch, self.max_wait_s = max_batch, max_wait_s
-        self.policy = POLICIES[policy]()
+        self.place, self.rr_cursor = POLICIES[policy], 0
         self.queue, self.heap, self.heads = AdmissionQueue(), [], set()
         self.on_complete, self.on_reject, self.responses = [], [], []
         self.now, self.rid, self.pushed, self.batches = 0.0, 0, 0, 0
@@ -918,7 +930,7 @@ class NaiveServer:
             requests, head = self.queue.take(key, self.max_batch)
             if head is not None:
                 self.heads.add(head.rid)
-            m = self.policy.place(self, idle, requests, now)
+            m = self.place(self, idle, requests)
             svc = SERVICE[requests[0].app, m.index]
             m.busy_until, m.busy_s = now + svc, m.busy_s + svc
             self.push(now + svc, "complete", [
@@ -938,8 +950,9 @@ def table_server(machines="numa", max_batch=8, max_wait_s=0.02,
         max_batch=max_batch, max_wait_s=max_wait_s, policy=policy,
         backend="numpy")
     capture = SimpleNamespace(results=(), stats=None, backend="numpy")
-    server._capture = lambda app, variant, payload: capture
-    server._price = lambda m, app, cap, payload: SERVICE[app, m.index]
+    server._captured = lambda app, variant, payload, backend: capture
+    server._price = lambda m, app, cap, payload: SimpleNamespace(
+        total_seconds=SERVICE[app, m.index], loops=())
     return server
 
 
@@ -996,7 +1009,8 @@ class TestEventLoop:
 
     def test_remainder_head_flushes_at_its_own_deadline(self):
         server = table_server(max_batch=2, max_wait_s=0.5)
-        server._price = lambda m, app, cap, payload: 0.45
+        server._price = lambda m, app, cap, payload: SimpleNamespace(
+            total_seconds=0.45, loops=())
         flushes, push = [], server._push
 
         def spy(t, kind, data=None):

@@ -47,9 +47,9 @@ def stub_server(tracer=None, faults=None, resilience=None, seed=0,
         max_batch=max_batch, max_wait_s=max_wait_s, backend="numpy",
         tracer=tracer, trace_seed=seed, faults=faults, resilience=resilience)
     capture = SimpleNamespace(results=(), stats=None, backend="numpy")
-    server._capture = server._reference_capture = \
-        lambda app, variant, payload: capture
-    server._price = lambda m, app, cap, payload: SERVICE[app, m.index]
+    server._captured = lambda app, variant, payload, backend: capture
+    server._price = lambda m, app, cap, payload: SimpleNamespace(
+        total_seconds=SERVICE[app, m.index], loops=())
     return server
 
 
@@ -285,11 +285,11 @@ def with_every_rid_kept(server):
                 for r in server._inflight[max(placed)]["responses"])
         crash(idx, t)
 
-    def on_complete(data, t):
-        _, bid, responses = data
-        if bid in server._inflight or server.faults is None:  # not cancelled
-            executing.difference_update(r.request.rid for r in responses)
-        complete(data, t)
+    def on_complete(bid, t):
+        if bid in server._inflight:  # not cancelled
+            executing.difference_update(
+                r.request.rid for r in server._inflight[bid]["responses"])
+        complete(bid, t)
 
     def on_hedge(req, t):
         inflight = any(r.request.rid == req.rid
@@ -462,14 +462,12 @@ class TestTheRecordIsRows:
         assert render_collapsed(tracer) == render_collapsed(only)
         assert len(tracer.runs) == 1
 
-    @pytest.mark.parametrize("tracer", [None, Tracer(enabled=False)])
-    def test_an_untraced_run_keeps_no_record(self, tracer):
-        server = stub_server(tracer, resilience=ResilienceConfig(
+    def test_an_untraced_run_keeps_no_record(self):
+        server = stub_server(resilience=ResilienceConfig(
             retry=RetryPolicy(), hedge_delay_s=0.0004))
         responses = server.run(ClosedLoop("abc", 4, 20, seed=0))
         assert server.record is None
         assert server.timeline_of(0) is None
         assert server.attempt_timelines_of(0) == []
-        assert tracer is None or tracer.runs == []
         report = ServeSim.report("closed", server, responses)
         assert report.decomposition is None

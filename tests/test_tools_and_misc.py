@@ -144,6 +144,41 @@ class TestCli:
         assert err.count("\n") == 1 and "one mode" in err
 
     @pytest.mark.parametrize("argv", [
+        ["analyze", "kmeans", "--diff", "prev", "latest", "--backend",
+         "numpy"],
+        ["analyze", "kmeans", "--diff", "prev", "latest", "--count", "3"],
+        ["analyze", "kmeans", "--diff", "prev", "latest", "--seed", "1"],
+        ["analyze", "kmeans", "--critical-path", "--window", "8"],
+        ["analyze", "kmeans", "--history", "h"],
+        ["analyze", "kmeans", "--requests", "--history", "h"],
+        ["analyze", "kmeans", "--requests", "--window", "8"],
+        ["--list", "kmeans"], ["--list", "--profile"],
+        ["--list", "--stage", "compiled"]],
+        ids=lambda argv: "-".join(a for a in argv if a.startswith("-")))
+    def test_a_flag_nothing_reads_is_bad_usage(self, capsys, argv):
+        # named in one stderr line, even at its default value, before
+        # anything runs
+        assert tools.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert argv[-1] in err or argv[-2] in err
+
+    def test_a_closed_stdout_ends_quietly(self):
+        # 115 kB of JSON in one write: the child is still writing when
+        # the reader closes the pipe after the first line
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools", "analyze", "q1",
+             "--requests", "--json", "--count", "400"], cwd=ROOT, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
+    @pytest.mark.parametrize("argv", [
         ["serve-sim", "--latency-out"], ["serve-sim", "--trace-out"],
         ["serve-sim", "--flame-out"], ["serve-sim", "--metrics-out"],
         ["slo-report", "--spec", str(ROOT / "examples/slo_serving.json"),
