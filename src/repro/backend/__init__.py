@@ -1,17 +1,13 @@
 """Execution backends for optimized DMLL programs.
 
-Two backends share the reference interpreter's semantics and cost model:
+Two engines share the reference interpreter's semantics and cost model:
+``"numpy"`` (``repro.backend.executor``, the default) runs multiloops as
+vectorized kernels with recorded per-loop fallback to the interpreter;
+``"reference"`` (``repro.core.interp``) is that per-element interpreter,
+the oracle the differential checks name explicitly.
 
-- ``"reference"`` — the instrumented per-element interpreter
-  (``repro.core.interp``); always correct, slow in wall-clock.
-- ``"numpy"``     — vectorized multiloop execution
-  (``repro.backend.executor``); identical results and ``ExecStats``,
-  with automatic recorded fallback to the reference path per loop.
-
-The process-wide default is ``DEFAULT_BACKEND``; ``resolve_backend``
-honors an explicit argument first, then the ``REPRO_BACKEND``
-environment variable, then the default — so callers can thread a
-``backend=None`` parameter without each re-implementing the policy.
+``engine`` builds the interpreter ``resolve_backend`` names: an explicit
+argument, else ``REPRO_BACKEND``, else ``DEFAULT_BACKEND``.
 """
 
 from __future__ import annotations
@@ -19,43 +15,32 @@ from __future__ import annotations
 import os
 from typing import Optional, Tuple
 
+from ..core.interp import Interp
 from .executor import FallbackRecord, NumpyInterp, run_program_numpy
 from .vectorize import VecError, plan_loop
 
 BACKENDS = ("reference", "numpy")
 
-#: process-wide default backend; tests and the CLI may rebind it
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "numpy"
 
 
 def resolve_backend_ex(name: Optional[str] = None) -> Tuple[str, str]:
     """Resolve the backend and say where the choice came from.
 
     Returns ``(backend, source)`` with source one of ``"argument"``,
-    ``"env:REPRO_BACKEND"``, ``"default"``. A *set-but-blank*
-    ``REPRO_BACKEND=`` used to be treated like unset (``or
-    DEFAULT_BACKEND`` swallowed it), which let a CI matrix leg with a
-    mistyped env silently run the wrong backend — now blank is an
-    explicit error, and surrounding whitespace is stripped.
+    ``"env:REPRO_BACKEND"``, ``"default"``. Surrounding whitespace is
+    stripped; a blank argument or a set-but-blank ``REPRO_BACKEND`` is
+    an error, so a mistyped CI leg cannot run the default unnoticed.
     """
-    if name is not None:
-        name = name.strip()
-        if not name:
-            raise ValueError(
-                "backend argument is blank; expected one of "
-                f"{BACKENDS} (or None to defer to $REPRO_BACKEND)")
-        source = "argument"
-    else:
-        env = os.environ.get("REPRO_BACKEND")
-        if env is None:
-            name, source = DEFAULT_BACKEND, "default"
-        else:
-            name = env.strip()
-            if not name:
-                raise ValueError(
-                    "REPRO_BACKEND is set but blank; unset it or name one "
-                    f"of {BACKENDS}")
-            source = "env:REPRO_BACKEND"
+    source = "argument"
+    if name is None:
+        name, source = os.environ.get("REPRO_BACKEND"), "env:REPRO_BACKEND"
+        if name is None:
+            return DEFAULT_BACKEND, "default"
+    name = name.strip()
+    if not name:
+        raise ValueError(f"blank backend (from {source}); expected one of "
+                         f"{BACKENDS}")
     if name not in BACKENDS:
         raise ValueError(
             f"unknown backend {name!r}; expected one of {BACKENDS}")
@@ -67,6 +52,15 @@ def resolve_backend(name: Optional[str] = None) -> str:
     return resolve_backend_ex(name)[0]
 
 
+def engine(backend: Optional[str] = None, per_iter: bool = False,
+           profile_host: bool = False) -> Interp:
+    """The interpreter ``backend`` resolves to; its ``backend`` attribute
+    names it. ``profile_host`` times loops on the NumPy engine only."""
+    if resolve_backend(backend) == "numpy":
+        return NumpyInterp(per_iter=per_iter, profile_host=profile_host)
+    return Interp(per_iter=per_iter)
+
+
 __all__ = ["BACKENDS", "DEFAULT_BACKEND", "FallbackRecord", "NumpyInterp",
-           "VecError", "plan_loop", "resolve_backend", "resolve_backend_ex",
-           "run_program_numpy"]
+           "VecError", "engine", "plan_loop", "resolve_backend",
+           "resolve_backend_ex", "run_program_numpy"]

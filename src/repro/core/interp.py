@@ -71,6 +71,8 @@ class InterpError(Exception):
 
 
 class Interp:
+    backend = "reference"
+
     def __init__(self, stats: Optional[ExecStats] = None,
                  per_iter: bool = False):
         self.stats = stats if stats is not None else ExecStats()

@@ -136,18 +136,15 @@ class CompiledProgram:
         """Execute on the selected backend, returning (results, stats).
 
         ``backend`` is resolved by ``repro.backend.resolve_backend``:
-        explicit argument > ``REPRO_BACKEND`` env var > ``"reference"``.
-        The vectorized backend produces identical results and stats; any
-        per-loop fallback it takes is recorded on the interpreter, not
-        surfaced here (use ``capture_run`` for the full record)."""
-        from .backend import resolve_backend
+        explicit argument > ``REPRO_BACKEND`` env var > ``"numpy"``.
+        The vectorized backend produces the reference interpreter's
+        results and stats; any per-loop fallback it takes is recorded on
+        the interpreter, not surfaced here (use ``capture_run`` for the
+        full record)."""
+        from .backend import engine
+        interp = engine(backend)
         prepared = self.prepare_inputs(inputs)
-        if resolve_backend(backend) == "numpy":
-            from .backend import run_program_numpy
-            results, stats, _ = run_program_numpy(self.program, prepared)
-            return results, stats
-        from .core.interp import run_program
-        return run_program(self.program, prepared)
+        return interp.eval_program(self.program, prepared), interp.stats
 
 
 def compile_program(prog: Program, target: str = "cpu",

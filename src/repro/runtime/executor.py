@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..analysis.partitioning import LoopDistInfo
 from ..analysis.stencil import Stencil
 from ..core import types as T
-from ..core.interp import DefRecord, ExecStats, Interp
+from ..core.interp import DefRecord, ExecStats
 from ..core.ir import Def, Program
 from ..core.multiloop import GenKind, MultiLoop
 from ..core.ops import InputSource
@@ -96,9 +96,9 @@ class LoopSim:
 class SimResult:
     results: Tuple[Any, ...]
     stats: ExecStats
+    backend: str
     loops: List[LoopSim] = field(default_factory=list)
     total_seconds: float = 0.0
-    backend: str = "reference"
     fallbacks: List[Any] = field(default_factory=list)
 
     def breakdown(self) -> str:
@@ -142,7 +142,7 @@ class RunCapture:
     #: the engine that ran the program (``Interp.per_iter``)
     per_iter: Dict[int, List[float]]
     footprints: Dict[int, int]   # unscaled payload bytes per collection
-    backend: str = "reference"
+    backend: str
     #: per-loop FallbackRecord list (vectorized backend only; empty means
     #: every loop executed vectorized)
     fallbacks: List[Any] = field(default_factory=list)
@@ -154,24 +154,17 @@ class RunCapture:
 def capture_run(compiled: CompiledProgram, inputs: Dict[str, Any],
                 backend: Optional[str] = None,
                 profile_host: bool = False) -> RunCapture:
-    """Execute once on the instrumented interpreter.
-
-    ``backend`` selects the functional engine
-    (``repro.backend.resolve_backend`` policy); the vectorized backend
-    yields identical results/stats and records any per-loop interpreter
-    fallbacks on the capture. ``profile_host``
+    """Execute once on the functional engine ``backend`` selects
+    (``repro.backend.engine``); the vectorized default yields identical
+    results/stats to the interpreter and records any per-loop
+    interpreter fallbacks on the capture. ``profile_host``
     additionally records host wall-clock per top-level loop on the
     capture (``host_loop_s``) — real time for calibrating the cost
     model, kept strictly out of simulated pricing."""
-    from ..backend import resolve_backend
-    backend = resolve_backend(backend)
+    from ..backend import engine
+    interp = engine(backend, per_iter=True, profile_host=profile_host)
     prog = compiled.program
     prepared = compiled.prepare_inputs(inputs)
-    if backend == "numpy":
-        from ..backend import NumpyInterp
-        interp = NumpyInterp(per_iter=True, profile_host=profile_host)
-    else:
-        interp = Interp(per_iter=True)
     results = interp.eval_program(prog, prepared)
     stats = interp.stats
     fallbacks = list(getattr(interp, "fallbacks", ()))
@@ -186,7 +179,7 @@ def capture_run(compiled: CompiledProgram, inputs: Dict[str, Any],
         if rec.sym_id not in footprints and rec.output_len:
             footprints[rec.sym_id] = max(rec.bytes_alloc, rec.output_len * 8)
     return RunCapture(compiled, results, stats, interp.per_iter, footprints,
-                      backend, fallbacks, host_loop_s)
+                      interp.backend, fallbacks, host_loop_s)
 
 
 class Simulator:

@@ -23,9 +23,9 @@ dataset), the program (--emit; IR when no other view is asked for). A
 flag that no requested view or ``analyze`` mode reads is bad usage, as
 is anything given with --list. Under --json stdout is one JSON document.
 
-Exit codes (repo-wide convention): 0 ok, 1 check failed, 2 bad usage; a
-reader that closes stdout early (``| head``) ends the run with exit 1
-and nothing written to stderr.
+Exit codes (repo-wide convention): 0 ok, 1 check failed, 2 bad usage
+(one line on stderr); a reader that closes stdout early (``| head``)
+ends the run with exit 1 and nothing written to stderr.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ _FLAGS = {
                      help="compile target (default: distributed)"),
     "--backend": dict(choices=("reference", "numpy"),
                       help="functional engine of the run (default: "
-                           "$REPRO_BACKEND or reference; numpy for served "
-                           "traffic, the only engine that lane-packs)"),
+                           "$REPRO_BACKEND or numpy, the engine that "
+                           "lane-packs; reference is the oracle)"),
     "--json": dict(action="store_true",
                    help="print one JSON document instead of a table"),
     "--metrics": dict(action="store_true",
@@ -61,6 +61,13 @@ _FLAGS = {
                           help="write the metrics in Prometheus text format"),
 }
 _EXPORTS = ("--trace-out", "--flame-out", "--metrics-out")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _add(ap, *names: str) -> None:
@@ -230,7 +237,7 @@ def _explain_compile(app: str, target: str, variant: str = None):
 
 def explain_main(argv=None) -> int:
     """``repro explain <app>``: render the compile's decision provenance."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="repro.tools explain",
         description="Explain every compiler/backend decision taken for an "
                     "application: fusions, Fig. 3 transforms, stencils, "
@@ -318,7 +325,6 @@ def _add_traffic_args(ap) -> None:
                          "only equal payloads lane-pack")
     _add_fleet_args(ap)
     _add(ap, "--backend")
-    ap.set_defaults(backend="numpy")
     # chaos / resilience (all off by default: a plain run stays
     # byte-identical to one where these flags never existed)
     ap.add_argument("--faults", metavar="PLAN.json",
@@ -425,7 +431,7 @@ def _run_traffic(args, metrics, tracer):
 
 def serve_main(argv=None) -> int:
     """``repro.tools serve-sim <app> [...]``: run the serving simulator."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="repro.tools serve-sim",
         description="Simulate seeded open- or closed-loop traffic to "
                     "cached compiled programs, lane-packed and placed on "
@@ -534,7 +540,7 @@ def slo_main(argv=None) -> int:
     """``repro.tools slo-report <app> --spec SPEC``: evaluate SLOs over a
     simulated serving run; exit 1 when any objective's error budget is
     exhausted (the CI gate)."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="repro.tools slo-report",
         description="Run the serving simulator and score the responses "
                     "against an SLO spec: objectives, error budgets and "
@@ -646,12 +652,11 @@ def _analyze_requests(app: str, args) -> int:
     from .obs import Tracer
     from .obs.analyze import COMPONENTS, request_decomposition
     from .obs.critical import fleet_attribution
-    traffic = argparse.ArgumentParser()
+    traffic = _Parser()
     _add_traffic_args(traffic)
     # argparse fills in a default only where the namespace has no value
     targs = traffic.parse_args([app], argparse.Namespace(**{
-        **vars(args), "requests": args.count,
-        "backend": args.backend or "numpy"}))
+        **vars(args), "requests": args.count}))
     rc = _check_traffic_args(targs, "analyze --requests")
     if rc != EXIT_OK:
         return rc
@@ -708,7 +713,7 @@ _ANALYZE_READS = {
 def analyze_main(argv=None) -> int:
     """``repro.tools analyze``: trace analytics over the simulated
     runtime — critical path, history diff, request decomposition."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="repro.tools analyze",
         description="Trace analytics, one mode per run: the critical path "
                     "of a priced run (--critical-path, the default), two "
@@ -772,7 +777,7 @@ _SUBCOMMANDS = {"explain": explain_main, "serve-sim": serve_main,
 
 def inspect_main(argv) -> int:
     """``repro.tools <app>``: one compile of ``app``, every view of it."""
-    ap = argparse.ArgumentParser(prog="repro.tools", description=__doc__)
+    ap = _Parser(prog="repro.tools", description=__doc__)
     _add(ap, "app")
     ap.add_argument("--list", action="store_true", help="list applications")
     ap.add_argument("--stage", choices=("staged", "compiled"),

@@ -456,7 +456,7 @@ class TestForcedRegression:
         assert report["cluster"] == "numa-4x12"
         assert report["problems"]
 
-    def test_unset_knob_is_identity(self):
+    def test_pricing_is_deterministic(self):
         bundle = get_bundle("q1")
         a = bundle.simulate("opt")
         b = bundle.simulate("opt")

@@ -146,11 +146,11 @@ class TestBundledApps:
 class TestSelection:
     def test_resolve_policy(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None) == "reference"
-        assert resolve_backend("numpy") == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         assert resolve_backend(None) == "numpy"
         assert resolve_backend("reference") == "reference"
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        assert resolve_backend(None) == "reference"
+        assert resolve_backend("numpy") == "numpy"
         with pytest.raises(ValueError):
             resolve_backend("cuda")
 
@@ -175,10 +175,11 @@ class TestSelection:
 
     def test_resolution_source_is_reported(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend_ex(None) == ("reference", "default")
-        assert resolve_backend_ex("numpy") == ("numpy", "argument")
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert resolve_backend_ex(None) == ("numpy", "env:REPRO_BACKEND")
+        assert resolve_backend_ex(None) == ("numpy", "default")
+        assert resolve_backend_ex("reference") == ("reference", "argument")
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        assert resolve_backend_ex(None) == ("reference",
+                                            "env:REPRO_BACKEND")
 
     def test_compiled_run_backend_param(self):
         bundle = get_bundle("logreg")

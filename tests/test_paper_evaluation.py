@@ -10,7 +10,7 @@ one: a moved number is a change to a reproduced paper claim
 
 To regenerate the committed files after a deliberate change::
 
-    REPRO_BACKEND=numpy PYTHONPATH=src python -m pytest -q \\
+    PYTHONPATH=src python -m pytest -q \\
         benchmarks/bench_fig6_transforms.py benchmarks/bench_fig7_numa.py \\
         benchmarks/bench_fig8_cluster.py benchmarks/bench_fig8_graphs.py \\
         benchmarks/bench_fig8_gibbs.py benchmarks/bench_table2_sequential.py \\

@@ -1276,6 +1276,7 @@ class TestServeCLI:
         prom = tmp_path / "metrics.prom"
         code, out = self.run("serve-sim", "q1", "--requests", "6",
                              "--clients", "2", "--seed", "1",
+                             "--backend", "numpy",
                              "--flame-out", str(flame),
                              "--metrics-out", str(prom),
                              "--slo", "examples/slo_serving.json")
@@ -1290,7 +1291,7 @@ class TestServeCLI:
     def test_slo_attached_to_latency_json(self, tmp_path):
         lat = tmp_path / "lat.json"
         code, _ = self.run("serve-sim", "q1", "--requests", "6",
-                           "--clients", "2",
+                           "--clients", "2", "--backend", "numpy",
                            "--slo", "examples/slo_serving.json",
                            "--latency-out", str(lat))
         assert code == 0
@@ -1304,3 +1305,78 @@ class TestServeCLI:
         assert self.run("serve-sim", "nosuchapp")[0] == 2
         assert self.run("serve-sim", "q1", "--requests", "0")[0] == 2
         assert self.run("serve-sim", "q1", "--machines", "warpdrive")[0] == 2
+
+
+class TestServeCliBackend:
+    """``serve-sim``, ``slo-report`` and ``analyze --requests`` pick their
+    engine as every other path does: ``--backend``, else
+    ``$REPRO_BACKEND``, else the NumPy default, which lane-packs."""
+
+    COMMANDS = {
+        "serve-sim": ["serve-sim", "q1"],
+        "slo-report": ["slo-report", "q1", "--spec",
+                       "examples/slo_serving.json"],
+        "analyze --requests": ["analyze", "q1", "--requests"],
+    }
+    TRAFFIC = {"serve-sim": ["--requests", "8", "--clients", "4"],
+               "slo-report": ["--requests", "8", "--clients", "4"],
+               "analyze --requests": ["--count", "8", "--clients", "4"]}
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """The ``ProgramServer`` of each run a CLI command makes."""
+        import repro.serve
+        servers = []
+
+        class Recorded(repro.serve.ServeSim):
+            def _run(self, *args):
+                report = super()._run(*args)
+                servers.append(self.last_server)
+                return report
+        monkeypatch.setattr(repro.serve, "ServeSim", Recorded)
+        return servers
+
+    def serve(self, served, command, *extra):
+        with redirect_stdout(io.StringIO()):
+            rc = tools.main(self.COMMANDS[command] + self.TRAFFIC[command]
+                            + list(extra))
+        # serialized fallback batches can exhaust the latency budget,
+        # which slo-report reports as exit 1
+        assert rc == 0 or (rc == 1 and command == "slo-report")
+        (server,) = served
+        assert len(server.responses) == 8
+        return server
+
+    @staticmethod
+    def assert_fallback(server):
+        assert server.backend == "reference"
+        assert {r.backend for r in server.responses} == {"reference"}
+        assert not any(r.lane_packed for r in server.responses)
+        assert sum(fb.requests for fb in server.fallbacks) == 8
+
+    @staticmethod
+    def assert_lane_packed(server):
+        assert server.backend == "numpy" and server.fallbacks == []
+        assert {r.backend for r in server.responses} == {"numpy"}
+        assert all(r.lane_packed for r in server.responses)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_env_reference_serves_every_batch_as_fallback(
+            self, monkeypatch, served, command):
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        self.assert_fallback(self.serve(served, command))
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_default_lane_packs(self, monkeypatch, served, command):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        self.assert_lane_packed(self.serve(served, command))
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_argument_wins_over_env(self, monkeypatch, served, command):
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        self.assert_lane_packed(
+            self.serve(served, command, "--backend", "numpy"))
+        served.clear()
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        self.assert_fallback(
+            self.serve(served, command, "--backend", "reference"))

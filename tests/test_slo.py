@@ -249,6 +249,7 @@ class TestSLOReportCLI:
         out_json = tmp_path / "slo.json"
         code, out = self.run("slo-report", "q1", "--requests", "6",
                              "--clients", "2", "--seed", "1",
+                             "--backend", "numpy",
                              "--spec", "examples/slo_serving.json",
                              "--out", str(out_json))
         assert code == 0
@@ -271,7 +272,7 @@ class TestSLOReportCLI:
 
     def test_json_output(self):
         code, out = self.run("slo-report", "q1", "--requests", "4",
-                             "--clients", "2", "--json",
+                             "--clients", "2", "--json", "--backend", "numpy",
                              "--spec", "examples/slo_serving.json")
         assert code == 0
         assert json.loads(out)["status"] == "ok"

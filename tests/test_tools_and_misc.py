@@ -184,10 +184,12 @@ class TestCli:
         ["slo-report", "--spec", str(ROOT / "examples/slo_serving.json"),
          "--out"]], ids=lambda argv: argv[0] + argv[-1])
     def test_json_is_one_document(self, tmp_path, capsys, argv):
-        # the "wrote FILE" note goes to stderr, so stdout stays parseable
+        # the "wrote FILE" note goes to stderr, so stdout stays parseable;
+        # the SLO holds for lane-packed batches
         path = tmp_path / "x"
         assert tools.main([argv[0], "q1", "--requests", "4", "--clients",
-                           "2", *argv[1:], str(path), "--json"]) == 0
+                           "2", "--backend", "numpy", *argv[1:], str(path),
+                           "--json"]) == 0
         out, err = capsys.readouterr()
         assert json.loads(out) and path.stat().st_size > 0
         assert str(path) in err
@@ -267,6 +269,101 @@ class TestFlagCombinations:
             assert _EMIT_MARKS[emit or "ir"] in text, argv
         for flag in outputs:
             assert (out_dir / _OUTPUTS[flag]).stat().st_size > 0, argv
+
+
+_EXAMPLES = ROOT / "examples"
+_SLO = [str(_EXAMPLES / name) for name in ("slo_serving.json",
+                                           "slo_chaos.json")]
+#: each flag's good values (``None``: a switch); a draw gives at most one
+#: flag a value from ``_BAD``
+_TRAFFIC = {
+    "--clients": ["4", "1"], "--think-ms": ["0", "5"],
+    "--rate": ["400", "2000"], "--max-wait-ms": ["0", "20"],
+    "--timeout-ms": ["5", "2000"], "--hedge-ms": ["5", "30"],
+    "--payloads": ["1", "2"], "--batch": ["1", "8"], "--seed": ["0", "3"],
+    "--policy": ["round-robin", "least-loaded", "fastest"],
+    "--machines": ["numa", "numa*2,gpunode"],
+    "--faults": [str(_EXAMPLES / "faults_outage.json")],
+    "--retry": ["1", "3"], "--retry-budget": ["0", "4"],
+    "--shed-depth": ["2", "64"], "--degrade-after": ["1", "3"],
+    "--breaker": [None],
+}
+_WRITES = {"--latency-out", "--trace-out", "--flame-out", "--metrics-out",
+           "--out"}
+_FLAGS = {
+    "serve-sim": {**_TRAFFIC, **dict.fromkeys(_WRITES - {"--out"}, [None]),
+                  "--metrics": [None], "--json": [None], "--slo": _SLO,
+                  "--chaos": [None]},
+    "slo-report": {**_TRAFFIC, "--out": [None], "--json": [None]},
+    "explain": {"--json": [None], "--target": ["cpu", "distributed", "gpu"],
+                "--loop": ["cs", "bktred", "zz"],
+                "--explain-diff": ["no-fusion", "no-transforms"]},
+}
+_BAD = {"--requests": "0", "--rate": "nan", "--think-ms": "-1",
+        "--max-wait-ms": "inf", "--timeout-ms": "0", "--hedge-ms": "inf",
+        "--payloads": "0", "--batch": "0", "--retry": "0",
+        "--retry-budget": "-1", "--shed-depth": "0", "--degrade-after": "0",
+        "--machines": "warpdrive", "--faults": str(_EXAMPLES / "no.json"),
+        "--slo": str(_EXAMPLES / "no.json"),
+        "--spec": str(_EXAMPLES / "no.json"), "--trace-out": "no/t.json",
+        "--out": "no/slo.json"}
+
+
+class TestServeFlagCombinations:
+    """Any subset of the flags of ``serve-sim``, ``slo-report`` and
+    ``explain``, with ``--backend`` and ``$REPRO_BACKEND`` given or not,
+    ends in exit 0, 1 or 2 and never a traceback; stderr carries at most
+    one line besides the ``wrote FILE`` notes ``--json`` moves there, and
+    under ``--json`` a run's stdout is one JSON document."""
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), command=st.sampled_from(sorted(_FLAGS)),
+           backend=st.sampled_from([None, "numpy", "reference"]),
+           env=st.sampled_from([None, "numpy", "reference", ""]))
+    def test_every_draw_ends_in_an_exit_code(self, tmp_path, monkeypatch,
+                                             data, command, backend, env):
+        # gene is the bundled app the interpreter captures fastest; knn
+        # has no dataset; explain takes one app
+        argv = [command] + data.draw(st.sampled_from(
+            [[], ["knn"], ["nosuch"]] + [["gene"]] * 4
+            + [["q1"] if command == "explain" else ["gene", "q1"]]))
+        flags = dict.fromkeys(data.draw(st.sets(st.sampled_from(
+            sorted(_FLAGS[command])), max_size=5)))
+        for flag in flags:
+            flags[flag] = data.draw(st.sampled_from(_FLAGS[command][flag]))
+        if command != "explain":
+            # a closed loop takes 64 requests by default
+            flags["--requests"] = data.draw(st.sampled_from(["4", "16"]))
+            if backend is not None:
+                flags["--backend"] = backend
+        spec = data.draw(st.sampled_from(_SLO + [None]))
+        if command == "slo-report" and spec is not None:
+            flags["--spec"] = spec
+        bad = data.draw(st.sampled_from(
+            [None] + sorted(set(_BAD) & set(flags))))
+        if bad is not None:
+            flags[bad] = _BAD[bad]
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        for flag, value in sorted(flags.items()):
+            if flag in _WRITES:
+                value = str(out_dir / (value or flag[2:]))
+            argv += [flag] if value is None else [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with monkeypatch.context() as mp:
+            if env is None:
+                mp.delenv("REPRO_BACKEND", raising=False)
+            else:
+                mp.setenv("REPRO_BACKEND", env)
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = tools.main(argv)
+        assert rc in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        lines = [line for line in err.getvalue().splitlines()
+                 if not line.startswith("wrote ")]
+        assert len(lines) <= 1, (argv, err.getvalue())
+        if rc != 2 and "--json" in argv:
+            json.loads(out.getvalue())
 
 
 class TestPrettyPrinter:
