@@ -8,6 +8,7 @@ Run:  python examples/quickstart.py
 from repro import frontend as F
 from repro.core import pretty
 from repro.core import types as T
+from repro.obs.export import profile_report
 from repro.pipeline import compile_program
 from repro.runtime import DMLL_CPP, NUMA_BOX, ExecOptions, simulate
 
@@ -42,7 +43,7 @@ def main():
                       ExecOptions(cores=48))
     print("\n=== execution on the 48-core NUMA box")
     print("result:", result.results[0])
-    print(result.breakdown())
+    print(profile_report(result))
 
     expected = (sum(x * x for x in data if x > 0)
                 / sum(1 for x in data if x > 0))

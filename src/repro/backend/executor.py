@@ -15,8 +15,8 @@ are the per-iteration cost stream.
 Any construct the vectorizer cannot handle (statically or at runtime)
 raises ``VecError``; the loop then re-executes on the inherited
 per-element path and the (loop, reason) pair is recorded in
-``fallbacks``. Because all stats mutations are staged in a
-``StatsDelta`` / per-lane cost vectors until the loop completes, a
+``fallbacks``. Because all stats mutations are staged in a loop-local
+``ExecStats`` / per-lane cost vectors until the loop completes, a
 fallback is invisible in ``ExecStats`` — results, cycle tallies, and
 per-iteration cost vectors are identical to a pure reference run.
 """
@@ -30,13 +30,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import types as T
-from ..core.interp import ExecStats, Interp
+from ..core.interp import ExecStats, Interp, add_stats
 from ..core.ir import Def, Program
 from ..core.multiloop import Generator, MultiLoop
 from ..core.values import Buckets
 from ..obs.provenance import FALLBACK, VECTORIZED, DecisionKind, emit
-from .vectorize import (ArrVec, LoopVectorizer, Rows, StatsDelta, SVec,
-                        VecError, is_vec, plan_loop)
+from .vectorize import (ArrVec, LoopVectorizer, Rows, SVec, VecError, is_vec,
+                        plan_loop)
 
 
 @dataclass
@@ -259,7 +259,7 @@ class NumpyInterp(Interp):
 
     def _vec_loop(self, d: Def, loop: MultiLoop) -> None:
         size = int(self.eval_exp(loop.size))
-        delta = StatsDelta(loops_executed=1, loop_iterations=size)
+        delta = ExecStats(loops_executed=1, loop_iterations=size)
         # the loop is the one segment of a one-lane root, so it runs as one
         # strip (_strips never splits a segment) whose child lanes are the
         # iterations
@@ -272,7 +272,7 @@ class NumpyInterp(Interp):
         outs = [self._host_result(root, g, ps, lane)
                 for g, ps in zip(loop.gens, parts)]
         # success — commit everything atomically
-        delta.merge_into(self.stats)
+        add_stats(self.stats, delta)
         fr = self._frames[-1]
         fr[0] += float(root.ess[0])
         fr[1] += float(root.ovh[0])

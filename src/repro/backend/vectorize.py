@@ -28,26 +28,25 @@ case: the executor runs it as one strip of a one-lane root vectorizer.
 Cost accounting stays *analytic* and matches the interpreter cycle for
 cycle: every operation adds its cost to per-lane essential/overhead
 vectors under the current mask, and global tallies (op counts, elements
-read, bytes) accumulate in a ``StatsDelta`` that the caller commits only
-after the whole loop vectorized successfully — a mid-loop ``VecError``
-therefore leaves the interpreter's stats untouched and the loop can fall
-back to reference execution. All cycle constants are dyadic rationals, so
-the vectorized sums are bit-identical to the interpreter's sequential
-accumulation.
+read, bytes) accumulate in a loop-local ``ExecStats`` that the caller
+commits only after the whole loop vectorized successfully — a mid-loop
+``VecError`` therefore leaves the interpreter's stats untouched and the
+loop can fall back to reference execution. All cycle constants are
+dyadic rationals, so the vectorized sums are bit-identical to the
+interpreter's sequential accumulation.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import types as T
 from ..core.interp import (BRANCH_CYCLES, BUCKET_CYCLES, READ_CYCLES,
-                           WRITE_CYCLES, loop_share_plan)
+                           WRITE_CYCLES, ExecStats, add_stats,
+                           loop_share_plan)
 from ..core.ir import Block, Const, Def, Exp, Sym
 from ..core.multiloop import GenKind, Generator, MultiLoop
 from ..core.ops import (COLL_PRIMS, PRIMS, ArrayApply, ArrayLength, ArrayLit,
@@ -658,39 +657,6 @@ def _plan_block(block: Block) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Stats accumulation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StatsDelta:
-    """Loop-local global tallies, committed into ``ExecStats`` only after
-    the whole loop vectorized successfully."""
-
-    op_counts: Counter = field(default_factory=Counter)
-    loop_iterations: int = 0
-    loops_executed: int = 0
-    elements_read: int = 0
-    bytes_read: int = 0
-    elements_emitted: int = 0
-    bytes_alloc: int = 0
-
-    def merge_into(self, stats) -> None:
-        stats.op_counts.update(self.op_counts)
-        stats.loop_iterations += self.loop_iterations
-        stats.loops_executed += self.loops_executed
-        stats.elements_read += self.elements_read
-        stats.bytes_read += self.bytes_read
-        stats.elements_emitted += self.elements_emitted
-        stats.bytes_alloc += self.bytes_alloc
-
-    def scaled(self, k: int) -> "StatsDelta":
-        """These tallies ``k`` times over."""
-        return StatsDelta(
-            Counter({n: c * k for n, c in self.op_counts.items()}),
-            *(getattr(self, f.name) * k for f in fields(self)[1:]))
-
-
-# ---------------------------------------------------------------------------
 # The vectorizer
 # ---------------------------------------------------------------------------
 
@@ -708,7 +674,7 @@ class LoopVectorizer:
     parent chain and are lifted along ``rep`` on first use.
     """
 
-    def __init__(self, host, L: int, delta: StatsDelta):
+    def __init__(self, host, L: int, delta: ExecStats):
         self.host = host
         self.L = L
         self.delta = delta
@@ -1380,12 +1346,12 @@ class LoopVectorizer:
         combines = int(cnt.sum()) - len(cnt)
         if not combines:
             return out, 0.0, 0.0
-        probe = LoopVectorizer(self.host, 1, StatsDelta())
+        probe = LoopVectorizer(self.host, 1, ExecStats())
         probe.in_reducer = self.in_reducer + 1
         probe.in_reduce_value = self.in_reduce_value
         pair = ArrVec(data[:1], None) if depth else data[:1]
         probe.eval_block(reducer, (pair, pair), None)
-        probe.delta.scaled(combines).merge_into(self.delta)
+        add_stats(self.delta, probe.delta, combines)
         return out, float(probe.ess[0]), float(probe.ovh[0])
 
     def _finish_bucket(self, g: Generator, parts: List[Tuple[Any, ...]],

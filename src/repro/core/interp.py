@@ -2,9 +2,11 @@
 
 Besides producing results, the interpreter is *instrumented*: it tallies
 dynamic operation counts, bytes touched, and per-top-level-statement cost
-records. The simulated-hardware runtime executes a program functionally
-once through this interpreter and then prices the recorded work on a
-machine model — "the work is real, only the clock is modeled" (DESIGN §4).
+records in an ``ExecStats``. The NumPy backend tallies into the same
+record and is checked against this interpreter. The simulated-hardware
+runtime executes a program functionally once and then prices the
+recorded work on a machine model — "the work is real, only the clock is
+modeled" (DESIGN §4).
 """
 
 from __future__ import annotations
@@ -64,6 +66,19 @@ class ExecStats:
     bytes_alloc: int = 0
     total_cycles: float = 0.0
     def_records: List[DefRecord] = field(default_factory=list)
+
+
+#: the counts of ``ExecStats`` a run adds up besides ``op_counts``
+TALLIES = ("loop_iterations", "loops_executed", "elements_read",
+           "bytes_read", "elements_emitted", "bytes_alloc")
+
+
+def add_stats(into: ExecStats, delta: ExecStats, k: int = 1) -> None:
+    """Add ``delta``'s op counts and ``TALLIES`` ``k`` times into ``into``."""
+    for name, c in delta.op_counts.items():
+        into.op_counts[name] += c * k
+    for name in TALLIES:
+        setattr(into, name, getattr(into, name) + getattr(delta, name) * k)
 
 
 class InterpError(Exception):
@@ -129,7 +144,9 @@ class Interp:
             is_loop=isinstance(d.op, MultiLoop))
         if self.per_iter is not None and rec.is_loop:
             self.per_iter[rec.sym_id] = []
-        before = _StatSnapshot(self.stats)
+        # the statement's tallies are staged in their own ExecStats: its
+        # record keeps them, the run's stats add them up
+        run, self.stats = self.stats, ExecStats()
         self._push_frame()
         try:
             self.eval_def(d)
@@ -137,7 +154,11 @@ class Interp:
             ess, ovh = self._pop_frame()
             rec.compute_cycles = ess
             rec.overhead_cycles = ovh
-        before.diff_into(rec, self.stats)
+            own, self.stats = self.stats, run
+            add_stats(run, own)
+        rec.elements_read, rec.bytes_read = own.elements_read, own.bytes_read
+        rec.elements_emitted = own.elements_emitted
+        rec.bytes_alloc = own.bytes_alloc
         if isinstance(d.op, MultiLoop):
             rec.size = int(self.eval_exp(d.op.size))
         out = self.env.get(d.syms[0].id)
@@ -455,20 +476,6 @@ def loop_share_plan(gens: Sequence[Generator]):
                 else:
                     seen.add(k)
     return share_keys, need_memo
-
-
-class _StatSnapshot:
-    def __init__(self, stats: ExecStats):
-        self.elements_read = stats.elements_read
-        self.bytes_read = stats.bytes_read
-        self.elements_emitted = stats.elements_emitted
-        self.bytes_alloc = stats.bytes_alloc
-
-    def diff_into(self, rec: DefRecord, stats: ExecStats) -> None:
-        rec.elements_read = stats.elements_read - self.elements_read
-        rec.bytes_read = stats.bytes_read - self.bytes_read
-        rec.elements_emitted = stats.elements_emitted - self.elements_emitted
-        rec.bytes_alloc = stats.bytes_alloc - self.bytes_alloc
 
 
 def run_program(prog: Program, inputs: Dict[str, Any]

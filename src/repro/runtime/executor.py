@@ -6,12 +6,12 @@ directory ("move the computation to the data"); each machine further
 chunks across sockets and cores with dynamic load balancing; GPU-targeted
 loops run as device kernels.
 
-The *work* is real: the program runs once on the instrumented reference
-interpreter. The *clock* is modeled: every top-level statement's dynamic
-record (cycles, bytes, per-iteration costs) is priced on a machine model
-and a system profile (DESIGN.md §4). That split lets one functional run
-answer "how long on 1/12/24/48 cores, on 20 EC2 nodes, on 4 GPUs" without
-re-running.
+The *work* is real: the program runs once on a functional engine, which
+tallies it in one ``ExecStats``. The *clock* is modeled: every top-level
+statement's dynamic record (cycles, bytes, per-iteration costs) is priced
+on a machine model and a system profile (DESIGN.md §4). That split lets
+one functional run answer "how long on 1/12/24/48 cores, on 20 EC2
+nodes, on 4 GPUs" without re-running.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..analysis.partitioning import LoopDistInfo
 from ..analysis.stencil import Stencil
 from ..core import types as T
 from ..core.interp import DefRecord, ExecStats
-from ..core.ir import Def, Program
+from ..core.ir import Def
 from ..core.multiloop import GenKind, MultiLoop
 from ..core.ops import InputSource
 from ..pipeline import CompiledProgram
@@ -100,16 +100,6 @@ class SimResult:
     loops: List[LoopSim] = field(default_factory=list)
     total_seconds: float = 0.0
     fallbacks: List[Any] = field(default_factory=list)
-
-    def breakdown(self) -> str:
-        lines = [f"total {self.total_seconds * 1e3:.3f} ms"]
-        for l in self.loops:
-            lines.append(
-                f"  {l.name:<14} {l.op_name:<22} iters={l.iters:<9} "
-                f"W={l.workers:<4} t={l.time_s * 1e3:9.3f} ms "
-                f"(cpu {l.compute_s * 1e3:.3f} / mem {l.memory_s * 1e3:.3f} "
-                f"/ comm {l.comm_s * 1e3:.3f})")
-        return "\n".join(lines)
 
 
 def _deep_bytes(value: Any, tpe: T.Type) -> int:
@@ -201,17 +191,18 @@ class Simulator:
                                       backend=backend))
 
     def price(self, cap: RunCapture) -> SimResult:
-        prog = self.compiled.program
-        dscale = self.options.dscale
-        footprints = {k: int(v * dscale) for k, v in cap.footprints.items()}
-        self._footprints_now = footprints
-        tr = self.options.tracer
-        self._obs = tr is not None
-        self._mx = self.options.metrics
+        """Price ``cap`` on this machine/profile. Everything one price
+        needs is passed down the pass, none of it kept on the simulator."""
+        opts = self.options
+        footprints = {k: int(v * opts.dscale)
+                      for k, v in cap.footprints.items()}
+        tr, mx = opts.tracer, opts.metrics
+        defs = {d.syms[0].id: d for d in self.compiled.program.body.stmts
+                if d.syms}
         sim = SimResult(cap.results, cap.stats, backend=cap.backend,
                         fallbacks=list(cap.fallbacks))
         run: Optional["SpanTable"] = None
-        if self._obs:
+        if tr is not None:
             run = tr.begin_run(
                 self.cluster.name, target=self.compiled.target,
                 **self.cluster.describe(), **self.profile.describe(),
@@ -224,44 +215,31 @@ class Simulator:
                 continue
             info = self.compiled.report.loops.get(rec.sym_id)
             stencils = self.compiled.stencils.get(rec.sym_id)
-            loop_def = self._find_def(prog, rec.sym_id)
-            per_iter = cap.per_iter.get(rec.sym_id)
-            ls = self._price_loop(rec, info, stencils, loop_def, per_iter,
-                                  footprints)
+            loop_def = defs.get(rec.sym_id)
+            ls = self._price_loop(rec, info, stencils, loop_def,
+                                  cap.per_iter.get(rec.sym_id), footprints,
+                                  run is not None, mx)
             sim.loops.append(ls)
-            if self._mx is not None:
-                self._mx.inc("executor.loops_priced")
-                self._mx.observe("executor.loop_seconds", ls.time_s,
-                                 loop=ls.name)
-            if self._obs:
+            if mx is not None:
+                mx.inc("executor.loops_priced")
+                mx.observe("executor.loop_seconds", ls.time_s, loop=ls.name)
+            if run is not None:
                 self._emit_loop_span(run, cursor, ls, rec, info, stencils,
                                      loop_def)
             cursor += ls.time_s
         sim.total_seconds = sum(l.time_s for l in sim.loops)
-        if self._obs:
+        if run is not None:
             run.dur_s[0] = sim.total_seconds
             run.attrs[0].update(total_seconds=sim.total_seconds,
                                 loops=len(sim.loops))
-        if self._mx is not None:
-            self._mx.gauge("executor.total_seconds", sim.total_seconds)
-            self._mx.gauge("interp.loop_iterations",
-                           cap.stats.loop_iterations)
-            self._mx.gauge("interp.total_cycles", cap.stats.total_cycles)
+        if mx is not None:
+            mx.gauge("executor.total_seconds", sim.total_seconds)
+            mx.gauge("interp.loop_iterations", cap.stats.loop_iterations)
+            mx.gauge("interp.total_cycles", cap.stats.total_cycles)
             for fb in cap.fallbacks:
-                self._mx.inc("backend.fallback", loop=str(fb.loop),
-                             reason=fb.reason)
+                mx.inc("backend.fallback", loop=str(fb.loop),
+                       reason=fb.reason)
         return sim
-
-    # -- helpers ---------------------------------------------------------
-
-    def _find_def(self, prog: Program, sym_id: int) -> Optional[Def]:
-        for d in prog.body.stmts:
-            if d.syms and d.syms[0].id == sym_id:
-                return d
-        return None
-
-    def _fp_of(self, sym) -> int:
-        return getattr(self, "_footprints_now", {}).get(sym.id, 0)
 
     # -- observability ---------------------------------------------------
 
@@ -332,7 +310,8 @@ class Simulator:
     def _price_loop(self, rec: DefRecord, info: Optional[LoopDistInfo],
                     stencils, loop_def: Optional[Def],
                     per_iter: Optional[List[float]],
-                    footprints: Dict[int, int]) -> LoopSim:
+                    footprints: Dict[int, int], traced: bool,
+                    mx: Optional["MetricsRegistry"]) -> LoopSim:
         opts = self.options
         prof = self.profile
         node = self.cluster.node
@@ -352,7 +331,7 @@ class Simulator:
 
         ls = LoopSim(rec.name, rec.op_name, rec.size, distributed,
                      machines * cores)
-        if getattr(self, "_obs", False):
+        if traced:
             ls.detail = {"machines": machines, "sockets": sockets,
                          "cores": cores, "dram_bytes": dram,
                          "bytes_streamed": bytes_read,
@@ -364,11 +343,12 @@ class Simulator:
                             stencils, info)
         else:
             self._price_cpu(ls, rec, cycles, dram, machines, sockets,
-                            cores, per_iter, info, nested_parallel)
+                            cores, per_iter, info, footprints,
+                            nested_parallel)
 
         # communication: broadcasts, shuffles, merges, remote reads
         self._price_comm(ls, rec, info, stencils, loop_def, machines,
-                         sockets, footprints, bytes_read)
+                         sockets, footprints, bytes_read, mx)
 
         # dispatch: tasks start in parallel; the driver pays a small serial
         # component that grows with the worker count
@@ -416,8 +396,8 @@ class Simulator:
     def _price_cpu(self, ls: LoopSim, rec: DefRecord, cycles: float,
                    bytes_read: int, machines: int, sockets: int,
                    cores: int, per_iter: Optional[List[float]],
-                   info: Optional[LoopDistInfo],
-                   nested_parallel: bool = False) -> None:
+                   info: Optional[LoopDistInfo], footprints: Dict[int, int],
+                   nested_parallel: bool) -> None:
         node = self.cluster.node
         prof = self.profile
         rate = prof.effective_rate(node.socket)
@@ -459,7 +439,7 @@ class Simulator:
         # (§4.2) are local after replication — e.g. the Gibbs factor graph
         replicated = bool(
             info and info.remote_random and not interval_driven
-            and all(self._fp_of(s) <= _REPLICATION_LIMIT_BYTES
+            and all(footprints.get(s.id, 0) <= _REPLICATION_LIMIT_BYTES
                     for s in info.remote_random))
         if not reads_partitioned:
             bw = (sockets if prof.pinned else 1.0) * socket_bw
@@ -507,16 +487,21 @@ class Simulator:
         chunk_cycles = cycles / machines
         chunk_bytes = bytes_read / machines
 
+        vector_reduce = self._has_vector_reduce(loop_def)
+        uncoalesced = (self._reads_matrix(stencils)
+                       and not self.options.gpu_transposed)
+        # data-dependent gathers defeat coalescing regardless of layout
+        # (§6.3: the GPU "is limited by the random memory accesses")
+        random_gather = bool(info is not None and info.remote_random)
+
         compute = chunk_cycles / (gpu.compute_rate_gops * GB)
         mem = chunk_bytes / (gpu.mem_bandwidth_gbs * GB)
-        if self._has_vector_reduce(loop_def):
+        if vector_reduce:
             mem *= gpu.vector_reduce_penalty
             compute *= gpu.vector_reduce_penalty * 0.5
-        if self._reads_matrix(loop_def, stencils) and not self.options.gpu_transposed:
+        if uncoalesced:
             mem *= gpu.uncoalesced_penalty
-        if info is not None and info.remote_random:
-            # data-dependent gathers defeat coalescing regardless of layout
-            # (§6.3: the GPU "is limited by the random memory accesses")
+        if random_gather:
             mem *= gpu.uncoalesced_penalty
         ls.compute_s = compute
         ls.memory_s = mem
@@ -524,10 +509,8 @@ class Simulator:
         if ls.detail is not None:
             ls.detail.update(
                 gpu=gpu.name, machines_used=machines,
-                vector_reduce=self._has_vector_reduce(loop_def),
-                uncoalesced=(self._reads_matrix(loop_def, stencils)
-                             and not self.options.gpu_transposed),
-                random_gather=bool(info is not None and info.remote_random),
+                vector_reduce=vector_reduce, uncoalesced=uncoalesced,
+                random_gather=random_gather,
                 kernel_launch_us=gpu.kernel_launch_us)
 
     def _has_vector_reduce(self, d: Def) -> bool:
@@ -538,7 +521,7 @@ class Simulator:
                     return True
         return False
 
-    def _reads_matrix(self, d: Def, stencils) -> bool:
+    def _reads_matrix(self, stencils) -> bool:
         if stencils is None:
             return False
         return any(isinstance(s.tpe, T.Coll) and
@@ -548,12 +531,12 @@ class Simulator:
     def _price_comm(self, ls: LoopSim, rec: DefRecord,
                     info: Optional[LoopDistInfo], stencils,
                     loop_def: Optional[Def], machines: int, sockets: int,
-                    footprints: Dict[int, int], bytes_read: int) -> None:
+                    footprints: Dict[int, int], bytes_read: int,
+                    mx: Optional["MetricsRegistry"]) -> None:
         prof = self.profile
         node = self.cluster.node
         rate = prof.effective_rate(node.socket)
         comm = 0.0
-        mx = getattr(self, "_mx", None)
 
         if info is not None and ls.distributed and machines > 1:
             # a loop is distributed only across several nodes, and a
@@ -564,11 +547,9 @@ class Simulator:
                 nbytes = footprints.get(s.id, 0)
                 comm += nbytes / net_bw
                 comm += nbytes * prof.ser_cycles_per_byte / rate
-                if ls.detail is not None:
-                    ls.detail["bytes_broadcast"] = (
-                        ls.detail.get("bytes_broadcast", 0.0) + nbytes)
-                if mx is not None:
-                    mx.inc("executor.broadcast_bytes", nbytes, loop=ls.name)
+                # a float in the detail and the trace; only the merge
+                # flow is an int
+                _flow(ls, mx, "broadcast", float(nbytes))
 
             # dynamic remote fetches for Unknown accesses
             for s in info.remote_random:
@@ -578,13 +559,7 @@ class Simulator:
                 comm += moved / net_bw / machines
                 comm += moved * prof.ser_cycles_per_byte / rate / machines
                 comm += self.cluster.network_latency_us * 1e-6 * machines
-                if ls.detail is not None:
-                    ls.detail["bytes_network"] = (
-                        ls.detail.get("bytes_network", 0.0) + moved)
-                    ls.detail["remote_fraction"] = frac
-                if mx is not None:
-                    mx.inc("executor.remote_fetch_bytes", moved, loop=ls.name)
-                    mx.inc("executor.remote_fetch_decisions")
+                _flow(ls, mx, "network", moved, frac)
 
             # merge partial reduction results across machines
             if loop_def is not None:
@@ -596,11 +571,7 @@ class Simulator:
                     hops = max(1, int(math.log2(machines)))
                     comm += out_bytes * hops / net_bw
                     comm += out_bytes * prof.ser_cycles_per_byte / rate
-                    if ls.detail is not None:
-                        ls.detail["bytes_merge"] = out_bytes * hops
-                    if mx is not None:
-                        mx.inc("executor.merge_bytes", out_bytes * hops,
-                               loop=ls.name)
+                    _flow(ls, mx, "merge", out_bytes * hops)
 
             # a distributed BucketCollect is a shuffle of the whole payload
             if loop_def is not None and any(
@@ -609,10 +580,7 @@ class Simulator:
                 moved = payload * (machines - 1) / machines
                 comm += moved / (net_bw * machines)
                 comm += moved * 2 * prof.ser_cycles_per_byte / rate / machines
-                if ls.detail is not None:
-                    ls.detail["bytes_shuffle"] = moved
-                if mx is not None:
-                    mx.inc("executor.shuffle_bytes", moved, loop=ls.name)
+                _flow(ls, mx, "shuffle", moved)
 
         # NUMA box, Unknown accesses on a single machine (graph apps):
         # cache misses land on a remote socket whether the array is
@@ -643,13 +611,7 @@ class Simulator:
                 frac = self._remote_fraction(sockets, nbytes)
                 remote = bytes_read * frac
                 ls.memory_s += remote / bw
-                if ls.detail is not None:
-                    ls.detail["bytes_remote_numa"] = (
-                        ls.detail.get("bytes_remote_numa", 0.0) + remote)
-                    ls.detail["remote_fraction"] = frac
-                if mx is not None:
-                    mx.inc("executor.numa_remote_bytes", remote, loop=ls.name)
-                    mx.inc("executor.remote_fetch_decisions")
+                _flow(ls, mx, "remote_numa", remote, frac)
 
         ls.comm_s += comm
 
@@ -665,6 +627,31 @@ class Simulator:
             llc = self.cluster.node.socket.llc_bytes
             hit = min(1.0, llc / footprint_bytes) if footprint_bytes else 1.0
         return (parts - 1) / parts * (1.0 - hit)
+
+
+#: a byte flow's ``LoopSim.detail`` key suffix -> its metrics counter
+_FLOW_COUNTERS = {"broadcast": "executor.broadcast_bytes",
+                  "network": "executor.remote_fetch_bytes",
+                  "merge": "executor.merge_bytes",
+                  "shuffle": "executor.shuffle_bytes",
+                  "remote_numa": "executor.numa_remote_bytes"}
+
+
+def _flow(ls: LoopSim, mx: Optional["MetricsRegistry"], kind: str,
+          nbytes: float, remote_fraction: Optional[float] = None) -> None:
+    """Record one byte flow of ``ls``: add it to the traced detail's
+    ``bytes_<kind>`` and to its counter. A flow of remote reads also
+    records the fraction that left the partition and counts one fetch
+    decision."""
+    if ls.detail is not None:
+        key = "bytes_" + kind
+        ls.detail[key] = ls.detail.get(key, 0) + nbytes
+        if remote_fraction is not None:
+            ls.detail["remote_fraction"] = remote_fraction
+    if mx is not None:
+        mx.inc(_FLOW_COUNTERS[kind], nbytes, loop=ls.name)
+        if remote_fraction is not None:
+            mx.inc("executor.remote_fetch_decisions")
 
 
 def simulate(compiled: CompiledProgram, inputs: Dict[str, Any],

@@ -91,26 +91,17 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class BreakerConfig:
-    """Sliding-window failure-rate breaker parameters."""
+    """Per-machine sliding-window failure-rate breakers, on. The
+    parameters are constants, like ``RetryPolicy``'s backoff."""
 
     #: outcomes remembered per machine
-    window: int = 8
+    WINDOW = 8
     #: failure rate that trips the breaker open
-    threshold: float = 0.5
+    THRESHOLD = 0.5
     #: outcomes required before the rate is trusted
-    min_events: int = 4
+    MIN_EVENTS = 4
     #: seconds the breaker stays open before probing (half-open)
-    cooldown_s: float = 0.005
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        if self.min_events < 1:
-            raise ValueError("min_events must be >= 1")
-        if not 0 <= self.cooldown_s < inf:
-            raise ValueError("cooldown_s must be finite and >= 0")
+    COOLDOWN_S = 0.005
 
 
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
@@ -123,7 +114,7 @@ class CircuitBreaker:
     def __init__(self, config: BreakerConfig):
         self.config = config
         self.state = CLOSED
-        self.outcomes: Deque[bool] = deque(maxlen=config.window)
+        self.outcomes: Deque[bool] = deque(maxlen=config.WINDOW)
         self.opened_at = 0.0
         self.trips = 0
         self._probing = False
@@ -134,7 +125,7 @@ class CircuitBreaker:
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            if now >= self.opened_at + self.config.cooldown_s - 1e-15:
+            if now >= self.opened_at + self.config.COOLDOWN_S - 1e-15:
                 return True  # cooled down: next dispatch is the probe
             return False
         return not self._probing  # half-open: one probe at a time
@@ -163,9 +154,9 @@ class CircuitBreaker:
         self.outcomes.append(ok)
         if self.state == CLOSED:
             n = len(self.outcomes)
-            if n >= self.config.min_events:
+            if n >= self.config.MIN_EVENTS:
                 failures = sum(1 for o in self.outcomes if not o)
-                if failures / n >= self.config.threshold:
+                if failures / n >= self.config.THRESHOLD:
                     self.state = OPEN
                     self.opened_at = now
                     self.trips += 1

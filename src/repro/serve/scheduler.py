@@ -333,7 +333,8 @@ class ProgramServer:
             self._breakers = {m.index: CircuitBreaker(resilience.breaker)
                               for m in self.machines}
         # host-side memo: one pricing per (machine model, app, variant,
-        # payload, backend); the execution it prices is ``cache.capture``'s
+        # payload digest, backend), keyed by content like the execution it
+        # prices (``cache.capture``'s): tenants of one dataset share it
         self._service: Dict[Tuple[str, str, str, str, str], SimResult] = {}
         self._payloads: Dict[Tuple[str, str], Payload] = {}
 
@@ -607,7 +608,7 @@ class ProgramServer:
             if self.metrics is not None:
                 self.metrics.inc("serve.breaker.trips",
                                  machine=self.machines[idx].name)
-            self._push(b.opened_at + b.config.cooldown_s, "breaker", None)
+            self._push(b.opened_at + b.config.COOLDOWN_S, "breaker", None)
 
     def _attempt_ended(self, req: Request, reason: str, t: float,
                        status: Optional[str] = None) -> None:
@@ -745,7 +746,7 @@ class ProgramServer:
     def _price(self, machine: MachineInstance, app: str,
                cap: RunCapture, payload: Payload) -> SimResult:
         """``cap`` priced on ``machine``'s model, memoized."""
-        skey = (machine.name, app, machine.variant, payload.key,
+        skey = (machine.name, app, machine.variant, payload.digest,
                 cap.backend)
         sim = self._service.get(skey)
         if sim is None:

@@ -484,7 +484,8 @@ class TestAnalyzeCli:
 
     def test_same_seed_json_byte_identical(self):
         args = ("analyze", "kmeans", "--requests", "--json",
-                "--count", "8", "--clients", "4", "--seed", "7")
+                "--count", "8", "--clients", "4", "--seed", "7",
+                "--backend", "numpy")
         code1, out1 = run_cli(*args)
         code2, out2 = run_cli(*args)
         assert code1 == code2 == 0

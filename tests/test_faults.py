@@ -231,28 +231,38 @@ class TestRetryPolicy:
 
 class TestCircuitBreaker:
     def test_state_machine(self):
-        br = CircuitBreaker(BreakerConfig(window=4, threshold=0.5,
-                                          min_events=2, cooldown_s=0.01))
+        cfg = BreakerConfig()
+        cool = cfg.COOLDOWN_S
+        br = CircuitBreaker(cfg)
         assert br.state == CLOSED and br.allow(0.0)
-        br.record(0.001, True)
-        br.record(0.002, False)
-        assert br.state == OPEN and br.trips == 1   # 1/2 failures >= 0.5
-        assert not br.allow(0.005)                  # cooling down
-        assert br.allow(0.012)                      # cooled: probe allowed
-        br.on_dispatch(0.012)
+        # MIN_EVENTS outcomes whose failure rate just reaches THRESHOLD
+        failures = math.ceil(cfg.THRESHOLD * cfg.MIN_EVENTS)
+        outcomes = [True] * (cfg.MIN_EVENTS - failures) + [False] * failures
+        for i, ok in enumerate(outcomes[:-1]):
+            br.record(i * 1e-4, ok)
+        assert br.state == CLOSED
+        t = cfg.MIN_EVENTS * 1e-4
+        br.record(t, outcomes[-1])
+        assert br.state == OPEN and br.trips == 1
+        assert not br.allow(t + cool / 2)           # cooling down
+        t += cool
+        assert br.allow(t)                          # cooled: probe allowed
+        br.on_dispatch(t)
         assert br.state == HALF_OPEN
-        assert not br.allow(0.013)                  # one probe at a time
-        br.record(0.014, False)                     # probe failed
+        assert not br.allow(t + 1e-4)               # one probe at a time
+        t += 2e-4
+        br.record(t, False)                         # probe failed
         assert br.state == OPEN and br.trips == 2
-        assert br.allow(0.03)
-        br.on_dispatch(0.03)
-        br.record(0.031, True)                      # probe succeeded
-        assert br.state == CLOSED and br.allow(0.032)
+        assert not br.allow(t + cool / 2)
+        t += cool
+        assert br.allow(t)
+        br.on_dispatch(t)
+        br.record(t + 1e-4, True)                   # probe succeeded
+        assert br.state == CLOSED and br.allow(t + 2e-4)
 
     def test_closed_needs_min_events(self):
-        br = CircuitBreaker(BreakerConfig(window=8, threshold=0.5,
-                                          min_events=4))
-        for t in range(3):
+        br = CircuitBreaker(BreakerConfig())
+        for t in range(BreakerConfig.MIN_EVENTS - 1):
             br.record(t * 0.001, False)
         assert br.state == CLOSED                   # not enough evidence
 
@@ -270,8 +280,7 @@ class TestResilienceConfig:
 
     @pytest.mark.parametrize("bad", [
         lambda v: ResilienceConfig(deadline_s=v),
-        lambda v: ResilienceConfig(hedge_delay_s=v),
-        lambda v: BreakerConfig(cooldown_s=v)])
+        lambda v: ResilienceConfig(hedge_delay_s=v)])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_nan_and_inf_fail_the_policy_checks(self, bad, value):
         with pytest.raises(ValueError, match="finite"):
@@ -437,8 +446,7 @@ class TestPolicies:
         plan = FaultPlan((FaultSpec("kernel", "q1", mode="error",
                                     rate=1.0),))
         res = ResilienceConfig(retry=RetryPolicy(max_attempts=2),
-                               breaker=BreakerConfig(window=4, min_events=2,
-                                                     cooldown_s=0.001),
+                               breaker=BreakerConfig(),
                                degrade_after=2)
         sim = ServeSim(["q1"], machines="numa*2", max_batch=4,
                        max_wait_s=0.002, backend="numpy", faults=plan,

@@ -173,7 +173,9 @@ class TestSimulator:
         assert transposed.total_seconds < plain.total_seconds
 
     def test_breakdown_renders(self, kmeans_sim):
+        from repro.obs.export import profile_report
         compiled, inputs, *_ = kmeans_sim
         res = simulate(compiled, inputs, NUMA_BOX, DMLL_CPP)
-        text = res.breakdown()
-        assert "total" in text and "ms" in text
+        text = profile_report(res)
+        assert "TOTAL" in text and "time ms" in text
+        assert all(l.name in text for l in res.loops)

@@ -483,6 +483,27 @@ class TestCaptureStore:
         assert sim.cache.captures_reused > 200
         assert sorted(sim.cache.stats()) == ["entries", "hits", "misses"]
 
+    def test_fleet_prices_each_capture_once_per_machine_model(
+            self, monkeypatch):
+        # a price depends on the execution and the machine, not on the
+        # tenant: 3 captures x {opt on numa, gpu on gpunode} = 6, where a
+        # memo keyed by the tenant-salted payload key pays 8 x 6 = 48
+        from .test_serve_pins import FLEET_AT_BENCHMARK_SIZE, report_sha
+        priced = []
+
+        class RecordingSimulator(scheduler.Simulator):
+            def price(self, cap):
+                priced.append(cap)
+                return super().price(cap)
+        monkeypatch.setattr(scheduler, "Simulator", RecordingSimulator)
+        sim = ServeSim(DIFF_APPS, machines="numa*2,gpunode", max_batch=8,
+                       max_wait_s=0.02, policy="fastest", backend="numpy",
+                       payloads=8)
+        report = sim.run_open(600, 6000, seed=0)
+        assert len(priced) == 6
+        assert len({id(cap) for cap in priced}) == 6
+        assert report_sha(report) == FLEET_AT_BENCHMARK_SIZE
+
     def test_cache_fault_drops_that_apps_captures_only(self, monkeypatch):
         from repro.serve import FaultPlan, FaultSpec
         calls = count_captures(monkeypatch)
@@ -1261,7 +1282,7 @@ class TestServeCLI:
     def test_table_says_how_many_executions(self):
         argv = ("serve-sim", "q1", "kmeans", "--requests", "30", "--rate",
                 "2000", "--payloads", "4", "--machines", "numa*2",
-                "--policy", "fastest")
+                "--policy", "fastest", "--backend", "numpy")
         code, out = self.run(*argv)
         assert code == 0
         (line,) = [l for l in out.splitlines()
