@@ -3,9 +3,12 @@
 Runs 16 programs — the ``opt`` and ``gpu`` compiles of the 8 bundled apps
 (gda, gene, gibbs, kmeans, logreg, pagerank, q1, triangle) — on the numpy
 backend and exits non-zero if any loop fell back to the reference
-interpreter, or results (to the bit) or ``ExecStats`` diverge from it — a
-fallback is correct but silent in results, so only this gate (and the
-``backend.fallback`` metric) keeps vectorization coverage from rotting.
+interpreter, or results (to the bit), ``ExecStats`` or the per-iteration
+costs of the top-level loops (``per_iter``) diverge from it — a fallback
+is correct but silent in results, so only this gate (and the
+``backend.fallback`` metric) keeps vectorization coverage from rotting,
+and a cost charged to the wrong iteration leaves every sum intact, so
+only ``per_iter`` shows it.
 
 Usage::
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import sys
 
-from .executor import run_program_numpy
+from .executor import NumpyInterp
 
 #: compiled variants every bundled app must run without fallback
 VARIANTS = ("opt", "gpu")
@@ -25,7 +28,7 @@ VARIANTS = ("opt", "gpu")
 
 def check_apps(names=None) -> int:
     from ..bench import BUNDLES, get_bundle
-    from ..core.interp import run_program
+    from ..core.interp import Interp
     from ..core.values import deep_eq
     names = list(names) if names else sorted(BUNDLES)
     bad = 0
@@ -38,11 +41,12 @@ def check_apps(names=None) -> int:
         for variant in VARIANTS:
             compiled = bundle.compiled(variant)
             prepared = compiled.prepare_inputs(bundle.inputs)
-            results, stats, fallbacks = run_program_numpy(compiled.program,
-                                                          prepared)
-            ref_results, ref_stats = run_program(compiled.program, prepared)
+            vec, ref = NumpyInterp(per_iter=True), Interp(per_iter=True)
+            results = vec.eval_program(compiled.program, prepared)
+            ref_results = ref.eval_program(compiled.program, prepared)
+            stats, ref_stats = vec.stats, ref.stats
             problems = []
-            for fb in fallbacks:
+            for fb in vec.fallbacks:
                 problems.append(f"fallback {fb.loop} ({fb.op}): {fb.reason}")
             if not deep_eq(results, ref_results, tol=0.0):
                 problems.append("results diverge from reference interpreter")
@@ -50,6 +54,8 @@ def check_apps(names=None) -> int:
                 problems.append(
                     f"ExecStats diverge (cycles {stats.total_cycles} vs "
                     f"{ref_stats.total_cycles})")
+            if vec.per_iter != ref.per_iter:
+                problems.append("per-iteration costs diverge")
             if problems:
                 bad += 1
                 print(f"FAIL {name}/{variant}")
@@ -57,8 +63,8 @@ def check_apps(names=None) -> int:
                     print(f"  {p}")
             else:
                 print(f"ok   {name}/{variant}: {stats.loops_executed} loop "
-                      f"executions vectorized, ExecStats identical, results "
-                      f"bit-identical")
+                      f"executions vectorized, ExecStats and per-iteration "
+                      f"costs identical, results bit-identical")
     if bad:
         print(f"{bad}/{len(names) * len(VARIANTS)} programs not fully "
               f"vectorized or not identical to the interpreter",

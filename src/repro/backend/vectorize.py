@@ -24,6 +24,12 @@ segment left to right in trip order, and nested bucket generators group
 the flat lanes by (segment, key) and fold or collect every group the same
 way (``LoopVectorizer._nested_loop``). A top-level loop is the one-segment
 case: the executor runs it as one strip of a one-lane root vectorizer.
+A dense inner loop — one ``Collect``, or one ``Reduce`` by an elementwise
+prim, of straight-line scalar defs, with the same trip count ``W`` in
+every active outer lane — is a row axis instead (``_row_loop``): its body
+runs once over ``(lanes, W)`` arrays, in blocks cut by the same strip
+budget, and its costs are charged to the outer lanes analytically. Any
+other nest, ragged rows included, stays on the flat lane axis.
 
 Cost accounting stays *analytic* and matches the interpreter cycle for
 cycle: every operation adds its cost to per-lane essential/overhead
@@ -70,6 +76,9 @@ class VecError(Exception):
 #: at once -> 16 Ki strips): exec_lane_bound 47.3 -> 57.2 -> 48.1 MB,
 #: serve_tenants_fleet 51.2 -> 61.6 -> 52.0 MB (kmeans' 8k x 8 x 16 nest;
 #: unstripped is over the benchmark's 10 % bound), same ``geomean_ms``.
+#: A row-axis nest runs in blocks of ``STRIP_LANES // W`` lanes: flat
+#: parent -> whole nest as one block -> blocks, 49.2 -> 51.3 -> 49.4 MB
+#: and 49.3 -> 52.3 -> 49.6 MB on the same two workloads.
 STRIP_LANES = 1 << 14
 
 #: Row elements (sum of all operands' lengths) one call of a batched
@@ -577,6 +586,27 @@ def _match_elementwise(a: Sym, b: Sym, stmts, results):
     inner = _match_elementwise(vb.stmts[0].syms[0], vb.stmts[1].syms[0],
                                vb.stmts[2:], vb.results)
     return inner and (inner[0], inner[1] + 1)
+
+
+def row_axis(loop: MultiLoop) -> bool:
+    """Whether a nested ``loop`` can run as a row axis
+    (``LoopVectorizer._row_loop``): one ``Collect`` with no cond or
+    flatten, or one ``Reduce`` by an elementwise prim at depth 0, whose
+    value block is straight-line scalar ``Prim``/``ArrayApply`` defs. Kept
+    on the immutable loop as ``recognize_elementwise`` keeps its answer."""
+    if "_row_axis" not in loop.__dict__:
+        g, vb = loop.gens[0], loop.gens[0].value
+        object.__setattr__(loop, "_row_axis", len(loop.gens) == 1
+                           and g.cond is None and g.key is None
+                           and not g.flatten
+                           and (g.reducer is None or (recognize_elementwise(
+                               g.reducer) or ("", 1))[1] == 0)
+                           and _np_dtype(g.value_type) is not object
+                           and all(isinstance(d.op, (Prim, ArrayApply))
+                                   and len(d.syms) == 1
+                                   and _np_dtype(d.sym.tpe) is not object
+                                   for d in vb.stmts))
+    return loop.__dict__["_row_axis"]
 
 
 # ---------------------------------------------------------------------------
@@ -1159,6 +1189,8 @@ class LoopVectorizer:
         self.delta.loops_executed += n
         self.delta.loop_iterations += int(sz.sum())
         sz = np.maximum(sz, 0)
+        if self._row_loop(d, loop, lanes, sz):
+            return
         # no strip at all when no lane has a trip: every generator then
         # finishes from no parts, and the body is never entered
         parts: List[List[Tuple[Any, ...]]] = [[] for _ in gens]
@@ -1172,6 +1204,130 @@ class LoopVectorizer:
             else:
                 finish = self._finish_collect
             self.env[s.id] = finish(g, ps, lanes)
+
+    def _row_loop(self, d: Def, loop: MultiLoop, lanes: np.ndarray,
+                  sz: np.ndarray) -> bool:
+        """Run a ``row_axis`` nest whose active lanes all have ``W >= 1``
+        trips as one more array axis: the body runs once per block of
+        ``STRIP_LANES // W`` lanes over ``(lanes, W)`` arrays
+        (``_row_values``), a ``Collect`` fills an ``(L, W)`` array and a
+        ``Reduce`` folds the columns left to right with ``FOLD_KERNELS``, as
+        ``fold_elementwise`` does. Costs are charged analytically: ``W``
+        trips and ``W - 1`` combines per lane, priced by ``combine_cost`` —
+        what ``eval_strip``, ``absorb`` and ``_fold`` charge. Returns
+        False, with nothing charged, for ragged rows or a value shape the
+        rows cannot carry: the flat path runs those."""
+        W = int(sz[0]) if len(sz) else 0
+        if W < 1 or not row_axis(loop) or (sz != W).any():
+            return False
+        g = loop.gens[0]
+        if g.reducer is not None:
+            name = g.reducer.stmts[0].op.name
+            step, run = FOLD_KERNELS[name]
+
+        def block(lanes: np.ndarray) -> np.ndarray:
+            v = self._row_values(g.value, lanes, W)
+            if g.reducer is None:
+                return v
+            v = reducer_operands(name, v)
+            if len(v) < W - 1:  # few long rows: sequential calls, not steps
+                return run(v.T)
+            acc = np.array(v[:, 0])
+            for k in range(1, W):
+                step(acc, v[:, k], out=acc)
+            return acc
+        per = max(1, STRIP_LANES // W)
+        blocks = [lanes[i: i + per] for i in range(0, len(lanes), per)]
+        try:
+            outs = [block(blocks[0])]
+        except VecError:
+            return False
+        outs += [block(b) for b in blocks[1:]]
+        n, ess = len(lanes) * W, 0.0
+        for s in g.value.stmts:
+            self.delta.op_counts[s.op.op_name()] += n
+            if isinstance(s.op, Prim):
+                ess += PRIMS[s.op.name].cost
+                continue
+            ess += READ_CYCLES * 0.5 if self.in_reducer else READ_CYCLES
+            self.delta.elements_read += n
+            self.delta.bytes_read += s.sym.tpe.byte_size * n
+        fess = fovh = 0.0
+        if g.reducer is not None:
+            if W > 1:
+                fess, fovh = self.combine_cost(g.reducer, outs[0][:1],
+                                               len(lanes) * (W - 1))
+            res = self._finish_reduce(g, list(zip(outs, blocks)), lanes)
+        else:
+            if not self.in_reduce_value:
+                ess += WRITE_CYCLES
+                if not self.in_reducer:
+                    self.delta.elements_emitted += n
+                    self.delta.bytes_alloc += g.value_type.byte_size * n
+            res = np.concatenate(outs)
+            if len(lanes) < self.L:  # lanes outside the mask hold zeros
+                res, kept = np.zeros((self.L, W), res.dtype), res
+                res[lanes] = kept
+            res = ArrVec(res, None)
+        self.ess[lanes] += W * ess + (W - 1) * fess
+        self.ovh[lanes] += (W - 1) * fovh
+        self.env[d.syms[0].id] = res
+        return True
+
+    def _row_values(self, vb: Block, lanes: np.ndarray, W: int
+                    ) -> np.ndarray:
+        """A row-axis value block over the ``(len(lanes), W)`` rows of outer
+        ``lanes``: the loop index is the row ``arange(W)``, an outer lane
+        scalar a column, a read by the index a column slice of each lane's
+        row and a read by any other index one 2-D gather, both clipped as
+        ``_apply`` clips. Raises ``VecError`` for a value the rows cannot
+        carry."""
+        env: Dict[int, Any] = {vb.params[0].id: np.arange(W)[None]}
+
+        def val(e: Exp) -> Any:
+            if isinstance(e, Sym) and e.id in env:
+                return env[e.id]
+            v = self.lookup(e)
+            if isinstance(v, np.ndarray):
+                return v[lanes][:, None]
+            if is_vec(v):
+                raise VecError("non-scalar operand in a row")
+            return v
+        for s in vb.stmts:
+            op = s.op
+            if isinstance(op, Prim):
+                args = [val(a) for a in op.args]
+                env[s.sym.id] = VEC_PRIMS[op.name](*args) if any(
+                    isinstance(a, np.ndarray) for a in args) \
+                    else PRIMS[op.name].eval_fn(*args)
+                continue
+            arr = self.lookup(op.arr)
+            idx = None if op.idx == vb.params[0] else val(op.idx)
+            if isinstance(arr, Rows):
+                pad, rows = self.host.row_cache(arr.base)[1], arr.idx[lanes]
+            elif isinstance(arr, ArrVec):
+                pad, rows = arr.data, lanes
+            elif is_vec(arr):
+                raise VecError("positional read of a scalar lane vector")
+            elif idx is not None and not isinstance(idx, np.ndarray):
+                env[s.sym.id] = self._apply(arr, idx, s.sym.tpe)
+                continue
+            else:  # a uniform host row
+                pad = self.host.np_cache(
+                    arr.values if isinstance(arr, Buckets) else arr)[None]
+                rows = np.zeros(1, dtype=np.int64)
+            if pad is None or pad.ndim != 2 or not pad.shape[1]:
+                raise VecError("row read of non-scalar or empty rows")
+            w = pad.shape[1]
+            if idx is None:
+                env[s.sym.id] = pad[rows][:, :W] if W <= w else \
+                    pad[rows][:, np.minimum(np.arange(W), w - 1)]
+            else:
+                env[s.sym.id] = pad[rows[:, None], np.clip(idx, 0, w - 1)]
+        v = val(vb.results[0])
+        if isinstance(v, np.ndarray):
+            return np.broadcast_to(v, (len(lanes), W))
+        return as_lane_vec(v, len(lanes) * W).reshape(len(lanes), W)
 
     def eval_strip(self, gens: Sequence[Generator], lanes: np.ndarray,
                    sz: np.ndarray, parts: List[List[Tuple[Any, ...]]]
@@ -1346,13 +1502,21 @@ class LoopVectorizer:
         combines = int(cnt.sum()) - len(cnt)
         if not combines:
             return out, 0.0, 0.0
+        pair = ArrVec(data[:1], None) if depth else data[:1]
+        return (out,) + self.combine_cost(reducer, pair, combines)
+
+    def combine_cost(self, reducer: Block, pair: Any, combines: int
+                     ) -> Tuple[float, float]:
+        """Charge ``combines`` evaluations of ``reducer`` that all cost the
+        same: one probe evaluation on the one-lane operand ``pair`` prices
+        them, its tallies times ``combines`` go to ``delta``, and its
+        essential and overhead cycles per combine are returned."""
         probe = LoopVectorizer(self.host, 1, ExecStats())
         probe.in_reducer = self.in_reducer + 1
         probe.in_reduce_value = self.in_reduce_value
-        pair = ArrVec(data[:1], None) if depth else data[:1]
         probe.eval_block(reducer, (pair, pair), None)
         add_stats(self.delta, probe.delta, combines)
-        return out, float(probe.ess[0]), float(probe.ovh[0])
+        return float(probe.ess[0]), float(probe.ovh[0])
 
     def _finish_bucket(self, g: Generator, parts: List[Tuple[Any, ...]],
                        lanes: np.ndarray) -> Rows:

@@ -111,10 +111,9 @@ class CircuitBreaker:
     """Per-machine breaker: closed → open on failure rate, open →
     half-open after cooldown, half-open → closed/open on one probe."""
 
-    def __init__(self, config: BreakerConfig):
-        self.config = config
+    def __init__(self):
         self.state = CLOSED
-        self.outcomes: Deque[bool] = deque(maxlen=config.WINDOW)
+        self.outcomes: Deque[bool] = deque(maxlen=BreakerConfig.WINDOW)
         self.opened_at = 0.0
         self.trips = 0
         self._probing = False
@@ -125,7 +124,7 @@ class CircuitBreaker:
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            if now >= self.opened_at + self.config.COOLDOWN_S - 1e-15:
+            if now >= self.opened_at + BreakerConfig.COOLDOWN_S - 1e-15:
                 return True  # cooled down: next dispatch is the probe
             return False
         return not self._probing  # half-open: one probe at a time
@@ -154,9 +153,9 @@ class CircuitBreaker:
         self.outcomes.append(ok)
         if self.state == CLOSED:
             n = len(self.outcomes)
-            if n >= self.config.MIN_EVENTS:
+            if n >= BreakerConfig.MIN_EVENTS:
                 failures = sum(1 for o in self.outcomes if not o)
-                if failures / n >= self.config.THRESHOLD:
+                if failures / n >= BreakerConfig.THRESHOLD:
                     self.state = OPEN
                     self.opened_at = now
                     self.trips += 1

@@ -54,7 +54,7 @@ from .batching import (AdmissionQueue, Payload, Request, Response,
 from .cache import ProgramCache
 from .events import EventQueue
 from .faults import FaultPlan
-from .resilience import (CircuitBreaker, OPEN, REJECT_DEADLINE,
+from .resilience import (BreakerConfig, CircuitBreaker, OPEN, REJECT_DEADLINE,
                          REJECT_RETRIES, REJECT_SHED, REJECT_UNSERVED,
                          Rejected, ResilienceConfig)
 
@@ -330,7 +330,7 @@ class ProgramServer:
                             and resilience.retry is not None else 0)
         self._breakers: Optional[Dict[int, CircuitBreaker]] = None
         if resilience is not None and resilience.breaker is not None:
-            self._breakers = {m.index: CircuitBreaker(resilience.breaker)
+            self._breakers = {m.index: CircuitBreaker()
                               for m in self.machines}
         # host-side memo: one pricing per (machine model, app, variant,
         # payload digest, backend), keyed by content like the execution it
@@ -608,7 +608,8 @@ class ProgramServer:
             if self.metrics is not None:
                 self.metrics.inc("serve.breaker.trips",
                                  machine=self.machines[idx].name)
-            self._push(b.opened_at + b.config.COOLDOWN_S, "breaker", None)
+            self._push(b.opened_at + BreakerConfig.COOLDOWN_S, "breaker",
+                       None)
 
     def _attempt_ended(self, req: Request, reason: str, t: float,
                        status: Optional[str] = None) -> None:

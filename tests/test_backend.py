@@ -1091,3 +1091,202 @@ class TestTopLevelLoops:
             assert n == min(runs, steps) + chunks
         assert chunks == (0 if strip is None else 4)
 
+
+# ---------------------------------------------------------------------------
+# The row axis: a nest over equal-length rows as whole-row operations
+# ---------------------------------------------------------------------------
+
+def spy_rows(mp, ran):
+    """Append every answer of ``LoopVectorizer._row_loop`` to ``ran``."""
+    row_loop = vectorize.LoopVectorizer._row_loop
+
+    def spy(self, *args):
+        ran.append(row_loop(self, *args))
+        return ran[-1]
+    mp.setattr(vectorize.LoopVectorizer, "_row_loop", spy)
+
+
+def run_rows(prog, inputs, strip=None, rows=True):
+    """(results, stats, per-iteration costs, fallbacks, nests the row axis
+    ran) of the NumPy engine; ``rows=False`` makes every nest decline the
+    row axis, so the flat (lane, trip) path runs them all."""
+    ran = []
+    vec = NumpyInterp(per_iter=True)
+    with pytest.MonkeyPatch.context() as mp:
+        if strip is not None:
+            mp.setattr(vectorize, "STRIP_LANES", strip)
+        if rows:
+            spy_rows(mp, ran)
+        else:
+            mp.setattr(vectorize.LoopVectorizer, "_row_loop",
+                       lambda self, *args: False)
+        res, stats, costs = run_with_costs(vec, prog, inputs)
+    return res, stats, costs, vec.fallbacks, ran.count(True)
+
+
+def check_rows(prog, inputs, exact=True, interpreter=True):
+    """The row axis against the flat path (results by ``repr``, full
+    ``ExecStats``, per-iteration costs) and, unless the interpreter cannot
+    run the program, against it at ``tol=0.0``; at the default strip
+    budget and at 7 and 50 elements. Returns how many nests ran as rows."""
+    flat = run_rows(prog, inputs, rows=False)
+    assert flat[3] == [] and flat[4] == 0
+    ref = run_with_costs(Interp(per_iter=True), prog, inputs) \
+        if interpreter else None
+    ran = 0
+    for strip in (None, 7, 50):
+        res, stats, costs, fallbacks, n = run_rows(prog, inputs, strip)
+        assert fallbacks == [], [(f.loop, f.reason) for f in fallbacks]
+        assert repr(res) == repr(flat[0])
+        assert_stats_equal(flat[1], stats)
+        assert costs == flat[2]
+        if ref is not None:
+            if exact:
+                assert repr(ref[0]) == repr(res)
+            else:  # bool add widens to int once a row combines: True == 1
+                assert deep_eq(ref[0], res, tol=0.0)
+            assert_stats_equal(ref[1], stats)
+            assert costs == ref[2]
+        ran += n
+    return ran
+
+
+_ROW_SCALARS = {
+    T.INT: st.integers(-9, 9),
+    T.DOUBLE: st.sampled_from([0.1, -0.3, 1e-9, 7.0, 1e12, -2.5e-4, 0.0,
+                               -0.0, 3.3, _NAN]),
+    T.BOOL: st.booleans(),
+}
+
+# the value of trip ``j`` of a nest in outer lane ``i`` (row ``row`` of
+# length ``n``), from ``o = row[i % n]``, host row ``ys`` of length ``m``
+# and its first element ``u``
+_ROW_VALUES = {
+    "element": lambda j, v: v["row"][j],
+    "index": lambda j, v: j,
+    "uniform": lambda j, v: v["u"],
+    "outer": lambda j, v: v["o"],
+    "row_gather": lambda j, v: v["row"][(j * 2 + v["i"]) % v["n"]],
+    "host_row": lambda j, v: v["ys"][j],
+    "host_gather": lambda j, v: v["ys"][(j + v["i"]) % v["m"]],
+    "prim": lambda j, v: F.fmax(v["row"][j], v["ys"][j] * v["o"])
+    if v["ys"][j].tpe is not T.BOOL else F.fmax(v["row"][j], v["o"]),
+}
+
+
+def row_nest(n, value, prim):
+    """``Collect`` (``prim`` None) or ``Reduce`` by ``prim`` of ``value(j)``
+    over ``0 until n``."""
+    vb = _block([T.INT], value, ["j"])
+    if prim is None:
+        gen = collect(vb)
+    else:
+        vt = vb.result_type
+        gen = reduce_gen(vb, stage_block(
+            [vt, vt], lambda a, b: emit1(Prim(prim, (a, b))), ["a", "b"]))
+    (out,) = emit(MultiLoop(F.unwrap(n), (gen,)), ["nest"])
+    return F.wrap(out)
+
+
+def build_rows(elem, prim, kind, masked, width=None):
+    """Per row ``xs[i]`` (under the generator cond ``i % 3 != 1`` when
+    ``masked``), a nest of ``width`` trips (default: the row's length)."""
+    def fn(xs, ys):
+        v = {"ys": ys, "m": ys.length(), "u": ys[0]}
+
+        def outer(i):
+            row = xs[i]
+            n = row.length()
+            v.update(i=i, row=row, n=n, o=row[i % n])
+            return row_nest(n if width is None else width,
+                            lambda j: _ROW_VALUES[kind](j, v), prim)
+        cond = _block([T.INT], lambda i: i % 3 != 1, ["i"]) \
+            if masked else None
+        (out,) = emit(MultiLoop(xs.length().exp, (collect(
+            _block([T.INT], outer, ["i"]), cond=cond),)), ["out"])
+        return F.wrap(out)
+    return F.build(fn, [F.matrix_input("xs", True, elem=elem),
+                        F.vector_input("ys", False, elem=elem)])
+
+
+@st.composite
+def row_cases(draw):
+    """(elem, prim, kind, masked, xs, ys): rows of one width W in 1..6, a
+    host row of at least W elements."""
+    prim = draw(st.sampled_from([None] + list(vectorize.FOLD_KERNELS)))
+    logical = prim in ("and", "or")
+    elem = T.BOOL if logical else draw(st.sampled_from(list(_ROW_SCALARS)))
+    kinds = [k for k in _ROW_VALUES if not (logical and k == "index")]
+    kind = draw(st.sampled_from(kinds))
+    width = draw(st.integers(1, 6))
+    scalar = _ROW_SCALARS[elem]
+    xs = draw(st.lists(st.lists(scalar, min_size=width, max_size=width),
+                       min_size=1, max_size=7))
+    ys = draw(st.lists(scalar, min_size=width, max_size=width + 2))
+    return elem, prim, kind, draw(st.booleans()), xs, ys
+
+
+class TestRowAxis:
+    @given(row_cases())
+    @example((T.BOOL, "add", "element", False, [[True]] * 3, [True]))
+    @example((T.DOUBLE, "max", "element", True,
+              [[_NAN, 1.0, 2.0], [0.0, -0.0, -0.0], [-0.0, 0.0, _NAN]] * 2,
+              [1.0, 2.0, 3.0]))
+    @example((T.DOUBLE, "min", "element", False,
+              [[-0.0, 0.0, 1.0, _NAN, -0.0, 0.0, 0.0, 2.0]],
+              [0.0] * 8))
+    @settings(**{**SETTINGS, "max_examples": 150})
+    def test_rows_match_interpreter_and_flat_path(self, case):
+        elem, prim, kind, masked, xs, ys = case
+        prog = build_rows(elem, prim, kind, masked)
+        exact = not (elem is T.BOOL and prim in ("add", "mul"))
+        assert check_rows(prog, {"xs": xs, "ys": ys}, exact)
+
+    @pytest.mark.parametrize("kind", ["element", "host_row"])
+    def test_a_nest_wider_than_the_rows_clips_as_the_flat_path(self, kind):
+        # 5 trips over rows of 3: the interpreter raises IndexError; both
+        # NumPy paths read the last column again
+        prog = build_rows(T.INT, "add", kind, False, width=5)
+        inputs = {"xs": [[1, 2, 3], [4, 5, 6]], "ys": [7, 8, 9]}
+        assert check_rows(prog, inputs, interpreter=False)
+
+    @given(st.sampled_from(["sub_in_reducer", "value_and_reducer",
+                            "reducer_in_nest"]),
+           st.integers(1, 5), st.integers(1, 5), st.booleans(),
+           st.randoms(use_true_random=False))
+    @settings(**SETTINGS)
+    def test_nests_in_reducers_and_reduce_values(self, shape, rows, width,
+                                                 floats, rnd):
+        def sub_zip(a, b):
+            return F.irange(a.length()).map(lambda k: a[k] - b[k])
+        build = {
+            # per-step fold: the nest runs in the reducer (``in_reducer``)
+            "sub_in_reducer": lambda xs: xs.reduce(sub_zip),
+            # and one in the value of the Reduce (``in_reduce_value``)
+            "value_and_reducer": lambda xs: xs.map_reduce(
+                lambda row: row.map(lambda x: x * 2), sub_zip),
+            # a reducer nest of a nested fold, over three outer lanes
+            "reducer_in_nest": lambda xs: F.irange(3).map(
+                lambda t: xs.map_reduce(
+                    lambda row: row.map(lambda x: x + t), sub_zip)),
+        }[shape]
+        elem = T.DOUBLE if floats else T.INT
+        xs = [[rnd.uniform(-1e3, 1e3) if floats else rnd.randint(-9, 9)
+               for _ in range(width)] for _ in range(rows)]
+        prog = F.build(build, [F.matrix_input("xs", True, elem=elem)])
+        assert check_rows(prog, {"xs": xs}) or rows == 1
+
+    @pytest.mark.parametrize("variant", ["opt", "gpu"])
+    @pytest.mark.parametrize("app,rows", [
+        ("gda", True), ("kmeans", True), ("logreg", True),
+        ("gibbs", False), ("pagerank", False), ("triangle", False)])
+    def test_bundled_apps_take_rows_only_where_rows_are_equal(
+            self, app, rows, variant, monkeypatch):
+        ran = []
+        spy_rows(monkeypatch, ran)
+        bundle = get_bundle(app)
+        compiled = bundle.compiled(variant)
+        _, _, fallbacks = run_program_numpy(
+            compiled.program, compiled.prepare_inputs(bundle.inputs))
+        assert fallbacks == [] and ran
+        assert (True in ran) is rows

@@ -233,7 +233,7 @@ class TestCircuitBreaker:
     def test_state_machine(self):
         cfg = BreakerConfig()
         cool = cfg.COOLDOWN_S
-        br = CircuitBreaker(cfg)
+        br = CircuitBreaker()
         assert br.state == CLOSED and br.allow(0.0)
         # MIN_EVENTS outcomes whose failure rate just reaches THRESHOLD
         failures = math.ceil(cfg.THRESHOLD * cfg.MIN_EVENTS)
@@ -261,7 +261,7 @@ class TestCircuitBreaker:
         assert br.state == CLOSED and br.allow(t + 2e-4)
 
     def test_closed_needs_min_events(self):
-        br = CircuitBreaker(BreakerConfig())
+        br = CircuitBreaker()
         for t in range(BreakerConfig.MIN_EVENTS - 1):
             br.record(t * 0.001, False)
         assert br.state == CLOSED                   # not enough evidence
