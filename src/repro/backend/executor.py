@@ -103,20 +103,21 @@ class NumpyInterp(Interp):
             return base.length_array(), base.data
         return self._row_entry(base)[:2]
 
-    def csr_cache(self, base) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def csr_cache(self, base) -> Tuple[Any, ...]:
         """(the rows laid end to end, each row's offset into them, per-row
-        lengths). A lifted view's rows start every ``width`` elements of
-        its padded data; rows that aren't scalar lay out as an object or
-        2-D array."""
+        lengths, a memo dict for what is derived from them). A lifted view's
+        rows start every ``width`` elements of its padded data, and a
+        loop-local temporary has no memo; rows that aren't scalar lay out
+        as an object or 2-D array."""
         if isinstance(base, ArrVec):
             d = base.data
             return (d.ravel() if d.ndim == 2 else d,
-                    np.arange(len(d)) * d.shape[1], base.length_array())
-        lens, _, flat, off = self._row_entry(base)
-        return flat, off, lens
+                    np.arange(len(d)) * d.shape[1], base.length_array(), None)
+        lens, _, flat, off, memo = self._row_entry(base)
+        return flat, off, lens, memo
 
-    def _row_entry(self, base) -> Tuple[np.ndarray, ...]:
-        """(lens, pad, flat, off) of host rows, built once per base."""
+    def _row_entry(self, base) -> Tuple[Any, ...]:
+        """(lens, pad, flat, off, memo) of host rows, once per base and run."""
         key = id(base)
         ent = self._rows.get(key)
         if ent is None:
@@ -138,7 +139,7 @@ class NumpyInterp(Interp):
                 else:
                     pad = np.zeros((n, w), dtype=flat.dtype)
                     pad[lens[:, None] > np.arange(w)] = flat
-            ent = (lens, pad, flat, np.cumsum(lens) - lens)
+            ent = (lens, pad, flat, np.cumsum(lens) - lens, {})
             self._rows[key] = ent
             self._keep.append(base)
         return ent

@@ -56,8 +56,9 @@ from ..core.interp import (BRANCH_CYCLES, BUCKET_CYCLES, READ_CYCLES,
 from ..core.ir import Block, Const, Def, Exp, Sym
 from ..core.multiloop import GenKind, Generator, MultiLoop
 from ..core.ops import (COLL_PRIMS, PRIMS, ArrayApply, ArrayLength, ArrayLit,
-                        BucketKeys, BucketLookup, CollPrim, IfThenElse,
-                        InputSource, MakeKeyed, Prim, StructField, StructNew)
+                        BucketKeys, BucketLookup, CollPrim, CsrArg,
+                        IfThenElse, InputSource, MakeKeyed, Prim, StructField,
+                        StructNew)
 from ..core.values import Buckets
 
 
@@ -81,11 +82,11 @@ class VecError(Exception):
 #: and 49.3 -> 52.3 -> 49.6 MB on the same two workloads.
 STRIP_LANES = 1 << 14
 
-#: Row elements (sum of all operands' lengths) one call of a batched
-#: collection primitive gathers. exec_dispatch_bound ``peak_rss_mb``:
-#: 49.6 MB at the parent, 66.3 MB with triangle's 8.4k row pairs in one
-#: call, 51.7 MB at 64 Ki elements, same ``geomean_ms``.
-PRIM_ELEMS = 1 << 16
+#: Elements (or bitset words) one temporary of a batched collection
+#: primitive may hold. Triangle's 8.4k calls of 19 words per run: 1.06 ms
+#: of popcounts at 64 Ki (three 512 KiB temporaries spill a 2 MiB L2),
+#: 0.57 ms at 32 Ki.
+PRIM_ELEMS = 1 << 15
 
 
 def _strips(ends: np.ndarray, budget: int):
@@ -461,10 +462,24 @@ _LOG = _pyfunc(PRIMS["log"].eval_fn, np.float64)
 _POW = _pyfunc(PRIMS["pow"].eval_fn, np.float64)
 _SIGMOID = _pyfunc(PRIMS["sigmoid"].eval_fn, np.float64)
 
+
+def _is_bool(v: Any) -> bool:
+    """Whether lane value ``v`` (a scalar, an array, padded rows) is bool."""
+    v = v.data if isinstance(v, ArrVec) else v
+    return isinstance(v, (bool, np.bool_)) or \
+        isinstance(v, np.ndarray) and v.dtype == np.bool_
+
+
+BOOL_FOLD = "add/mul fold of bools: combined runs are ints, single ones bools"
+
 VEC_PRIMS = {
-    "add": lambda a, b: a + b,
+    # two bools add and multiply as ints in Python (True + True == 2), as
+    # logical or and and in NumPy
+    "add": lambda a, b: np.add(a, b, dtype=np.int64)
+    if _is_bool(a) and _is_bool(b) else a + b,
     "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "mul": lambda a, b: np.multiply(a, b, dtype=np.int64)
+    if _is_bool(a) and _is_bool(b) else a * b,
     "div": _guard_div,
     "idiv": _guard_idiv,
     "mod": _guard_mod,
@@ -539,14 +554,13 @@ def _truncate(a):
         else a.astype(np.int64)
 
 
-def reducer_operands(name: str, vals: np.ndarray) -> np.ndarray:
-    """``vals`` as operands of ufunc ``name`` with the interpreter's
-    meaning: Python bool arithmetic widens to int."""
+def check_reducer_operands(name: str, vals: np.ndarray, combines: bool):
+    """Raise ``VecError`` unless folding ``vals`` by ufunc ``name`` keeps
+    the interpreter's meaning; ``combines``: some run has two elements."""
     if name in ("and", "or") and vals.dtype != np.bool_:
         raise VecError("logical reducer on non-boolean values")
-    if name in ("add", "mul") and vals.dtype == np.bool_:
-        return vals.astype(np.int64)
-    return vals
+    if combines and name in ("add", "mul") and vals.dtype == np.bool_:
+        raise VecError(BOOL_FOLD)
 
 
 def recognize_elementwise(block: Block) -> Optional[Tuple[str, int]]:
@@ -1117,38 +1131,23 @@ class LoopVectorizer:
     def _coll_prim_batched(self, spec, args: Sequence[Any],
                            lanes: np.ndarray, out: np.ndarray) -> bool:
         """Evaluate a collection primitive over integer row gathers with
-        its batched evaluator, ``PRIM_ELEMS`` row elements at a time.
-        Returns False, with nothing charged, when an operand is not such a
-        gather or the evaluator declines (unsorted rows): the per-lane loop
-        is the only exact evaluation there."""
-        rows = []
+        its batched evaluator, handing it each collection's CSR rows and the
+        row each lane reads (``CsrArg``). Returns False, with nothing
+        charged, when an operand is not such a gather or the evaluator
+        declines (unsorted rows): the per-lane loop is the only exact
+        evaluation there."""
+        operands = []
         for a in args:
             if not isinstance(a, Rows):
                 return False
-            flat, off, lens = self.host.csr_cache(a.base)
+            flat, off, lens, memo = self.host.csr_cache(a.base)
             if flat.ndim != 1 or flat.dtype.kind != "i":
                 return False
-            idx = a.idx[lanes]
-            rows.append((flat, off[idx], lens[idx]))
-        vals = np.zeros(len(lanes), dtype=out.dtype)
-        cycles = np.zeros(len(lanes))
-        reads = 0
-        for start, stop in _strips(np.cumsum(sum(l for _, _, l in rows)),
-                                   PRIM_ELEMS):
-            operands = []
-            for flat, off, l in rows:
-                # element e of the strip's run r sits at off[r] + (e - its
-                # run's start): one computed source offset per element
-                l = l[start:stop]
-                ends = np.cumsum(l)
-                operands += [flat[np.repeat(off[start:stop] - (ends - l), l)
-                             + np.arange(ends[-1])], l]
-            res = spec.batch_fn(*operands)
-            if res is None:
-                return False
-            vals[start:stop], cycles[start:stop], n_read = res
-            reads += n_read
-        out[lanes] = vals
+            operands.append(CsrArg(flat, off, lens, a.idx[lanes], memo))
+        res = spec.batch_fn(PRIM_ELEMS, *operands)
+        if res is None:
+            return False
+        out[lanes], cycles, reads = res
         self.ess[lanes] += cycles
         self.delta.elements_read += reads
         self.delta.bytes_read += reads * 8
@@ -1229,7 +1228,7 @@ class LoopVectorizer:
             v = self._row_values(g.value, lanes, W)
             if g.reducer is None:
                 return v
-            v = reducer_operands(name, v)
+            check_reducer_operands(name, v, W > 1)
             if len(v) < W - 1:  # few long rows: sequential calls, not steps
                 return run(v.T)
             acc = np.array(v[:, 0])
@@ -1434,12 +1433,12 @@ class LoopVectorizer:
             live = cnt > k
             pos = np.where(live, first + k, first)
             nxt = vec_take(vals, pos)
-            if live.all():
-                acc = fold.eval_block(g.reducer, (acc, nxt), None)
-            else:
-                acc = vec_where(
-                    live, fold.eval_block(g.reducer, (acc, nxt), live),
-                    acc, fold.L)
+            new = fold.eval_block(g.reducer, (acc, nxt),
+                                  None if live.all() else live)
+            if _is_bool(acc) and not _is_bool(new) and np.size(
+                    new.data if isinstance(new, ArrVec) else new):
+                raise VecError(BOOL_FOLD)  # empty rows hold no int to mix
+            acc = new if live.all() else vec_where(live, new, acc, fold.L)
             # a run with no k-th element was charged nothing this step
             self.absorb(fold, flat[pos])
             fold.ess[:] = fold.ovh[:] = 0.0
@@ -1475,10 +1474,10 @@ class LoopVectorizer:
             return None
         if data.dtype.kind not in "biuf":
             return None
-        data = reducer_operands(name, data)
+        steps = int(cnt.max()) - 1
+        check_reducer_operands(name, data, steps > 0)
         step, run = FOLD_KERNELS[name]
         first = np.cumsum(cnt) - cnt
-        steps = int(cnt.max()) - 1
         if len(cnt) < steps:
             out = data[first]
             chunk = max(1, STRIP_LANES // max(1, out[0].size))

@@ -9,6 +9,7 @@ Python evaluator and an abstract cycle cost used by the machine model.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -224,6 +225,12 @@ class BucketKeys(Op):
         return f"keys({self.coll!r})"
 
 
+#: A collection argument of a batched call: its CSR rows (row ``r`` is
+#: ``flat[off[r]: off[r] + lens[r]]``), the row each call reads, and a memo
+#: dict per collection and run (``None`` for a temporary collection).
+CsrArg = namedtuple("CsrArg", "flat off lens rows memo")
+
+
 @dataclass(frozen=True)
 class CollPrimSpec:
     """A DSL-author-provided collection primitive (§3.2 Discussion: the
@@ -237,11 +244,11 @@ class CollPrimSpec:
     #: (arg values) -> (abstract cycles, elements read)
     cost_fn: Callable
     #: optional evaluator of many calls at once, for the vectorized
-    #: backend. Each collection argument arrives as two int64 arrays: all
-    #: calls' rows back to back, and each row's length. Returns per-call
-    #: (values, cycles) arrays and the total elements read — the same
-    #: tallies ``eval_fn``/``cost_fn`` give call by call — or ``None`` to
-    #: decline a batch it cannot evaluate exactly.
+    #: backend: ``batch_fn(budget, *args)``, each collection argument an
+    #: integer ``CsrArg``, and no temporary longer than ``budget``
+    #: elements. Returns per-call (values, cycles) arrays and the total
+    #: elements read — the same tallies ``eval_fn``/``cost_fn`` give call
+    #: by call — or ``None`` to decline a batch it cannot evaluate exactly.
     batch_fn: Optional[Callable] = None
 
 
@@ -260,60 +267,93 @@ def _sorted_intersect_count(a, b) -> int:
     return n
 
 
-def _sorted_intersect_count_batch(a, a_lens, b, b_lens):
-    """All calls' merges in one pass. Tagging every element with its call
-    number (``call * span + value - lo``) turns per-call sorted rows into
-    two globally sorted key arrays. On an unsorted row the scalar merge is
-    order-dependent, so the batch is declined.
-
-    On sorted rows the merge counts, per call, the minimum multiplicity of
-    every common value. Where a call's ``b`` row repeats no value, that is
-    how many of its ``b`` keys occur among its ``a`` keys: ``a`` marks a
-    ``bool`` table of ``n * span`` cells, ``b`` probes it, and a bincount
-    of the hits by call gives the counts.
-
-    The table is bounded by 128 cells per element of the batch. The
-    vectorized backend cuts batches into strips of ``PRIM_ELEMS`` (64 Ki)
-    elements to bound their memory, so a strip's table stays within 8 Mi
-    one-byte cells; triangle's strips need at most 80 cells per element
-    (1200 vertex ids over its short last strip). Calls whose ``b`` row
-    repeats a value, and batches past the bound (wide spans, such as
-    64-bit ids), match the run-length encodings of both key arrays
-    instead."""
+def _sorted_intersect_count_batch(budget, a, b):
+    """All calls' merges at once; a batch that reads an unsorted row is
+    declined (the merge's count depends on order there). On sorted rows
+    the merge counts the minimum multiplicity of every common value: where
+    one of a call's rows repeats no value, the popcount of the two rows'
+    bitsets ANDed (built once per collection and run, offset by one
+    ``lo``), ``budget // words`` calls at a time. Calls whose rows both
+    repeat a value, and all calls when the bitsets would pass 4 times the
+    words of the CSR they pack (wide spans), match run-length encodings of
+    their rows, gathered ``budget`` elements at a time and tagged ``call *
+    span + value - lo`` into one sorted key array; tags that would overflow
+    int64 decline the batch."""
     import numpy as np
-    n = len(a_lens)
-    counts = np.zeros(n, dtype=np.int64)
-    if a.size and b.size:
-        lo = int(min(a.min(), b.min()))
-        span = int(max(a.max(), b.max())) - lo + 1
-        if n * span >= 1 << 62:
+    ma, mb = _row_data(a), _row_data(b)
+    ra, rb = a.rows, b.rows
+    if ma["unsorted"][ra].any() or mb["unsorted"][rb].any():
+        return None
+    reads = a.lens[ra] + b.lens[rb]
+    counts = np.zeros(len(ra), dtype=np.int64)
+    if ma["vals"].size and mb["vals"].size:  # else no call shares a value
+        lo = min(int(ma["vals"].min()), int(mb["vals"].min()))
+        span = max(int(ma["vals"].max()), int(mb["vals"].max())) - lo + 1
+        words = (span + 63) // 64
+        key = "bits", lo, words
+        for m in (ma, mb):  # a row holds v where bit v - lo of it is set
+            n = len(m["lens"])
+            if key not in m and words * n <= 4 * (len(m["vals"]) + 2 * n):
+                v = m["vals"] - lo
+                bits = np.zeros((n, words), dtype=np.uint64)
+                np.bitwise_or.at(bits.reshape(-1), (v >> 6) + np.repeat(
+                    np.arange(n) * words, m["lens"]), np.left_shift(
+                        np.uint64(1), (v & 63).astype(np.uint64)))
+                m[key] = bits
+        by_runs = ma["repeats"][ra] & mb["repeats"][rb] \
+            if key in ma and key in mb else np.ones(len(ra), dtype=np.bool_)
+        calls, step = np.flatnonzero(~by_runs), max(1, budget // words)
+        for s in range(0, len(calls), step):
+            c = calls[s: s + step]
+            counts[c] = np.bitwise_count(
+                ma[key][ra[c]] & mb[key][rb[c]]).sum(axis=1)
+        calls = np.flatnonzero(by_runs)
+        if len(calls) and (int(calls[-1]) + 1) * span >= 1 << 62:
             return None  # tags would overflow int64
-        tag = np.arange(n, dtype=np.int64) * span - lo
-        ka = a + np.repeat(tag, a_lens)
-        kb = b + np.repeat(tag, b_lens)
-        if (ka[1:] < ka[:-1]).any() or (kb[1:] < kb[:-1]).any():
-            return None
-        if n * span <= 128 * (a.size + b.size):  # the table's bound
-            seen = np.zeros(n * span, dtype=np.bool_)
-            seen[ka] = True
-            probe, dup = kb, kb[1:][kb[1:] == kb[:-1]] // span
-            if dup.size:  # calls whose b row repeats a value
-                rep = np.zeros(n, dtype=np.bool_)
-                rep[dup] = True
-                in_rep = rep[kb // span]
-                probe, ka, kb = kb[~in_rep], ka[rep[ka // span]], kb[in_rep]
-            else:  # nothing left to match by runs
-                ka = kb = kb[:0]
-            counts = np.bincount(probe[seen[probe]] // span, minlength=n)
-        if ka.size and kb.size:
-            ua, ca = _run_lengths(ka)
-            ub, cb = _run_lengths(kb)
-            at = np.minimum(np.searchsorted(ub, ua), len(ub) - 1)
-            hit = ub[at] == ua
-            np.add.at(counts, ua[hit] // span,
-                      np.minimum(ca[hit], cb[at[hit]]))
-    reads = a_lens + b_lens
+        # a strip ends where the element count passes a budget multiple
+        strips = np.split(calls, np.flatnonzero(np.diff(
+            np.cumsum(reads[calls]) // budget)) + 1) if len(calls) else ()
+        for c in strips:
+            tag = c * span - lo
+            ka = _gather_rows(ma, ra[c]) + np.repeat(tag, a.lens[ra[c]])
+            kb = _gather_rows(mb, rb[c]) + np.repeat(tag, b.lens[rb[c]])
+            if ka.size and kb.size:
+                ua, ca = _run_lengths(ka)
+                ub, cb = _run_lengths(kb)
+                at = np.minimum(np.searchsorted(ub, ua), len(ub) - 1)
+                hit = ub[at] == ua
+                np.add.at(counts, ua[hit] // span,
+                          np.minimum(ca[hit], cb[at[hit]]))
     return counts, 2.0 * reads, int(reads.sum())
+
+
+def _row_data(arg: CsrArg) -> dict:
+    """What the intersection evaluator reads of a collection, kept in
+    ``arg.memo``: its rows end to end (``vals``, padding dropped) from
+    ``starts``, which are ``unsorted`` and which ``repeats`` a value."""
+    import numpy as np
+    m = {} if arg.memo is None else arg.memo
+    if "vals" not in m:
+        lens, vals = arg.lens, arg.flat
+        starts, total = np.cumsum(lens) - lens, int(lens.sum())
+        if len(vals) != total:
+            vals = vals[np.repeat(arg.off - starts, lens) + np.arange(total)]
+        row = np.repeat(np.arange(len(lens)), lens)
+        pair = row[1:] == row[:-1]  # consecutive elements of one row
+        down = row[1:][pair & (vals[1:] < vals[:-1])]
+        same = row[1:][pair & (vals[1:] == vals[:-1])]
+        m.update(lens=lens, vals=vals, starts=starts,
+                 unsorted=np.bincount(down, minlength=len(lens)) > 0,
+                 repeats=np.bincount(same, minlength=len(lens)) > 0)
+    return m
+
+
+def _gather_rows(m: dict, rows):
+    """Rows ``rows`` of a collection (its ``_row_data``) end to end."""
+    import numpy as np
+    lens = m["lens"][rows]
+    return m["vals"][np.repeat(m["starts"][rows] + lens - np.cumsum(lens),
+                               lens) + np.arange(int(lens.sum()))]
 
 
 def _run_lengths(keys):
